@@ -46,7 +46,8 @@ from .domain import (
 )
 from .eigensolver import (
     EigenResult,
-    GradientFit,
+    StencilOperator,
+    stencil_operator,
     discrete_gradient,
     rayleigh_quotient,
     stabilized_quotient,

@@ -18,18 +18,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .domain import analytic_diameter, build_domain, diameter, domain_spec_from_config
 from .eigensolver import minimize_rayleigh
-from .harness import run_suite
+from .harness import run_suite, write_eigenfunction_csv
 from .model1d import lambda1_model
-
-
-def _parse_real_or_inf(s: str) -> float:
-    if s.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(s)
 
 
 def _load_case(path: str) -> dict:
@@ -54,7 +46,7 @@ def cmd_model_table(args) -> int:
     with open(args.config) as f:
         grid = json.load(f)
     Ks = [float(k) for k in grid["K"]]
-    Ns = [_parse_real_or_inf(str(n)) for n in grid["N"]]
+    Ns = [float(n) for n in grid["N"]]
     ds = [float(d) for d in grid["d"]]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     w = csv.writer(out)
@@ -91,12 +83,7 @@ def cmd_solve(args) -> int:
     print(f"iterations = {res.iterations}")
     print(f"converged = {res.converged}")
     if args.dump_u:
-        with open(args.dump_u, "w", newline="") as f:
-            w = csv.writer(f)
-            dim = dom.dim
-            w.writerow([f"x{i+1}" for i in range(dim)] + ["u"])
-            for row in np.column_stack([dom.nodes, res.u]):
-                w.writerow([repr(float(x)) for x in row])
+        write_eigenfunction_csv(args.dump_u, dom.nodes, res.u)
         print(f"wrote {args.dump_u}")
     return 0
 
@@ -136,7 +123,7 @@ def main(argv=None) -> int:
 
     pe = sub.add_parser("model-eig", help="print lambda_1(K, N, d)")
     pe.add_argument("--K", type=float, required=True)
-    pe.add_argument("--N", type=_parse_real_or_inf, required=True,
+    pe.add_argument("--N", type=float, required=True,
                     help="dimension parameter in (1, inf]; pass 'inf' for infinity")
     pe.add_argument("--d", type=float, required=True)
     pe.set_defaults(fn=cmd_model_eig)

@@ -102,7 +102,8 @@ class DiscreteDomain:
 
     ``neighbor_idx`` is (n, max_deg) with -1 padding; ``neighbor_disp`` holds
     the exact displacement vectors node -> neighbor; masks mark real slots.
-    Immutable after build; the graph caches below are derived data only.
+    Immutable after build; ``_cache`` holds derived data only (edge graphs,
+    the eigensolver's stencil operator).
     """
 
     spec: DomainSpec
@@ -113,7 +114,7 @@ class DiscreteDomain:
     neighbor_mask: np.ndarray
     boundary: np.ndarray
     h: float
-    _graphs: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -130,14 +131,14 @@ class DiscreteDomain:
     def edge_graph(self, norm: NormSpec) -> csr_matrix:
         """Directed sparse matrix of F(displacement) edge weights."""
         key = json.dumps(norm_to_config(norm), sort_keys=True)
-        g = self._graphs.get(key)
+        g = self._cache.get(key)
         if g is None:
             mask = self.neighbor_mask
             rows = np.repeat(np.arange(self.n_nodes), mask.sum(axis=1))
             cols = self.neighbor_idx[mask]
             w = norm_eval(norm, self.neighbor_disp[mask])
             g = csr_matrix((w, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-            self._graphs[key] = g
+            self._cache[key] = g
         return g
 
 
@@ -248,13 +249,25 @@ def asymmetric_distance(domain: DiscreteDomain, norm: NormSpec, i: int, j: int) 
     return float(out)
 
 
+_DIAMETER_BATCH = 256
+
+
 def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
-    """Graph diameter: max over ordered node pairs of the directed distance."""
+    """Graph diameter: max over ordered node pairs of the directed distance.
+
+    Sources run in batches of ``_DIAMETER_BATCH``, so memory stays
+    O(n * batch) instead of the all-pairs n x n matrix.
+    """
     g = domain.edge_graph(norm)
-    d = dijkstra(g, directed=True)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("domain graph is disconnected")
-    return float(d.max())
+    n = domain.n_nodes
+    best = 0.0
+    for start in range(0, n, _DIAMETER_BATCH):
+        d = dijkstra(g, directed=True,
+                     indices=np.arange(start, min(start + _DIAMETER_BATCH, n)))
+        if not np.all(np.isfinite(d)):
+            raise ValueError("domain graph is disconnected")
+        best = max(best, float(d.max()))
+    return best
 
 
 def _max_norm_on_sphere(norm: NormSpec) -> float:

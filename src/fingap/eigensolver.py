@@ -20,18 +20,34 @@ therefore adds the fit's own consistency defect,
 
 with beta = 0.05.  The penalty vanishes on affine functions, is O(h^2)
 relative on smooth ones (second-order convergence survives), and prices
-checkerboards at O(1/h^2) where they physically belong.  By least-squares
-optimality the penalty is differentiable with no chain term through Du.
+checkerboards at O(1/h^2) where they physically belong.
+
+Operators: each lattice's stencil is assembled once (``stencil_operator``,
+cached on the domain) into two sparse matrices,
+
+  * D (n*dim x n): the least-squares gradient, (D u)[i*dim + k] = (Du_i)_k;
+  * P (n x n): the penalty's quadratic form,
+    u^T P u = sum_i m_i sum_j (u_j - u_i - Du_i . d_ij)^2.
+
+At the least-squares optimum sum_j r_ij^2 = sum_j (u_j - u_i)^2 -
+Du_i^T G_i Du_i with G_i = sum_j d_ij d_ij^T, so P = L_m - D^T blockdiag(m_i
+G_i) D, where L_m is the m-weighted edge Laplacian.  One energy and gradient
+evaluation is then E = m . F*(Du)^2 + c u^T P u and grad E = D^T (2 m l(Du))
++ 2 c P u, with l the inverse Legendre map and c = beta s(F) / h^2.
 
 For quadratic norms the same energy is a generalized symmetric eigenproblem
-and ``dense_oracle`` solves it directly from the same operators; the descent
-result must agree with it to certify correctness.  For genuinely nonlinear
-norms (Randers, two-slope) certification rests on the weak-form residual
-plus mesh refinement.
+S u = lam M u with S = D^T (M (x) A^{-1}) D + c P, and ``dense_oracle``
+solves it directly; the descent result must agree with it to certify
+correctness.  For genuinely nonlinear norms (Randers, two-slope)
+certification rests on the weak-form residual plus mesh refinement.
 
 Descent uses projected gradient steps with a Barzilai-Borwein initial step
 inside a halving backtracking line search (Armijo constant 1e-4), projecting
-to the weighted mean-zero sphere after every step.  Deterministic given
+to the weighted mean-zero sphere after every step.  A line search that finds
+no descent in 60 halvings counts as an iteration with zero progress and
+restarts BB from the plain projected-gradient step.  The descent has
+converged when the quotient's relative decrease over the last 10 iterations
+falls below 1e-12; at the iteration cap it has not.  Deterministic given
 (domain, norm, seed).
 """
 
@@ -41,16 +57,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import csr_matrix, diags, kron
 from scipy.sparse.linalg import eigsh
 
-from .domain import DiscreteDomain, _stencil_offsets
+from .domain import DiscreteDomain
 from .norms import NormSpec, dual_norm_eval, legendre_inverse
 
 __all__ = [
     "EigenResult",
-    "GradientFit",
+    "StencilOperator",
     "STABILIZATION_BETA",
+    "stencil_operator",
     "discrete_gradient",
     "rayleigh_quotient",
     "stabilized_quotient",
@@ -73,57 +90,63 @@ class EigenResult:
     history: list = field(default_factory=list, repr=False)
 
 
-class GradientFit:
-    """Least-squares gradient operator on a DiscreteDomain.
+@dataclass(frozen=True)
+class StencilOperator:
+    """Least-squares gradient D and consistency-penalty form P of a lattice
+    (see the module docstring)."""
 
-    Du_i solves min_xi sum_j (xi . d_ij - (u_j - u_i))^2 over the stencil of
-    node i; exact for affine u.  ``apply`` maps node values to per-node
-    covectors; ``adjoint`` is its exact transpose, assembled by gathering
-    reverse edges (the stencil is symmetric: the slot of -offset reverses the
-    slot of +offset).
-    """
+    D: csr_matrix
+    P: csr_matrix
+    dim: int
 
-    def __init__(self, domain: DiscreteDomain):
-        self.domain = domain
-        disp = domain.neighbor_disp
-        mask = domain.neighbor_mask
-        self.disp = disp
-        self.h = domain.h
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """Du as per-node covectors, shape (n, dim)."""
+        return (self.D @ u).reshape(-1, self.dim)
 
-        G = np.einsum("nsd,nse->nde", disp, disp)
-        try:
-            Ginv = np.linalg.inv(G)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("rank-deficient stencil at some node") from exc
-        self.W = np.einsum("nde,nse->nsd", Ginv, disp)
-        self.W[~mask] = 0.0
-        self.W_rowsum = self.W.sum(axis=1)
 
-        self._idx_safe = np.where(mask, domain.neighbor_idx, 0)
-        self._mask = mask
+def stencil_operator(domain: DiscreteDomain) -> StencilOperator:
+    """The lattice's D and P, assembled on first use and cached on the domain."""
+    op = domain._cache.get("stencil_operator")
+    if op is None:
+        op = _assemble(domain)
+        domain._cache["stencil_operator"] = op
+    return op
 
-        # reverse-edge slots from the canonical offset table (slot s of the
-        # neighbor arrays is offset s of the stencil for every node)
-        offsets = _stencil_offsets(domain.dim)
-        table = {tuple(o): s for s, o in enumerate(offsets)}
-        self._neg = np.array([table[tuple(-o)] for o in offsets], dtype=int)
 
-    def differences(self, u: np.ndarray) -> np.ndarray:
-        du = u[self._idx_safe] - u[:, None]
-        du[~self._mask] = 0.0
-        return du
+def _assemble(domain: DiscreteDomain) -> StencilOperator:
+    disp, mask = domain.neighbor_disp, domain.neighbor_mask
+    n, dim = domain.n_nodes, domain.dim
+    m = domain.node_measure
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return np.einsum("nsd,ns->nd", self.W, self.differences(u))
+    G = np.einsum("nsd,nse->nde", disp, disp)
+    try:
+        Ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("rank-deficient stencil at some node") from exc
+    W = np.einsum("nde,nse->nsd", Ginv, disp)  # zero on padded slots
 
-    def diff_adjoint(self, val: np.ndarray) -> np.ndarray:
-        """Adjoint of ``differences``: val is (n, deg) per-edge weights."""
-        gathered = val[self._idx_safe, self._neg[None, :]]
-        gathered[~self._mask] = 0.0
-        return gathered.sum(axis=1) - val.sum(axis=1)
+    # slot_sum(coef) u has row i*dim + k equal to sum_s coef[i, s, k] (u_j - u_i),
+    # j the neighbor in slot s of node i
+    i_idx, s_idx = np.nonzero(mask)
+    j_idx = domain.neighbor_idx[i_idx, s_idx]
+    rows = np.concatenate([(i_idx[:, None] * dim + np.arange(dim)).ravel(),
+                           np.arange(n * dim)])
+    cols = np.concatenate([np.repeat(j_idx, dim), np.repeat(np.arange(n), dim)])
 
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return self.diff_adjoint(np.einsum("nsd,nd->ns", self.W, z))
+    def slot_sum(coef):
+        vals = np.concatenate([coef[i_idx, s_idx].ravel(), -coef.sum(axis=1).ravel()])
+        return csr_matrix((vals, (rows, cols)), shape=(n * dim, n))
+
+    D = slot_sum(W)
+    # D^T blockdiag(m_i G_i) D, using G_i W_i = d_i: the second factor sums
+    # m_i d_ij (u_j - u_i); its rounding is symmetrized below so that the
+    # gradient 2 P u is exact for the form u^T P u
+    K = D.T @ (diags(np.repeat(m, dim)) @ slot_sum(disp))
+    edges = csr_matrix((m[i_idx], (i_idx, j_idx)), shape=(n, n))
+    deg = np.asarray(edges.sum(axis=0)).ravel() + np.asarray(edges.sum(axis=1)).ravel()
+    L_m = diags(deg) - edges - edges.T
+    P = (L_m - 0.5 * (K + K.T)).tocsr()
+    return StencilOperator(D=D, P=P, dim=dim)
 
 
 def discrete_gradient(domain: DiscreteDomain, u, i: int | None = None):
@@ -132,9 +155,17 @@ def discrete_gradient(domain: DiscreteDomain, u, i: int | None = None):
     Returns the full (n, dim) array, or a single covector when ``i`` is
     given.  Exact for affine u; zero for constant u.
     """
-    fit = GradientFit(domain)
-    out = fit.apply(np.asarray(u, dtype=float))
+    out = stencil_operator(domain).gradient(np.asarray(u, dtype=float))
     return out if i is None else out[int(i)]
+
+
+def _variance(m: np.ndarray, u: np.ndarray) -> float:
+    """sum m (u - mean)^2; rejects (numerically) constant u."""
+    mean = float(m @ u) / float(m.sum())
+    den = float(m @ (u - mean) ** 2)
+    if den <= 1e-30 * float(m.sum()) * max(1.0, float(np.max(np.abs(u))) ** 2):
+        raise ValueError("Rayleigh quotient undefined for constant u")
+    return den
 
 
 def rayleigh_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
@@ -145,17 +176,12 @@ def rayleigh_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
     """
     u = np.asarray(u, dtype=float)
     m = domain.node_measure
-    mean = float(m @ u) / float(m.sum())
-    den = float(m @ (u - mean) ** 2)
-    if den <= 1e-30 * float(m.sum()) * max(1.0, float(np.max(np.abs(u))) ** 2):
-        raise ValueError("Rayleigh quotient undefined for constant u")
-    Du = GradientFit(domain).apply(u)
-    num = float(m @ dual_norm_eval(norm, Du) ** 2)
+    den = _variance(m, u)
+    num = float(m @ dual_norm_eval(norm, discrete_gradient(domain, u)) ** 2)
     return num / den
 
 
-def stabilized_quotient(domain: DiscreteDomain, norm: NormSpec, u,
-                        beta: float = STABILIZATION_BETA) -> float:
+def stabilized_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
     """The quotient actually minimized by the solver: raw numerator plus the
     consistency penalty, over the weighted variance.  For any non-constant u
     this dominates the discrete spectral gap, so it certifies the Poincare
@@ -163,13 +189,9 @@ def stabilized_quotient(domain: DiscreteDomain, norm: NormSpec, u,
     """
     u = np.asarray(u, dtype=float)
     m = domain.node_measure
-    mean = float(m @ u) / float(m.sum())
-    den = float(m @ (u - mean) ** 2)
-    if den <= 1e-30 * float(m.sum()) * max(1.0, float(np.max(np.abs(u))) ** 2):
-        raise ValueError("quotient undefined for constant u")
-    fit = GradientFit(domain)
-    c = beta * _penalty_scale(norm) / fit.h**2
-    num, _ = _energy_and_grad(fit, norm, m, u, c)
+    den = _variance(m, u)
+    op = stencil_operator(domain)
+    num, _ = _energy_and_grad(op, norm, m, u, _penalty_coefficient(norm, domain.h))
     return num / den
 
 
@@ -191,36 +213,37 @@ def _penalty_scale(norm: NormSpec) -> float:
     return float(np.min(dual_norm_eval(norm, xi))) ** 2
 
 
-def _energy_and_grad(fit: GradientFit, norm: NormSpec, m: np.ndarray,
+def _penalty_coefficient(norm: NormSpec, h: float) -> float:
+    """c = beta * penalty_scale / h^2, shared by the descent and the oracle."""
+    return STABILIZATION_BETA * _penalty_scale(norm) / h**2
+
+
+def _energy_and_grad(op: StencilOperator, norm: NormSpec, m: np.ndarray,
                      u: np.ndarray, c: float):
     """Stabilized numerator E(u) and its exact gradient; c is the penalty
-    coefficient beta * penalty_scale / h^2."""
-    du = fit.differences(u)
-    Du = np.einsum("nsd,ns->nd", fit.W, du)
-    fstar2 = dual_norm_eval(norm, Du) ** 2
-    r = du - np.einsum("nsd,nd->ns", fit.disp, Du)
-    r[~fit._mask] = 0.0
-    num = float(m @ fstar2) + c * float(m @ np.einsum("ns,ns->n", r, r))
+    coefficient."""
+    Du = op.gradient(u)
+    Pu = op.P @ u
+    num = float(m @ dual_norm_eval(norm, Du) ** 2) + c * float(u @ Pu)
     z = 2.0 * m[:, None] * legendre_inverse(norm, Du)
-    grad = fit.adjoint(z) + fit.diff_adjoint(2.0 * c * m[:, None] * r)
+    grad = op.D.T @ z.ravel() + (2.0 * c) * Pu
     return num, grad
 
 
 def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
-                      max_iter: int = 50_000,
-                      beta: float = STABILIZATION_BETA) -> EigenResult:
+                      max_iter: int = 50_000) -> EigenResult:
     """Minimize the stabilized Rayleigh quotient on the mean-zero sphere.
 
     Start: first coordinate function minus its weighted mean, plus seeded
     1e-3 noise to break grid symmetries.  Terminates when the relative
-    decrease of the quotient over 10 accepted steps falls below 1e-12 (or at
+    decrease of the quotient over 10 iterations falls below 1e-12 (or at
     the iteration cap, flagged as not converged).
     """
     if domain.n_nodes < 3:
         raise ValueError("domain too small for an eigenvalue")
     m = domain.node_measure
     Mtot = float(m.sum())
-    fit = GradientFit(domain)
+    op = stencil_operator(domain)
 
     def project(w):
         return w - (float(m @ w) / Mtot)
@@ -233,8 +256,8 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
     scale = float(np.max(np.abs(u))) or 1.0
     u = normalize(project(u + 1e-3 * scale * rng.standard_normal(domain.n_nodes)))
 
-    c_pen = beta * _penalty_scale(norm) / fit.h**2
-    R, g = _energy_and_grad(fit, norm, m, u, c_pen)
+    c_pen = _penalty_coefficient(norm, domain.h)
+    R, g = _energy_and_grad(op, norm, m, u, c_pen)
     history = [R]
     alpha = 1.0
     u_prev = g_prev = None
@@ -268,29 +291,28 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
                 alpha = 1.0
         u_prev, g_prev = u, gt
 
-        accepted = False
         a = alpha
         for _bt in range(60):
             u_try = normalize(project(u - a * gt))
-            R_try, g_try = _energy_and_grad(fit, norm, m, u_try, c_pen)
+            R_try, g_try = _energy_and_grad(op, norm, m, u_try, c_pen)
             if R_try <= R - 1e-4 * a * gnorm2:
-                accepted = True
+                u, R, g = u_try, R_try, g_try
                 break
             a *= 0.5
-        if not accepted:
-            converged = True  # no descent direction left at fp resolution
-            break
-        u, R, g = u_try, R_try, g_try
+        else:
+            # no descent at fp resolution: a zero-progress iteration, after
+            # which BB restarts from the plain projected-gradient step
+            alpha = 1.0
+            u_prev = g_prev = None
         iterations += 1
         history.append(R)
-        if len(history) > 10:
-            if history[-11] - R < 1e-12 * max(R, 1e-300):
-                converged = True
-                break
+        if len(history) > 10 and history[-11] - R < 1e-12 * max(R, 1e-300):
+            converged = True
+            break
 
     u = normalize(project(u))
     lam = R
-    _, gfin = _energy_and_grad(fit, norm, m, u, c_pen)
+    _, gfin = _energy_and_grad(op, norm, m, u, c_pen)
     defect = np.abs(0.5 * gfin - lam * m * u)
     scale = max(lam * float(np.max(m * np.abs(u))), 1e-300)
     residual = float(defect.max()) / scale
@@ -299,71 +321,31 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
                        history=history)
 
 
-def dense_oracle(domain: DiscreteDomain, norm: NormSpec, k: int = 5,
-                 beta: float = STABILIZATION_BETA) -> np.ndarray:
+def dense_oracle(domain: DiscreteDomain, norm: NormSpec, k: int = 5) -> np.ndarray:
     """First k Neumann eigenvalues from the assembled linear problem.
 
     Only valid for Euclidean/quadratic norms, where F*(xi)^2 = xi^T A^{-1} xi
     makes the stabilized energy a generalized symmetric eigenproblem
-    S u = lam M u built from the same least-squares gradient operator and
-    the same consistency penalty.  The first eigenvalue is ~0 (constants);
-    the second is the spectral gap.
+    S u = lam M u with S = D^T (M (x) A^{-1}) D + c P, built from the same
+    operators as the descent.  The first eigenvalue is ~0 (constants); the
+    second is the spectral gap.
     """
     if norm.family not in ("euclidean", "quadratic"):
         raise ValueError("dense oracle requires a euclidean or quadratic norm")
     if domain.n_nodes > 5000:
         raise ValueError("dense oracle limited to 5000 nodes")
 
-    fit = GradientFit(domain)
-    n, deg, dim = fit.W.shape
-    A_inv = np.eye(dim) if norm.family == "euclidean" else norm.A_inv
-    Rch = np.linalg.cholesky(A_inv).T  # A_inv = Rch^T Rch
-
+    op = stencil_operator(domain)
     m = domain.node_measure
-    sqm = np.sqrt(m)
-    mask = fit._mask
-    nb = domain.neighbor_idx
-
-    # gradient part: rows (i, d) of sqrt(m_i) * (Rch Du_i)
-    Wt = np.einsum("de,nse->nsd", Rch, fit.W) * sqm[:, None, None]
-    Wt_rowsum = Wt.sum(axis=1)
-    i_idx, s_idx = np.nonzero(mask)
-    j_idx = nb[i_idx, s_idx]
-    rows_list, cols_list, data_list = [], [], []
-    for d in range(dim):
-        rows_list += [i_idx * dim + d, np.arange(n) * dim + d]
-        cols_list += [j_idx, np.arange(n)]
-        data_list += [Wt[i_idx, s_idx, d], -Wt_rowsum[:, d]]
-    B = coo_matrix(
-        (np.concatenate(data_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(n * dim, n),
-    ).tocsr()
-    S = (B.T @ B).tocsc()
-
-    # penalty part: rows (i, s) of sqrt(c_pen m_i) * (Delta_is - d_is . Du_i)
-    scale = np.sqrt(beta * _penalty_scale(norm) * m) / fit.h
-    hat = np.einsum("nsd,ntd->nst", fit.disp, fit.W)  # d_is . W_it
-    hat[~mask[:, :, None] | ~mask[:, None, :]] = 0.0
-    coef = -hat.copy()
-    eye = np.arange(deg)
-    coef[:, eye, eye] += mask.astype(float)  # + delta_st on real slots
-    row_of = (np.arange(n)[:, None] * deg + np.arange(deg)[None, :])
-
-    i2, s2, t2 = np.nonzero(np.abs(coef) > 0)
-    own = -coef.sum(axis=2)  # column at node i: minus the row sum over t
-    rows_p = np.concatenate([row_of[i2, s2], row_of[i_idx, s_idx]])
-    cols_p = np.concatenate([nb[i2, t2], i_idx])
-    data_p = np.concatenate([coef[i2, s2, t2] * scale[i2],
-                             own[i_idx, s_idx] * scale[i_idx]])
-    C = coo_matrix((data_p, (rows_p, cols_p)), shape=(n * deg, n)).tocsr()
-    S = (S + C.T @ C).tocsc()
+    A_inv = np.eye(domain.dim) if norm.family == "euclidean" else norm.A_inv
+    S = (op.D.T @ kron(diags(m), A_inv) @ op.D
+         + _penalty_coefficient(norm, domain.h) * op.P).tocsc()
 
     M = diags(m).tocsc()
     x = domain.nodes[:, 0] - float(m @ domain.nodes[:, 0]) / float(m.sum())
     ref = float(x @ (S @ x)) / float(m @ (x * x))
     sigma = -0.1 * max(ref, 1e-8)
-    v0 = np.cos(np.arange(n, dtype=float))
+    v0 = np.cos(np.arange(domain.n_nodes, dtype=float))
     vals = eigsh(S, k=k, M=M, sigma=sigma, which="LM",
                  v0=v0, return_eigenvectors=False)
     return np.sort(vals)

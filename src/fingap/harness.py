@@ -49,9 +49,15 @@ from .domain import (
     curvature_certificate,
     domain_spec_from_config,
 )
-from .eigensolver import EigenResult, GradientFit, minimize_rayleigh
+from .eigensolver import EigenResult, discrete_gradient, minimize_rayleigh
 from .norms import dual_norm_eval, is_reversible
-from .model1d import SolverError, fit_model_solution, lambda1_model, model_solution
+from .model1d import (
+    SolverError,
+    fit_model_solution,
+    lambda1_model,
+    model_solution,
+    model_threshold,
+)
 
 __all__ = [
     "BoundReport",
@@ -64,6 +70,7 @@ __all__ = [
     "lichnerowicz_check",
     "run_case",
     "run_suite",
+    "write_eigenfunction_csv",
     "golden_cases",
 ]
 
@@ -113,19 +120,12 @@ class CaseResult:
     domain: DiscreteDomain
 
 
-def _parse_N(x) -> float:
-    if isinstance(x, str):
-        if x.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(x)
-    return float(x)
-
-
 def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
     cfg = case.get("certificate")
     if cfg is None:
         return curvature_certificate(spec)
-    return CurvatureCertificate(K=float(cfg["K"]), N=_parse_N(cfg["N"]),
+    # float() reads "inf"/"infinity" in any case, so N may be a string
+    return CurvatureCertificate(K=float(cfg["K"]), N=float(cfg["N"]),
                                 provenance="user")
 
 
@@ -147,12 +147,6 @@ def _normalized_u(eigen: EigenResult, reversible: bool):
         u = -u
     u = u / (-u.min())
     return u, float(u.max())
-
-
-def _model_threshold(K: float, N: float) -> float:
-    if math.isfinite(N):
-        return max(K * N / (N - 1.0), 0.0)
-    return max(K, 0.0)
 
 
 def verify_bound(case: dict) -> BoundReport:
@@ -227,7 +221,7 @@ def check_gradient_comparison(dom: DiscreteDomain, spec: DomainSpec,
     if math.isfinite(N) and N <= 1.0:
         return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True,
                                 reason="certificate N <= 1 has no model family")
-    thresh = _model_threshold(K, N)
+    thresh = model_threshold(K, N)
     if lam <= thresh * (1.0 + 1e-9) + 1e-12:
         return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True,
                                 reason="eigenvalue at or below model threshold")
@@ -243,7 +237,7 @@ def check_gradient_comparison(dom: DiscreteDomain, spec: DomainSpec,
         return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True,
                                 reason="shrunk range not inside the model range")
 
-    Du = GradientFit(dom).apply(u_c)
+    Du = discrete_gradient(dom, u_c)
     fstar = dual_norm_eval(spec.norm, Du)
     W = v.vprime_of_value(u_c)
     interior = ~dom.boundary
@@ -271,7 +265,7 @@ def check_maxima(cert: CurvatureCertificate, eigen: EigenResult,
     if N <= 1.0:
         return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
                                 reason="certificate N <= 1 has no model family")
-    thresh = _model_threshold(K, N)
+    thresh = model_threshold(K, N)
     if lam <= thresh * (1.0 + 1e-9) + 1e-12:
         return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
                                 reason="eigenvalue at or below model threshold")
@@ -398,12 +392,20 @@ def _case_summary(result: CaseResult) -> dict:
     return out
 
 
+def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None:
+    """One row per node: coordinates x1..x_dim, then u, at full precision."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([f"x{i+1}" for i in range(nodes.shape[1])] + ["u"])
+        for row in np.column_stack([nodes, u]):
+            w.writerow([repr(float(x)) for x in row])
+
+
 def _pipeline(case: dict):
     try:
         result = run_case(case)
         summary = _case_summary(result)
-        dump = np.column_stack([result.domain.nodes, result.eigen.u])
-        return case.get("id", "case"), summary, dump
+        return case.get("id", "case"), summary, (result.domain.nodes, result.eigen.u)
     except Exception as exc:  # per-case isolation: record, do not abort
         return (case.get("id", "case"),
                 {"id": str(case.get("id", "case")), "error": str(exc)}, None)
@@ -440,13 +442,7 @@ def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
         if summary.get("error") is None:
             if summary["bound_report"]["verdict"] == "violated":
                 violated += 1
-            path = os.path.join(out_dir, f"case-{case_id}.csv")
-            with open(path, "w", newline="") as f:
-                w = csv.writer(f)
-                dim = dump.shape[1] - 1
-                w.writerow([f"x{i+1}" for i in range(dim)] + ["u"])
-                for row in dump:
-                    w.writerow([repr(float(x)) for x in row])
+            write_eigenfunction_csv(os.path.join(out_dir, f"case-{case_id}.csv"), *dump)
 
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump({"cases": summaries, "n_violated": violated},

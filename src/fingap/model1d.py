@@ -48,6 +48,7 @@ __all__ = [
     "shoot",
     "lambda1_interval",
     "lambda1_model",
+    "model_threshold",
     "model_solution",
     "fit_model_solution",
     "sturm_liouville_oracle",
@@ -601,7 +602,9 @@ def _first_max_solution(problem: ModelProblem, lam: float, a: float,
                          ts=np.array(dts), vs=np.array(dvs), vps=np.array(dws))
 
 
-def _threshold(K: float, N: float) -> float:
+def model_threshold(K: float, N: float) -> float:
+    """Lower end of the admissible eigenvalues: max(N K/(N-1), 0), or max(K, 0)
+    for N = inf."""
     if math.isfinite(N):
         return max(K * N / (N - 1.0), 0.0)
     return max(K, 0.0)
@@ -618,7 +621,7 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
         raise ValueError("model_solution requires finite N")
     if N <= 1.0:
         raise ValueError("N must be > 1")
-    thresh = _threshold(K, N)
+    thresh = model_threshold(K, N)
     if K > 0:
         half = myers_length(K, N) / 2.0
         if lam < thresh * (1.0 - 1e-12):
@@ -854,7 +857,7 @@ def fit_model_solution(K: float, N: float, lam: float, k: float,
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    thresh = _threshold(K, N)
+    thresh = model_threshold(K, N)
     if lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
     if not math.isfinite(N):

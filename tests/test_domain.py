@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 from scipy.special import erf
 
+from fingap import domain as domain_mod
 from fingap.domain import (
     CurvatureCertificate,
     DomainSpec,
@@ -174,6 +176,16 @@ class TestDiameter:
                 vals.append(diameter(build_domain(spec), norm))
             assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
             assert abs(vals[2] - vals[1]) <= 0.02 * vals[1]
+
+    def test_batched_sources_match_all_pairs(self):
+        # more nodes than one source batch: the running max over batches is
+        # the all-pairs max, bit for bit, for a direction-dependent norm
+        norm = randers_norm(np.eye(2), [0.3, 0.1])
+        spec = DomainSpec(shape="ball", norm=norm, radius=0.5, resolution=30)
+        d = build_domain(spec)
+        assert d.n_nodes > 2 * domain_mod._DIAMETER_BATCH
+        full = float(dijkstra(d.edge_graph(norm), directed=True).max())
+        assert diameter(d, norm) == full
 
 
 class TestMeasureConvergence:

@@ -7,17 +7,25 @@ import pytest
 
 from fingap.domain import DomainSpec, build_domain
 from fingap.eigensolver import (
-    GradientFit,
     STABILIZATION_BETA,
     _energy_and_grad,
+    _penalty_coefficient,
     _penalty_scale,
     dense_oracle,
     discrete_gradient,
     minimize_rayleigh,
     rayleigh_quotient,
+    stabilized_quotient,
+    stencil_operator,
 )
 from fingap.model1d import ModelProblem, lambda1_interval
-from fingap.norms import euclidean_norm, quadratic_norm, randers_norm, two_slope_norm
+from fingap.norms import (
+    dual_norm_eval,
+    euclidean_norm,
+    quadratic_norm,
+    randers_norm,
+    two_slope_norm,
+)
 
 PI2 = math.pi**2
 
@@ -32,6 +40,20 @@ def box_domain(res, norm=None):
     spec = DomainSpec(shape="box", norm=norm or euclidean_norm(2),
                       lengths=(1.0, 1.0), resolution=res)
     return build_domain(spec), spec
+
+
+def per_slot_fit(d, u):
+    """Explicit per-node loop: the least-squares fit Du_i of the stencil
+    differences and the fit's squared defect sum_j (u_j - u_i - Du_i.d_ij)^2."""
+    Du = np.zeros((d.n_nodes, d.dim))
+    defect = np.zeros(d.n_nodes)
+    for i in range(d.n_nodes):
+        slots = np.nonzero(d.neighbor_mask[i])[0]
+        X = d.neighbor_disp[i, slots]
+        du = u[d.neighbor_idx[i, slots]] - u[i]
+        Du[i] = np.linalg.lstsq(X, du, rcond=None)[0]
+        defect[i] = float(np.sum((du - X @ Du[i]) ** 2))
+    return Du, defect
 
 
 class TestDiscreteGradient:
@@ -66,14 +88,20 @@ class TestDiscreteGradient:
         assert np.max(np.abs(Du[near] - exact[near])) <= 12.0 * math.pi**2 * d.h
 
     def test_adjoint_is_transpose(self):
+        # the transpose of the assembled D (used by the descent) is the
+        # adjoint of the per-node least-squares fit
         d, _ = box_domain(7)
-        fit = GradientFit(d)
+        D = stencil_operator(d).D
         rng = np.random.default_rng(0)
         u = rng.standard_normal(d.n_nodes)
         z = rng.standard_normal((d.n_nodes, 2))
-        lhs = float(np.sum(z * fit.apply(u)))
-        rhs = float(fit.adjoint(z) @ u)
+        lhs = float(np.sum(z * per_slot_fit(d, u)[0]))
+        rhs = float((D.T @ z.ravel()) @ u)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_operator_assembled_once(self):
+        d, _ = box_domain(6)
+        assert stencil_operator(d) is stencil_operator(d)
 
 
 class TestRayleighQuotient:
@@ -101,27 +129,68 @@ class TestRayleighQuotient:
             rayleigh_quotient(d, spec.norm, np.full(d.n_nodes, 3.0))
 
 
+def energy_cases():
+    """Interval, 2-D box, ball and 3-D box, each with every norm family."""
+    out = []
+    for norm in (euclidean_norm(1), quadratic_norm(np.array([[2.0]])),
+                 randers_norm(np.eye(1), [0.3]), two_slope_norm(2.0, 0.5)):
+        out.append(DomainSpec(shape="interval", norm=norm, lengths=(1.0,),
+                              resolution=20))
+    for dim in (2, 3):
+        A = np.eye(dim) + 0.3 * np.diag(np.ones(dim - 1), 1)
+        A = A + A.T
+        for norm in (euclidean_norm(dim), quadratic_norm(A),
+                     randers_norm(np.eye(dim), [0.3] + [0.1] * (dim - 1))):
+            if dim == 2:
+                out.append(DomainSpec(shape="box", norm=norm, lengths=(1.0, 1.2),
+                                      resolution=7))
+                out.append(DomainSpec(shape="ball", norm=norm, radius=0.5,
+                                      resolution=8))
+            else:
+                out.append(DomainSpec(shape="box", norm=norm,
+                                      lengths=(1.0, 1.0, 1.0), resolution=4))
+    return out
+
+
+class TestEnergyAssembly:
+    def test_matches_per_slot_loop(self):
+        # E(u) = sum_i m_i [F*(Du_i)^2 + c sum_j (u_j - u_i - Du_i.d_ij)^2]
+        # written out node by node and slot by slot, against the assembled D, P
+        rng = np.random.default_rng(11)
+        for spec in energy_cases():
+            d = build_domain(spec)
+            m = d.node_measure
+            c = STABILIZATION_BETA * _penalty_scale(spec.norm) / d.h**2
+            for u in (rng.standard_normal(d.n_nodes),
+                      np.sin(3.0 * d.nodes @ np.arange(1.0, d.dim + 1))):
+                Du, defect = per_slot_fit(d, u)
+                raw = float(sum(m[i] * float(dual_norm_eval(spec.norm, Du[i])) ** 2
+                                for i in range(d.n_nodes)))
+                pen = c * float(m @ defect)
+                var = float(m @ (u - float(m @ u) / float(m.sum())) ** 2)
+                assert rayleigh_quotient(d, spec.norm, u) * var == pytest.approx(
+                    raw, rel=1e-12), spec
+                assert stabilized_quotient(d, spec.norm, u) * var == pytest.approx(
+                    raw + pen, rel=1e-12), spec
+
+
 class TestGradientCorrectness:
     def test_directional_derivative_20_pairs(self):
         rng = np.random.default_rng(7)
-        norms = [euclidean_norm(2),
-                 quadratic_norm(np.array([[2.0, 0.3], [0.3, 1.0]])),
-                 randers_norm(np.eye(2), [0.3, 0.1])]
+        specs = [s for s in energy_cases() if s.shape != "ball"]
         checked = 0
-        for norm in norms:
-            spec = DomainSpec(shape="box", norm=norm, lengths=(1.0, 1.0),
-                              resolution=8)
+        for spec in specs:
             d = build_domain(spec)
-            fit = GradientFit(d)
+            op = stencil_operator(d)
             m = d.node_measure
-            c = STABILIZATION_BETA * _penalty_scale(norm) / fit.h**2
-            for _ in range(7):
+            c = _penalty_coefficient(spec.norm, d.h)
+            for _ in range(2):
                 u = rng.standard_normal(d.n_nodes)
                 w = rng.standard_normal(d.n_nodes)
-                _, g = _energy_and_grad(fit, norm, m, u, c)
+                _, g = _energy_and_grad(op, spec.norm, m, u, c)
                 eps = 1e-6
-                np_, _ = _energy_and_grad(fit, norm, m, u + eps * w, c)
-                nm_, _ = _energy_and_grad(fit, norm, m, u - eps * w, c)
+                np_, _ = _energy_and_grad(op, spec.norm, m, u + eps * w, c)
+                nm_, _ = _energy_and_grad(op, spec.norm, m, u - eps * w, c)
                 fd = (np_ - nm_) / (2 * eps)
                 assert float(g @ w) == pytest.approx(fd, rel=1e-6)
                 checked += 1
@@ -180,6 +249,18 @@ class TestMinimize:
         assert res.residual <= 1e-4
         # orientation matters: the cheap direction sets the value
         assert res.lam < PI2
+
+    def test_box3d_converges_on_window_for_all_seeds(self):
+        # the 124-slot 3-D stencil at r=4: a failed line search must not end
+        # the descent while the 10-iteration window still shows progress
+        spec = DomainSpec(shape="box", norm=euclidean_norm(3),
+                          lengths=(1.0, 1.0, 1.0), resolution=4)
+        d = build_domain(spec)
+        for seed in range(1, 11):
+            res = minimize_rayleigh(d, spec.norm, seed=seed)
+            hist = res.history
+            assert res.converged, seed
+            assert hist[-11] - hist[-1] < 1e-12 * hist[-1], seed
 
     def test_two_slope_orientation(self):
         norm = two_slope_norm(2.0, 0.5)
