@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the golden verification suite and print the bound table.
 
-Writes the canonical suite config next to this script (golden_suite.json),
-then executes it into the chosen output directory.  Exit status is nonzero
-iff some case violates its bound beyond the discretization tolerance.
+Runs harness.golden_cases() into the chosen output directory.  The tracked
+golden_suite.json next to this script is the same suite as a config file for
+`fingap suite`; the tests pin the two equal.  Exit status is nonzero iff some
+case violates its bound beyond the discretization tolerance.
 
 Usage: python scripts/run_golden_suite.py [--out OUT_DIR] [--jobs K]
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,14 +24,7 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    cfg_path = os.path.join(os.path.dirname(__file__), "golden_suite.json")
-    config = {"cases": golden_cases()}
-    with open(cfg_path, "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {cfg_path}")
-
-    result = run_suite(config, out_dir=args.out, jobs=args.jobs)
+    result = run_suite({"cases": golden_cases()}, out_dir=args.out, jobs=args.jobs)
     print(f"{'case':24s} {'lambda':>10s} {'bound':>10s} {'margin':>11s} verdict")
     for s in result.summaries:
         if s.get("error") is not None:

@@ -5,7 +5,8 @@ Minkowski norm and a smooth weight; build_domain rasterizes it to a regular
 lattice carrying per-node measures (cell volume times exp(-Psi)), a radius-2
 neighbor stencil, and boundary flags.  Distances are directed shortest paths
 with edge weight F(displacement), so non-reversible norms give order-dependent
-distances and the diameter is a supremum over ordered pairs.
+distances and the diameter is a supremum over ordered pairs; diameter() gets
+it exactly, in O(n) memory, from a few pruned Dijkstra sweeps.
 
 Geodesics of a Minkowski norm in flat space are straight lines, so for the
 supported shapes the diameter also has an exact analytic value (max F-length
@@ -183,7 +184,6 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
             at_end = (idx[:, d] == 0) | (idx[:, d] == axes[d].size - 1)
             cell[at_end] *= 0.5
             boundary |= at_end
-        keys = [tuple(row) for row in idx]
     else:
         R = spec.radius
         m = int(math.floor(R / h))
@@ -192,38 +192,25 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
         idx = np.stack([g.reshape(-1) for g in grids], axis=1)
         nodes = idx * h
         inside = np.einsum("ni,ni->n", nodes, nodes) <= R * R + 1e-12
-        idx, nodes = idx[inside], nodes[inside]
+        idx, nodes = idx[inside] + m, nodes[inside]
         cell = np.full(idx.shape[0], h**dim)
-        keys = [tuple(row) for row in idx]
-        key_set = set(keys)
-        unit = np.eye(dim, dtype=np.int64)
-        boundary = np.array(
-            [
-                any(
-                    tuple(k + s * unit[d]) not in key_set
-                    for d in range(dim)
-                    for s in (-1, 1)
-                )
-                for k in idx
-            ],
-            dtype=bool,
-        )
 
     if nodes.shape[0] == 0:
         raise ValueError("domain is empty at this resolution")
 
-    measure = cell * spec.weight_at(nodes)
-    lookup = {k: i for i, k in enumerate(keys)}
+    # node numbers on the bounding grid, padded by the stencil radius and -1
+    # off the domain, so the neighbor lookup is one fancy index
+    pos = idx + 2
+    grid = np.full(tuple(pos.max(axis=0) + 3), -1, dtype=np.int64)
+    grid[tuple(pos.T)] = np.arange(pos.shape[0])
     offsets = _stencil_offsets(dim)
-    max_deg = offsets.shape[0]
-    n = nodes.shape[0]
-    nb_idx = np.full((n, max_deg), -1, dtype=np.int64)
-    for i, k in enumerate(keys):
-        base = np.array(k, dtype=np.int64)
-        for s, o in enumerate(offsets):
-            j = lookup.get(tuple(base + o))
-            if j is not None:
-                nb_idx[i, s] = j
+    nb_idx = grid[tuple(np.moveaxis(pos[:, None, :] + offsets, -1, 0))]
+    if spec.shape == "ball":
+        # a ball node is on the boundary if an axis neighbor is missing
+        axis_slots = np.abs(offsets).sum(axis=1) == 1
+        boundary = (nb_idx[:, axis_slots] < 0).any(axis=1)
+
+    measure = cell * spec.weight_at(nodes)
     nb_mask = nb_idx >= 0
     nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * h, 0.0)
 
@@ -249,25 +236,37 @@ def asymmetric_distance(domain: DiscreteDomain, norm: NormSpec, i: int, j: int) 
     return float(out)
 
 
-_DIAMETER_BATCH = 256
-
-
 def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
     """Graph diameter: max over ordered node pairs of the directed distance.
 
-    Sources run in batches of ``_DIAMETER_BATCH``, so memory stays
-    O(n * batch) instead of the all-pairs n x n matrix.
+    Exact bounding-diameter sweeps (Takes & Kosters 2011, for directed
+    graphs), in O(n) memory.  A sweep runs Dijkstra from a source s forward,
+    giving ecc(s), and on the transposed graph, giving d(., s); so ecc(i) <=
+    ub(i) = min over sources of d(i, s) + ecc(s).  Nodes with ub <= best *
+    (1 - 1e-12), best the largest source eccentricity, are dropped: the margin
+    covers rounding in path sums, so the result is the all-pairs max, bit for
+    bit.  The next source is the live node with the largest ub.  A node that
+    cannot reach a source keeps ub = inf until its own sweep fails.
     """
     g = domain.edge_graph(norm)
-    n = domain.n_nodes
+    gt = g.T.tocsr()
+    ub = np.full(domain.n_nodes, np.inf)
+    live = np.ones(domain.n_nodes, dtype=bool)
     best = 0.0
-    for start in range(0, n, _DIAMETER_BATCH):
-        d = dijkstra(g, directed=True,
-                     indices=np.arange(start, min(start + _DIAMETER_BATCH, n)))
-        if not np.all(np.isfinite(d)):
+    s = 0
+    while True:
+        out = dijkstra(g, directed=True, indices=s)
+        into = dijkstra(gt, directed=True, indices=s)
+        if not np.all(np.isfinite(out)):
             raise ValueError("domain graph is disconnected")
-        best = max(best, float(d.max()))
-    return best
+        ecc = float(out.max())
+        best = max(best, ecc)
+        np.minimum(ub, into + ecc, out=ub)
+        live[s] = False
+        live &= ub > best * (1.0 - 1e-12)
+        if not live.any():
+            return best
+        s = int(np.argmax(np.where(live, ub, -np.inf)))
 
 
 def _max_norm_on_sphere(norm: NormSpec) -> float:

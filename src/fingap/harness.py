@@ -130,13 +130,18 @@ def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
 
 
 def _resolutions(case: dict) -> list[int]:
-    res = sorted(int(r) for r in case.get("resolutions", []))
-    if not res:
+    """Distinct resolutions, ascending.  A one-entry list gets a half-size
+    coarse companion; the error bar needs two distinct lattices."""
+    given = [int(r) for r in case.get("resolutions", [])]
+    if not given:
         raise ValueError(f"case {case.get('id')}: no resolutions given")
-    if len(res) == 1:
-        coarse = max(4, res[0] // 2)
-        if coarse < res[0]:
-            res = [coarse] + res
+    if len(given) == 1:
+        given.append(max(4, given[0] // 2))
+    res = sorted(set(given))
+    if len(res) < 2:
+        raise ValueError(
+            f"case {case.get('id')}: resolutions {case['resolutions']} give "
+            f"one distinct lattice; the error bar needs two (the floor is 4)")
     return res
 
 

@@ -1,5 +1,7 @@
 """Discrete domains: construction, directed distances, diameters, certificates."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +32,49 @@ def interval_spec(norm=None, L=1.0, res=10, weight="lebesgue", kappa=0.0):
 def box_spec(norm=None, lengths=(1.0, 1.0), res=10, weight="lebesgue", kappa=0.0):
     return DomainSpec(shape="box", norm=norm or euclidean_norm(2),
                       lengths=lengths, resolution=res, weight=weight, kappa=kappa)
+
+
+def reference_build(spec):
+    """Per-node dict-lookup lattice builder: the arrays build_domain must match."""
+    h = 1.0 / spec.resolution
+    dim = spec.dim
+    if spec.shape in ("interval", "box"):
+        axes = [np.linspace(-L / 2.0, L / 2.0, int(round(L * spec.resolution)) + 1)
+                for L in spec.lengths]
+        idx = np.array(list(itertools.product(*[range(a.size) for a in axes])),
+                       dtype=np.int64)
+        nodes = np.stack([axes[k][idx[:, k]] for k in range(dim)], axis=1)
+        cell = np.ones(idx.shape[0]) * h**dim
+        boundary = np.zeros(idx.shape[0], dtype=bool)
+        for k in range(dim):
+            at_end = (idx[:, k] == 0) | (idx[:, k] == axes[k].size - 1)
+            cell[at_end] *= 0.5
+            boundary |= at_end
+    else:
+        m = int(math.floor(spec.radius / h))
+        idx = np.array(list(itertools.product(range(-m, m + 1), repeat=dim)),
+                       dtype=np.int64)
+        nodes = idx * h
+        inside = np.einsum("ni,ni->n", nodes, nodes) <= spec.radius**2 + 1e-12
+        idx, nodes = idx[inside], nodes[inside]
+        cell = np.full(idx.shape[0], h**dim)
+        present = {tuple(k) for k in idx}
+        boundary = np.array([
+            any(tuple(k + sgn * e) not in present
+                for e in np.eye(dim, dtype=np.int64) for sgn in (-1, 1))
+            for k in idx], dtype=bool)
+    lookup = {tuple(k): i for i, k in enumerate(idx)}
+    offsets = np.array([o for o in itertools.product(range(-2, 3), repeat=dim)
+                        if any(o)], dtype=np.int64)
+    nb_idx = np.full((idx.shape[0], offsets.shape[0]), -1, dtype=np.int64)
+    for i, k in enumerate(idx):
+        for slot, o in enumerate(offsets):
+            nb_idx[i, slot] = lookup.get(tuple(k + o), -1)
+    nb_mask = nb_idx >= 0
+    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * h, 0.0)
+    return {"nodes": nodes, "node_measure": cell * spec.weight_at(nodes),
+            "neighbor_idx": nb_idx, "neighbor_disp": nb_disp,
+            "neighbor_mask": nb_mask, "boundary": boundary}
 
 
 class TestBuild:
@@ -76,6 +121,28 @@ class TestBuild:
                 disp = d.neighbor_disp[i, s]
                 back = d.neighbor_disp[j][d.neighbor_mask[j]]
                 assert any(np.allclose(bd, -disp) for bd in back)
+
+    @pytest.mark.parametrize("spec", [
+        interval_spec(res=10),
+        box_spec(lengths=(1.0, 0.6), res=17),
+        box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=6),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   resolution=7),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   resolution=30),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   resolution=45),
+        DomainSpec(shape="ball", norm=euclidean_norm(3), radius=0.5,
+                   resolution=9),
+        box_spec(lengths=(5.0, 5.0), res=6, weight="gaussian", kappa=0.5),
+    ], ids=["interval", "box-unequal", "box3d", "ball-r7", "ball-r30",
+            "ball-r45", "ball3d", "box-gauss"])
+    def test_matches_reference_builder(self, spec):
+        d = build_domain(spec)
+        for name, want in reference_build(spec).items():
+            got = getattr(d, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
     def test_measures_positive(self):
         for spec in [interval_spec(), box_spec(),
@@ -177,15 +244,59 @@ class TestDiameter:
             assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
             assert abs(vals[2] - vals[1]) <= 0.02 * vals[1]
 
-    def test_batched_sources_match_all_pairs(self):
-        # more nodes than one source batch: the running max over batches is
-        # the all-pairs max, bit for bit, for a direction-dependent norm
-        norm = randers_norm(np.eye(2), [0.3, 0.1])
-        spec = DomainSpec(shape="ball", norm=norm, radius=0.5, resolution=30)
+    @pytest.mark.parametrize("spec", [
+        interval_spec(norm=two_slope_norm(2.0, 0.5), res=40),
+        box_spec(res=20),
+        box_spec(norm=quadratic_norm(np.diag([1.0, 4.0])), res=20),
+        box_spec(norm=randers_norm(np.eye(2), [0.3, 0.1]), res=20),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   resolution=30),
+        DomainSpec(shape="ball", norm=randers_norm(np.eye(2), [0.3, 0.1]),
+                   radius=0.5, resolution=30),
+        box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=6),
+        DomainSpec(shape="ball", norm=randers_norm(np.eye(3), [0.2, 0.0, 0.1]),
+                   radius=0.5, resolution=8),
+    ], ids=["twoslope-interval", "box-euclid", "box-quadratic", "box-randers",
+            "ball-euclid-r30", "ball-randers-r30", "box3d", "ball3d-randers"])
+    def test_sweeps_match_all_pairs(self, spec):
+        # the pruned sweeps return the all-pairs max, bit for bit
         d = build_domain(spec)
-        assert d.n_nodes > 2 * domain_mod._DIAMETER_BATCH
-        full = float(dijkstra(d.edge_graph(norm), directed=True).max())
-        assert diameter(d, norm) == full
+        full = float(dijkstra(d.edge_graph(spec.norm), directed=True).max())
+        assert diameter(d, spec.norm) == full
+
+    @pytest.mark.parametrize("keep", ["split", "one-way"])
+    def test_disconnected_graph_rejected(self, keep):
+        # "split": no edge crosses x = 0; "one-way": only rightward edges, so
+        # the left end reaches every node but no node reaches it
+        d = build_domain(interval_spec(res=10))
+        x = d.nodes[:, 0]
+        dx = d.neighbor_disp[:, :, 0]
+        if keep == "split":
+            target = np.where(d.neighbor_mask, x[d.neighbor_idx], x[:, None])
+            mask = d.neighbor_mask & ((x[:, None] < 0) == (target < 0))
+        else:
+            mask = d.neighbor_mask & (dx > 0)
+        cut = dataclasses.replace(d, neighbor_mask=mask, _cache={})
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(cut, cut.spec.norm)
+
+    def test_sweeps_use_few_sources(self, monkeypatch):
+        # work guard without a timer: count Dijkstra source rows
+        rows = []
+        real = domain_mod.dijkstra
+
+        def counting(graph, *args, indices=None, **kwargs):
+            rows.append(graph.shape[0] if indices is None
+                        else np.atleast_1d(indices).size)
+            return real(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(domain_mod, "dijkstra", counting)
+        spec = DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                          resolution=60)
+        d = build_domain(spec)
+        assert d.n_nodes == 2821
+        diameter(d, spec.norm)
+        assert sum(rows) <= 0.15 * d.n_nodes
 
 
 class TestMeasureConvergence:

@@ -80,6 +80,16 @@ class TestVerifyBound:
         rep = verify_bound(case)
         assert len(rep.lambda_by_resolution) == 2
 
+    def test_floor_resolution_alone_rejected(self):
+        # resolution 4 has no coarser companion above the floor
+        with pytest.raises(ValueError, match="only-four"):
+            verify_bound(sharp_case(res=(4,), ident="only-four"))
+
+    def test_duplicate_resolutions_rejected(self):
+        # one lattice solved twice would give a zero error bar
+        with pytest.raises(ValueError, match="twice-eight"):
+            verify_bound(sharp_case(res=(8, 8), ident="twice-eight"))
+
     def test_user_certificate_passthrough(self):
         case = box_case()
         case["certificate"] = {"K": -1.0, "N": 4.0}
@@ -216,6 +226,13 @@ class TestSuite:
         assert len(set(ids)) == len(ids)
         kinds = {c["domain"]["shape"] for c in cases}
         assert kinds == {"interval", "box", "ball"}
+
+    def test_golden_suite_file_matches_cases(self):
+        # the tracked config for `fingap suite` is the same suite
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "golden_suite.json")
+        with open(path) as f:
+            assert json.load(f) == {"cases": golden_cases()}
 
 
 class TestPoincareRestatement:
