@@ -57,7 +57,6 @@ from .eigensolver import (
 from .harness import (
     BoundReport,
     ComparisonReport,
-    verify_bound,
     check_gradient_comparison,
     check_maxima,
     lichnerowicz_check,

@@ -30,9 +30,11 @@ def _load_case(path: str) -> dict:
 
 
 def _finest_spec(case: dict):
-    res = sorted(int(r) for r in case.get("resolutions", [case.get("resolution", 8)]))
+    res = case.get("resolutions", [case.get("resolution", 8)])
+    if not res:
+        raise ValueError(f"case {case.get('id')}: no resolutions given")
     cfg = dict(case)
-    cfg["resolution"] = res[-1]
+    cfg["resolution"] = max(int(r) for r in res)
     return domain_spec_from_config(cfg)
 
 

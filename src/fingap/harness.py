@@ -64,7 +64,6 @@ __all__ = [
     "ComparisonReport",
     "LichnerowiczReport",
     "CaseResult",
-    "verify_bound",
     "check_gradient_comparison",
     "check_maxima",
     "lichnerowicz_check",
@@ -152,11 +151,6 @@ def _normalized_u(eigen: EigenResult, reversible: bool):
         u = -u
     u = u / (-u.min())
     return u, float(u.max())
-
-
-def verify_bound(case: dict) -> BoundReport:
-    """Run the full bound pipeline for one case config; see run_case."""
-    return run_case(case).report
 
 
 def run_case(case: dict) -> CaseResult:

@@ -1,21 +1,23 @@
 """1-D comparison operators L v = v'' - T(t) v' and their Neumann eigenvalues.
 
 The drift T depends on a curvature lower bound K and a dimension parameter
-N in (1, inf]; it satisfies T' = K + T^2/(N-1) on each chart:
+N in (1, inf]; it satisfies T' = K + T^2/(N-1) on each chart.  One table,
+``_CHARTS``, holds every chart formula:
 
-  chart      domain                  T(t)                            valid for
-  --------   ---------------------   -----------------------------   -----------------
-  tan        |t| < pi/(2a), a below  sqrt(K(N-1)) tan(a t)           K > 0, N finite
-  tanh       all t                   -sqrt(-K(N-1)) tanh(a t)        K < 0, N finite
-  coth       t != 0                  -sqrt(-K(N-1)) coth(a t)        K < 0, N finite
-  power      t != 0                  -(N-1)/t                        K = 0, N finite
-  flat       all t                   0                               K = 0, N finite
-  linear     all t                   K t                             N = inf
-  constant   all t                   c                               K = 0, N = inf
+  chart     K    N       singular at      T(t)                       exp(-int T)
+  --------  ---  ------  ---------------  -------------------------  -----------------
+  tan       > 0  finite  t = +-pi/(2a)    sqrt(K(N-1)) tan(a t)      cos(a t)^(N-1)
+  tanh      < 0  finite  -                -sqrt(-K(N-1)) tanh(a t)   cosh(a t)^(N-1)
+  coth      < 0  finite  t = 0            -sqrt(-K(N-1)) coth(a t)   |sinh(a t)|^(N-1)
+  power     = 0  finite  t = 0            -(N-1)/t                   |t|^(N-1)
+  flat      = 0  finite  -                0                          1
+  linear    any  inf     -                K t                        exp(-K t^2/2)
+  constant  = 0  inf     -                c                          exp(-c t)
 
-with a = sqrt(|K|/(N-1)).  The first nonzero Neumann eigenvalue of L on a
-centered interval of length d is the sharp spectral-gap lower bound
-lambda_1(K, N, d); off-center intervals never beat the centered one.
+with a = sqrt(|K|/(N-1)); the flat chart also admits N = 1.  The first
+nonzero Neumann eigenvalue of L on a centered interval of length d is the
+sharp spectral-gap lower bound lambda_1(K, N, d); off-center intervals never
+beat the centered one.
 
 Eigenvalues are found by shooting: integrate v'' = T v' - lambda v with
 v(a) = -1, v'(a) = 0 and root-find on the terminal v'(b).  A strictly
@@ -23,6 +25,13 @@ independent dense finite-difference Sturm-Liouville oracle is provided for
 cross-validation.  Singular chart endpoints (tan at +-pi/(2a), coth/power at
 0) are started from the series v = -1 + lambda/(2N) (t-a)^2, which follows
 from the endpoint balance v''(a) = lambda/N.
+
+Interval fitting walks a one-parameter family of shots (the start a on the
+tan, power, coth, tanh and linear charts, the drift c on the constant chart)
+until the first maximum v(b) crosses the target, then bisects that step.  A
+probe locates b at a tighter tolerance than the default and returns v(b)
+alone; only the accepted parameter is shot again at the default tolerance
+and sampled densely, on 2000 capped steps.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.
@@ -32,6 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice, takewhile
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -62,6 +74,70 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# chart table
+
+# Drift builders take xp = math (a scalar closure for the integrator, which
+# calls it 7 times per RK step, so the constants are bound once) or xp = np.
+
+
+def _tan(p, xp):
+    cc, al, tan = math.sqrt(p.K * (p.N - 1.0)), p.alpha, xp.tan
+    return lambda t: cc * tan(al * t)
+
+
+def _tanh(p, xp):
+    cc, al, tanh = -math.sqrt(-p.K * (p.N - 1.0)), p.alpha, xp.tanh
+    return lambda t: cc * tanh(al * t)
+
+
+def _coth(p, xp):
+    cc, al, tanh = -math.sqrt(-p.K * (p.N - 1.0)), p.alpha, xp.tanh
+    return lambda t: cc / tanh(al * t)
+
+
+def _power(p, xp):
+    cc = -(p.N - 1.0)
+    return lambda t: cc / t
+
+
+def _linear(p, xp):
+    K = p.K
+    return lambda t: K * t
+
+
+def _level(xp, value):
+    if xp is math:
+        return lambda t: value
+    return lambda t: np.full_like(t, value)
+
+
+class _Chart(NamedTuple):
+    K_sign: int | None  # sign K must have; None: any
+    finite_N: bool
+    singular: str | None  # "edges" (t = +-pi/(2a)), "pole" (t = 0) or None
+    drift: Callable  # (problem, xp) -> T
+    density: Callable  # (problem, t array) -> exp(-int T)
+
+
+_CHARTS = {
+    "tan": _Chart(1, True, "edges", _tan,
+                  lambda p, t: np.cos(p.alpha * t) ** (p.N - 1.0)),
+    "tanh": _Chart(-1, True, None, _tanh,
+                   lambda p, t: np.cosh(p.alpha * t) ** (p.N - 1.0)),
+    "coth": _Chart(-1, True, "pole", _coth,
+                   lambda p, t: np.abs(np.sinh(p.alpha * t)) ** (p.N - 1.0)),
+    "power": _Chart(0, True, "pole", _power,
+                    lambda p, t: np.abs(t) ** (p.N - 1.0)),
+    "flat": _Chart(0, True, None, lambda p, xp: _level(xp, 0.0),
+                   lambda p, t: np.ones_like(t)),
+    "linear": _Chart(None, False, None, _linear,
+                     lambda p, t: np.exp(-p.K * t * t / 2.0)),
+    "constant": _Chart(0, False, None, lambda p, xp: _level(xp, p.c),
+                       lambda p, t: np.exp(-p.c * t)),
+}
+
+
+# ---------------------------------------------------------------------------
 # model problems
 
 
@@ -81,31 +157,28 @@ class ModelProblem:
         # certificate) is admissible there; every other chart needs N > 1
         if finite and N <= 1.0 and not (chart == "flat" and N == 1.0):
             raise ValueError("N must be > 1 (or inf)")
-        ok = {
-            "tan": K > 0 and finite,
-            "tanh": K < 0 and finite,
-            "coth": K < 0 and finite,
-            "power": K == 0 and finite,
-            "flat": K == 0 and finite,
-            "linear": not finite,
-            "constant": K == 0 and not finite,
-        }
-        if chart not in ok:
+        if chart not in _CHARTS:
             raise ValueError(f"unknown chart {chart!r}")
-        if not ok[chart]:
+        spec = _CHARTS[chart]
+        sign_ok = {1: K > 0, -1: K < 0, 0: K == 0, None: True}[spec.K_sign]
+        if not (sign_ok and spec.finite_N == finite):
             raise ValueError(f"chart {chart!r} incompatible with K={K}, N={N}")
 
     @property
+    def singular(self) -> str | None:
+        """Where the drift is singular: "edges" (t = +-pi/(2a)), "pole" (t = 0)
+        or None."""
+        return _CHARTS[self.chart].singular
+
+    @property
     def alpha(self) -> float:
-        """Frequency scale sqrt(|K|/(N-1)) of the trigonometric charts."""
-        if self.chart in ("tan", "tanh", "coth"):
-            return math.sqrt(abs(self.K) / (self.N - 1.0))
-        return 0.0
+        """Frequency scale sqrt(|K|/(N-1)) of the trigonometric charts (else 0)."""
+        return math.sqrt(abs(self.K) / (self.N - 1.0)) if self.K else 0.0
 
     @property
     def half_width(self) -> float:
         """Half-length of the chart domain (tan chart only, else inf)."""
-        if self.chart == "tan":
+        if self.singular == "edges":
             return math.pi / (2.0 * self.alpha)
         return _INF
 
@@ -113,53 +186,29 @@ class ModelProblem:
         """Check [a, b] lies in the closure of a single chart component."""
         if not a < b:
             raise ValueError("need a < b")
-        if self.chart == "tan":
+        if self.singular == "edges":
             h = self.half_width
             tol = 1e-12 * h
             if a < -h - tol or b > h + tol:
                 raise ValueError(f"interval [{a}, {b}] exceeds (+-{h})")
-        elif self.chart in ("coth", "power"):
+        elif self.singular == "pole":
             if not (a >= 0.0 or b <= 0.0):
                 raise ValueError("interval must not straddle the pole at t = 0")
 
     def singular_left(self, a: float) -> bool:
-        if self.chart == "tan":
+        if self.singular == "edges":
             return a <= -self.half_width * (1.0 - 1e-12)
-        if self.chart in ("coth", "power"):
-            return a == 0.0
-        return False
+        return self.singular == "pole" and a == 0.0
 
     def singular_right(self, b: float) -> bool:
-        if self.chart == "tan":
+        if self.singular == "edges":
             return b >= self.half_width * (1.0 - 1e-12)
-        if self.chart in ("coth", "power"):
-            return b == 0.0
-        return False
+        return self.singular == "pole" and b == 0.0
 
-    def drift(self):
-        """Scalar callable T(t), specialized per chart for the integrator."""
-        K, N, c = self.K, self.N, self.c
-        chart = self.chart
-        if chart == "tan":
-            cc = math.sqrt(K * (N - 1.0))
-            al = self.alpha
-            return lambda t: cc * math.tan(al * t)
-        if chart == "tanh":
-            cc = math.sqrt(-K * (N - 1.0))
-            al = self.alpha
-            return lambda t: -cc * math.tanh(al * t)
-        if chart == "coth":
-            cc = math.sqrt(-K * (N - 1.0))
-            al = self.alpha
-            return lambda t: -cc / math.tanh(al * t)
-        if chart == "power":
-            nm1 = N - 1.0
-            return lambda t: -nm1 / t
-        if chart == "flat":
-            return lambda t: 0.0
-        if chart == "linear":
-            return lambda t: K * t
-        return lambda t: c
+    def drift(self, xp=math):
+        """T(t): a scalar callable for the integrator (``xp=math``) or an
+        elementwise one on arrays (``xp=np``)."""
+        return _CHARTS[self.chart].drift(self, xp)
 
 
 def myers_length(K: float, N: float) -> float:
@@ -182,14 +231,17 @@ def centered_model(K: float, N: float) -> ModelProblem:
     return ModelProblem(K, N, "flat")
 
 
+def _check_domain(problem: ModelProblem, t) -> None:
+    """Raise unless every t lies in the open chart domain."""
+    if problem.singular == "edges" and np.any(np.abs(t) >= problem.half_width):
+        raise ValueError(f"t outside the chart domain (+-{problem.half_width})")
+    if problem.singular == "pole" and np.any(t == 0.0):
+        raise ValueError("t=0 is a pole of the drift")
+
+
 def coeff_T(problem: ModelProblem, t: float) -> float:
     """Drift coefficient T(t); raises outside the chart domain."""
-    if problem.chart == "tan":
-        if abs(t) >= problem.half_width:
-            raise ValueError(f"t={t} outside (+-{problem.half_width})")
-    elif problem.chart in ("coth", "power"):
-        if t == 0.0:
-            raise ValueError("t=0 is a pole of the drift")
+    _check_domain(problem, t)
     return problem.drift()(float(t))
 
 
@@ -200,27 +252,8 @@ def invariant_density(problem: ModelProblem, t):
     eigenfunctions with Neumann data integrate to zero against it.
     """
     t = np.asarray(t, dtype=float)
-    K, N, c = problem.K, problem.N, problem.c
-    chart = problem.chart
-    if chart == "tan":
-        if np.any(np.abs(t) >= problem.half_width):
-            raise ValueError("t outside chart domain")
-        return np.cos(problem.alpha * t) ** (N - 1.0)
-    if chart == "tanh":
-        return np.cosh(problem.alpha * t) ** (N - 1.0)
-    if chart == "coth":
-        if np.any(t == 0.0):
-            raise ValueError("t=0 is a pole")
-        return np.abs(np.sinh(problem.alpha * t)) ** (N - 1.0)
-    if chart == "power":
-        if np.any(t == 0.0):
-            raise ValueError("t=0 is a pole")
-        return np.abs(t) ** (N - 1.0)
-    if chart == "flat":
-        return np.ones_like(t)
-    if chart == "linear":
-        return np.exp(-K * t * t / 2.0)
-    return np.exp(-c * t)
+    _check_domain(problem, t)
+    return _CHARTS[problem.chart].density(problem, t)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +448,7 @@ class ModelSolution:
 def _start_state(problem: ModelProblem, lam: float, a: float, span: float):
     """Initial data for the shot; series start at singular endpoints."""
     if problem.singular_left(a):
-        if problem.chart == "tan":
+        if problem.singular == "edges":
             a = -problem.half_width
         eps = 1e-6 * min(span, 1.0 / (problem.alpha + 1.0 / span))
         t0 = a + eps
@@ -547,14 +580,24 @@ def _hermite_root(t0, h, w0, wp0, w1, wp1):
     return t0 + s * h
 
 
-def _first_max_solution(problem: ModelProblem, lam: float, a: float,
-                        t_cap: float, n_samples: int = 2000) -> ModelSolution:
+# A probe's v(b) must match the dense samples' maximum far below the fit
+# tolerance 1e-8.  At the default tolerance it can be 1.7e-7 off (K=3, N=inf,
+# lam=3.2, k=3), and the fit then accepts another parameter.
+_PROBE_TOL = {"rtol": 1e-12, "atol": 1e-14}
+_DENSE_SAMPLES = 2000
+
+
+def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
+               probe: bool = False) -> ModelSolution | float:
     """Shoot from a and stop at the first interior zero b of v'.
 
-    Locates the crossing with a Hermite interpolant between accepted steps,
-    polishes it with two Newton iterations, then re-integrates [a, b] with a
-    capped step for a dense, interpolation-grade sample table.
+    Locates the crossing with a Hermite interpolant between accepted steps
+    and polishes it with Newton iterations.  A probe does this at
+    ``_PROBE_TOL`` and returns v(b) alone.  Otherwise b is located at the
+    default tolerance and [a, b] is re-integrated with a capped step for a
+    dense, interpolation-grade sample table, returned as a ModelSolution.
     """
+    tol = _PROBE_TOL if probe else {}
     Tf = problem.drift()
     span0 = min(math.pi / math.sqrt(lam), t_cap - a) if math.isfinite(t_cap) \
         else math.pi / math.sqrt(lam)
@@ -562,7 +605,7 @@ def _first_max_solution(problem: ModelProblem, lam: float, a: float,
 
     horizon = t0 + 64.0 * math.pi / math.sqrt(lam)
     t_end = min(t_cap, horizon)
-    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, stop_at_downcross=True)
+    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, stop_at_downcross=True, **tol)
     arr = np.array(ws)
     pos = arr > 0
     hit = np.nonzero(pos[:-1] & ~pos[1:])[0]
@@ -581,7 +624,7 @@ def _first_max_solution(problem: ModelProblem, lam: float, a: float,
         if b <= ts[i]:
             b = ts[i]
             break
-        _, pv, pw = _integrate(Tf, lam, ts[i], vs[i], ws[i], b)
+        _, pv, pw = _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **tol)
         wb = pw[-1]
         wpb = Tf(b) * wb - lam * pv[-1]
         if wpb == 0.0:
@@ -594,8 +637,10 @@ def _first_max_solution(problem: ModelProblem, lam: float, a: float,
         if abs(step) < 1e-14 * max(1.0, abs(b)):
             break
 
+    if probe:
+        return _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **tol)[1][-1]
     dts, dvs, dws = _integrate(Tf, lam, t0, v0, w0, b,
-                               max_step=(b - a_exact) / n_samples)
+                               max_step=(b - a_exact) / _DENSE_SAMPLES)
     if series:
         dts, dvs, dws = [a_exact] + dts, [-1.0] + dvs, [0.0] + dws
     return ModelSolution(a=a_exact, b=b, lam=lam,
@@ -632,12 +677,12 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
             return ModelSolution(a=-half, b=half, lam=thresh, ts=ts,
                                  vs=np.sin(al * ts), vps=al * np.cos(al * ts))
         prob = ModelProblem(K, N, "tan")
-        return _first_max_solution(prob, lam, -half, t_cap=half * (1.0 - 1e-12))
+        return _first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12))
     if lam <= 0:
         raise ValueError("lambda must be positive")
     chart = "power" if K == 0 else "coth"
     prob = ModelProblem(K, N, chart)
-    return _first_max_solution(prob, lam, 0.0, t_cap=_INF)
+    return _first_max(prob, lam, 0.0, t_cap=_INF)
 
 
 def _reflect(sol: ModelSolution, kprime: float) -> ModelSolution:
@@ -653,87 +698,98 @@ def _reflect(sol: ModelSolution, kprime: float) -> ModelSolution:
     )
 
 
-def _bisect_on_param(msol, p_lo, p_hi, k, increasing, tol, on_fail=None):
-    """Bisect a monotone family p -> max value M(p) to M(p) = k.
+def _walk(p, grow=lambda p: p * 2.0):
+    """p, grow(p), grow(grow(p)), ... without end."""
+    while True:
+        yield p
+        p = grow(p)
 
-    ``on_fail`` maps a probe that finds no critical point (possible at the
-    extreme ends of some families) to an effective M of +inf ("high") or 0
-    ("low") so the bracket keeps shrinking.
+
+def _fitted(shot, p) -> ModelSolution:
+    """The dense first-maximum solution of family member p."""
+    sol = shot(p)
+    sol.fitted_param = p
+    return sol
+
+
+def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
+               fail: float | None = None):
+    """Parameter p of a family whose first maximum M(p) = shot(p, probe=True)
+    is k, or None if ``walk`` ends first.
+
+    p runs over ``walk`` (``prev`` is the point before it) until M crosses k,
+    rising to it if ``up``, falling otherwise; M is monotone in p.  The last
+    step is then bisected to |M - k| <= tol, settling for the closest probe
+    within 1e-6 if the bracket collapses first.  A probe that finds no
+    critical point (possible at the extreme ends of some families) counts as
+    M = ``fail`` (+inf or 0) so the bracket keeps shrinking, or raises if
+    ``fail`` is None.
     """
-    sol = best = None
-    for _ in range(200):
-        mid = 0.5 * (p_lo + p_hi)
+    def M(p):
         try:
-            sol = msol(mid)
-            M = sol.max_value
+            return shot(p, probe=True)
         except SolverError:
-            if on_fail == "high":
-                M = _INF
-            elif on_fail == "low":
-                M = 0.0
-            else:
+            if fail is None:
                 raise
-            sol = None
-        if sol is not None:
-            if best is None or abs(M - k) < abs(best.max_value - k):
-                best = sol
-            if abs(M - k) <= tol:
-                return sol
-        if (M < k) == increasing:
-            p_lo = mid
-        else:
-            p_hi = mid
-        if abs(p_hi - p_lo) <= 1e-15 * (1.0 + abs(p_lo) + abs(p_hi)):
+            return None
+
+    for p in walk:
+        Mp = M(p)
+        Mp = fail if Mp is None else Mp
+        if (Mp >= k) if up else (Mp <= k):
             break
-    if best is not None and abs(best.max_value - k) <= 1e-6 * max(1.0, k):
+        prev = p
+    else:
+        return None
+
+    lo, hi = sorted((prev, p))
+    increasing = (p > prev) == up
+    best, best_err = None, _INF
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        Mm = M(mid)
+        if Mm is None:
+            Mm = fail
+        else:
+            if abs(Mm - k) < best_err:
+                best, best_err = mid, abs(Mm - k)
+            if abs(Mm - k) <= tol:
+                return mid
+        if (Mm < k) == increasing:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+            break
+    if best_err <= 1e-6 * max(1.0, k):
         return best
     raise SolverError(f"interval fit did not reach max = {k}")
 
 
 def _fit_below_finite(K: float, N: float, lam: float, k: float,
-                      m: float, tol: float) -> ModelSolution:
+                      tol: float) -> ModelSolution:
     """Fit an interval with min v = -1, max v = k for m <= k <= 1, finite N."""
     if K > 0:
         half = myers_length(K, N) / 2.0
-        prob = ModelProblem(K, N, "tan")
-        cap = half * (1.0 - 1e-12)
-
-        def msol(a):
-            s = _first_max_solution(prob, lam, a, t_cap=cap)
-            s.fitted_param = a
-            return s
-
-        p_lo, p = -half, -half
-        for _ in range(80):
-            p = half - (half - p) / 2.0
-            try:
-                M = msol(p).max_value
-            except SolverError:
-                M = _INF
-            if M >= k:
-                return _bisect_on_param(msol, p_lo, p, k, increasing=True,
-                                        tol=tol, on_fail="high")
-            p_lo = p
-        raise SolverError("tan-chart fit failed to bracket")
+        tan = partial(_first_max, ModelProblem(K, N, "tan"), lam,
+                      t_cap=half * (1.0 - 1e-12))
+        # a walks right from 0, halving its distance to the right edge
+        walk = _walk(0.0, lambda p: half - (half - p) / 2.0)
+        p = _fit_param(tan, k, tol, islice(walk, 80), -half, up=True, fail=_INF)
+        if p is None:
+            raise SolverError("tan-chart fit failed to bracket")
+        return _fitted(tan, p)
 
     if K == 0:
-        prob = ModelProblem(K, N, "power")
+        power = partial(_first_max, ModelProblem(K, N, "power"), lam, t_cap=_INF)
         a_cap = 1e8
-
-        def msol(a):
-            s = _first_max_solution(prob, lam, a, t_cap=_INF)
-            s.fitted_param = a
-            return s
-
-        p_lo, p = 0.0, 0.3 / math.sqrt(lam)
-        while p <= a_cap:
-            sol = msol(p)
-            if sol.max_value >= k:
-                return _bisect_on_param(msol, p_lo, p, k, increasing=True, tol=tol)
-            p_lo, p = p, p * 2.0
+        walk = takewhile(lambda p: p <= a_cap, _walk(0.3 / math.sqrt(lam)))
+        p = _fit_param(power, k, tol, walk, 0.0, up=True)
+        if p is not None:
+            return _fitted(power, p)
         # k this close to 1 is only reachable in the a -> inf (flat) limit;
         # at a = 1e8 the miss is below 1e-8 for any moderate lambda
-        sol = msol(a_cap)
+        sol = _fitted(power, a_cap)
         if k - sol.max_value <= 1e-7:
             return sol
         raise SolverError("power-chart fit failed to bracket")
@@ -741,109 +797,63 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
     # K < 0: the family spans the coth branch, then the tanh branch
     al = math.sqrt(-K / (N - 1.0))
     scale = 1.0 / al
-    prob_c = ModelProblem(K, N, "coth")
-
-    def msol_c(a):
-        s = _first_max_solution(prob_c, lam, a, t_cap=_INF)
-        s.fitted_param = a
-        return s
-
+    coth = partial(_first_max, ModelProblem(K, N, "coth"), lam, t_cap=_INF)
     a_big = 40.0 * scale
-    M_big = msol_c(a_big).max_value
-    if k <= M_big:
-        p_lo, p = 0.0, 0.3 * scale
-        while p <= a_big:
-            if msol_c(p).max_value >= k:
-                return _bisect_on_param(msol_c, p_lo, p, k, increasing=True, tol=tol)
-            p_lo, p = p, p * 2.0
-        return msol_c(a_big)
+    if k <= coth(a_big, probe=True):
+        walk = takewhile(lambda p: p <= a_big, _walk(0.3 * scale))
+        p = _fit_param(coth, k, tol, walk, 0.0, up=True)
+        return _fitted(coth, a_big if p is None else p)
 
-    prob_t = ModelProblem(K, N, "tanh")
-
-    def msol_t(a):
-        s = _first_max_solution(prob_t, lam, a, t_cap=_INF)
-        s.fitted_param = a
-        return s
-
-    # M decreases in a on the tanh branch; p_lo must sit on the M >= k side
-    M0 = msol_t(0.0).max_value
+    # M decreases in a on the tanh branch
+    tanh = partial(_first_max, ModelProblem(K, N, "tanh"), lam, t_cap=_INF)
+    M0 = tanh(0.0, probe=True)
     if abs(M0 - k) <= tol:
-        return msol_t(0.0)
-    if M0 > k:
-        prev, p = 0.0, 0.3 * scale
-        for _ in range(80):
-            if msol_t(p).max_value <= k:
-                return _bisect_on_param(msol_t, prev, p, k, increasing=False, tol=tol)
-            prev, p = p, p * 2.0
-    else:
-        prev, p = 0.0, -0.3 * scale
-        for _ in range(80):
-            if msol_t(p).max_value >= k:
-                return _bisect_on_param(msol_t, p, prev, k, increasing=False, tol=tol)
-            prev, p = p, p * 2.0
-    raise SolverError("tanh-chart fit failed to bracket")
+        return _fitted(tanh, 0.0)
+    up = M0 < k
+    walk = _walk((-0.3 if up else 0.3) * scale)
+    p = _fit_param(tanh, k, tol, islice(walk, 80), 0.0, up)
+    if p is None:
+        raise SolverError("tanh-chart fit failed to bracket")
+    return _fitted(tanh, p)
 
 
 def _fit_infinite(K: float, lam: float, k: float, tol: float) -> ModelSolution:
     """Fit for N = inf: linear chart in a for K != 0, constant chart in c."""
     if K != 0.0:
-        prob = ModelProblem(K, _INF, "linear")
-
-        def msol(a):
-            s = _first_max_solution(prob, lam, a, t_cap=_INF)
-            s.fitted_param = a
-            return s
-
+        linear = partial(_first_max, ModelProblem(K, _INF, "linear"), lam, t_cap=_INF)
         # M(a) rises with a when K > 0; past a finite a* the first maximum
         # escapes to infinity, so a failing probe always sits on the high side
-        increasing = K > 0
-        scale = 1.0 / math.sqrt(abs(K))
         try:
-            M0 = msol(0.0).max_value
+            M0 = linear(0.0, probe=True)
         except SolverError:
             M0 = _INF
         if abs(M0 - k) <= tol:
-            return msol(0.0)
-        need_bigger = M0 < k
-        step = (0.3 if need_bigger == increasing else -0.3) * scale
-        prev, p = 0.0, step
-        for _ in range(80):
-            try:
-                M = msol(p).max_value
-            except SolverError:
-                M = _INF
-            if (M >= k) if need_bigger else (M <= k):
-                lo, hi = (prev, p) if need_bigger == increasing else (p, prev)
-                return _bisect_on_param(msol, lo, hi, k, increasing, tol=tol,
-                                        on_fail="high")
-            prev, p = p, p * 2.0
-        raise SolverError("linear-chart fit failed to bracket")
+            return _fitted(linear, 0.0)
+        up = M0 < k
+        scale = 1.0 / math.sqrt(abs(K))
+        walk = _walk((0.3 if up == (K > 0) else -0.3) * scale)
+        p = _fit_param(linear, k, tol, islice(walk, 80), 0.0, up, fail=_INF)
+        if p is None:
+            raise SolverError("linear-chart fit failed to bracket")
+        return _fitted(linear, p)
 
     # K = 0, N = inf: sweep the constant drift c; max value is exp(c pi/(2 w))
-    sq = math.sqrt(lam)
-
-    def msol(c):
-        prob = ModelProblem(0.0, _INF, "constant", c=c)
-        s = _first_max_solution(prob, lam, 0.0, t_cap=_INF)
-        s.fitted_param = c
-        return s
+    def constant(c, probe=False):
+        return _first_max(ModelProblem(0.0, _INF, "constant", c=c), lam, 0.0,
+                          _INF, probe)
 
     if abs(k - 1.0) <= tol:
-        return msol(0.0)
-    sign = 1.0 if k > 1.0 else -1.0
-    p_lo, p = 0.0, sign * 0.2 * sq
-    for _ in range(80):
-        try:
-            M = msol(p).max_value
-        except SolverError:
-            M = _INF if sign > 0 else 0.0
-        if (M >= k) if sign > 0 else (M <= k):
-            lo, hi = (p_lo, p) if sign > 0 else (p, p_lo)
-            return _bisect_on_param(msol, lo, hi, k, increasing=True, tol=tol,
-                                    on_fail="high" if sign > 0 else "low")
-        p_lo = p
-        p = sign * min(abs(p) * 2.0, 0.5 * (abs(p) + 2.0 * sq))
-    raise SolverError("constant-chart fit failed to bracket")
+        return _fitted(constant, 0.0)
+    sq = math.sqrt(lam)
+    up = k > 1.0
+    sign = 1.0 if up else -1.0
+    walk = _walk(sign * 0.2 * sq,
+                 lambda p: sign * min(abs(p) * 2.0, 0.5 * (abs(p) + 2.0 * sq)))
+    p = _fit_param(constant, k, tol, islice(walk, 80), 0.0, up,
+                   fail=_INF if up else 0.0)
+    if p is None:
+        raise SolverError("constant-chart fit failed to bracket")
+    return _fitted(constant, p)
 
 
 def fit_model_solution(K: float, N: float, lam: float, k: float,
@@ -863,39 +873,21 @@ def fit_model_solution(K: float, N: float, lam: float, k: float,
     if not math.isfinite(N):
         return _fit_infinite(K, lam, k, tol)
 
-    m = model_solution(K, N, lam).max_value
+    ms = model_solution(K, N, lam)
+    m = ms.max_value
     if not (m * (1.0 - 1e-9) <= k <= (1.0 + 1e-9) / m):
         raise ValueError(f"k={k} outside the admissible range [{m}, {1/m}]")
     if abs(k - m) <= tol:
-        return model_solution(K, N, lam)
+        return ms
     if k > 1.0:
         kp = 1.0 / k
-        base = model_solution(K, N, lam) if abs(kp - m) <= tol \
-            else _fit_below_finite(K, N, lam, kp, m, tol)
+        base = ms if abs(kp - m) <= tol else _fit_below_finite(K, N, lam, kp, tol)
         return _reflect(base, kp)
-    return _fit_below_finite(K, N, lam, k, m, tol)
+    return _fit_below_finite(K, N, lam, k, tol)
 
 
 # ---------------------------------------------------------------------------
 # dense finite-difference oracle
-
-
-def _drift_vec(problem: ModelProblem, ts: np.ndarray) -> np.ndarray:
-    K, N, c = problem.K, problem.N, problem.c
-    chart = problem.chart
-    if chart == "tan":
-        return np.sqrt(K * (N - 1.0)) * np.tan(problem.alpha * ts)
-    if chart == "tanh":
-        return -np.sqrt(-K * (N - 1.0)) * np.tanh(problem.alpha * ts)
-    if chart == "coth":
-        return -np.sqrt(-K * (N - 1.0)) / np.tanh(problem.alpha * ts)
-    if chart == "power":
-        return -(N - 1.0) / ts
-    if chart == "flat":
-        return np.zeros_like(ts)
-    if chart == "linear":
-        return K * ts
-    return np.full_like(ts, c)
 
 
 def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
@@ -912,7 +904,7 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
         raise ValueError("oracle requires regular endpoints")
     ts = np.linspace(a, b, n_nodes)
     h = ts[1] - ts[0]
-    T = _drift_vec(problem, ts)
+    T = problem.drift(np)(ts)
 
     # rows of -(v'' - T v') on interior nodes 1..n-2
     lower = -(1.0 / h**2 + T / (2.0 * h))

@@ -89,3 +89,18 @@ def test_suite(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert (out_dir / "bounds.csv").exists()
     assert (out_dir / "case-s1.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["geom", "solve"])
+def test_empty_resolutions_rejected(tmp_path, command):
+    case = {
+        "id": "e",
+        "domain": {"shape": "interval", "length": 1.0},
+        "norm": {"family": "euclidean", "dim": 1},
+        "weight": {"kind": "lebesgue"},
+        "resolutions": [],
+    }
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    with pytest.raises(ValueError, match="case e: no resolutions given"):
+        main([command, "--spec", str(path)])

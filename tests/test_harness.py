@@ -16,7 +16,6 @@ from fingap.harness import (
     lichnerowicz_check,
     run_case,
     run_suite,
-    verify_bound,
 )
 from fingap.model1d import lambda1_model
 from fingap.norms import euclidean_norm
@@ -48,14 +47,14 @@ def box_case(res=(10, 20), ident="box"):
 
 class TestVerifyBound:
     def test_sharp_two_slope(self):
-        rep = verify_bound(sharp_case())
+        rep = run_case(sharp_case()).report
         assert rep.diameter_used == pytest.approx(2.0)
         assert rep.bound == pytest.approx(PI2 / 4.0, rel=1e-9)
         assert rep.verdict in ("holds", "holds_within_tol")
         assert abs(rep.margin) <= 2.0 * rep.discretization_tolerance
 
     def test_box_euclid(self):
-        rep = verify_bound(box_case())
+        rep = run_case(box_case()).report
         assert rep.diameter_used == pytest.approx(math.sqrt(2))
         assert rep.bound == pytest.approx(PI2 / 2.0, rel=1e-8)
         assert rep.verdict == "holds"
@@ -69,7 +68,7 @@ class TestVerifyBound:
             "weight": {"kind": "gaussian", "kappa": 1.0},
             "resolutions": [4, 8],
         }
-        rep = verify_bound(case)
+        rep = run_case(case).report
         assert rep.K == 1.0
         assert rep.N == math.inf
         assert rep.bound <= rep.lambda_numeric
@@ -77,23 +76,23 @@ class TestVerifyBound:
 
     def test_single_resolution_gets_auto_coarse(self):
         case = sharp_case(res=(40,))
-        rep = verify_bound(case)
+        rep = run_case(case).report
         assert len(rep.lambda_by_resolution) == 2
 
     def test_floor_resolution_alone_rejected(self):
         # resolution 4 has no coarser companion above the floor
         with pytest.raises(ValueError, match="only-four"):
-            verify_bound(sharp_case(res=(4,), ident="only-four"))
+            run_case(sharp_case(res=(4,), ident="only-four"))
 
     def test_duplicate_resolutions_rejected(self):
         # one lattice solved twice would give a zero error bar
         with pytest.raises(ValueError, match="twice-eight"):
-            verify_bound(sharp_case(res=(8, 8), ident="twice-eight"))
+            run_case(sharp_case(res=(8, 8), ident="twice-eight"))
 
     def test_user_certificate_passthrough(self):
         case = box_case()
         case["certificate"] = {"K": -1.0, "N": 4.0}
-        rep = verify_bound(case)
+        rep = run_case(case).report
         assert rep.K == -1.0 and rep.N == 4.0
         assert rep.bound == pytest.approx(lambda1_model(-1.0, 4.0, math.sqrt(2)),
                                           rel=1e-9)

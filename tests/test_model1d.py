@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import j0, jn_zeros
 
+from fingap import model1d
 from fingap.model1d import (
     ModelProblem,
     centered_model,
@@ -33,6 +34,23 @@ def finite_charts():
         ModelProblem(0.0, 2.5, "power"),
         ModelProblem(0.0, 5.0, "flat"),
     ]
+
+
+def all_charts():
+    return finite_charts() + [
+        ModelProblem(2.0, INF, "linear"),
+        ModelProblem(-0.5, INF, "linear"),
+        ModelProblem(0.0, INF, "constant", c=-1.3),
+    ]
+
+
+def interior_points(p, rng, n):
+    """n random points inside the chart domain, away from its singularities."""
+    if p.chart == "tan":
+        return rng.uniform(-0.9, 0.9, n) * p.half_width
+    if p.chart in ("coth", "power"):
+        return rng.uniform(0.2, 3.0, n)
+    return rng.uniform(-3.0, 3.0, n)
 
 
 class TestDrift:
@@ -74,17 +92,20 @@ class TestDrift:
         # T' = K + T^2/(N-1) by central differences on every finite-N chart
         rng = np.random.default_rng(0)
         for p in finite_charts():
-            if p.chart == "tan":
-                ts = rng.uniform(-0.9, 0.9, 100) * p.half_width
-            elif p.chart in ("coth", "power"):
-                ts = rng.uniform(0.2, 3.0, 100)
-            else:
-                ts = rng.uniform(-3.0, 3.0, 100)
+            ts = interior_points(p, rng, 100)
             h = 1e-6
             for t in ts:
                 Tp = (coeff_T(p, t + h) - coeff_T(p, t - h)) / (2 * h)
                 rhs = p.K + coeff_T(p, t) ** 2 / (p.N - 1.0)
                 assert Tp == pytest.approx(rhs, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("p", all_charts(), ids=lambda p: f"{p.chart}-{p.K}")
+    def test_array_drift_matches_scalar(self, p):
+        ts = interior_points(p, np.random.default_rng(1), 200)
+        vec = p.drift(np)(ts)
+        scalar = np.array([p.drift()(float(t)) for t in ts])
+        assert vec.shape == ts.shape
+        np.testing.assert_array_max_ulp(vec, scalar, maxulp=4)
 
 
 class TestInvariantDensity:
@@ -324,6 +345,51 @@ class TestFit:
         fit = fit_model_solution(0.0, 3.0, lam, 0.6)
         p = ModelProblem(0.0, 3.0, "power")
         assert lambda1_interval(p, fit.a, fit.b) == pytest.approx(lam, rel=1e-7)
+
+
+class TestFitBranches:
+    # each input takes a path through the fit that the cases above miss
+    @pytest.mark.parametrize("K, N, lam, k, tol", [
+        (-4.0, 2.0, 20.0, 0.5, 1e-8),         # tanh branch, a walks upward
+        (0.5, INF, 0.7, 0.3, 1e-8),           # linear chart, failing probes
+        (1.0, 2.0, 3.0, 0.7, 1e-8),           # tan chart, a failing probe
+        (0.0, 2.0, 0.2, 0.99999999, 1e-7),    # power chart, a = 1e8 fallback
+        (0.0, INF, 10.0, 0.2, 1e-8),          # constant chart, c < 0
+        # with probes at the default tolerance this fit ends 1.7e-7 off k
+        (3.0, INF, 3.2, 3.0, 1e-8),
+    ])
+    def test_fit_reaches_k(self, K, N, lam, k, tol):
+        fit = fit_model_solution(K, N, lam, k)
+        assert abs(fit.max_value - k) <= tol
+        assert fit.min_value == -1.0
+
+    def test_tanh_fit_eigenvalue_matches(self):
+        lam = 20.0
+        fit = fit_model_solution(-4.0, 2.0, lam, 0.5)
+        p = ModelProblem(-4.0, 2.0, "tanh")
+        assert fit.a == fit.fitted_param
+        assert lambda1_interval(p, fit.a, fit.b) == pytest.approx(lam, rel=1e-7)
+
+    @pytest.mark.parametrize("K, N, lam, k", [
+        (1.0, 3.0, 6.0, 0.9), (-1.0, 3.0, 4.0, 0.25), (-1.0, 3.0, 4.0, 0.95),
+        (0.0, 2.0, 5.0, 1.3), (0.0, INF, 5.0, 0.9), (1.0, INF, 6.0, 1.1),
+        (-1.0, INF, 5.0, 0.9),
+    ])
+    def test_only_accepted_fit_sampled_densely(self, monkeypatch, K, N, lam, k):
+        # probes return v(b) alone; a capped-step run is the dense sampling
+        # of model_solution (finite N, for m) and of the accepted fit
+        dense = []
+        integrate = model1d._integrate
+
+        def counting(*args, **kwargs):
+            if math.isfinite(kwargs.get("max_step", INF)):
+                dense.append(kwargs["max_step"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(model1d, "_integrate", counting)
+        fit = fit_model_solution(K, N, lam, k)
+        assert abs(fit.max_value - k) <= 1e-8
+        assert len(dense) <= (2 if math.isfinite(N) else 1)
 
 
 class TestOffCenterIntervals:
