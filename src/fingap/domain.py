@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -269,31 +268,6 @@ def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
         s = int(np.argmax(np.where(live, ub, -np.inf)))
 
 
-def _max_norm_on_sphere(norm: NormSpec) -> float:
-    """max F over the Euclidean unit sphere (coarse sample + local polish)."""
-    if norm.dim == 1:
-        return float(max(norm_eval(norm, np.array([1.0])),
-                         norm_eval(norm, np.array([-1.0]))))
-    rng = np.random.default_rng(4321)
-    dirs = rng.standard_normal((max(64 * norm.dim, 128), norm.dim))
-    dirs = np.concatenate([dirs, np.eye(norm.dim), -np.eye(norm.dim)])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = norm_eval(norm, dirs)
-
-    def objective(w):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return np.inf
-        return -float(norm_eval(norm, w)) / nw
-
-    best = -np.inf
-    for i in np.argsort(vals)[-3:]:
-        res = minimize(objective, dirs[i], method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 4000})
-        best = max(best, -res.fun)
-    return float(best)
-
-
 def analytic_diameter(spec: DomainSpec) -> float:
     """Exact diameter of the continuum shape under the Minkowski norm.
 
@@ -302,7 +276,7 @@ def analytic_diameter(spec: DomainSpec) -> float:
     intervals, and 2R * max_{|u|=1} F(u) for balls.
     """
     if spec.shape == "ball":
-        return 2.0 * spec.radius * _max_norm_on_sphere(spec.norm)
+        return 2.0 * spec.radius * spec.norm.sphere_max
     corners = np.array(
         list(itertools.product(*[(-L / 2.0, L / 2.0) for L in spec.lengths]))
     )

@@ -33,7 +33,9 @@ At the least-squares optimum sum_j r_ij^2 = sum_j (u_j - u_i)^2 -
 Du_i^T G_i Du_i with G_i = sum_j d_ij d_ij^T, so P = L_m - D^T blockdiag(m_i
 G_i) D, where L_m is the m-weighted edge Laplacian.  One energy and gradient
 evaluation is then E = m . F*(Du)^2 + c u^T P u and grad E = D^T (2 m l(Du))
-+ 2 c P u, with l the inverse Legendre map and c = beta s(F) / h^2.
++ 2 c P u, with l the inverse Legendre map and c = beta / (h^2 F_max^2),
+F_max = max_{|u|=1} F(u) (``NormSpec.sphere_max``), so that c matches the
+smallest energy min_{|xi|=1} F*(xi)^2 = 1/F_max^2 per unit gradient.
 
 For quadratic norms the same energy is a generalized symmetric eigenproblem
 S u = lam M u with S = D^T (M (x) A^{-1}) D + c P, and ``dense_oracle``
@@ -195,27 +197,9 @@ def stabilized_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
     return num / den
 
 
-def _penalty_scale(norm: NormSpec) -> float:
-    """min of F*(xi)^2 over the Euclidean unit sphere.
-
-    Sizes the consistency penalty commensurately with the physical energy so
-    that strongly anisotropic norms do not see a relatively inflated bias.
-    """
-    if norm.family == "euclidean":
-        return 1.0
-    if norm.family == "quadratic":
-        return 1.0 / float(np.linalg.eigvalsh(norm.A).max())
-    if norm.family == "two_slope_1d":
-        return min(1.0 / norm.a_plus, 1.0 / norm.a_minus) ** 2
-    rng = np.random.default_rng(999)
-    xi = rng.standard_normal((256 * norm.dim, norm.dim))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    return float(np.min(dual_norm_eval(norm, xi))) ** 2
-
-
 def _penalty_coefficient(norm: NormSpec, h: float) -> float:
-    """c = beta * penalty_scale / h^2, shared by the descent and the oracle."""
-    return STABILIZATION_BETA * _penalty_scale(norm) / h**2
+    """c = beta / (h^2 max_{|u|=1} F(u)^2), shared by the descent and the oracle."""
+    return STABILIZATION_BETA / norm.sphere_max**2 / h**2
 
 
 def _energy_and_grad(op: StencilOperator, norm: NormSpec, m: np.ndarray,

@@ -35,7 +35,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -162,11 +162,11 @@ def run_case(case: dict) -> CaseResult:
     lams = []
     eigen = None
     dom = None
-    spec = None
+    # one NormSpec for every resolution, so its dual and sphere maximum are
+    # worked out once
+    base = domain_spec_from_config(dict(case, resolution=res_list[0]))
     for r in res_list:
-        cfg = dict(case)
-        cfg["resolution"] = r
-        spec = domain_spec_from_config(cfg)
+        spec = replace(base, resolution=r)
         dom = build_domain(spec)
         eigen = minimize_rayleigh(dom, spec.norm, seed=seed)
         lams.append(eigen.lam)
@@ -205,6 +205,15 @@ def run_case(case: dict) -> CaseResult:
                       lichnerowicz=lich, eigen=eigen, domain=dom)
 
 
+def _model_guard(K: float, N: float, lam: float) -> Optional[str]:
+    """Why no 1-D model family compares with eigenvalue lam, or None."""
+    if N <= 1.0:
+        return "certificate N <= 1 has no model family"
+    if lam <= model_threshold(K, N) * (1.0 + 1e-9) + 1e-12:
+        return "eigenvalue at or below model threshold"
+    return None
+
+
 def check_gradient_comparison(dom: DiscreteDomain, spec: DomainSpec,
                               cert: CurvatureCertificate,
                               eigen: EigenResult) -> ComparisonReport:
@@ -217,13 +226,9 @@ def check_gradient_comparison(dom: DiscreteDomain, spec: DomainSpec,
     flat cases must shrink at O(h^2).
     """
     K, N, lam = cert.K, cert.N, eigen.lam
-    if math.isfinite(N) and N <= 1.0:
-        return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True,
-                                reason="certificate N <= 1 has no model family")
-    thresh = model_threshold(K, N)
-    if lam <= thresh * (1.0 + 1e-9) + 1e-12:
-        return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True,
-                                reason="eigenvalue at or below model threshold")
+    reason = _model_guard(K, N, lam)
+    if reason:
+        return ComparisonReport(0.0, 0.0, 0.0, inconclusive=True, reason=reason)
     shrink = 1e-6
     u, k = _normalized_u(eigen, is_reversible(spec.norm))
     try:
@@ -261,13 +266,9 @@ def check_maxima(cert: CurvatureCertificate, eigen: EigenResult,
     if not math.isfinite(N):
         return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
                                 reason="maxima comparison needs finite N")
-    if N <= 1.0:
-        return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
-                                reason="certificate N <= 1 has no model family")
-    thresh = model_threshold(K, N)
-    if lam <= thresh * (1.0 + 1e-9) + 1e-12:
-        return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
-                                reason="eigenvalue at or below model threshold")
+    reason = _model_guard(K, N, lam)
+    if reason:
+        return ComparisonReport(0.0, 0.0, tol, inconclusive=True, reason=reason)
     u, k = _normalized_u(eigen, is_reversible(spec.norm))
     m_kn = model_solution(K, N, lam).max_value
     holds = k >= m_kn - tol
@@ -284,8 +285,7 @@ def lichnerowicz_check(cert: CurvatureCertificate, lam_numeric: float,
     """For K > 0: lambda >= N K/(N-1), and the model bound dominates it."""
     if cert.K <= 0:
         return LichnerowiczReport(applicable=False)
-    ratio = cert.N / (cert.N - 1.0) if math.isfinite(cert.N) else 1.0
-    threshold = ratio * cert.K
+    threshold = model_threshold(cert.K, cert.N)
     holds = lam_numeric >= threshold - tol
     model_ok = True
     if d is not None:

@@ -648,19 +648,26 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
 
 
 def model_threshold(K: float, N: float) -> float:
-    """Lower end of the admissible eigenvalues: max(N K/(N-1), 0), or max(K, 0)
-    for N = inf."""
-    if math.isfinite(N):
-        return max(K * N / (N - 1.0), 0.0)
-    return max(K, 0.0)
+    """Lower end of the admissible eigenvalues: N K/(N-1) for K > 0 and
+    (N-1)|K|/4 for K <= 0, or max(K, 0) for N = inf.
+
+    For K < 0 the bound is the bottom of the coth chart's oscillating range:
+    T tends to -sqrt(|K|(N-1)), and at or below it v' has no zero.
+    """
+    if not math.isfinite(N):
+        return max(K, 0.0)
+    if K > 0:
+        return K * N / (N - 1.0)
+    return abs(K) * (N - 1.0) / 4.0
 
 
 def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """Solution v with v(a) = -1, v'(a) = 0 from the chart endpoint, up to the
     first zero b of v'.  Its maximum v(b) is the comparison bound m_{K,N}.
 
-    Requires finite N and lam >= max(KN/(N-1), 0); at equality (K > 0) the
-    solution is the analytic sine mode with b at the chart boundary and m = 1.
+    Requires finite N and lam >= :func:`model_threshold` (strictly above it
+    for K <= 0); at equality (K > 0) the solution is the analytic sine mode
+    with b at the chart boundary and m = 1.
     """
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
@@ -678,8 +685,8 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
                                  vs=np.sin(al * ts), vps=al * np.cos(al * ts))
         prob = ModelProblem(K, N, "tan")
         return _first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12))
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if lam <= thresh:
+        raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
     chart = "power" if K == 0 else "coth"
     prob = ModelProblem(K, N, chart)
     return _first_max(prob, lam, 0.0, t_cap=_INF)
@@ -723,7 +730,8 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
     within 1e-6 if the bracket collapses first.  A probe that finds no
     critical point (possible at the extreme ends of some families) counts as
     M = ``fail`` (+inf or 0) so the bracket keeps shrinking, or raises if
-    ``fail`` is None.
+    ``fail`` is None.  If the bracket collapses with failing probes inside
+    it, k is out of reach: ValueError naming the closest M reached.
     """
     def M(p):
         try:
@@ -744,15 +752,16 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
 
     lo, hi = sorted((prev, p))
     increasing = (p > prev) == up
-    best, best_err = None, _INF
+    best, best_err, best_M = None, _INF, None
+    failed = False
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         Mm = M(mid)
         if Mm is None:
-            Mm = fail
+            Mm, failed = fail, True
         else:
             if abs(Mm - k) < best_err:
-                best, best_err = mid, abs(Mm - k)
+                best, best_err, best_M = mid, abs(Mm - k), Mm
             if abs(Mm - k) <= tol:
                 return mid
         if (Mm < k) == increasing:
@@ -763,6 +772,9 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
             break
     if best_err <= 1e-6 * max(1.0, k):
         return best
+    if failed and best_M is not None:
+        raise ValueError(f"k={k} is out of reach: probes next to it find no "
+                         f"first maximum, and the closest one reached is {best_M}")
     raise SolverError(f"interval fit did not reach max = {k}")
 
 
@@ -862,7 +874,10 @@ def fit_model_solution(K: float, N: float, lam: float, k: float,
     min = -1 and max = k.
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
-    :func:`model_solution`; for N = inf any k > 0 is admissible.  Values
+    :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;
+    on the linear chart with K > 0 the first maximum escapes to infinity past
+    a finite start, probes there fail, and a large k (e.g. 20 at K = 3,
+    lam = 3.2) raises ValueError naming the closest maximum reached.  Values
     k > 1 are produced by reflecting the fit for 1/k (every drift is odd).
     """
     if k <= 0:

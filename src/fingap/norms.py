@@ -13,10 +13,26 @@ Supported families:
   two_slope_1d   F(v) = a_plus*v for v >= 0, a_minus*(-v) for v < 0  (dim 1)
 
 The dual norm is F*(xi) = sup {xi(v) : F(v) <= 1} on covectors.  Covectors are
-represented as plain arrays of components.  The Legendre transform l maps a
-vector v to the covector g_v(v, .); its inverse is the gradient of F*^2/2.
-Every closed form here is cross-checked in the test suite against a generic
-numeric supremum oracle (``dual_norm_numeric``).
+represented as plain arrays of components.  Every family is closed under
+duality, so ``NormSpec.dual`` is a norm of the same family:
+
+  euclidean      F* = F
+  quadratic      matrix A^{-1}
+  randers        A* = ((1-s) A^{-1} + p p^T)/(1-s)^2,  b* = -p/(1-s),
+                 with p = A^{-1} b and s = b^T A^{-1} b
+  two_slope_1d   slopes 1/a_plus, 1/a_minus
+
+The Legendre transform l maps a vector v to the covector g_v(v, .); its
+inverse is the gradient of F*^2/2, which is the Legendre transform of the
+dual.  So F* and l^{-1} are ``norm_eval`` and ``legendre`` of ``norm.dual``,
+and each formula is written once.  The dual closed forms are cross-checked
+in the test suite against a generic numeric supremum oracle
+(``dual_norm_numeric``).
+
+``NormSpec.sphere_max`` is max F(u) over the Euclidean unit sphere: 1,
+sqrt(lambda_max(A)) and max(a_plus, a_minus) in closed form, a sampled and
+polished search for Randers.  By duality, min F*(xi) over |xi| = 1 is its
+reciprocal.
 
 All evaluation functions accept batched input with the vector components on
 the last axis and are pure; NormSpec values are immutable and safe to share.
@@ -25,6 +41,7 @@ the last axis and are pure; NormSpec values are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,7 +75,8 @@ class NormSpec:
     """A parametric Minkowski norm on R^dim.
 
     Use the constructors (:func:`euclidean_norm` etc.) rather than building
-    instances directly; they validate parameters and precompute dual data.
+    instances directly; they validate parameters.  ``dual`` and
+    ``sphere_max`` are computed on first use and cached.
     """
 
     family: str
@@ -69,8 +87,6 @@ class NormSpec:
     a_minus: Optional[float] = None
     # derived, filled in __post_init__
     A_inv: Optional[np.ndarray] = field(default=None, repr=False)
-    dual_A: Optional[np.ndarray] = field(default=None, repr=False)
-    dual_b: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -104,17 +120,37 @@ class NormSpec:
                     f"randers drift too large: |b|_Ainv^2 = {s:.6g} >= 1"
                 )
             object.__setattr__(self, "b", b)
-            # Dual of a Randers norm is again Randers-type.  From the support
-            # function of the unit ball {v : v^T(A - bb^T)v + 2b.v <= 1}:
-            #   F*(xi) = sqrt(xi^T A* xi) + b*.xi
-            p = self.A_inv @ b
-            dual_A = ((1.0 - s) * self.A_inv + np.outer(p, p)) / (1.0 - s) ** 2
-            dual_b = -p / (1.0 - s)
-            object.__setattr__(self, "dual_A", dual_A)
-            object.__setattr__(self, "dual_b", dual_b)
 
     def __hash__(self):
         return id(self)
+
+    @cached_property
+    def dual(self) -> NormSpec:
+        """The dual norm F* on covectors, a norm of the same family."""
+        if self.family == "euclidean":
+            return self
+        if self.family == "quadratic":
+            return quadratic_norm(self.A_inv)
+        if self.family == "two_slope_1d":
+            # the unit ball is [-1/a_minus, 1/a_plus]
+            return two_slope_norm(1.0 / self.a_plus, 1.0 / self.a_minus)
+        # support function of the unit ball {v : v^T(A - bb^T)v + 2b.v <= 1}
+        s = float(self.b @ self.A_inv @ self.b)
+        p = self.A_inv @ self.b
+        return randers_norm(((1.0 - s) * self.A_inv + np.outer(p, p)) / (1.0 - s) ** 2,
+                            -p / (1.0 - s))
+
+    @cached_property
+    def sphere_max(self) -> float:
+        """max F(u) over the Euclidean unit sphere |u| = 1."""
+        if self.family == "euclidean":
+            return 1.0
+        if self.family == "quadratic":
+            return float(np.sqrt(np.linalg.eigvalsh(self.A).max()))
+        if self.family == "two_slope_1d":
+            return max(self.a_plus, self.a_minus)
+        return _sphere_search(lambda w: norm_eval(self, w) / np.linalg.norm(w, axis=-1),
+                              self.dim, seed=4321, tol=1e-13)
 
 
 def euclidean_norm(dim: int) -> NormSpec:
@@ -168,17 +204,7 @@ def norm_eval(norm: NormSpec, v) -> np.ndarray:
 
 def dual_norm_eval(norm: NormSpec, xi) -> np.ndarray:
     """Evaluate the dual norm F*(xi) = sup {xi(v) : F(v) <= 1} in closed form."""
-    xi = _check_dim(norm, xi)
-    if norm.family == "euclidean":
-        return np.sqrt(np.einsum("...i,...i->...", xi, xi))
-    if norm.family == "quadratic":
-        return np.sqrt(np.einsum("...i,ij,...j->...", xi, norm.A_inv, xi))
-    if norm.family == "randers":
-        alpha = np.sqrt(np.einsum("...i,ij,...j->...", xi, norm.dual_A, xi))
-        return alpha + np.einsum("...i,i->...", xi, norm.dual_b)
-    x = xi[..., 0]
-    # unit ball is [-1/a_minus, 1/a_plus], so slopes swap and invert
-    return np.where(x >= 0, x / norm.a_plus, -x / norm.a_minus)
+    return norm_eval(norm.dual, xi)
 
 
 def legendre(norm: NormSpec, v) -> np.ndarray:
@@ -205,20 +231,7 @@ def legendre_inverse(norm: NormSpec, xi) -> np.ndarray:
 
     Satisfies F(l^{-1}(xi)) = F*(xi) and xi(l^{-1}(xi)) = F*(xi)^2.
     """
-    xi = _check_dim(norm, xi)
-    if norm.family == "euclidean":
-        return xi.copy()
-    if norm.family == "quadratic":
-        return np.einsum("ij,...j->...i", norm.A_inv, xi)
-    if norm.family == "randers":
-        Axi = np.einsum("ij,...j->...i", norm.dual_A, xi)
-        alpha = np.sqrt(np.einsum("...i,...i->...", xi, Axi))
-        Fs = alpha + np.einsum("...i,i->...", xi, norm.dual_b)
-        safe = np.where(alpha == 0.0, 1.0, alpha)
-        out = Fs[..., None] * (Axi / safe[..., None] + norm.dual_b)
-        return np.where(alpha[..., None] == 0.0, 0.0, out)
-    x = xi[..., 0]
-    return np.where(x >= 0, x / norm.a_plus**2, x / norm.a_minus**2)[..., None]
+    return legendre(norm.dual, xi)
 
 
 def legendre_inverse_fd(norm: NormSpec, xi) -> np.ndarray:
@@ -279,6 +292,35 @@ def is_reversible(norm: NormSpec) -> bool:
     return norm.a_plus == norm.a_minus
 
 
+def _sphere_search(ratio, dim: int, seed: int, tol: float,
+                   n_dirs: Optional[int] = None) -> float:
+    """max of a 0-homogeneous ``ratio(w)`` over directions w in R^dim.
+
+    Samples n_dirs seeded random directions (default max(64*dim, 128)) plus
+    the +-coordinate axes and polishes the best three with Nelder-Mead
+    (xatol ``tol``, fatol ``tol/10``).  ``ratio`` takes batched rows.
+    """
+    if dim == 1:
+        return float(np.max(ratio(np.array([[1.0], [-1.0]]))))
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_dirs or max(64 * dim, 128), dim))
+    dirs = np.concatenate([dirs, np.eye(dim), -np.eye(dim)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vals = ratio(dirs)
+
+    def objective(w):
+        if np.linalg.norm(w) == 0.0:
+            return np.inf
+        return -float(ratio(w))
+
+    best = -np.inf
+    for i in np.argsort(vals)[-3:]:
+        res = minimize(objective, dirs[i], method="Nelder-Mead",
+                       options={"xatol": tol, "fatol": tol / 10.0, "maxiter": 4000})
+        best = max(best, -res.fun)
+    return float(best)
+
+
 def dual_norm_numeric(norm: NormSpec, xi, n_dirs: Optional[int] = None) -> float:
     """Numeric supremum oracle for the dual norm.
 
@@ -289,39 +331,8 @@ def dual_norm_numeric(norm: NormSpec, xi, n_dirs: Optional[int] = None) -> float
     xi = _check_dim(norm, xi)
     if np.linalg.norm(xi) == 0.0:
         return 0.0
-    if norm.dim == 1:
-        vals = [
-            float(xi[0]) / float(norm_eval(norm, np.array([1.0]))),
-            float(-xi[0]) / float(norm_eval(norm, np.array([-1.0]))),
-        ]
-        return max(vals)
-
-    if n_dirs is None:
-        n_dirs = max(64 * norm.dim, 128)
-    rng = np.random.default_rng(12345)
-    dirs = rng.standard_normal((n_dirs, norm.dim))
-    dirs = np.concatenate([dirs, np.eye(norm.dim), -np.eye(norm.dim)])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    F = norm_eval(norm, dirs)
-    vals = dirs @ xi / F
-
-    def objective(w):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return np.inf
-        u = w / nw
-        return -float(u @ xi) / float(norm_eval(norm, u))
-
-    best = -np.inf
-    for idx in np.argsort(vals)[-3:]:
-        res = minimize(
-            objective,
-            dirs[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-14, "fatol": 1e-15, "maxiter": 4000},
-        )
-        best = max(best, -res.fun)
-    return float(best)
+    return _sphere_search(lambda w: (w @ xi) / norm_eval(norm, w), norm.dim,
+                          seed=12345, tol=1e-14, n_dirs=n_dirs)
 
 
 @dataclass

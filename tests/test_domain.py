@@ -229,6 +229,12 @@ class TestDiameter:
                           resolution=16)
         assert analytic_diameter(spec) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("dim, R", [(2, 0.5), (2, 0.7), (3, 1.3)])
+    def test_ball_euclidean_exact(self, dim, R):
+        spec = DomainSpec(shape="ball", norm=euclidean_norm(dim), radius=R,
+                          resolution=8)
+        assert analytic_diameter(spec) == 2.0 * R
+
     def test_ball_randers(self):
         norm = randers_norm(np.eye(2), [0.2, 0.1])
         spec = DomainSpec(shape="ball", norm=norm, radius=0.5, resolution=16)

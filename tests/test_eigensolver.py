@@ -10,7 +10,6 @@ from fingap.eigensolver import (
     STABILIZATION_BETA,
     _energy_and_grad,
     _penalty_coefficient,
-    _penalty_scale,
     dense_oracle,
     discrete_gradient,
     minimize_rayleigh,
@@ -160,7 +159,7 @@ class TestEnergyAssembly:
         for spec in energy_cases():
             d = build_domain(spec)
             m = d.node_measure
-            c = STABILIZATION_BETA * _penalty_scale(spec.norm) / d.h**2
+            c = _penalty_coefficient(spec.norm, d.h)
             for u in (rng.standard_normal(d.n_nodes),
                       np.sin(3.0 * d.nodes @ np.arange(1.0, d.dim + 1))):
                 Du, defect = per_slot_fit(d, u)
@@ -172,6 +171,25 @@ class TestEnergyAssembly:
                     raw, rel=1e-12), spec
                 assert stabilized_quotient(d, spec.norm, u) * var == pytest.approx(
                     raw + pen, rel=1e-12), spec
+
+
+class TestPenaltyScale:
+    @pytest.mark.parametrize("b", [[0.2, 0.1], [0.3, 0.0], [0.3, 0.1, 0.1],
+                                   [-0.1, 0.25, 0.2]])
+    def test_randers_identity_metric(self, b):
+        # c h^2 / beta = min_{|xi|=1} F*(xi)^2 = 1 / max_{|u|=1} F(u)^2,
+        # and max_{|u|=1} |u| + b.u = 1 + |b|
+        norm = randers_norm(np.eye(len(b)), b)
+        h = 0.05
+        scale = _penalty_coefficient(norm, h) * h**2 / STABILIZATION_BETA
+        assert scale == pytest.approx(1.0 / (1.0 + np.linalg.norm(b)) ** 2, rel=1e-12)
+
+    def test_closed_form_families(self):
+        h = 0.1
+        A = np.array([[1.0, 0.0], [0.0, 4.0]])
+        for norm, scale in ((euclidean_norm(2), 1.0), (quadratic_norm(A), 0.25),
+                            (two_slope_norm(2.0, 0.5), 0.25)):
+            assert _penalty_coefficient(norm, h) == STABILIZATION_BETA * scale / h**2
 
 
 class TestGradientCorrectness:

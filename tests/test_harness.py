@@ -125,6 +125,19 @@ class TestGradientComparison:
         assert rep.inconclusive
         assert "threshold" in rep.reason
 
+    def test_negative_curvature_threshold_gate(self):
+        # K < 0: at (N-1)|K|/4 the model has no first maximum
+        spec = DomainSpec(shape="box", norm=euclidean_norm(2),
+                          lengths=(1.0, 1.0), resolution=8)
+        dom = build_domain(spec)
+        cert = CurvatureCertificate(K=-1.0, N=3.0, provenance="user")
+        fake = EigenResult(lam=0.5, u=np.linspace(-1, 1, dom.n_nodes),
+                           residual=0.0, iterations=0, converged=True)
+        for rep in (check_gradient_comparison(dom, spec, cert, fake),
+                    check_maxima(cert, fake, spec)):
+            assert rep.inconclusive
+            assert rep.reason == "eigenvalue at or below model threshold"
+
 
 class TestMaxima:
     def test_box_holds(self):

@@ -282,6 +282,16 @@ class TestModelSolution:
         with pytest.raises(ValueError):
             model_solution(1.0, INF, 3.0)
 
+    def test_negative_curvature_threshold(self):
+        # at or below (N-1)|K|/4 v' has no zero on the coth chart
+        assert model1d.model_threshold(-1.0, 3.0) == 0.5
+        assert model1d.model_threshold(-4.0, 2.0) == 1.0
+        assert model1d.model_threshold(0.0, 3.0) == 0.0
+        with pytest.raises(ValueError, match="threshold 0.5"):
+            model_solution(-1.0, 3.0, 0.5)
+        with pytest.raises(ValueError, match="threshold 1.0"):
+            fit_model_solution(-4.0, 2.0, 0.5, 0.9)
+
     def test_vprime_positive_interior(self):
         ms = model_solution(-1.0, 3.0, 4.0)
         assert np.all(ms.vps[1:-1] > 0)
@@ -362,6 +372,13 @@ class TestFitBranches:
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= tol
         assert fit.min_value == -1.0
+
+    @pytest.mark.parametrize("K, lam", [(3.0, 3.2), (0.5, 0.7)])
+    def test_linear_fit_out_of_reach(self, K, lam):
+        # probes next to the start where the first maximum escapes to
+        # infinity fail, and the bisection collapses without landing on k
+        with pytest.raises(ValueError, match="out of reach"):
+            fit_model_solution(K, INF, lam, 20.0)
 
     def test_tanh_fit_eigenvalue_matches(self):
         lam = 20.0

@@ -178,6 +178,114 @@ class TestInvariants:
             assert np.allclose(pair, dual_norm_eval(n, xi) ** 2, rtol=1e-9, atol=1e-12)
 
 
+def reference_dual(n):
+    """(F*, l^{-1}) on batched covectors, each family's closed form written
+    out on its own as the reference for evaluating through ``norm.dual``."""
+    if n.family == "euclidean":
+        return (lambda xi: np.sqrt(np.einsum("...i,...i->...", xi, xi)),
+                lambda xi: xi.copy())
+    if n.family == "quadratic":
+        return (lambda xi: np.sqrt(np.einsum("...i,ij,...j->...", xi, n.A_inv, xi)),
+                lambda xi: np.einsum("ij,...j->...i", n.A_inv, xi))
+    if n.family == "two_slope_1d":
+        return (lambda xi: np.where(xi[..., 0] >= 0, xi[..., 0] / n.a_plus,
+                                    -xi[..., 0] / n.a_minus),
+                lambda xi: np.where(xi[..., 0] >= 0, xi[..., 0] / n.a_plus**2,
+                                    xi[..., 0] / n.a_minus**2)[..., None])
+    s = float(n.b @ n.A_inv @ n.b)
+    p = n.A_inv @ n.b
+    dual_A = ((1.0 - s) * n.A_inv + np.outer(p, p)) / (1.0 - s) ** 2
+    dual_b = -p / (1.0 - s)
+
+    def fstar(xi):
+        alpha = np.sqrt(np.einsum("...i,ij,...j->...", xi, dual_A, xi))
+        return alpha + np.einsum("...i,i->...", xi, dual_b)
+
+    def linv(xi):
+        Axi = np.einsum("ij,...j->...i", dual_A, xi)
+        alpha = np.sqrt(np.einsum("...i,...i->...", xi, Axi))
+        Fs = alpha + np.einsum("...i,i->...", xi, dual_b)
+        safe = np.where(alpha == 0.0, 1.0, alpha)
+        out = Fs[..., None] * (Axi / safe[..., None] + dual_b)
+        return np.where(alpha[..., None] == 0.0, 0.0, out)
+
+    return fstar, linv
+
+
+def dual_family_norms():
+    A3 = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 0.7]])
+    return [
+        euclidean_norm(2),
+        euclidean_norm(3),
+        quadratic_norm(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        quadratic_norm(A3),
+        randers_norm(np.array([[2.0, 0.3], [0.3, 1.0]]), [0.2, -0.4]),
+        randers_norm(np.eye(3), [0.3, 0.1, 0.1]),
+        randers_norm(A3, [0.2, -0.3, 0.25]),
+    ]
+
+
+class TestDualNorm:
+    def test_same_values_as_written_out_forms(self):
+        rng = np.random.default_rng(21)
+        for n in dual_family_norms():
+            fstar, linv = reference_dual(n)
+            xi = rng.standard_normal((200, n.dim))
+            xi[0] = 0.0
+            assert np.array_equal(dual_norm_eval(n, xi), fstar(xi)), n
+            assert np.array_equal(legendre_inverse(n, xi), linv(xi)), n
+            assert np.array_equal(dual_norm_eval(n, xi[3]), fstar(xi[3])), n
+
+    def test_two_slope_within_rounding(self):
+        # 1/a is rounded once more than x/a, so only powers of two agree exactly
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((500, 1)) * 10.0
+        for a_plus, a_minus in ((1.7, 0.3), (3.1, 0.9), (0.37, 2.9)):
+            n = two_slope_norm(a_plus, a_minus)
+            fstar, linv = reference_dual(n)
+            np.testing.assert_allclose(dual_norm_eval(n, x), fstar(x), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(legendre_inverse(n, x), linv(x), rtol=1e-15, atol=0)
+
+    def test_dual_of_dual_is_the_norm(self):
+        for n in dual_family_norms() + [two_slope_norm(1.7, 0.3)]:
+            dd = n.dual.dual
+            assert dd.family == n.family and n.dual.family == n.family
+            if n.family in ("quadratic", "randers"):
+                np.testing.assert_allclose(dd.A, n.A, rtol=0, atol=1e-12)
+            if n.family == "randers":
+                np.testing.assert_allclose(dd.b, n.b, rtol=0, atol=1e-12)
+            if n.family == "two_slope_1d":
+                assert dd.a_plus == pytest.approx(n.a_plus, rel=1e-12)
+                assert dd.a_minus == pytest.approx(n.a_minus, rel=1e-12)
+
+    def test_dual_is_cached(self):
+        n = randers_norm(np.eye(2), [0.2, 0.1])
+        assert n.dual is n.dual
+        assert euclidean_norm(2).dual.family == "euclidean"
+
+    def test_sphere_max_closed_forms(self):
+        assert euclidean_norm(3).sphere_max == 1.0
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert quadratic_norm(A).sphere_max == pytest.approx(
+            np.sqrt(np.linalg.eigvalsh(A).max()), rel=1e-15)
+        assert two_slope_norm(2.0, 0.5).sphere_max == 2.0
+
+    def test_sphere_max_randers(self):
+        # A = I: the max of |u| + b.u on the unit sphere is 1 + |b| at u = b/|b|
+        rng = np.random.default_rng(23)
+        for b in ([0.2, 0.1], [0.5, 0.0], [0.3, 0.1, 0.1], [-0.2, 0.4, 0.1]):
+            n = randers_norm(np.eye(len(b)), b)
+            assert n.sphere_max == pytest.approx(1.0 + np.linalg.norm(b), rel=1e-12)
+        # general A: no sampled direction beats it, and min F* on the sphere
+        # is its reciprocal
+        n = dual_family_norms()[-1]
+        u = rng.standard_normal((20000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        F, Fs = norm_eval(n, u), dual_norm_eval(n, u)
+        assert n.sphere_max - 1e-3 <= np.max(F) <= n.sphere_max
+        assert 1.0 / n.sphere_max <= np.min(Fs) <= 1.0 / n.sphere_max + 1e-3
+
+
 finite2 = st.floats(-5.0, 5.0, allow_nan=False)
 
 
