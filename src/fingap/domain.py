@@ -102,6 +102,8 @@ class DiscreteDomain:
 
     ``neighbor_idx`` is (n, max_deg) with -1 padding; ``neighbor_disp`` holds
     the exact displacement vectors node -> neighbor; masks mark real slots.
+    Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
+    is a whole number; ``h`` is the largest h_k (1/r on balls).
     Immutable after build; ``_cache`` holds derived data only (edge graphs,
     the eigensolver's stencil operator).
     """
@@ -143,10 +145,12 @@ class DiscreteDomain:
 
 
 def _axis_nodes(L: float, resolution: int):
-    n = int(round(L * resolution)) + 1
-    if n < 2:
+    """round(L r) + 1 nodes across [-L/2, L/2], and the stretch L r / round(L r)
+    of their spacing against 1/r: exactly 1 when L r is a whole number."""
+    cells = int(round(L * resolution))
+    if cells < 1:
         raise ValueError("resolution too coarse for this length")
-    return np.linspace(-L / 2.0, L / 2.0, n)
+    return np.linspace(-L / 2.0, L / 2.0, cells + 1), L * resolution / cells
 
 
 _OFFSET_CACHE: dict = {}
@@ -170,14 +174,16 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
     dim = spec.dim
 
     if spec.shape in ("interval", "box"):
-        axes = [_axis_nodes(L, spec.resolution) for L in spec.lengths]
+        axes, stretch = zip(*[_axis_nodes(L, spec.resolution) for L in spec.lengths])
+        spacing = h * np.array(stretch)
         index_grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
         idx = np.stack([g.reshape(-1) for g in index_grids], axis=1)
         nodes = np.stack(
             [axes[d][idx[:, d]] for d in range(dim)], axis=1
         )
-        # half cells on the faces: weight h/2 at the two ends of each axis
-        cell = np.ones(idx.shape[0]) * h**dim
+        # cells of h^dim times the stretches; half cells at the two ends of
+        # each axis
+        cell = np.full(idx.shape[0], h**dim * math.prod(stretch))
         boundary = np.zeros(idx.shape[0], dtype=bool)
         for d in range(dim):
             at_end = (idx[:, d] == 0) | (idx[:, d] == axes[d].size - 1)
@@ -193,6 +199,7 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
         inside = np.einsum("ni,ni->n", nodes, nodes) <= R * R + 1e-12
         idx, nodes = idx[inside] + m, nodes[inside]
         cell = np.full(idx.shape[0], h**dim)
+        spacing = np.full(dim, h)
 
     if nodes.shape[0] == 0:
         raise ValueError("domain is empty at this resolution")
@@ -211,7 +218,7 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
 
     measure = cell * spec.weight_at(nodes)
     nb_mask = nb_idx >= 0
-    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * h, 0.0)
+    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * spacing, 0.0)
 
     return DiscreteDomain(
         spec=spec,
@@ -221,7 +228,7 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
         neighbor_disp=nb_disp,
         neighbor_mask=nb_mask,
         boundary=boundary,
-        h=h,
+        h=float(spacing.max()),
     )
 
 

@@ -43,14 +43,16 @@ solves it directly; the descent result must agree with it to certify
 correctness.  For genuinely nonlinear norms (Randers, two-slope)
 certification rests on the weak-form residual plus mesh refinement.
 
-Descent uses projected gradient steps with a Barzilai-Borwein initial step
-inside a halving backtracking line search (Armijo constant 1e-4), projecting
-to the weighted mean-zero sphere after every step.  A line search that finds
-no descent in 60 halvings counts as an iteration with zero progress and
-restarts BB from the plain projected-gradient step.  The descent has
-converged when the quotient's relative decrease over the last 10 iterations
-falls below 1e-12; at the iteration cap it has not.  Deterministic given
-(domain, norm, seed).
+Descent is preconditioned steepest descent on the weighted mean-zero sphere
+(LOBPCG's single-vector form, Knyazev 2001), alike for every norm: direction
+-L^{-1} r, r = g/2 - R M u, made mean-zero and M-orthogonal to u.  L, factored
+once per solve, is the Laplacian of the stencil's 2*dim axis edges, i -> j
+along axis k weighted m_i w_k / h_k^2 (w_k = A*_kk of the dual norm; 1 for
+Euclidean, the dual slopes' product for two-slope), plus 1e-3 M.  Armijo
+backtracking (constant 1e-4; each cut to the quadratic interpolant's minimum,
+kept within 0.1-0.5 of the step) starts from the last accepted step, doubled
+after a first-try acceptance; no descent in 60 cuts is an iteration with zero
+progress and resets the step to 1.  Deterministic given (domain, norm, seed).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, kron
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
-from .domain import DiscreteDomain
+from .domain import DiscreteDomain, _stencil_offsets
 from .norms import NormSpec, dual_norm_eval, legendre_inverse
 
 __all__ = [
@@ -144,11 +146,15 @@ def _assemble(domain: DiscreteDomain) -> StencilOperator:
     # m_i d_ij (u_j - u_i); its rounding is symmetrized below so that the
     # gradient 2 P u is exact for the form u^T P u
     K = D.T @ (diags(np.repeat(m, dim)) @ slot_sum(disp))
-    edges = csr_matrix((m[i_idx], (i_idx, j_idx)), shape=(n, n))
-    deg = np.asarray(edges.sum(axis=0)).ravel() + np.asarray(edges.sum(axis=1)).ravel()
-    L_m = diags(deg) - edges - edges.T
-    P = (L_m - 0.5 * (K + K.T)).tocsr()
+    P = (_edge_laplacian(n, i_idx, j_idx, m[i_idx]) - 0.5 * (K + K.T)).tocsr()
     return StencilOperator(D=D, P=P, dim=dim)
+
+
+def _edge_laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """Laplacian of the directed edges i -> j with weights w, symmetrized."""
+    edges = csr_matrix((w, (i, j)), shape=(n, n))
+    deg = np.asarray(edges.sum(axis=0)).ravel() + np.asarray(edges.sum(axis=1)).ravel()
+    return diags(deg) - edges - edges.T
 
 
 def discrete_gradient(domain: DiscreteDomain, u, i: int | None = None):
@@ -214,6 +220,22 @@ def _energy_and_grad(op: StencilOperator, norm: NormSpec, m: np.ndarray,
     return num, grad
 
 
+def _preconditioner(domain: DiscreteDomain, norm: NormSpec):
+    """splu factor of the axis-edge Laplacian plus 1e-3 M (module docstring)."""
+    m, dual = domain.node_measure, norm.dual
+    if norm.family == "two_slope_1d":
+        w_axis = np.array([dual.a_plus * dual.a_minus])
+    else:
+        w_axis = np.ones(norm.dim) if dual.A is None else np.diag(dual.A)
+    axis = np.abs(_stencil_offsets(domain.dim)).sum(axis=1) == 1
+    idx, disp = domain.neighbor_idx[:, axis], domain.neighbor_disp[:, axis]
+    i_idx, s_idx = np.nonzero(idx >= 0)
+    k = np.argmax(np.abs(disp[i_idx, s_idx]), axis=1)
+    w = m[i_idx] * w_axis[k] / disp[i_idx, s_idx, k] ** 2
+    L = _edge_laplacian(domain.n_nodes, i_idx, idx[i_idx, s_idx], w)
+    return splu((L + diags(1e-3 * m)).tocsc())
+
+
 def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
                       max_iter: int = 50_000) -> EigenResult:
     """Minimize the stabilized Rayleigh quotient on the mean-zero sphere.
@@ -228,6 +250,7 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
     m = domain.node_measure
     Mtot = float(m.sum())
     op = stencil_operator(domain)
+    lu = _preconditioner(domain, norm)
 
     def project(w):
         return w - (float(m @ w) / Mtot)
@@ -243,65 +266,41 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
     c_pen = _penalty_coefficient(norm, domain.h)
     R, g = _energy_and_grad(op, norm, m, u, c_pen)
     history = [R]
-    alpha = 1.0
-    u_prev = g_prev = None
-    iterations = 0
+    step = 1.0
     converged = False
 
     for _ in range(max_iter):
-        # R is 0-homogeneous on the constraint set; remove the components of
-        # the gradient along the constraint normals m and m*u
-        c1, c2 = m, m * u
-        g11, g12, g22 = float(c1 @ c1), float(c1 @ c2), float(c2 @ c2)
-        b1, b2 = float(c1 @ g), float(c2 @ g)
-        det = g11 * g22 - g12 * g12
-        if det > 0:
-            a1 = (g22 * b1 - g12 * b2) / det
-            a2 = (g11 * b2 - g12 * b1) / det
-            gt = g - a1 * c1 - a2 * c2
-        else:
-            gt = g
-        gnorm2 = float(gt @ gt)
-        if gnorm2 <= 1e-30 * max(1.0, R * R):
+        # preconditioned residual; the quotient's derivative along d is 2 r.d
+        r = 0.5 * g - R * m * u
+        d = -project(lu.solve(r))
+        d -= float((m * u) @ d) * u
+        slope = -2.0 * float(r @ d)
+        if slope <= 1e-30 * max(1.0, R * R):
             converged = True
             break
 
-        if u_prev is not None:
-            s = u - u_prev
-            y = gt - g_prev
-            sy = float(s @ y)
-            alpha = float(s @ s) / sy if sy > 1e-300 else alpha * 2.0
-            if not (1e-16 < alpha < 1e12):
-                alpha = 1.0
-        u_prev, g_prev = u, gt
-
-        a = alpha
-        for _bt in range(60):
-            u_try = normalize(project(u - a * gt))
+        a = step
+        for bt in range(60):
+            u_try = normalize(project(u + a * d))
             R_try, g_try = _energy_and_grad(op, norm, m, u_try, c_pen)
-            if R_try <= R - 1e-4 * a * gnorm2:
+            if R_try <= R - 1e-4 * a * slope:
                 u, R, g = u_try, R_try, g_try
+                step = 2.0 * a if bt == 0 else a
                 break
-            a *= 0.5
-        else:
-            # no descent at fp resolution: a zero-progress iteration, after
-            # which BB restarts from the plain projected-gradient step
-            alpha = 1.0
-            u_prev = g_prev = None
-        iterations += 1
+            a *= min(max(0.5 * slope * a / (R_try - R + slope * a), 0.1), 0.5)
+        else:  # no descent at fp resolution: a zero-progress iteration
+            step = 1.0
         history.append(R)
         if len(history) > 10 and history[-11] - R < 1e-12 * max(R, 1e-300):
             converged = True
             break
 
     u = normalize(project(u))
-    lam = R
     _, gfin = _energy_and_grad(op, norm, m, u, c_pen)
-    defect = np.abs(0.5 * gfin - lam * m * u)
-    scale = max(lam * float(np.max(m * np.abs(u))), 1e-300)
-    residual = float(defect.max()) / scale
-    return EigenResult(lam=lam, u=u, residual=residual,
-                       iterations=iterations, converged=converged,
+    defect = np.abs(0.5 * gfin - R * m * u)
+    scale = max(R * float(np.max(m * np.abs(u))), 1e-300)
+    return EigenResult(lam=R, u=u, residual=float(defect.max()) / scale,
+                       iterations=len(history) - 1, converged=converged,
                        history=history)
 
 

@@ -13,7 +13,8 @@ For each configured case the pipeline
      1-D model solution, and the maxima comparison max u >= m_{K,N}.
 
 A case is "violated" only when the margin is below minus the discretization
-tolerance; comparison hypotheses that fail (N = inf for the maxima check,
+tolerance, and "inconclusive" when otherwise some resolution's descent did
+not converge; comparison hypotheses that fail (N = inf for the maxima check,
 eigenvalues at the model threshold, unreachable fit targets) are reported as
 inconclusive, never as failures.
 
@@ -87,6 +88,10 @@ class BoundReport:
     discretization_tolerance: float
     verdict: str
     lambda_by_resolution: list = field(default_factory=list)
+    # the descent's evidence at each resolution, in the same order
+    iterations: list = field(default_factory=list)
+    converged: list = field(default_factory=list)
+    residual: list = field(default_factory=list)
 
 
 @dataclass
@@ -159,8 +164,7 @@ def run_case(case: dict) -> CaseResult:
     seed = int(case.get("seed", 0))
     res_list = _resolutions(case)
 
-    lams = []
-    eigen = None
+    solves = []
     dom = None
     # one NormSpec for every resolution, so its dual and sphere maximum are
     # worked out once
@@ -168,8 +172,9 @@ def run_case(case: dict) -> CaseResult:
     for r in res_list:
         spec = replace(base, resolution=r)
         dom = build_domain(spec)
-        eigen = minimize_rayleigh(dom, spec.norm, seed=seed)
-        lams.append(eigen.lam)
+        solves.append(minimize_rayleigh(dom, spec.norm, seed=seed))
+    eigen = solves[-1]
+    lams = [e.lam for e in solves]
 
     lam_num = lams[-1]
     tol_disc = max(2.0 * abs(lams[-1] - lams[-2]), 1e-8)
@@ -177,8 +182,12 @@ def run_case(case: dict) -> CaseResult:
     d_used = analytic_diameter(spec)
     bound = lambda1_model(cert.K, cert.N, d_used)
     margin = lam_num - bound
+    # an unfinished descent only overstates lambda: it can still show a
+    # violation, but never that the bound holds
     if margin < -tol_disc:
         verdict = "violated"
+    elif not all(e.converged for e in solves):
+        verdict = "inconclusive"
     elif margin >= 0.0:
         verdict = "holds"
     else:
@@ -196,6 +205,9 @@ def run_case(case: dict) -> CaseResult:
         discretization_tolerance=tol_disc,
         verdict=verdict,
         lambda_by_resolution=[[r, l] for r, l in zip(res_list, lams)],
+        iterations=[e.iterations for e in solves],
+        converged=[e.converged for e in solves],
+        residual=[e.residual for e in solves],
     )
     grad_cmp = check_gradient_comparison(dom, spec, cert, eigen)
     max_cmp = check_maxima(cert, eigen, spec)

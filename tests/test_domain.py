@@ -39,12 +39,16 @@ def reference_build(spec):
     h = 1.0 / spec.resolution
     dim = spec.dim
     if spec.shape in ("interval", "box"):
-        axes = [np.linspace(-L / 2.0, L / 2.0, int(round(L * spec.resolution)) + 1)
-                for L in spec.lengths]
+        # round(L r) cells per axis, of width (1/r) (L r / round(L r))
+        cells = [int(round(L * spec.resolution)) for L in spec.lengths]
+        axes = [np.linspace(-L / 2.0, L / 2.0, c + 1)
+                for L, c in zip(spec.lengths, cells)]
+        stretch = [L * spec.resolution / c for L, c in zip(spec.lengths, cells)]
+        spacing = h * np.array(stretch)
         idx = np.array(list(itertools.product(*[range(a.size) for a in axes])),
                        dtype=np.int64)
         nodes = np.stack([axes[k][idx[:, k]] for k in range(dim)], axis=1)
-        cell = np.ones(idx.shape[0]) * h**dim
+        cell = np.ones(idx.shape[0]) * h**dim * math.prod(stretch)
         boundary = np.zeros(idx.shape[0], dtype=bool)
         for k in range(dim):
             at_end = (idx[:, k] == 0) | (idx[:, k] == axes[k].size - 1)
@@ -58,6 +62,7 @@ def reference_build(spec):
         inside = np.einsum("ni,ni->n", nodes, nodes) <= spec.radius**2 + 1e-12
         idx, nodes = idx[inside], nodes[inside]
         cell = np.full(idx.shape[0], h**dim)
+        spacing = np.full(dim, h)
         present = {tuple(k) for k in idx}
         boundary = np.array([
             any(tuple(k + sgn * e) not in present
@@ -71,7 +76,7 @@ def reference_build(spec):
         for slot, o in enumerate(offsets):
             nb_idx[i, slot] = lookup.get(tuple(k + o), -1)
     nb_mask = nb_idx >= 0
-    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * h, 0.0)
+    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * spacing, 0.0)
     return {"nodes": nodes, "node_measure": cell * spec.weight_at(nodes),
             "neighbor_idx": nb_idx, "neighbor_disp": nb_disp,
             "neighbor_mask": nb_mask, "boundary": boundary}
@@ -97,6 +102,16 @@ class TestBuild:
         interior = ~d.boundary
         assert np.allclose(d.node_measure[interior],
                            0.1 * np.exp(-x[interior] ** 2 / 2))
+
+    @pytest.mark.parametrize("res", [67, 69])
+    def test_non_integer_cell_count(self, res):
+        # L r = 100.5 or 103.5: round(L r) cells of width L / round(L r)
+        d = build_domain(interval_spec(L=1.5, res=res))
+        cells = d.n_nodes - 1
+        assert np.diff(d.nodes[:, 0]) == pytest.approx(1.5 / cells, rel=1e-12)
+        assert np.max(np.abs(d.neighbor_disp)) == pytest.approx(2 * 1.5 / cells,
+                                                                 rel=1e-12)
+        assert d.total_measure == pytest.approx(1.5, rel=1e-12)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fingap.domain import DomainSpec, build_domain
+from fingap.domain import DomainSpec, build_domain, domain_spec_from_config
 from fingap.eigensolver import (
     STABILIZATION_BETA,
     _energy_and_grad,
@@ -17,6 +17,7 @@ from fingap.eigensolver import (
     stabilized_quotient,
     stencil_operator,
 )
+from fingap.harness import golden_cases
 from fingap.model1d import ModelProblem, lambda1_interval
 from fingap.norms import (
     dual_norm_eval,
@@ -293,11 +294,60 @@ class TestMinimize:
             vals.append(minimize_rayleigh(d, spec.norm, seed=0).lam)
         assert (vals[0] - vals[1]) / (vals[1] - vals[2]) >= 3.0
 
+    @pytest.mark.parametrize("res", [67, 69])
+    def test_non_integer_cell_count(self, res):
+        # L r = 100.5 and 103.5 at r = 67 and 69: the node spacing is
+        # L / round(L r), not 1/r
+        d, spec = interval_domain(res, L=1.5)
+        lam = minimize_rayleigh(d, spec.norm, seed=0).lam
+        assert lam == pytest.approx(PI2 / 2.25, rel=1e-3)
+
+    @pytest.mark.parametrize("case_id, res", [
+        ("box-quadratic", 60), ("box-gauss-one", 16)])
+    def test_golden_lattice_oracle_agreement(self, case_id, res):
+        case = {c["id"]: c for c in golden_cases()}[case_id]
+        spec = domain_spec_from_config(dict(case, resolution=res))
+        d = build_domain(spec)
+        lam = minimize_rayleigh(d, spec.norm, seed=0).lam
+        assert lam == pytest.approx(dense_oracle(d, spec.norm)[1], rel=1e-8)
+
     def test_weighted_gaussian_cross_check(self):
         d, spec = interval_domain(25, L=4.0, weight="gaussian", kappa=1.0)
         res = minimize_rayleigh(d, spec.norm, seed=0)
         model = lambda1_interval(ModelProblem(1.0, math.inf, "linear"), -2.0, 2.0)
         assert res.lam == pytest.approx(model, rel=0.01)
+
+
+def work_bound_lattices():
+    """Finest lattice of every golden case, and the benchmark's larger ones:
+    the 2-D ball ladder, the 3-D box and the Randers box."""
+    out = [(c["id"], dict(c, resolution=max(c["resolutions"])))
+           for c in golden_cases()]
+    ball = {"domain": {"shape": "ball", "radius": 0.5},
+            "norm": {"family": "euclidean", "dim": 2}}
+    box3d = {"domain": {"shape": "box", "lengths": [1.0, 1.0, 1.0]},
+             "norm": {"family": "euclidean", "dim": 3}}
+    randers = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+               "norm": {"family": "randers", "dim": 2,
+                        "params": {"A": [1.0, 0.0, 0.0, 1.0], "b": [0.3, 0.0]}}}
+    for name, cfg, ladder in (("ball", ball, (30, 45, 60)), ("box3d", box3d, (4, 8)),
+                              ("randers-box", randers, (20, 40))):
+        out += [(f"{name}-r{r}", dict(cfg, resolution=r)) for r in ladder]
+    return out
+
+
+WORK_BOUND_LATTICES = work_bound_lattices()
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in WORK_BOUND_LATTICES],
+                         ids=[i for i, _ in WORK_BOUND_LATTICES])
+def test_preconditioned_work_bound(cfg):
+    # deterministic work: each of these takes 29-46 iterations, so 120 leaves
+    # room for rounding but not for a lost preconditioner
+    spec = domain_spec_from_config(cfg)
+    res = minimize_rayleigh(build_domain(spec), spec.norm, seed=1)
+    assert res.converged
+    assert res.iterations <= 120
 
 
 class TestDenseOracle:

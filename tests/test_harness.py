@@ -89,6 +89,26 @@ class TestVerifyBound:
         with pytest.raises(ValueError, match="twice-eight"):
             run_case(sharp_case(res=(8, 8), ident="twice-eight"))
 
+    def test_solver_evidence_per_resolution(self):
+        rep = run_case(box_case()).report
+        assert rep.converged == [True, True]
+        assert all(isinstance(i, int) and 0 < i for i in rep.iterations)
+        assert len(rep.residual) == 2 and max(rep.residual) <= 1e-3
+
+    def test_unconverged_solve_is_inconclusive(self, monkeypatch):
+        # a capped descent overstates lambda, which would otherwise read holds
+        from fingap import harness
+
+        solve = harness.minimize_rayleigh
+        monkeypatch.setattr(harness, "minimize_rayleigh",
+                            lambda dom, norm, seed=0: solve(dom, norm, seed=seed,
+                                                            max_iter=3))
+        rep = run_case(box_case()).report
+        assert rep.iterations == [3, 3]
+        assert rep.converged == [False, False]
+        assert rep.margin > 0.0
+        assert rep.verdict == "inconclusive"
+
     def test_user_certificate_passthrough(self):
         case = box_case()
         case["certificate"] = {"K": -1.0, "N": 4.0}

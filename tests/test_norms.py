@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingap.norms import (
+    _sphere_search,
     dual_norm_eval,
     dual_norm_numeric,
     euclidean_norm,
@@ -284,6 +285,19 @@ class TestDualNorm:
         F, Fs = norm_eval(n, u), dual_norm_eval(n, u)
         assert n.sphere_max - 1e-3 <= np.max(F) <= n.sphere_max
         assert 1.0 / n.sphere_max <= np.min(Fs) <= 1.0 / n.sphere_max + 1e-3
+
+    @pytest.mark.parametrize("A, b", [
+        (np.eye(2), [0.2, 0.1]),
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), [0.3, -0.2]),
+        (np.eye(3), [-0.1, 0.25, 0.2]),
+        (np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]]),
+         [0.4, -0.3, 0.2]),
+    ])
+    def test_sphere_max_matches_search_oracle(self, A, b):
+        n = randers_norm(A, b)
+        want = _sphere_search(lambda w: norm_eval(n, w) / np.linalg.norm(w, axis=-1),
+                              n.dim, seed=4321, tol=1e-13)
+        assert n.sphere_max == pytest.approx(want, rel=1e-14)
 
 
 finite2 = st.floats(-5.0, 5.0, allow_nan=False)
