@@ -2,8 +2,12 @@
 """Run the golden verification suite and print the bound table.
 
 Runs harness.golden_cases() into the chosen output directory.  Each case's
-line is followed by the descent's iterations and convergence at every
-resolution; the last line is the suite's wall time.  The tracked
+line gives lambda's relative error against the case's closed form where one
+exists (pi^2/(L max a)^2 for two-slope intervals, pi^2/max A_kk L_k^2 for
+diagonal quadratic boxes, the N = inf model value for Gaussian boxes,
+(j'_{1,1}/R)^2 for the Euclidean disk; "-" otherwise), and is followed by the
+descent's iterations and convergence at every resolution; the last line is
+the suite's wall time.  The tracked
 golden_suite.json next to this script is the same suite as a config file for
 `fingap suite`; the tests pin the two equal.  Exit status is nonzero iff some
 case violates its bound beyond the discretization tolerance.
@@ -12,6 +16,7 @@ Usage: python scripts/run_golden_suite.py [--out OUT_DIR] [--jobs K]
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -19,6 +24,34 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fingap.harness import golden_cases, run_suite  # noqa: E402
+from fingap.model1d import lambda1_model  # noqa: E402
+
+DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
+
+
+def closed_form(case: dict):
+    """The exact first Neumann eigenvalue of the case's continuum problem, or
+    None where there is no closed form."""
+    shape, norm = case["domain"], case["norm"]
+    family, params = norm["family"], norm.get("params", {})
+    weight = case.get("weight", {"kind": "lebesgue"})
+    if shape["shape"] == "interval" and family == "two_slope_1d":
+        a = max(params["a_plus"], params["a_minus"])
+        return math.pi**2 / (a * shape["length"]) ** 2
+    if shape["shape"] == "box" and family in ("euclidean", "quadratic"):
+        dim, lengths = norm["dim"], shape["lengths"]
+        A = params.get("A", [float(i == j) for i in range(dim) for j in range(dim)])
+        if any(A[i * dim + j] for i in range(dim) for j in range(dim) if i != j):
+            return None
+        if weight["kind"] == "gaussian":
+            if family != "euclidean":
+                return None
+            return min(lambda1_model(weight["kappa"], math.inf, L) for L in lengths)
+        return math.pi**2 / max(A[k * dim + k] * L**2 for k, L in enumerate(lengths))
+    if (shape["shape"] == "ball" and family == "euclidean" and norm["dim"] == 2
+            and weight["kind"] == "lebesgue"):
+        return (DISK_J11 / shape["radius"]) ** 2
+    return None
 
 
 def main() -> int:
@@ -28,15 +61,20 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    result = run_suite({"cases": golden_cases()}, out_dir=args.out, jobs=args.jobs)
+    cases = golden_cases()
+    result = run_suite({"cases": cases}, out_dir=args.out, jobs=args.jobs)
     wall = time.perf_counter() - t0
-    print(f"{'case':24s} {'lambda':>10s} {'bound':>10s} {'margin':>11s} verdict")
+    exact = {c["id"]: closed_form(c) for c in cases}
+    print(f"{'case':24s} {'lambda':>10s} {'rel err':>10s} {'bound':>10s} "
+          f"{'margin':>11s} verdict")
     for s in result.summaries:
         if s.get("error") is not None:
             print(f"{s['id']:24s} ERROR: {s['error']}")
             continue
         r = s["bound_report"]
-        print(f"{r['case_id']:24s} {r['lambda_numeric']:10.6f} "
+        lam, ref = r["lambda_numeric"], exact[r["case_id"]]
+        err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
+        print(f"{r['case_id']:24s} {lam:10.6f} {err:>10s} "
               f"{r['bound']:10.6f} {r['margin']:+11.3e} {r['verdict']}")
         solves = zip(r["lambda_by_resolution"], r["iterations"], r["converged"])
         print(" " * 24 + "  ".join(f"r={res} it={it} converged={conv}"

@@ -46,11 +46,10 @@ from .domain import (
 )
 from .eigensolver import (
     EigenResult,
-    StencilOperator,
-    stencil_operator,
+    MeshOperator,
+    mesh_operator,
     discrete_gradient,
     rayleigh_quotient,
-    stabilized_quotient,
     minimize_rayleigh,
     dense_oracle,
 )

@@ -102,10 +102,12 @@ class DiscreteDomain:
 
     ``neighbor_idx`` is (n, max_deg) with -1 padding; ``neighbor_disp`` holds
     the exact displacement vectors node -> neighbor; masks mark real slots.
+    The radius-2 stencil serves only the graph distances and the boundary
+    flags; the eigensolver reads its Kuhn simplices off the max-norm-1 slots.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
     is a whole number; ``h`` is the largest h_k (1/r on balls).
     Immutable after build; ``_cache`` holds derived data only (edge graphs,
-    the eigensolver's stencil operator).
+    the eigensolver's mesh operator).
     """
 
     spec: DomainSpec

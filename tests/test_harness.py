@@ -271,7 +271,7 @@ class TestPoincareRestatement:
     def test_random_functions_dominate_bound(self):
         # the minimized quotient of any non-constant u sits above the model
         # bound (up to the discretization tolerance of the case)
-        from fingap.eigensolver import stabilized_quotient
+        from fingap.eigensolver import rayleigh_quotient
         from fingap.domain import analytic_diameter, domain_spec_from_config
 
         rng = np.random.default_rng(123)
@@ -285,4 +285,4 @@ class TestPoincareRestatement:
             floor = rep.bound - rep.discretization_tolerance
             for _ in range(50):
                 u = rng.standard_normal(dom.n_nodes)
-                assert stabilized_quotient(dom, spec.norm, u) >= floor
+                assert rayleigh_quotient(dom, spec.norm, u) >= floor
