@@ -20,11 +20,15 @@ sharp spectral-gap lower bound lambda_1(K, N, d); off-center intervals never
 beat the centered one.
 
 Eigenvalues are found by shooting: integrate v'' = T v' - lambda v with
-v(a) = -1, v'(a) = 0 and root-find on the terminal v'(b).  A strictly
-independent dense finite-difference Sturm-Liouville oracle is provided for
-cross-validation.  Singular chart endpoints (tan at +-pi/(2a), coth/power at
-0) are started from the series v = -1 + lambda/(2N) (t-a)^2, which follows
-from the endpoint balance v''(a) = lambda/N.
+v(a) = -1, v'(a) = 0 and read the scaled Pruefer phase
+Theta = atan2(v'/sqrt(lambda), -v) off the accepted steps.  Theta(b) - pi
+is negative below lambda_1 and positive above it, and a secant on it, loose
+shots first, finds lambda_1 (on a centered interval the shot stops at 0,
+where the odd first eigenfunction vanishes).  A strictly independent dense
+finite-difference Sturm-Liouville oracle is provided for cross-validation.
+Singular chart endpoints (tan at +-pi/(2a), coth/power at 0) are started
+from the series v = -1 + lambda/(2N) (t-a)^2, which follows from the
+endpoint balance v''(a) = lambda/N.
 
 Interval fitting walks a one-parameter family of shots (the start a on the
 tan, power, coth, tanh and linear charts, the drift c on the constant chart)
@@ -261,15 +265,14 @@ def invariant_density(problem: ModelProblem, t):
 
 
 def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_INF,
-               stop_at_downcross=False):
+               until=None):
     """Integrate v' = w, w' = T(t) w - lam v from t0 to t_end.
 
     Returns (ts, vs, ws) as float lists of accepted steps, starting at t0.
-    With ``stop_at_downcross`` the run ends right after the first accepted
-    step where w passes from positive to <= 0 (the first interior maximum of
-    v); this keeps shots away from drift poles past the critical point.
-    Scalar Python arithmetic: the per-call cost must stay in the tens of
-    microseconds for the eigenvalue bisections to meet their time budgets.
+    With ``until`` the run ends right after the first accepted step for which
+    ``until(t, v, w, w_prev)`` is true (see :func:`_downcross`).
+    Scalar Python arithmetic, about 5 microseconds per step; a shot of
+    ``lambda1_model`` at the default tolerance takes about 60 steps.
     """
     t, v, w = float(t0), float(v0), float(w0)
     ts, vs, ws = [t], [v], [w]
@@ -397,7 +400,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
             ts.append(t)
             vs.append(v)
             ws.append(w)
-            if stop_at_downcross and w_prev > 0.0 and w <= 0.0:
+            if until is not None and until(t, v, w, w_prev):
                 break
             if abs(v) > 1e12:
                 raise SolverError("trajectory diverged")
@@ -459,12 +462,13 @@ def _start_state(problem: ModelProblem, lam: float, a: float, span: float):
 
 
 def shoot(problem: ModelProblem, lam: float, a: float, b: float,
-          max_step: float = _INF) -> ModelSolution:
+          max_step: float = _INF, rtol: float = 1e-10) -> ModelSolution:
     """Integrate the shooting IVP over [a, b] and return the trajectory.
 
     Singular left endpoints start from the quadratic series; a singular right
     endpoint is truncated by a relative 1e-9 margin (the drift pole sits on
     the boundary, while the solution itself stays smooth up to it).
+    ``rtol`` is the integrator's relative tolerance.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -472,70 +476,70 @@ def shoot(problem: ModelProblem, lam: float, a: float, b: float,
     span = b - a
     t0, v0, w0, a_exact, series = _start_state(problem, lam, a, span)
     b_eff = b - 1e-9 * span if problem.singular_right(b) else b
-    ts, vs, ws = _integrate(problem.drift(), lam, t0, v0, w0, b_eff, max_step=max_step)
+    ts, vs, ws = _integrate(problem.drift(), lam, t0, v0, w0, b_eff,
+                            rtol=rtol, max_step=max_step)
     if series:
         ts, vs, ws = [a_exact] + ts, [-1.0] + vs, [0.0] + ws
     return ModelSolution(a=a_exact, b=b, lam=lam,
                          ts=np.array(ts), vs=np.array(vs), vps=np.array(ws))
 
 
-def _probe(problem: ModelProblem, lam: float, a: float, b: float):
-    """Terminal v'(b) and the number of interior sign changes of v'."""
-    sol = shoot(problem, lam, a, b)
-    s = np.sign(sol.vps[1:])
-    s = s[s != 0]
-    crossings = int(np.count_nonzero(s[:-1] != s[1:])) if s.size > 1 else 0
-    return sol.vp_end, crossings
+def _phase_excess(problem: ModelProblem, lam: float, a: float, b: float,
+                  rtol: float) -> float:
+    """Theta(b) - pi for the scaled Pruefer phase Theta = atan2(v'/sqrt(lam), -v)
+    of the shot, unwrapped over its steps from Theta(a) = 0.  Theta never
+    falls back through a multiple of pi/2 (Theta' = sqrt(lam) + T sin(2 Theta)/2)
+    and v'(b) = 0 where Theta(b) is one of pi: the excess is < 0 below
+    lambda_1 and > 0 above it.  A centered interval with an odd drift (c = 0)
+    has an odd first eigenfunction, so the excess is 2 Theta(0) - pi.  Steps
+    of at most 1/sqrt(lam) turn Theta by less than pi: where T keeps its
+    sign, such a turn crosses a quadrant that the drift term slows to sqrt(lam).
+    """
+    sq = math.sqrt(lam)
+    half = a == -b and problem.c == 0.0
+    sol = shoot(problem, lam, a, 0.0 if half else b, max_step=1.0 / sq, rtol=rtol)
+    theta = float(np.unwrap(np.arctan2(sol.vps / sq, -sol.vs))[-1])
+    return (2.0 * theta if half else theta) - math.pi
+
+
+def _secant(f, x0: float, f0: float, x1: float, xtol: float) -> float:
+    """Zero of f (< 0 below it, > 0 above) by secant steps from (x0, f0 = f(x0))
+    and x1 until a step is at most xtol * x; a step leaving the bracket that
+    the signs show bisects it, or doubles x while it has no upper end."""
+    lo, hi = (x0, _INF) if f0 < 0.0 else (0.0, x0)
+    for _ in range(200):
+        f1 = f(x1)
+        lo, hi = (max(lo, x1), hi) if f1 < 0.0 else (lo, min(hi, x1))
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else _INF
+        if not lo < x2 < hi:
+            x2 = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo
+        if abs(x2 - x1) <= xtol * x2:
+            return x2
+        x0, f0, x1 = x1, f1, x2
+    raise SolverError("eigenvalue secant did not converge")
 
 
 def lambda1_interval(problem: ModelProblem, a: float, b: float,
                      rtol_lambda: float = 1e-10) -> float:
     """First nonzero Neumann eigenvalue of L on (a, b).
 
-    Bisection on lambda using the terminal v'(b) of the shot, made robust by
-    the Sturm oscillation count of v' (monotone in lambda), with a Brent
-    polish once the bracket isolates the first sign change.  The initial
-    bracket [1e-6, 4 pi^2/(b-a)^2] is grown geometrically as needed.
+    A secant on :func:`_phase_excess` from lam0 = max(pi^2/d^2, N K/(N-1)
+    for K > 0) and lam0 (pi/Theta(lam0))^2, exact on the flat chart, on
+    shots at rtol 1e-6 down to steps of 1e-7, then at the default tolerance
+    from (x, x (1 + 1e-6)) down to rtol_lambda/2.  Only a singular left end
+    is shot from: a singular right end alone is reflected (every drift with
+    a pole is odd).
     """
     problem.validate_interval(a, b)
-    above = lambda f, c: c >= 1 or f <= 0.0
-
-    lo = 1e-6
-    f_lo, c_lo = _probe(problem, lam=lo, a=a, b=b)
-    tries = 0
-    while above(f_lo, c_lo):
-        lo *= 1e-2
-        tries += 1
-        if tries > 5:
-            raise SolverError("could not bracket the eigenvalue from below")
-        f_lo, c_lo = _probe(problem, lo, a, b)
-
-    hi = 4.0 * math.pi**2 / (b - a) ** 2
-    f_hi, c_hi = _probe(problem, hi, a, b)
-    grows = 0
-    while not above(f_hi, c_hi):
-        lo, f_lo, c_lo = hi, f_hi, c_hi
-        hi *= 2.0
-        grows += 1
-        if grows > 80:
-            raise SolverError("could not bracket the eigenvalue from above")
-        f_hi, c_hi = _probe(problem, hi, a, b)
-
-    for _ in range(200):
-        if c_lo == 0 and f_lo > 0.0 and f_hi < 0.0 and c_hi <= 1:
-            return brentq(
-                lambda l: _probe(problem, l, a, b)[0],
-                lo, hi, xtol=0.5 * rtol_lambda * hi, rtol=1e-15,
-            )
-        if hi - lo <= rtol_lambda * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        f_m, c_m = _probe(problem, mid, a, b)
-        if above(f_m, c_m):
-            hi, f_hi, c_hi = mid, f_m, c_m
-        else:
-            lo, f_lo, c_lo = mid, f_m, c_m
-    return 0.5 * (lo + hi)
+    if problem.singular_right(b) and not problem.singular_left(a):
+        a, b = -b, -a
+    lam0 = max(math.pi**2 / (b - a) ** 2,
+               model_threshold(max(problem.K, 0.0), problem.N))
+    loose = partial(_phase_excess, problem, a=a, b=b, rtol=1e-6)
+    f0 = loose(lam0)
+    x = _secant(loose, lam0, f0, lam0 * (math.pi / (f0 + math.pi)) ** 2, 1e-7)
+    tight = partial(_phase_excess, problem, a=a, b=b, rtol=1e-10)
+    return _secant(tight, x, tight(x), x * (1.0 + 1e-6), 0.5 * rtol_lambda)
 
 
 def lambda1_model(K: float, N: float, d: float) -> float:
@@ -580,6 +584,28 @@ def _hermite_root(t0, h, w0, wp0, w1, wp1):
     return t0 + s * h
 
 
+def _downcross(t, v, w, w_prev) -> bool:
+    """w passed from positive to <= 0: the first interior maximum of v.
+    Stopping there keeps shots away from drift poles past it."""
+    return w_prev > 0.0 and w <= 0.0
+
+
+def _downcross_or_escape(K, lam, t, v, w, w_prev) -> bool:
+    """:func:`_downcross`, or the first maximum is out of reach on the linear
+    chart with K < 0.
+
+    v' can only fall through 0 where v >= 0 (there v'' = -lam v).  While
+    v < 0, r = v'/v obeys r' = -(r^2 - T r + lam); once T = K t < -2 sqrt(lam)
+    the lower root r_- of r^2 - T r + lam only decreases and r cannot cross
+    it, so v < 0 with v' < |r_-| |v| keeps v below 0 for good.  Without this
+    a failing probe runs, ever stiffer, to the 64 pi/sqrt(lam) horizon.
+    """
+    T = K * t
+    return _downcross(t, v, w, w_prev) or (
+        v < 0.0 and T < 0.0 and T * T > 4.0 * lam
+        and w < -0.5 * v * (math.sqrt(T * T - 4.0 * lam) - T))
+
+
 # A probe's v(b) must match the dense samples' maximum far below the fit
 # tolerance 1e-8.  At the default tolerance it can be 1.7e-7 off (K=3, N=inf,
 # lam=3.2, k=3), and the fit then accepts another parameter.
@@ -605,7 +631,10 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
 
     horizon = t0 + 64.0 * math.pi / math.sqrt(lam)
     t_end = min(t_cap, horizon)
-    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, stop_at_downcross=True, **tol)
+    until = _downcross
+    if problem.chart == "linear" and problem.K < 0:
+        until = partial(_downcross_or_escape, problem.K, lam)
+    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **tol)
     arr = np.array(ws)
     pos = arr > 0
     hit = np.nonzero(pos[:-1] & ~pos[1:])[0]
@@ -833,18 +862,20 @@ def _fit_infinite(K: float, lam: float, k: float, tol: float) -> ModelSolution:
     """Fit for N = inf: linear chart in a for K != 0, constant chart in c."""
     if K != 0.0:
         linear = partial(_first_max, ModelProblem(K, _INF, "linear"), lam, t_cap=_INF)
-        # M(a) rises with a when K > 0; past a finite a* the first maximum
-        # escapes to infinity, so a failing probe always sits on the high side
+        # M(a) rises with a when K > 0 and falls when K < 0; past a finite a*
+        # the first maximum escapes to infinity, where M tends to +inf
+        # (K > 0) or to 0 (K < 0), so a failing probe counts as that limit
+        fail = _INF if K > 0 else 0.0
         try:
             M0 = linear(0.0, probe=True)
         except SolverError:
-            M0 = _INF
+            M0 = fail
         if abs(M0 - k) <= tol:
             return _fitted(linear, 0.0)
         up = M0 < k
         scale = 1.0 / math.sqrt(abs(K))
         walk = _walk((0.3 if up == (K > 0) else -0.3) * scale)
-        p = _fit_param(linear, k, tol, islice(walk, 80), 0.0, up, fail=_INF)
+        p = _fit_param(linear, k, tol, islice(walk, 80), 0.0, up, fail=fail)
         if p is None:
             raise SolverError("linear-chart fit failed to bracket")
         return _fitted(linear, p)

@@ -1,6 +1,7 @@
 """1-D model operators: drift identities, shooting goldens, eigenvalues, fits."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -243,6 +244,67 @@ class TestLambda1:
             assert vals[0] == pytest.approx(0.0, abs=1e-6 * vals[1])
             assert lam == pytest.approx(vals[1], rel=1e-6)
 
+    # a centered point on every chart; the root-find took 11-16 shots and
+    # 990-1504 RK steps on each of these before it read the shot's phase
+    WORK_POINTS = [(-1.0, 3.0, 2.0), (-3.0, 5.0, 1.0), (-2.0, INF, 2.5),
+                   (0.0, 4.0, 1.0), (0.0, INF, 0.5), (1.0, 3.0, 2.0),
+                   (3.0, INF, 2.0), (0.5, 2.0, 4.0),
+                   (2.0, 10.0, 0.9 * myers_length(2.0, 10.0))]
+
+    @pytest.mark.parametrize("K, N, d", WORK_POINTS)
+    def test_work_bound(self, monkeypatch, K, N, d):
+        # they take 5-10 shots and 170-640 steps now
+        steps = []
+        integrate = model1d._integrate
+
+        def counting(*args, **kwargs):
+            out = integrate(*args, **kwargs)
+            steps.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(model1d, "_integrate", counting)
+        lambda1_model(K, N, d)
+        assert len(steps) <= 12
+        assert sum(steps) <= 800
+
+    @pytest.mark.parametrize("K", [0.5, 3.0])
+    @pytest.mark.parametrize("frac", [0.87, 0.9, 0.93, 0.95])
+    def test_near_myers_length(self, K, frac):
+        # lambda_1 sits within 1e-4 of N K/(N-1) here, and the drift is
+        # large at both ends of the interval
+        N = 10.0
+        d = frac * myers_length(K, N)
+        lam = lambda1_model(K, N, d)
+        assert 0.0 < lam - K * N / (N - 1.0) <= 1e-4 * lam
+        vals = sturm_liouville_oracle(centered_model(K, N), -d / 2, d / 2)
+        assert lam == pytest.approx(vals[1], rel=1e-6)
+
+    @pytest.mark.parametrize("K, N, d", [(-0.05, INF, 20.0), (-0.05, 10.0, 20.0),
+                                         (-0.2, INF, 10.0)])
+    def test_long_interval_returns_first_eigenvalue(self, K, N, d):
+        # lambda_1 and lambda_2 both lie below 4 pi^2/d^2, where the
+        # search once started; the reference is the oracle extrapolated
+        # from 4000 and 8000 nodes (its error is O(h^2))
+        p = centered_model(K, N)
+        coarse = sturm_liouville_oracle(p, -d / 2, d / 2, n_nodes=4000, k=3)
+        fine = sturm_liouville_oracle(p, -d / 2, d / 2, n_nodes=8000, k=3)
+        ref = (4.0 * fine - coarse) / 3.0
+        assert ref[2] < 4.0 * math.pi**2 / d**2
+        assert lambda1_model(K, N, d) == pytest.approx(ref[1], rel=1e-6)
+
+    @pytest.mark.parametrize("p, a, b, want", [
+        # radial Laplacian on the N-ball: v' vanishes at j_{N/2,1}/sqrt(lam)
+        (ModelProblem(0.0, 10.0, "power"), -1.0, 0.0, jn_zeros(5, 1)[0] ** 2),
+        (ModelProblem(0.0, 3.0, "power"), -1.2, 0.0, (4.493409457909064 / 1.2) ** 2),
+        # the first mode sin(a t) spans the whole tan chart
+        (ModelProblem(2.0, 6.0, "tan"), -math.pi * 0.5 * math.sqrt(2.5),
+         math.pi * 0.5 * math.sqrt(2.5), 2.4),
+    ])
+    def test_singular_right_endpoint(self, p, a, b, want):
+        # a shot into the pole at b diverged for N = 10
+        assert lambda1_interval(p, a, b) == pytest.approx(want, rel=1e-9)
+        assert lambda1_interval(p, -b, -a) == pytest.approx(want, rel=1e-9)
+
     def test_monotone_decreasing_in_d(self):
         for K, N, dmax in [(1.0, 3.0, 0.95 * myers_length(1.0, 3.0)),
                            (-1.0, 2.5, 6.0), (0.0, 4.0, 3.0), (2.0, INF, 5.0)]:
@@ -379,6 +441,36 @@ class TestFitBranches:
         # infinity fail, and the bisection collapses without landing on k
         with pytest.raises(ValueError, match="out of reach"):
             fit_model_solution(K, INF, lam, 20.0)
+
+    @pytest.mark.parametrize("K, lam, k", [(-4.0, 0.2, 0.3), (-1.0, 0.5, 20.0)])
+    def test_linear_negative_curvature(self, K, lam, k):
+        # M(a) falls towards 0 as a nears the end of the family, past which
+        # probes find no first maximum; both took 94-207 s and then failed,
+        # walking away from k with each failing probe run to the horizon
+        t0 = time.perf_counter()
+        fit = fit_model_solution(K, INF, lam, k)
+        assert time.perf_counter() - t0 < 5.0
+        assert abs(fit.max_value - k) <= 1e-8
+        assert fit.min_value == -1.0
+
+    @pytest.mark.parametrize("a, reached", [(-1.0, True), (-0.5, False),
+                                            (0.0, False), (0.5, False)])
+    def test_escape_ends_only_failing_probes(self, a, reached):
+        # K = -1, lam = 0.5: a first maximum exists for a <= -1 only; the
+        # escape test ends the other probes early and never a reachable one
+        K, lam = -1.0, 0.5
+        T = ModelProblem(K, INF, "linear").drift()
+        horizon = a + 64.0 * math.pi / math.sqrt(lam)
+        plain = model1d._integrate(T, lam, a, -1.0, 0.0, horizon,
+                                   until=model1d._downcross)
+        early = model1d._integrate(
+            T, lam, a, -1.0, 0.0, horizon,
+            until=lambda *s: model1d._downcross_or_escape(K, lam, *s))
+        assert (plain[2][-1] <= 0.0) == reached
+        if reached:
+            assert early == plain
+        else:
+            assert len(early[0]) < len(plain[0]) / 100
 
     def test_tanh_fit_eigenvalue_matches(self):
         lam = 20.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingap import norms
 from fingap.norms import (
     _sphere_search,
     dual_norm_eval,
@@ -298,6 +299,28 @@ class TestDualNorm:
         want = _sphere_search(lambda w: norm_eval(n, w) / np.linalg.norm(w, axis=-1),
                               n.dim, seed=4321, tol=1e-13)
         assert n.sphere_max == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("A, b", [
+        ([[1.0, 1e-3], [1e-3, 1.0001]], [1e-3, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0001]], [1e-4, 0.0]),
+    ])
+    def test_sphere_max_nearly_isotropic(self, monkeypatch, A, b):
+        # the fixed-point ascent alone ran into its 1000-step cap on both,
+        # 1.3e-8 short on the first; Newton steps on the sphere finish it
+        calls = []
+        inner = norms.norm_eval
+
+        def counted(norm, v):
+            calls.append(1)
+            return inner(norm, v)
+
+        monkeypatch.setattr(norms, "norm_eval", counted)
+        n = randers_norm(A, b)
+        got = n.sphere_max
+        want = _sphere_search(lambda w: norm_eval(n, w) / np.linalg.norm(w, axis=-1),
+                              n.dim, seed=4321, tol=1e-13)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert len(calls) <= 50
 
 
 finite2 = st.floats(-5.0, 5.0, allow_nan=False)
