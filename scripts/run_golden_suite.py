@@ -5,9 +5,11 @@ Runs harness.golden_cases() into the chosen output directory.  Each case's
 line gives lambda's relative error against the case's closed form where one
 exists (pi^2/(L max a)^2 for two-slope intervals, pi^2/max A_kk L_k^2 for
 diagonal quadratic boxes, the N = inf model value for Gaussian boxes,
-(j'_{1,1}/R)^2 for the Euclidean disk; "-" otherwise), and is followed by the
-descent's iterations and convergence at every resolution; the last line is
-the suite's wall time.  The tracked
+(j'_{1,1}/R)^2 for the Euclidean disk; "-" otherwise) and the gradient
+comparison's fraction of nodes within tolerance and its core gap
+max |F*(Du) - v'(v^{-1}(u))| over |u| <= 0.9 ("-" where the comparison is
+inconclusive), and is followed by the descent's iterations and convergence
+at every resolution; the last line is the suite's wall time.  The tracked
 golden_suite.json next to this script is the same suite as a config file for
 `fingap suite`; the tests pin the two equal.  Exit status is nonzero iff some
 case violates its bound beyond the discretization tolerance.
@@ -65,8 +67,8 @@ def main() -> int:
     result = run_suite({"cases": cases}, out_dir=args.out, jobs=args.jobs)
     wall = time.perf_counter() - t0
     exact = {c["id"]: closed_form(c) for c in cases}
-    print(f"{'case':24s} {'lambda':>10s} {'rel err':>10s} {'bound':>10s} "
-          f"{'margin':>11s} verdict")
+    print(f"{'case':24s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
+          f"{'core gap':>10s} {'bound':>10s} {'margin':>11s} verdict")
     for s in result.summaries:
         if s.get("error") is not None:
             print(f"{s['id']:24s} ERROR: {s['error']}")
@@ -74,7 +76,12 @@ def main() -> int:
         r = s["bound_report"]
         lam, ref = r["lambda_numeric"], exact[r["case_id"]]
         err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
-        print(f"{r['case_id']:24s} {lam:10.6f} {err:>10s} "
+        g = s["gradient_comparison"]
+        frac, gap = "-", "-"
+        if not g["inconclusive"]:
+            frac = f"{g['fraction']:.6f}"
+            gap = "-" if g["max_gap_core"] is None else f"{g['max_gap_core']:.3e}"
+        print(f"{r['case_id']:24s} {lam:10.6f} {err:>10s} {frac:>8s} {gap:>10s} "
               f"{r['bound']:10.6f} {r['margin']:+11.3e} {r['verdict']}")
         solves = zip(r["lambda_by_resolution"], r["iterations"], r["converged"])
         print(" " * 24 + "  ".join(f"r={res} it={it} converged={conv}"

@@ -32,10 +32,11 @@ endpoint balance v''(a) = lambda/N.
 
 Interval fitting walks a one-parameter family of shots (the start a on the
 tan, power, coth, tanh and linear charts, the drift c on the constant chart)
-until the first maximum v(b) crosses the target, then bisects that step.  A
-probe locates b at a tighter tolerance than the default and returns v(b)
-alone; only the accepted parameter is shot again at the default tolerance
-and sampled densely, on 2000 capped steps.
+until the first maximum v(b) crosses the target, then narrows that step by
+Illinois regula falsi (4-13 probes per model-sweep fit).  Each shot locates
+b at a tighter tolerance than the default; a probe returns v(b) alone, and
+the accepted parameter's shot is sampled by a quintic Hermite interpolant
+of its own steps: no second integration.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.
@@ -75,6 +76,10 @@ _INF = math.inf
 
 class SolverError(RuntimeError):
     """Shooting, bracketing or fitting failed."""
+
+
+class _Diverged(SolverError):
+    """|v| passed 1e12: before its first maximum, v only rises, so v > 1e12."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +408,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
             if until is not None and until(t, v, w, w_prev):
                 break
             if abs(v) > 1e12:
-                raise SolverError("trajectory diverged")
+                raise _Diverged("trajectory diverged")
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= fac
         else:
@@ -606,24 +611,53 @@ def _downcross_or_escape(K, lam, t, v, w, w_prev) -> bool:
         and w < -0.5 * v * (math.sqrt(T * T - 4.0 * lam) - T))
 
 
-# A probe's v(b) must match the dense samples' maximum far below the fit
-# tolerance 1e-8.  At the default tolerance it can be 1.7e-7 off (K=3, N=inf,
-# lam=3.2, k=3), and the fit then accepts another parameter.
+# Shots of the fit run at this tolerance: a probe's v(b) must be far below
+# the fit tolerance 1e-8 off the true maximum.  At the default tolerance it
+# can be 1.7e-7 off (K=3, N=inf, lam=3.2, k=3).
 _PROBE_TOL = {"rtol": 1e-12, "atol": 1e-14}
 _DENSE_SAMPLES = 2000
 
 
+def _quintic_samples(problem: ModelProblem, lam: float, ts, vs, ws, s):
+    """v and v' at the points s, each from the quintic Hermite interpolant of
+    the accepted steps ts that matches y, y', y'' at both ends of its step.
+
+    For v these are v, w and w' = T w - lam v; for w they are w, w' and
+    w'' = T' w + T w' - lam w, with T' = K + T^2/(N-1) (K for N = inf) on
+    every chart.  On the steps of a shot at ``_PROBE_TOL`` the samples lie
+    within 5e-12 of a re-integration capped at 1/2000 of the interval.
+    """
+    T = problem.drift(np)(ts)
+    Tp = problem.K + (T * T / (problem.N - 1.0) if math.isfinite(problem.N) else 0.0)
+    wp = T * ws - lam * vs
+    wpp = Tp * ws + T * wp - lam * ws
+    j = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, ts.size - 2)
+    h = ts[j + 1] - ts[j]
+    x = (s - ts[j]) / h
+    x3 = x * x * x
+    h0 = 1.0 + x3 * (-10.0 + x * (15.0 - 6.0 * x))
+    h1 = x + x3 * (-6.0 + x * (8.0 - 3.0 * x))
+    h2 = 0.5 * x * x * (1.0 - x) ** 3
+    h3 = 0.5 * x3 * (1.0 - x) ** 2
+    h4 = x3 * (-4.0 + x * (7.0 - 3.0 * x))
+    h5 = x3 * (10.0 + x * (-15.0 + 6.0 * x))
+
+    def interp(y, yp, ypp):
+        return (y[j] * h0 + y[j + 1] * h5 + h * (yp[j] * h1 + yp[j + 1] * h4)
+                + h * h * (ypp[j] * h2 + ypp[j + 1] * h3))
+
+    return interp(vs, ws, wp), interp(ws, wp, wpp)
+
+
 def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
                probe: bool = False) -> ModelSolution | float:
-    """Shoot from a and stop at the first interior zero b of v'.
+    """Shoot from a at ``_PROBE_TOL`` and stop at the first interior zero b of v'.
 
-    Locates the crossing with a Hermite interpolant between accepted steps
-    and polishes it with Newton iterations.  A probe does this at
-    ``_PROBE_TOL`` and returns v(b) alone.  Otherwise b is located at the
-    default tolerance and [a, b] is re-integrated with a capped step for a
-    dense, interpolation-grade sample table, returned as a ModelSolution.
+    Locates the crossing with a cubic Hermite interpolant between accepted
+    steps and polishes it with Newton iterations.  A probe returns v(b)
+    alone; otherwise the shot's steps up to b are sampled at _DENSE_SAMPLES + 1
+    equispaced points of [t0, b] (:func:`_quintic_samples`, exact at both ends).
     """
-    tol = _PROBE_TOL if probe else {}
     Tf = problem.drift()
     span0 = min(math.pi / math.sqrt(lam), t_cap - a) if math.isfinite(t_cap) \
         else math.pi / math.sqrt(lam)
@@ -634,46 +668,39 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
     until = _downcross
     if problem.chart == "linear" and problem.K < 0:
         until = partial(_downcross_or_escape, problem.K, lam)
-    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **tol)
-    arr = np.array(ws)
-    pos = arr > 0
+    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **_PROBE_TOL)
+    pos = np.array(ws) > 0
     hit = np.nonzero(pos[:-1] & ~pos[1:])[0]
     if not hit.size:
-        raise SolverError(
-            "no critical point of v' before the chart boundary or horizon"
-        )
+        raise SolverError("no critical point of v' before the chart boundary "
+                          "or horizon")
     i = int(hit[0])
     h = ts[i + 1] - ts[i]
     wp_i = Tf(ts[i]) * ws[i] - lam * vs[i]
     wp_j = Tf(ts[i + 1]) * ws[i + 1] - lam * vs[i + 1]
     b = _hermite_root(ts[i], h, ws[i], wp_i, ws[i + 1], wp_j)
 
-    # Newton polish on v'(b), integrating the short leg from the step start
-    for _ in range(3):
-        if b <= ts[i]:
-            b = ts[i]
+    # Newton polish on v'(b), integrating the short leg from the step start;
+    # the last leg ends at b
+    for it in range(4):
+        b = max(b, ts[i])
+        lts, lvs, lws = _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **_PROBE_TOL)
+        wpb = Tf(b) * lws[-1] - lam * lvs[-1]
+        step = lws[-1] / wpb if wpb != 0.0 and b > ts[i] else 0.0
+        if (it == 3 or abs(step) < 1e-14 * max(1.0, abs(b))
+                or not ts[i] - h <= b - step <= ts[i + 1] + h):
             break
-        _, pv, pw = _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **tol)
-        wb = pw[-1]
-        wpb = Tf(b) * wb - lam * pv[-1]
-        if wpb == 0.0:
-            break
-        step = wb / wpb
-        b_new = b - step
-        if not (ts[i] - h <= b_new <= ts[i + 1] + h):
-            break
-        b = b_new
-        if abs(step) < 1e-14 * max(1.0, abs(b)):
-            break
-
+        b -= step
     if probe:
-        return _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **tol)[1][-1]
-    dts, dvs, dws = _integrate(Tf, lam, t0, v0, w0, b,
-                               max_step=(b - a_exact) / _DENSE_SAMPLES)
+        return lvs[-1]
+    nodes = np.array(ts[:i] + lts)
+    nodes[-1] = b  # the leg stops within 1e-13 of b
+    dts = np.linspace(t0, b, _DENSE_SAMPLES + 1)
+    dvs, dws = _quintic_samples(problem, lam, nodes, np.array(vs[:i] + lvs),
+                                np.array(ws[:i] + lws), dts)
     if series:
-        dts, dvs, dws = [a_exact] + dts, [-1.0] + dvs, [0.0] + dws
-    return ModelSolution(a=a_exact, b=b, lam=lam,
-                         ts=np.array(dts), vs=np.array(dvs), vps=np.array(dws))
+        dts, dvs, dws = np.r_[a_exact, dts], np.r_[-1.0, dvs], np.r_[0.0, dws]
+    return ModelSolution(a=a_exact, b=b, lam=lam, ts=dts, vs=dvs, vps=dws)
 
 
 def model_threshold(K: float, N: float) -> float:
@@ -754,56 +781,60 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
     is k, or None if ``walk`` ends first.
 
     p runs over ``walk`` (``prev`` is the point before it) until M crosses k,
-    rising to it if ``up``, falling otherwise; M is monotone in p.  The last
-    step is then bisected to |M - k| <= tol, settling for the closest probe
-    within 1e-6 if the bracket collapses first.  A probe that finds no
-    critical point (possible at the extreme ends of some families) counts as
-    M = ``fail`` (+inf or 0) so the bracket keeps shrinking, or raises if
-    ``fail`` is None.  If the bracket collapses with failing probes inside
-    it, k is out of reach: ValueError naming the closest M reached.
+    rising to it if ``up``, falling otherwise; M is monotone in p.  That step
+    is then narrowed by Illinois regula falsi on g = M - k to |g| <= tol
+    (4-13 probes in all on the model-sweep fits), settling for the
+    closest probe within 1e-6 if the bracket collapses first.  A probe that
+    finds no critical point (possible at the extreme ends of some families)
+    counts as M = ``fail`` (+inf or 0), or raises if ``fail`` is None; one
+    whose v diverges counts as M = +inf.  A step bisects where an end is such
+    a probe or the false-position point leaves the bracket.  If the bracket
+    collapses after failing probes, k is out of reach: ValueError naming the
+    closest M reached.
     """
-    def M(p):
+    def g(p):
         try:
-            return shot(p, probe=True)
+            return shot(p, probe=True) - k
+        except _Diverged:
+            return _INF
         except SolverError:
             if fail is None:
                 raise
-            return None
+            return math.copysign(_INF, fail - k)
 
+    g_prev = None
     for p in walk:
-        Mp = M(p)
-        Mp = fail if Mp is None else Mp
-        if (Mp >= k) if up else (Mp <= k):
+        g_p = g(p)
+        if (g_p >= 0.0) if up else (g_p <= 0.0):
             break
-        prev = p
+        prev, g_prev = p, g_p
     else:
         return None
 
-    lo, hi = sorted((prev, p))
-    increasing = (p > prev) == up
-    best, best_err, best_M = None, _INF, None
-    failed = False
+    ends = [(prev, g(prev) if g_prev is None else g_prev), (p, g_p)]
+    seen, moved = list(ends), None
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        Mm = M(mid)
-        if Mm is None:
-            Mm, failed = fail, True
-        else:
-            if abs(Mm - k) < best_err:
-                best, best_err, best_M = mid, abs(Mm - k), Mm
-            if abs(Mm - k) <= tol:
-                return mid
-        if (Mm < k) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+        best, best_g = min(seen, key=lambda e: abs(e[1]))
+        (x0, g0), (x1, g1) = ends
+        if abs(best_g) <= tol or abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)):
             break
-    if best_err <= 1e-6 * max(1.0, k):
+        x = 0.5 * (x0 + x1)
+        if math.isfinite(g0) and math.isfinite(g1):
+            xf = x1 - g1 * (x1 - x0) / (g1 - g0)
+            if min(x0, x1) < xf < max(x0, x1):
+                x = xf
+        gx = g(x)
+        seen.append((x, gx))
+        side = 0 if (gx < 0.0) == (g0 < 0.0) else 1
+        if side == moved:  # the other end stayed twice: halve its g
+            ends[1 - side] = (ends[1 - side][0], 0.5 * ends[1 - side][1])
+        ends[side], moved = (x, gx), side
+    best, best_g = min(seen, key=lambda e: abs(e[1]))
+    if abs(best_g) <= max(tol, 1e-6 * max(1.0, k)):
         return best
-    if failed and best_M is not None:
-        raise ValueError(f"k={k} is out of reach: probes next to it find no "
-                         f"first maximum, and the closest one reached is {best_M}")
+    if math.isfinite(best_g) and not all(math.isfinite(e[1]) for e in seen):
+        raise ValueError(f"k={k} is out of reach: probes next to it find no first "
+                         f"maximum, and the closest one reached is {best_g + k}")
     raise SolverError(f"interval fit did not reach max = {k}")
 
 
@@ -824,7 +855,9 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
     if K == 0:
         power = partial(_first_max, ModelProblem(K, N, "power"), lam, t_cap=_INF)
         a_cap = 1e8
-        walk = takewhile(lambda p: p <= a_cap, _walk(0.3 / math.sqrt(lam)))
+        # 1 - M falls only like 1/a, so a k near 1 lies far out: stride by 4
+        walk = takewhile(lambda p: p <= a_cap,
+                         _walk(0.3 / math.sqrt(lam), lambda p: 4.0 * p))
         p = _fit_param(power, k, tol, walk, 0.0, up=True)
         if p is not None:
             return _fitted(power, p)

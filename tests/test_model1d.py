@@ -1,10 +1,12 @@
 """1-D model operators: drift identities, shooting goldens, eigenvalues, fits."""
 
+import inspect
 import math
 import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import j0, jn_zeros
 
 from fingap import model1d
@@ -419,6 +421,28 @@ class TestFit:
         assert lambda1_interval(p, fit.a, fit.b) == pytest.approx(lam, rel=1e-7)
 
 
+def _count_probes(monkeypatch):
+    """Probe count of every later _first_max call, and the finite max_step
+    of every later _integrate call."""
+    probes, capped = [], []
+    first_max, integrate = model1d._first_max, model1d._integrate
+    signature = inspect.signature(first_max)
+
+    def counting_first_max(*args, **kwargs):
+        if signature.bind(*args, **kwargs).arguments.get("probe"):
+            probes.append(1)
+        return first_max(*args, **kwargs)
+
+    def counting_integrate(*args, **kwargs):
+        if math.isfinite(kwargs.get("max_step", INF)):
+            capped.append(kwargs["max_step"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(model1d, "_first_max", counting_first_max)
+    monkeypatch.setattr(model1d, "_integrate", counting_integrate)
+    return probes, capped
+
+
 class TestFitBranches:
     # each input takes a path through the fit that the cases above miss
     @pytest.mark.parametrize("K, N, lam, k, tol", [
@@ -485,20 +509,97 @@ class TestFitBranches:
         (-1.0, INF, 5.0, 0.9),
     ])
     def test_only_accepted_fit_sampled_densely(self, monkeypatch, K, N, lam, k):
-        # probes return v(b) alone; a capped-step run is the dense sampling
-        # of model_solution (finite N, for m) and of the accepted fit
-        dense = []
-        integrate = model1d._integrate
-
-        def counting(*args, **kwargs):
-            if math.isfinite(kwargs.get("max_step", INF)):
-                dense.append(kwargs["max_step"])
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(model1d, "_integrate", counting)
+        # probes return v(b) alone, and the accepted fit (and model_solution,
+        # for m) is sampled from its own shot's steps: no capped-step run
+        _, capped = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
-        assert len(dense) <= (2 if math.isfinite(N) else 1)
+        assert not capped
+
+    def test_diverging_probes_count_as_large_maxima(self):
+        # on the linear chart with K < 0 a probe far out in a finds M above
+        # 1e12 and diverges; counted as M = 0 it sent the walk past k and the
+        # fit ended in "failed to bracket"
+        k = 1e4
+        try:
+            fit = fit_model_solution(-1.0, INF, 0.3, k)
+        except ValueError as exc:
+            assert "closest one reached" in str(exc)
+        else:
+            assert abs(fit.max_value - k) <= 1e-8
+            assert fit.min_value == -1.0
+
+
+class TestFitWork:
+    # the six model-sweep fit families, lam 4.5-5.5 above the threshold and
+    # k in 0.85-1.15; each took 24-28 probes while the fit bisected
+    @pytest.mark.parametrize("K, N, above, k", [
+        (1.0, 3.0, 4.5, 0.85), (1.2, 3.0, 5.5, 1.15),
+        (-1.0, 3.0, 5.0, 0.95), (-0.8, 3.0, 4.5, 1.1),
+        (0.0, 2.0, 5.0, 0.995), (0.0, 2.0, 4.5, 1.15),
+        (0.0, INF, 5.0, 0.9), (0.0, INF, 5.5, 1.05),
+        (1.0, INF, 4.5, 1.1), (0.8, INF, 5.0, 0.87),
+        (-1.0, INF, 5.0, 0.9), (-1.2, INF, 4.5, 1.12),
+    ])
+    def test_probes_per_fit(self, monkeypatch, K, N, above, k):
+        lam = model1d.model_threshold(K, N) + above
+        probes, capped = _count_probes(monkeypatch)
+        fit = fit_model_solution(K, N, lam, k)
+        assert abs(fit.max_value - k) <= 1e-8
+        assert len(probes) <= 16
+        assert not capped
+
+
+def _capped_reference(problem, sol, start):
+    """v and v' at sol.ts[start:] from a re-integration of sol from that
+    sample on, at the default tolerance with steps capped at (b - a)/2000.
+    Its steps are read at the samples by cubic Hermite interpolation, whose
+    h^4 error is far below the tolerance checked."""
+    ts, vs, ws = model1d._integrate(problem.drift(), sol.lam, sol.ts[start],
+                                    sol.vs[start], sol.vps[start], sol.ts[-1],
+                                    max_step=(sol.b - sol.a) / 2000)
+    ts, vs, ws = np.array(ts), np.array(vs), np.array(ws)
+    wps = problem.drift(np)(ts) * ws - sol.lam * vs
+    at = sol.ts[start:]
+    return (CubicHermiteSpline(ts, vs, ws)(at),
+            CubicHermiteSpline(ts, ws, wps)(at))
+
+
+class TestFitSampling:
+    # chart, then fit_model_solution(K, N, lam, k), or model_solution(K, N,
+    # lam) where k is None (a series start at the chart's singular end)
+    @pytest.mark.parametrize("chart, K, N, lam, k", [
+        ("tan", 1.0, 3.0, 6.0, 0.9),
+        ("tan", 1.0, 3.0, 6.0, None),
+        ("tanh", -1.0, 3.0, 4.0, 0.95),
+        ("coth", -1.0, 3.0, 4.0, 0.25),
+        ("coth", -1.0, 3.0, 4.0, None),
+        ("power", 0.0, 3.0, math.pi**2, 0.6),
+        ("power", 0.0, 3.0, math.pi**2, None),
+        ("power", 0.0, 3.0, math.pi**2, 2.0),  # reflected from k = 0.5
+        ("linear", 1.0, INF, 6.0, 1.1),
+        ("linear", -1.0, INF, 5.0, 0.9),
+        ("constant", 0.0, INF, 10.0, 0.2),
+    ])
+    def test_samples_match_capped_reintegration(self, chart, K, N, lam, k):
+        if k is None:
+            sol = model_solution(K, N, lam)
+        else:
+            sol = fit_model_solution(K, N, lam, k)
+        c = sol.fitted_param if chart == "constant" else 0.0
+        problem = ModelProblem(K, N, chart, c=c)
+        series = k is None
+        assert sol.ts.size == model1d._DENSE_SAMPLES + 1 + series
+        assert np.all(np.diff(sol.ts) > 0)
+        ref_v, ref_w = _capped_reference(problem, sol, int(series))
+        assert np.max(np.abs(sol.vs[series:] - ref_v)) <= 1e-9
+        assert np.max(np.abs(sol.vps[series:] - ref_w)) <= 1e-9
+        assert sol.max_value == sol.vs[-1]
+        if k is not None and k > 1.0 and math.isfinite(N):
+            # the reflection of the fit for k' = 1/k starts at -M/k'
+            assert sol.vs[0] == pytest.approx(-1.0, abs=1e-8)
+        else:
+            assert sol.vs[0] == -1.0
 
 
 class TestOffCenterIntervals:
