@@ -268,8 +268,11 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
                        history=history)
 
 
-def dense_oracle(domain: DiscreteDomain, norm: NormSpec, k: int = 5) -> np.ndarray:
-    """First k Neumann eigenvalues from the assembled linear problem.
+_ORACLE_EIGS = 5  # eigenvalues returned by dense_oracle
+
+
+def dense_oracle(domain: DiscreteDomain, norm: NormSpec) -> np.ndarray:
+    """First _ORACLE_EIGS Neumann eigenvalues from the assembled linear problem.
 
     Only valid for Euclidean/quadratic norms, where F*(xi)^2 = xi^T A^{-1} xi
     makes the energy u^T S u: a generalized symmetric eigenproblem
@@ -288,6 +291,6 @@ def dense_oracle(domain: DiscreteDomain, norm: NormSpec, k: int = 5) -> np.ndarr
     ref = float(x @ (S @ x)) / float(m @ (x * x))
     sigma = -0.1 * max(ref, 1e-8)
     v0 = np.cos(np.arange(domain.n_nodes, dtype=float))
-    vals = eigsh(S, k=k, M=M, sigma=sigma, which="LM",
+    vals = eigsh(S, k=_ORACLE_EIGS, M=M, sigma=sigma, which="LM",
                  v0=v0, return_eigenvectors=False)
     return np.sort(vals)

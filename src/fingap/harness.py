@@ -271,10 +271,16 @@ def check_gradient_comparison(dom: DiscreteDomain, spec: DomainSpec,
     )
 
 
+# slack of max u >= m_{K,N} and of the Lichnerowicz threshold
+_MAXIMA_TOL = 1e-3
+_LICHNEROWICZ_TOL = 1e-8
+
+
 def check_maxima(cert: CurvatureCertificate, eigen: EigenResult,
-                 spec: DomainSpec, tol: float = 1e-3) -> ComparisonReport:
-    """Check max u >= m_{K,N} for the normalized eigenfunction (finite N)."""
-    K, N, lam = cert.K, cert.N, eigen.lam
+                 spec: DomainSpec) -> ComparisonReport:
+    """Check max u >= m_{K,N} - _MAXIMA_TOL for the normalized eigenfunction
+    (finite N)."""
+    K, N, lam, tol = cert.K, cert.N, eigen.lam, _MAXIMA_TOL
     if not math.isfinite(N):
         return ComparisonReport(0.0, 0.0, tol, inconclusive=True,
                                 reason="maxima comparison needs finite N")
@@ -292,12 +298,12 @@ def check_maxima(cert: CurvatureCertificate, eigen: EigenResult,
 
 
 def lichnerowicz_check(cert: CurvatureCertificate, lam_numeric: float,
-                       d: Optional[float] = None,
-                       tol: float = 1e-8) -> LichnerowiczReport:
-    """For K > 0: lambda >= N K/(N-1), and the model bound dominates it."""
+                       d: Optional[float] = None) -> LichnerowiczReport:
+    """For K > 0: lambda >= N K/(N-1), and the model bound dominates it
+    (each within _LICHNEROWICZ_TOL)."""
     if cert.K <= 0:
         return LichnerowiczReport(applicable=False)
-    threshold = model_threshold(cert.K, cert.N)
+    threshold, tol = model_threshold(cert.K, cert.N), _LICHNEROWICZ_TOL
     holds = lam_numeric >= threshold - tol
     model_ok = True
     if d is not None:

@@ -33,10 +33,11 @@ endpoint balance v''(a) = lambda/N.
 Interval fitting walks a one-parameter family of shots (the start a on the
 tan, power, coth, tanh and linear charts, the drift c on the constant chart)
 until the first maximum v(b) crosses the target, then narrows that step by
-Illinois regula falsi (4-13 probes per model-sweep fit).  Each shot locates
-b at a tighter tolerance than the default; a probe returns v(b) alone, and
-the accepted parameter's shot is sampled by a quintic Hermite interpolant
-of its own steps: no second integration.
+Illinois regula falsi (4-14 shots per model-sweep fit, model_solution's
+included).  Each shot integrates once, at a tighter tolerance than the
+default, and stops after the step where v' falls through 0; one quintic
+Hermite interpolant of its steps gives b, v(b) and, for the closest probe
+only, the 2001 samples of the fitted solution.  No parameter is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.
@@ -524,14 +525,16 @@ def _secant(f, x0: float, f0: float, x1: float, xtol: float) -> float:
     raise SolverError("eigenvalue secant did not converge")
 
 
-def lambda1_interval(problem: ModelProblem, a: float, b: float,
-                     rtol_lambda: float = 1e-10) -> float:
+_RTOL_LAMBDA = 1e-10  # relative accuracy of lambda1_interval
+
+
+def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
     """First nonzero Neumann eigenvalue of L on (a, b).
 
     A secant on :func:`_phase_excess` from lam0 = max(pi^2/d^2, N K/(N-1)
     for K > 0) and lam0 (pi/Theta(lam0))^2, exact on the flat chart, on
     shots at rtol 1e-6 down to steps of 1e-7, then at the default tolerance
-    from (x, x (1 + 1e-6)) down to rtol_lambda/2.  Only a singular left end
+    from (x, x (1 + 1e-6)) down to _RTOL_LAMBDA/2.  Only a singular left end
     is shot from: a singular right end alone is reflected (every drift with
     a pole is odd).
     """
@@ -544,7 +547,7 @@ def lambda1_interval(problem: ModelProblem, a: float, b: float,
     f0 = loose(lam0)
     x = _secant(loose, lam0, f0, lam0 * (math.pi / (f0 + math.pi)) ** 2, 1e-7)
     tight = partial(_phase_excess, problem, a=a, b=b, rtol=1e-10)
-    return _secant(tight, x, tight(x), x * (1.0 + 1e-6), 0.5 * rtol_lambda)
+    return _secant(tight, x, tight(x), x * (1.0 + 1e-6), 0.5 * _RTOL_LAMBDA)
 
 
 def lambda1_model(K: float, N: float, d: float) -> float:
@@ -555,38 +558,18 @@ def lambda1_model(K: float, N: float, d: float) -> float:
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    if math.isfinite(N) and N <= 1.0 and not (K == 0.0 and N == 1.0):
-        raise ValueError("N must be > 1")
+    prob = centered_model(K, N)
     if K > 0 and math.isfinite(N):
         L = myers_length(K, N)
         if d > L * (1.0 + 1e-9):
             raise ValueError(f"d={d} exceeds the maximal length {L}")
         if d >= L * (1.0 - 1e-12):
             return K * N / (N - 1.0)
-    prob = centered_model(K, N)
     return lambda1_interval(prob, -d / 2.0, d / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # first-maximum solutions and interval fitting
-
-
-def _hermite_root(t0, h, w0, wp0, w1, wp1):
-    """Root of the cubic Hermite interpolant of v' on [t0, t0+h]."""
-
-    def H(s):
-        s2, s3 = s * s, s * s * s
-        return (
-            (2 * s3 - 3 * s2 + 1) * w0
-            + (s3 - 2 * s2 + s) * h * wp0
-            + (-2 * s3 + 3 * s2) * w1
-            + (s3 - s2) * h * wp1
-        )
-
-    if H(0.0) <= 0.0:
-        return t0
-    s = brentq(H, 0.0, 1.0, xtol=1e-15)
-    return t0 + s * h
 
 
 def _downcross(t, v, w, w_prev) -> bool:
@@ -612,28 +595,17 @@ def _downcross_or_escape(K, lam, t, v, w, w_prev) -> bool:
 
 
 # Shots of the fit run at this tolerance: a probe's v(b) must be far below
-# the fit tolerance 1e-8 off the true maximum.  At the default tolerance it
-# can be 1.7e-7 off (K=3, N=inf, lam=3.2, k=3).
+# the fit tolerance _FIT_TOL off the true maximum.  At the default tolerance
+# it can be 1.7e-7 off (K=3, N=inf, lam=3.2, k=3).
 _PROBE_TOL = {"rtol": 1e-12, "atol": 1e-14}
+_FIT_TOL = 1e-8
 _DENSE_SAMPLES = 2000
 
 
-def _quintic_samples(problem: ModelProblem, lam: float, ts, vs, ws, s):
-    """v and v' at the points s, each from the quintic Hermite interpolant of
-    the accepted steps ts that matches y, y', y'' at both ends of its step.
-
-    For v these are v, w and w' = T w - lam v; for w they are w, w' and
-    w'' = T' w + T w' - lam w, with T' = K + T^2/(N-1) (K for N = inf) on
-    every chart.  On the steps of a shot at ``_PROBE_TOL`` the samples lie
-    within 5e-12 of a re-integration capped at 1/2000 of the interval.
-    """
-    T = problem.drift(np)(ts)
-    Tp = problem.K + (T * T / (problem.N - 1.0) if math.isfinite(problem.N) else 0.0)
-    wp = T * ws - lam * vs
-    wpp = Tp * ws + T * wp - lam * ws
-    j = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, ts.size - 2)
-    h = ts[j + 1] - ts[j]
-    x = (s - ts[j]) / h
+def _hermite5(x, h, y0, d0, dd0, y1, d1, dd1):
+    """Quintic Hermite interpolant at x in [0, 1] of a step of length h whose
+    ends have values y, first derivatives d and second derivatives dd;
+    scalars or arrays."""
     x3 = x * x * x
     h0 = 1.0 + x3 * (-10.0 + x * (15.0 - 6.0 * x))
     h1 = x + x3 * (-6.0 + x * (8.0 - 3.0 * x))
@@ -641,66 +613,80 @@ def _quintic_samples(problem: ModelProblem, lam: float, ts, vs, ws, s):
     h3 = 0.5 * x3 * (1.0 - x) ** 2
     h4 = x3 * (-4.0 + x * (7.0 - 3.0 * x))
     h5 = x3 * (10.0 + x * (-15.0 + 6.0 * x))
-
-    def interp(y, yp, ypp):
-        return (y[j] * h0 + y[j + 1] * h5 + h * (yp[j] * h1 + yp[j + 1] * h4)
-                + h * h * (ypp[j] * h2 + ypp[j + 1] * h3))
-
-    return interp(vs, ws, wp), interp(ws, wp, wpp)
+    return (y0 * h0 + y1 * h5 + h * (d0 * h1 + d1 * h4)
+            + h * h * (dd0 * h2 + dd1 * h3))
 
 
-def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float,
-               probe: bool = False) -> ModelSolution | float:
-    """Shoot from a at ``_PROBE_TOL`` and stop at the first interior zero b of v'.
+def _jets(problem: ModelProblem, lam: float, T, v, w):
+    """w' = T w - lam v and w'' = T' w + T w' - lam w at states (v, w) where
+    the drift is T, with T' = K + T^2/(N-1) (K for N = inf) on every chart."""
+    wp = T * w - lam * v
+    Tp = problem.K + (T * T / (problem.N - 1.0) if math.isfinite(problem.N) else 0.0)
+    return wp, Tp * w + T * wp - lam * w
 
-    Locates the crossing with a cubic Hermite interpolant between accepted
-    steps and polishes it with Newton iterations.  A probe returns v(b)
-    alone; otherwise the shot's steps up to b are sampled at _DENSE_SAMPLES + 1
-    equispaced points of [t0, b] (:func:`_quintic_samples`, exact at both ends).
+
+class _Shot(NamedTuple):
+    """A shot from a up to its first maximum top = v(b): its accepted steps,
+    the last of which holds b; after a series start ts[0] > a."""
+
+    problem: ModelProblem
+    lam: float
+    a: float
+    b: float
+    top: float
+    ts: list
+    vs: list
+    ws: list
+
+
+def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Shot:
+    """Shoot from a at ``_PROBE_TOL`` up to the first interior zero b of v'.
+
+    The integration ends with the step where v' falls through 0: b is the
+    root of that step's quintic Hermite interpolant of v' and v(b) the value
+    of its interpolant of v (:func:`_hermite5` on :func:`_jets`), so a shot
+    integrates once.
     """
     Tf = problem.drift()
-    span0 = min(math.pi / math.sqrt(lam), t_cap - a) if math.isfinite(t_cap) \
-        else math.pi / math.sqrt(lam)
-    t0, v0, w0, a_exact, series = _start_state(problem, lam, a, span0)
-
-    horizon = t0 + 64.0 * math.pi / math.sqrt(lam)
-    t_end = min(t_cap, horizon)
+    span0 = min(math.pi / math.sqrt(lam), t_cap - a)
+    t0, v0, w0, a_exact, _ = _start_state(problem, lam, a, span0)
+    t_end = min(t_cap, t0 + 64.0 * math.pi / math.sqrt(lam))
     until = _downcross
     if problem.chart == "linear" and problem.K < 0:
         until = partial(_downcross_or_escape, problem.K, lam)
     ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **_PROBE_TOL)
-    pos = np.array(ws) > 0
-    hit = np.nonzero(pos[:-1] & ~pos[1:])[0]
-    if not hit.size:
+    if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
         raise SolverError("no critical point of v' before the chart boundary "
                           "or horizon")
-    i = int(hit[0])
-    h = ts[i + 1] - ts[i]
-    wp_i = Tf(ts[i]) * ws[i] - lam * vs[i]
-    wp_j = Tf(ts[i + 1]) * ws[i + 1] - lam * vs[i + 1]
-    b = _hermite_root(ts[i], h, ws[i], wp_i, ws[i + 1], wp_j)
+    h = ts[-1] - ts[-2]
+    (v0, v1), (w0, w1) = vs[-2:], ws[-2:]
+    (wp0, wpp0), (wp1, wpp1) = (_jets(problem, lam, Tf(t), v, w)
+                                for t, v, w in zip(ts[-2:], vs[-2:], ws[-2:]))
+    x = brentq(lambda x: _hermite5(x, h, w0, wp0, wpp0, w1, wp1, wpp1), 0.0, 1.0,
+               xtol=1e-15)
+    top = _hermite5(x, h, v0, w0, wp0, v1, w1, wp1)
+    return _Shot(problem, lam, a_exact, ts[-2] + x * h, top, ts, vs, ws)
 
-    # Newton polish on v'(b), integrating the short leg from the step start;
-    # the last leg ends at b
-    for it in range(4):
-        b = max(b, ts[i])
-        lts, lvs, lws = _integrate(Tf, lam, ts[i], vs[i], ws[i], b, **_PROBE_TOL)
-        wpb = Tf(b) * lws[-1] - lam * lvs[-1]
-        step = lws[-1] / wpb if wpb != 0.0 and b > ts[i] else 0.0
-        if (it == 3 or abs(step) < 1e-14 * max(1.0, abs(b))
-                or not ts[i] - h <= b - step <= ts[i + 1] + h):
-            break
-        b -= step
-    if probe:
-        return lvs[-1]
-    nodes = np.array(ts[:i] + lts)
-    nodes[-1] = b  # the leg stops within 1e-13 of b
-    dts = np.linspace(t0, b, _DENSE_SAMPLES + 1)
-    dvs, dws = _quintic_samples(problem, lam, nodes, np.array(vs[:i] + lvs),
-                                np.array(ws[:i] + lws), dts)
-    if series:
-        dts, dvs, dws = np.r_[a_exact, dts], np.r_[-1.0, dvs], np.r_[0.0, dws]
-    return ModelSolution(a=a_exact, b=b, lam=lam, ts=dts, vs=dvs, vps=dws)
+
+def _solution(shot: _Shot, param: float = math.nan) -> ModelSolution:
+    """The shot at _DENSE_SAMPLES + 1 equispaced points of [ts[0], b], each
+    from the quintic Hermite interpolant of its step (on the steps of a shot
+    at ``_PROBE_TOL`` within 5e-12 of a re-integration capped at 1/2000 of
+    the interval).  The first sample is the start state and the last is
+    (b, v(b)); a series start puts (a, -1, 0) in front."""
+    ts, vs, ws = np.array(shot.ts), np.array(shot.vs), np.array(shot.ws)
+    wp, wpp = _jets(shot.problem, shot.lam, shot.problem.drift(np)(ts), vs, ws)
+    s = np.linspace(ts[0], shot.b, _DENSE_SAMPLES + 1)
+    j = np.minimum(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
+    h = ts[j + 1] - ts[j]
+    x = (s - ts[j]) / h
+    dvs = _hermite5(x, h, vs[j], ws[j], wp[j], vs[j + 1], ws[j + 1], wp[j + 1])
+    dws = _hermite5(x, h, ws[j], wp[j], wpp[j], ws[j + 1], wp[j + 1], wpp[j + 1])
+    dvs[-1] = shot.top
+    if ts[0] > shot.a:
+        s, dvs, dws = np.r_[shot.a, s], np.r_[-1.0, dvs], np.r_[0.0, dws]
+    return ModelSolution(a=shot.a, b=shot.b, lam=shot.lam, ts=s, vs=dvs, vps=dws,
+                         fitted_param=param)
 
 
 def model_threshold(K: float, N: float) -> float:
@@ -727,8 +713,7 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
-    if N <= 1.0:
-        raise ValueError("N must be > 1")
+    prob = ModelProblem(K, N, "tan" if K > 0 else "power" if K == 0 else "coth")
     thresh = model_threshold(K, N)
     if K > 0:
         half = myers_length(K, N) / 2.0
@@ -739,13 +724,10 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
             ts = np.linspace(-half, half, 2001)
             return ModelSolution(a=-half, b=half, lam=thresh, ts=ts,
                                  vs=np.sin(al * ts), vps=al * np.cos(al * ts))
-        prob = ModelProblem(K, N, "tan")
-        return _first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12))
+        return _solution(_first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12)))
     if lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
-    chart = "power" if K == 0 else "coth"
-    prob = ModelProblem(K, N, chart)
-    return _first_max(prob, lam, 0.0, t_cap=_INF)
+    return _solution(_first_max(prob, lam, 0.0, t_cap=_INF))
 
 
 def _reflect(sol: ModelSolution, kprime: float) -> ModelSolution:
@@ -768,42 +750,49 @@ def _walk(p, grow=lambda p: p * 2.0):
         p = grow(p)
 
 
-def _fitted(shot, p) -> ModelSolution:
-    """The dense first-maximum solution of family member p."""
-    sol = shot(p)
-    sol.fitted_param = p
-    return sol
+def _fit_param(family, k: float, p0: float, offsets, rising: bool,
+               m: float | None = None) -> ModelSolution | None:
+    """The member p of a family of shots whose first maximum M(p) =
+    family(p).top is within _FIT_TOL of k, sampled from its own shot, or
+    None if ``offsets`` ends first.
 
-
-def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
-               fail: float | None = None):
-    """Parameter p of a family whose first maximum M(p) = shot(p, probe=True)
-    is k, or None if ``walk`` ends first.
-
-    p runs over ``walk`` (``prev`` is the point before it) until M crosses k,
-    rising to it if ``up``, falling otherwise; M is monotone in p.  That step
-    is then narrowed by Illinois regula falsi on g = M - k to |g| <= tol
-    (4-13 probes in all on the model-sweep fits), settling for the
-    closest probe within 1e-6 if the bracket collapses first.  A probe that
-    finds no critical point (possible at the extreme ends of some families)
-    counts as M = ``fail`` (+inf or 0), or raises if ``fail`` is None; one
-    whose v diverges counts as M = +inf.  A step bisects where an end is such
-    a probe or the false-position point leaves the bracket.  If the bracket
-    collapses after failing probes, k is out of reach: ValueError naming the
-    closest M reached.
+    M is monotone in p, rising if ``rising``.  M(p0) is ``m`` or is shot;
+    p then runs over p0 +- offsets, on the side where M moves toward k,
+    until M crosses k, and Illinois regula falsi on g = M - k narrows that
+    step, bisecting where an end has no finite g or the false-position
+    point leaves the bracket.  A probe with no first maximum counts as
+    M = +inf if M rises and 0 if it falls (on the linear and constant
+    charts the maximum escapes to infinity past a finite parameter, where M
+    tends to that limit); one whose v diverges counts as M = +inf.  Only
+    the closest probe's shot is kept.
+    If the bracket collapses first: ValueError naming the closest M if
+    probes failed (k is out of reach), else SolverError.
     """
-    def g(p):
-        try:
-            return shot(p, probe=True) - k
-        except _Diverged:
-            return _INF
-        except SolverError:
-            if fail is None:
-                raise
-            return math.copysign(_INF, fail - k)
+    best = None  # (|g|, p, shot) of the closest probe
+    failed = False
 
-    g_prev = None
-    for p in walk:
+    def g(p):
+        nonlocal best, failed
+        try:
+            shot = family(p)
+        except SolverError as exc:
+            failed = True
+            return _INF if rising or isinstance(exc, _Diverged) else -_INF
+        g_p = shot.top - k
+        if best is None or abs(g_p) < best[0]:
+            best = (abs(g_p), p, shot)
+        return g_p
+
+    def done():
+        return best is not None and best[0] <= _FIT_TOL
+
+    g_prev = g(p0) if m is None else m - k
+    if done():
+        return _solution(best[2], best[1])
+    up, prev = g_prev < 0.0, p0
+    sign = 1.0 if up == rising else -1.0
+    for q in offsets:
+        p = p0 + sign * q
         g_p = g(p)
         if (g_p >= 0.0) if up else (g_p <= 0.0):
             break
@@ -811,12 +800,10 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
     else:
         return None
 
-    ends = [(prev, g(prev) if g_prev is None else g_prev), (p, g_p)]
-    seen, moved = list(ends), None
+    ends, moved = [(prev, g_prev), (p, g_p)], None
     for _ in range(200):
-        best, best_g = min(seen, key=lambda e: abs(e[1]))
         (x0, g0), (x1, g1) = ends
-        if abs(best_g) <= tol or abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)):
+        if done() or abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)):
             break
         x = 0.5 * (x0 + x1)
         if math.isfinite(g0) and math.isfinite(g1):
@@ -824,33 +811,41 @@ def _fit_param(shot, k: float, tol: float, walk, prev: float, up: bool,
             if min(x0, x1) < xf < max(x0, x1):
                 x = xf
         gx = g(x)
-        seen.append((x, gx))
         side = 0 if (gx < 0.0) == (g0 < 0.0) else 1
         if side == moved:  # the other end stayed twice: halve its g
             ends[1 - side] = (ends[1 - side][0], 0.5 * ends[1 - side][1])
         ends[side], moved = (x, gx), side
-    best, best_g = min(seen, key=lambda e: abs(e[1]))
-    if abs(best_g) <= max(tol, 1e-6 * max(1.0, k)):
-        return best
-    if math.isfinite(best_g) and not all(math.isfinite(e[1]) for e in seen):
+    if done():
+        return _solution(best[2], best[1])
+    if failed and best is not None:
         raise ValueError(f"k={k} is out of reach: probes next to it find no first "
-                         f"maximum, and the closest one reached is {best_g + k}")
+                         f"maximum, and the closest one reached is {best[2].top}")
     raise SolverError(f"interval fit did not reach max = {k}")
 
 
+def _fit_from_zero(family, k: float, step: float, rising: bool,
+                   grow=lambda q: q * 2.0) -> ModelSolution:
+    """:func:`_fit_param` from the family member 0, shot first, out along
+    step, grow(step), ... (80 steps at most)."""
+    sol = _fit_param(family, k, 0.0, islice(_walk(step, grow), 80), rising)
+    if sol is None:
+        raise SolverError("interval fit failed to bracket")
+    return sol
+
+
 def _fit_below_finite(K: float, N: float, lam: float, k: float,
-                      tol: float) -> ModelSolution:
-    """Fit an interval with min v = -1, max v = k for m <= k <= 1, finite N."""
+                      m: float) -> ModelSolution:
+    """Fit an interval with min v = -1, max v = k for m <= k <= 1, finite N;
+    m is the first maximum of :func:`model_solution`, the family's member
+    at the singular chart end."""
     if K > 0:
         half = myers_length(K, N) / 2.0
         tan = partial(_first_max, ModelProblem(K, N, "tan"), lam,
                       t_cap=half * (1.0 - 1e-12))
-        # a walks right from 0, halving its distance to the right edge
-        walk = _walk(0.0, lambda p: half - (half - p) / 2.0)
-        p = _fit_param(tan, k, tol, islice(walk, 80), -half, up=True, fail=_INF)
-        if p is None:
-            raise SolverError("tan-chart fit failed to bracket")
-        return _fitted(tan, p)
+        # M(-half) = m <= k <= 1 < M(0), so one step brackets a: from a = 0
+        # the energy (v'^2 + lam v^2)/2 grows (its derivative is T v'^2 with
+        # T > 0), so v(b)^2 > v(0)^2 = 1
+        return _fit_param(tan, k, -half, [half], True, m)
 
     if K == 0:
         power = partial(_first_max, ModelProblem(K, N, "power"), lam, t_cap=_INF)
@@ -858,84 +853,53 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
         # 1 - M falls only like 1/a, so a k near 1 lies far out: stride by 4
         walk = takewhile(lambda p: p <= a_cap,
                          _walk(0.3 / math.sqrt(lam), lambda p: 4.0 * p))
-        p = _fit_param(power, k, tol, walk, 0.0, up=True)
-        if p is not None:
-            return _fitted(power, p)
+        sol = _fit_param(power, k, 0.0, walk, True, m)
+        if sol is not None:
+            return sol
         # k this close to 1 is only reachable in the a -> inf (flat) limit;
         # at a = 1e8 the miss is below 1e-8 for any moderate lambda
-        sol = _fitted(power, a_cap)
-        if k - sol.max_value <= 1e-7:
-            return sol
+        shot = power(a_cap)
+        if k - shot.top <= 1e-7:
+            return _solution(shot, a_cap)
         raise SolverError("power-chart fit failed to bracket")
 
     # K < 0: the family spans the coth branch, then the tanh branch
-    al = math.sqrt(-K / (N - 1.0))
-    scale = 1.0 / al
+    scale = 1.0 / math.sqrt(-K / (N - 1.0))
     coth = partial(_first_max, ModelProblem(K, N, "coth"), lam, t_cap=_INF)
     a_big = 40.0 * scale
-    if k <= coth(a_big, probe=True):
+    big = coth(a_big)
+    if k <= big.top:
         walk = takewhile(lambda p: p <= a_big, _walk(0.3 * scale))
-        p = _fit_param(coth, k, tol, walk, 0.0, up=True)
-        return _fitted(coth, a_big if p is None else p)
+        sol = _fit_param(coth, k, 0.0, walk, True, m)
+        return _solution(big, a_big) if sol is None else sol
 
     # M decreases in a on the tanh branch
     tanh = partial(_first_max, ModelProblem(K, N, "tanh"), lam, t_cap=_INF)
-    M0 = tanh(0.0, probe=True)
-    if abs(M0 - k) <= tol:
-        return _fitted(tanh, 0.0)
-    up = M0 < k
-    walk = _walk((-0.3 if up else 0.3) * scale)
-    p = _fit_param(tanh, k, tol, islice(walk, 80), 0.0, up)
-    if p is None:
-        raise SolverError("tanh-chart fit failed to bracket")
-    return _fitted(tanh, p)
+    return _fit_from_zero(tanh, k, 0.3 * scale, rising=False)
 
 
-def _fit_infinite(K: float, lam: float, k: float, tol: float) -> ModelSolution:
+def _fit_infinite(K: float, lam: float, k: float) -> ModelSolution:
     """Fit for N = inf: linear chart in a for K != 0, constant chart in c."""
     if K != 0.0:
-        linear = partial(_first_max, ModelProblem(K, _INF, "linear"), lam, t_cap=_INF)
         # M(a) rises with a when K > 0 and falls when K < 0; past a finite a*
-        # the first maximum escapes to infinity, where M tends to +inf
-        # (K > 0) or to 0 (K < 0), so a failing probe counts as that limit
-        fail = _INF if K > 0 else 0.0
-        try:
-            M0 = linear(0.0, probe=True)
-        except SolverError:
-            M0 = fail
-        if abs(M0 - k) <= tol:
-            return _fitted(linear, 0.0)
-        up = M0 < k
+        # the first maximum escapes to infinity
+        linear = partial(_first_max, ModelProblem(K, _INF, "linear"), lam, t_cap=_INF)
         scale = 1.0 / math.sqrt(abs(K))
-        walk = _walk((0.3 if up == (K > 0) else -0.3) * scale)
-        p = _fit_param(linear, k, tol, islice(walk, 80), 0.0, up, fail=fail)
-        if p is None:
-            raise SolverError("linear-chart fit failed to bracket")
-        return _fitted(linear, p)
+        return _fit_from_zero(linear, k, 0.3 * scale, rising=K > 0)
 
-    # K = 0, N = inf: sweep the constant drift c; max value is exp(c pi/(2 w))
-    def constant(c, probe=False):
-        return _first_max(ModelProblem(0.0, _INF, "constant", c=c), lam, 0.0,
-                          _INF, probe)
+    # K = 0, N = inf: sweep the constant drift c; max value is exp(c pi/(2 w)),
+    # and c stays below the overdamped 2 sqrt(lam)
+    def constant(c):
+        return _first_max(ModelProblem(0.0, _INF, "constant", c=c), lam, 0.0, _INF)
 
-    if abs(k - 1.0) <= tol:
-        return _fitted(constant, 0.0)
     sq = math.sqrt(lam)
-    up = k > 1.0
-    sign = 1.0 if up else -1.0
-    walk = _walk(sign * 0.2 * sq,
-                 lambda p: sign * min(abs(p) * 2.0, 0.5 * (abs(p) + 2.0 * sq)))
-    p = _fit_param(constant, k, tol, islice(walk, 80), 0.0, up,
-                   fail=_INF if up else 0.0)
-    if p is None:
-        raise SolverError("constant-chart fit failed to bracket")
-    return _fitted(constant, p)
+    return _fit_from_zero(constant, k, 0.2 * sq, rising=True,
+                          grow=lambda q: min(q * 2.0, 0.5 * (q + 2.0 * sq)))
 
 
-def fit_model_solution(K: float, N: float, lam: float, k: float,
-                       tol: float = 1e-8) -> ModelSolution:
+def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolution:
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
-    min = -1 and max = k.
+    min = -1 and max = k, to within _FIT_TOL = 1e-8.
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;
@@ -950,19 +914,19 @@ def fit_model_solution(K: float, N: float, lam: float, k: float,
     if lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
     if not math.isfinite(N):
-        return _fit_infinite(K, lam, k, tol)
+        return _fit_infinite(K, lam, k)
 
     ms = model_solution(K, N, lam)
     m = ms.max_value
     if not (m * (1.0 - 1e-9) <= k <= (1.0 + 1e-9) / m):
         raise ValueError(f"k={k} outside the admissible range [{m}, {1/m}]")
-    if abs(k - m) <= tol:
+    if abs(k - m) <= _FIT_TOL:
         return ms
     if k > 1.0:
         kp = 1.0 / k
-        base = ms if abs(kp - m) <= tol else _fit_below_finite(K, N, lam, kp, tol)
+        base = ms if abs(kp - m) <= _FIT_TOL else _fit_below_finite(K, N, lam, kp, m)
         return _reflect(base, kp)
-    return _fit_below_finite(K, N, lam, k, tol)
+    return _fit_below_finite(K, N, lam, k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -977,6 +941,12 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     one-sided Neumann rows, boundary unknowns eliminated, and the resulting
     tridiagonal matrix symmetrized by a diagonal similarity.  Fully
     independent of the shooting path.  Endpoints must be regular.
+
+    Rounding sets a floor of about eps/h^2 absolute (the matrix entries are
+    of order 1/h^2), which refining the grid raises: for
+    ``lambda1_model(-4, 5, 8)`` = 1.077458e-5 the oracle gives 1.077447e-5 /
+    1.077523e-5 / 1.077811e-5 at 8000 / 16000 / 32000 nodes, so it cannot
+    referee an exponentially small eigenvalue.
     """
     problem.validate_interval(a, b)
     if problem.singular_left(a) or problem.singular_right(b):

@@ -349,18 +349,17 @@ def _sphere_newton_step(norm: NormSpec, u: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sphere_search(ratio, dim: int, seed: int, tol: float,
-                   n_dirs: Optional[int] = None) -> float:
+def _sphere_search(ratio, dim: int, seed: int, tol: float) -> float:
     """max of a 0-homogeneous ``ratio(w)`` over directions w in R^dim.
 
-    Samples n_dirs seeded random directions (default max(64*dim, 128)) plus
+    Samples max(64*dim, 128) seeded random directions plus
     the +-coordinate axes and polishes the best three with Nelder-Mead
     (xatol ``tol``, fatol ``tol/10``).  ``ratio`` takes batched rows.
     """
     if dim == 1:
         return float(np.max(ratio(np.array([[1.0], [-1.0]]))))
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs or max(64 * dim, 128), dim))
+    dirs = rng.standard_normal((max(64 * dim, 128), dim))
     dirs = np.concatenate([dirs, np.eye(dim), -np.eye(dim)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = ratio(dirs)
@@ -378,7 +377,7 @@ def _sphere_search(ratio, dim: int, seed: int, tol: float,
     return float(best)
 
 
-def dual_norm_numeric(norm: NormSpec, xi, n_dirs: Optional[int] = None) -> float:
+def dual_norm_numeric(norm: NormSpec, xi) -> float:
     """Numeric supremum oracle for the dual norm.
 
     Maximizes xi(v) over the unit ball {F(v) <= 1} by coarse sampling of
@@ -389,7 +388,7 @@ def dual_norm_numeric(norm: NormSpec, xi, n_dirs: Optional[int] = None) -> float
     if np.linalg.norm(xi) == 0.0:
         return 0.0
     return _sphere_search(lambda w: (w @ xi) / norm_eval(norm, w), norm.dim,
-                          seed=12345, tol=1e-14, n_dirs=n_dirs)
+                          seed=12345, tol=1e-14)
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """1-D model operators: drift identities, shooting goldens, eigenvalues, fits."""
 
-import inspect
 import math
 import time
 
@@ -218,6 +217,15 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1_model(1.0, 2.0, math.pi + 0.01)
 
+    def test_N_checked_by_the_problem(self):
+        # ModelProblem rejects N <= 1 except on the flat chart, where N = 1
+        # (a 1-D Lebesgue certificate) is admissible
+        with pytest.raises(ValueError, match="N must be > 1"):
+            lambda1_model(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="N must be > 1"):
+            model_solution(0.0, 1.0, 5.0)
+        assert lambda1_model(0.0, 1.0, 1.0) == pytest.approx(math.pi**2, rel=1e-10)
+
     def test_model_gaussian_large_interval(self):
         assert lambda1_model(1.0, INF, 10.0) == pytest.approx(1.0, abs=1e-3)
 
@@ -422,16 +430,14 @@ class TestFit:
 
 
 def _count_probes(monkeypatch):
-    """Probe count of every later _first_max call, and the finite max_step
-    of every later _integrate call."""
-    probes, capped = [], []
+    """(chart, drift constant, start) of every later _first_max call, and
+    the finite max_step of every later _integrate call."""
+    shots, capped = [], []
     first_max, integrate = model1d._first_max, model1d._integrate
-    signature = inspect.signature(first_max)
 
-    def counting_first_max(*args, **kwargs):
-        if signature.bind(*args, **kwargs).arguments.get("probe"):
-            probes.append(1)
-        return first_max(*args, **kwargs)
+    def counting_first_max(problem, lam, a, *args, **kwargs):
+        shots.append((problem.chart, problem.c, a))
+        return first_max(problem, lam, a, *args, **kwargs)
 
     def counting_integrate(*args, **kwargs):
         if math.isfinite(kwargs.get("max_step", INF)):
@@ -440,7 +446,7 @@ def _count_probes(monkeypatch):
 
     monkeypatch.setattr(model1d, "_first_max", counting_first_max)
     monkeypatch.setattr(model1d, "_integrate", counting_integrate)
-    return probes, capped
+    return shots, capped
 
 
 class TestFitBranches:
@@ -506,15 +512,20 @@ class TestFitBranches:
     @pytest.mark.parametrize("K, N, lam, k", [
         (1.0, 3.0, 6.0, 0.9), (-1.0, 3.0, 4.0, 0.25), (-1.0, 3.0, 4.0, 0.95),
         (0.0, 2.0, 5.0, 1.3), (0.0, INF, 5.0, 0.9), (1.0, INF, 6.0, 1.1),
-        (-1.0, INF, 5.0, 0.9),
+        (-1.0, INF, 5.0, 0.9), (1.0, 3.0, 6.0, 1.2), (1.0, 2.0, 3.0, 0.7),
+        (-4.0, 2.0, 20.0, 0.5), (0.0, 2.0, 5.0, 0.9), (0.5, INF, 0.7, 0.3),
     ])
     def test_only_accepted_fit_sampled_densely(self, monkeypatch, K, N, lam, k):
-        # probes return v(b) alone, and the accepted fit (and model_solution,
-        # for m) is sampled from its own shot's steps: no capped-step run
-        _, capped = _count_probes(monkeypatch)
+        # the accepted fit (and model_solution, for m) is sampled from its
+        # own shot's steps: no capped-step run, and no (chart, parameter)
+        # shot twice, since the fit keeps its closest probe's steps and
+        # takes m from model_solution and each branch's first probe as a
+        # bracket end
+        shots, capped = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
         assert not capped
+        assert len(set(shots)) == len(shots), shots
 
     def test_diverging_probes_count_as_large_maxima(self):
         # on the linear chart with K < 0 a probe far out in a finds M above
@@ -529,10 +540,22 @@ class TestFitBranches:
             assert abs(fit.max_value - k) <= 1e-8
             assert fit.min_value == -1.0
 
+    def test_fit_ends_within_tol_or_raises(self):
+        # M is so steep in a here that probes 1.3e-14 apart differ by 1e-7;
+        # the fit once settled for a probe 3.7e-8 below k
+        k = 1e6
+        try:
+            fit = fit_model_solution(-1.0, INF, 0.3, k)
+        except ValueError as exc:
+            assert "out of reach" in str(exc)
+        else:
+            assert abs(fit.max_value - k) <= 1e-8
+
 
 class TestFitWork:
     # the six model-sweep fit families, lam 4.5-5.5 above the threshold and
-    # k in 0.85-1.15; each took 24-28 probes while the fit bisected
+    # k in 0.85-1.15; each took 24-28 probes while the fit bisected, and
+    # 8-13 shots with model_solution's and the accepted one's counted
     @pytest.mark.parametrize("K, N, above, k", [
         (1.0, 3.0, 4.5, 0.85), (1.2, 3.0, 5.5, 1.15),
         (-1.0, 3.0, 5.0, 0.95), (-0.8, 3.0, 4.5, 1.1),
@@ -543,10 +566,10 @@ class TestFitWork:
     ])
     def test_probes_per_fit(self, monkeypatch, K, N, above, k):
         lam = model1d.model_threshold(K, N) + above
-        probes, capped = _count_probes(monkeypatch)
+        shots, capped = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
-        assert len(probes) <= 16
+        assert len(shots) <= 16
         assert not capped
 
 
