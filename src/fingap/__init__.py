@@ -39,7 +39,6 @@ from .domain import (
     DiscreteDomain,
     CurvatureCertificate,
     build_domain,
-    asymmetric_distance,
     diameter,
     analytic_diameter,
     curvature_certificate,

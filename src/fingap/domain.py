@@ -6,7 +6,10 @@ lattice carrying per-node measures (cell volume times exp(-Psi)), a radius-2
 neighbor stencil, and boundary flags.  Distances are directed shortest paths
 with edge weight F(displacement), so non-reversible norms give order-dependent
 distances and the diameter is a supremum over ordered pairs; diameter() gets
-it exactly, in O(n) memory, from a few pruned Dijkstra sweeps.
+it exactly, in O(n) memory, from a few pruned Dijkstra sweeps.  A sweep runs
+one Dijkstra when the edge graph equals its transpose (a reversible norm),
+and bounds every node of its source's orbit under the lattice symmetries
+(signed axis permutations that keep the node set and every stencil weight).
 
 Geodesics of a Minkowski norm in flat space are straight lines, so for the
 supported shapes the diameter also has an exact analytic value (max F-length
@@ -39,7 +42,6 @@ __all__ = [
     "DiscreteDomain",
     "CurvatureCertificate",
     "build_domain",
-    "asymmetric_distance",
     "diameter",
     "analytic_diameter",
     "curvature_certificate",
@@ -102,12 +104,13 @@ class DiscreteDomain:
 
     ``neighbor_idx`` is (n, max_deg) with -1 padding; ``neighbor_disp`` holds
     the exact displacement vectors node -> neighbor; masks mark real slots.
+    ``idx`` is each node's integer index on the lattice box, from 0 per axis.
     The radius-2 stencil serves only the graph distances and the boundary
     flags; the eigensolver reads its Kuhn simplices off the max-norm-1 slots.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
     is a whole number; ``h`` is the largest h_k (1/r on balls).
     Immutable after build; ``_cache`` holds derived data only (edge graphs,
-    the eigensolver's mesh operator).
+    their lattice symmetries, the eigensolver's mesh operator).
     """
 
     spec: DomainSpec
@@ -117,6 +120,7 @@ class DiscreteDomain:
     neighbor_disp: np.ndarray
     neighbor_mask: np.ndarray
     boundary: np.ndarray
+    idx: np.ndarray
     h: float
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -134,7 +138,7 @@ class DiscreteDomain:
 
     def edge_graph(self, norm: NormSpec) -> csr_matrix:
         """Directed sparse matrix of F(displacement) edge weights."""
-        key = json.dumps(norm_to_config(norm), sort_keys=True)
+        key = _norm_key(norm)
         g = self._cache.get(key)
         if g is None:
             mask = self.neighbor_mask
@@ -144,6 +148,10 @@ class DiscreteDomain:
             g = csr_matrix((w, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
             self._cache[key] = g
         return g
+
+
+def _norm_key(norm: NormSpec) -> str:
+    return json.dumps(norm_to_config(norm), sort_keys=True)
 
 
 def _axis_nodes(L: float, resolution: int):
@@ -168,6 +176,21 @@ def _stencil_offsets(dim: int) -> np.ndarray:
         )
         _OFFSET_CACHE[dim] = out
     return out
+
+
+def _lattice_grid(idx: np.ndarray) -> np.ndarray:
+    """Node numbers on the bounding box of the lattice indices, padded by the
+    stencil radius 2 and -1 off the nodes: node i sits at idx[i] + 2."""
+    pos = idx + 2
+    grid = np.full(tuple(pos.max(axis=0) + 3), -1, dtype=np.int64)
+    grid[tuple(pos.T)] = np.arange(pos.shape[0])
+    return grid
+
+
+def _stencil_neighbors(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(n, slots) node numbers of idx + each stencil offset, -1 off the nodes."""
+    offsets = _stencil_offsets(idx.shape[1])
+    return grid[tuple(np.moveaxis(idx[:, None, :] + 2 + offsets, -1, 0))]
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
@@ -206,13 +229,8 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
     if nodes.shape[0] == 0:
         raise ValueError("domain is empty at this resolution")
 
-    # node numbers on the bounding grid, padded by the stencil radius and -1
-    # off the domain, so the neighbor lookup is one fancy index
-    pos = idx + 2
-    grid = np.full(tuple(pos.max(axis=0) + 3), -1, dtype=np.int64)
-    grid[tuple(pos.T)] = np.arange(pos.shape[0])
     offsets = _stencil_offsets(dim)
-    nb_idx = grid[tuple(np.moveaxis(pos[:, None, :] + offsets, -1, 0))]
+    nb_idx = _stencil_neighbors(_lattice_grid(idx), idx)
     if spec.shape == "ball":
         # a ball node is on the boundary if an axis neighbor is missing
         axis_slots = np.abs(offsets).sum(axis=1) == 1
@@ -230,18 +248,60 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
         neighbor_disp=nb_disp,
         neighbor_mask=nb_mask,
         boundary=boundary,
+        idx=idx,
         h=float(spacing.max()),
     )
 
 
-def asymmetric_distance(domain: DiscreteDomain, norm: NormSpec, i: int, j: int) -> float:
-    """Directed shortest-path distance node i -> node j on the stencil graph."""
-    g = domain.edge_graph(norm)
-    d = dijkstra(g, directed=True, indices=[int(i)])[0]
-    out = d[int(j)]
-    if not np.isfinite(out):
-        raise ValueError(f"nodes {i} and {j} are not connected")
-    return float(out)
+def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
+    """Node permutations pi of the graph automorphisms that come from signed
+    axis permutations of the lattice index box; cached per norm.
+
+    The weights are read off the edge graph itself.  If its edges are the
+    full radius-2 stencil on the node set and each weight depends only on
+    its stencil offset o, then a signed axis permutation P gives an
+    automorphism when it maps the node set onto itself and w(P o) = w(o)
+    bit for bit for every o.  Anything else (a hand-cut mask, weights that
+    vary along a slot) gives no symmetries.
+    """
+    key = "symmetries " + _norm_key(norm)
+    perms = domain._cache.get(key)
+    if perms is not None:
+        return perms
+    perms = []
+    domain._cache[key] = perms
+    idx, mask = domain.idx, domain.neighbor_mask
+    grid = _lattice_grid(idx)
+    nb = _stencil_neighbors(grid, idx)
+    if not (np.array_equal(domain.neighbor_idx, nb) and np.array_equal(mask, nb >= 0)):
+        return perms
+    rows, slots = np.nonzero(mask)
+    w = np.asarray(domain.edge_graph(norm)[rows, nb[rows, slots]]).ravel()
+    w_slot = np.full(nb.shape[1], np.nan)
+    w_slot[slots] = w
+    if not np.array_equal(w, w_slot[slots]):
+        return perms
+
+    dim = idx.shape[1]
+    offsets = _stencil_offsets(dim)
+    slot_of = np.full((5,) * dim, -1)
+    slot_of[tuple((offsets + 2).T)] = np.arange(offsets.shape[0])
+    ext = idx.max(axis=0)
+    candidates = itertools.product(itertools.permutations(range(dim)),
+                                   itertools.product((1, -1), repeat=dim))
+    next(candidates)  # the identity
+    for perm, signs in candidates:
+        perm, signs = list(perm), np.array(signs)
+        if not np.array_equal(ext[perm], ext):
+            continue
+        sigma = slot_of[tuple((offsets[:, perm] * signs + 2).T)]
+        if not np.array_equal(w_slot[sigma], w_slot, equal_nan=True):
+            continue
+        image = np.where(signs > 0, idx[:, perm], ext - idx[:, perm])
+        pi = grid[tuple((image + 2).T)]
+        if np.all(pi >= 0):
+            perms.append(pi)
+    return perms
 
 
 def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
@@ -250,27 +310,43 @@ def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
     Exact bounding-diameter sweeps (Takes & Kosters 2011, for directed
     graphs), in O(n) memory.  A sweep runs Dijkstra from a source s forward,
     giving ecc(s), and on the transposed graph, giving d(., s); so ecc(i) <=
-    ub(i) = min over sources of d(i, s) + ecc(s).  Nodes with ub <= best *
-    (1 - 1e-12), best the largest source eccentricity, are dropped: the margin
-    covers rounding in path sums, so the result is the all-pairs max, bit for
-    bit.  The next source is the live node with the largest ub.  A node that
-    cannot reach a source keeps ub = inf until its own sweep fails.
+    ub(i) = min over sources of d(i, s) + ecc(s).  When the graph equals its
+    transpose (a reversible norm) the forward run is also d(., s).  Each
+    lattice symmetry pi (:func:`_lattice_symmetries`) is a graph
+    automorphism, so d(pi i, pi s) = d(i, s) and ecc(pi s) = ecc(s): the
+    sweep bounds ub(pi i) too and retires the whole orbit of s.  That holds
+    for the computed floats as well: when every weight raises a path sum
+    (fl(d + w) > d), Dijkstra's distances are the unique solution of the
+    rounded Bellman equation d(v) = min_u fl(d(u) + w(u, v)), which pi maps
+    onto itself.
+    Nodes with ub <= best * (1 - 1e-12), best the largest source
+    eccentricity, are dropped: the margin covers rounding in path sums, so
+    the result is the all-pairs max, bit for bit.  The next source is the
+    live node with the largest ub.  A node that cannot reach a source keeps
+    ub = inf until its own sweep fails.  The symmetries add at most
+    2^dim dim! - 1 index arrays of length n.
     """
     g = domain.edge_graph(norm)
     gt = g.T.tocsr()
+    undirected = (g != gt).nnz == 0
+    perms = _lattice_symmetries(domain, norm)
     ub = np.full(domain.n_nodes, np.inf)
     live = np.ones(domain.n_nodes, dtype=bool)
     best = 0.0
     s = 0
     while True:
         out = dijkstra(g, directed=True, indices=s)
-        into = dijkstra(gt, directed=True, indices=s)
         if not np.all(np.isfinite(out)):
             raise ValueError("domain graph is disconnected")
+        into = out if undirected else dijkstra(gt, directed=True, indices=s)
         ecc = float(out.max())
         best = max(best, ecc)
-        np.minimum(ub, into + ecc, out=ub)
+        bound = into + ecc
+        np.minimum(ub, bound, out=ub)
         live[s] = False
+        for pi in perms:
+            ub[pi] = np.minimum(ub[pi], bound)
+            live[pi[s]] = False
         live &= ub > best * (1.0 - 1e-12)
         if not live.any():
             return best

@@ -594,12 +594,39 @@ def _downcross_or_escape(K, lam, t, v, w, w_prev) -> bool:
         and w < -0.5 * v * (math.sqrt(T * T - 4.0 * lam) - T))
 
 
+def _downcross_or_pole(drift, lam, t, v, w, w_prev) -> bool:
+    """:func:`_downcross`, or the first maximum is out of reach before the
+    drift pole on the tan chart.
+
+    While v > 0, r = v'/v obeys r' = -(r^2 - T r + lam).  Past t = 0 the drift
+    T rises to +inf at the pole; once T > 2 sqrt(lam) the lower root
+    r_- = 2 lam / (T + sqrt(T^2 - 4 lam)) of r^2 - T r + lam only decreases
+    and r cannot fall below it, so v > 0 with v' > r_- v keeps v' > 0 up to
+    the pole.  Without this a failing probe runs, ever stiffer, into the pole
+    until its step size underflows.
+    """
+    if _downcross(t, v, w, w_prev):
+        return True
+    if v <= 0.0:
+        return False
+    T = drift(t)
+    disc = T * T - 4.0 * lam
+    return T > 0.0 and disc > 0.0 and w * (T + math.sqrt(disc)) > 2.0 * lam * v
+
+
 # Shots of the fit run at this tolerance: a probe's v(b) must be far below
 # the fit tolerance _FIT_TOL off the true maximum.  At the default tolerance
 # it can be 1.7e-7 off (K=3, N=inf, lam=3.2, k=3).
 _PROBE_TOL = {"rtol": 1e-12, "atol": 1e-14}
 _FIT_TOL = 1e-8
 _DENSE_SAMPLES = 2000
+
+
+def _fits(top: float, k: float) -> bool:
+    """A first maximum ``top`` fits k within _FIT_TOL, relative to max(1, k):
+    at large k, probes that differ in the last bits of a differ by more
+    than an absolute 1e-8 in M (1e-7 at k = 1e6, K = -1, N = inf)."""
+    return abs(top - k) <= _FIT_TOL * max(1.0, k)
 
 
 def _hermite5(x, h, y0, d0, dd0, y1, d1, dd1):
@@ -645,7 +672,10 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     The integration ends with the step where v' falls through 0: b is the
     root of that step's quintic Hermite interpolant of v' and v(b) the value
     of its interpolant of v (:func:`_hermite5` on :func:`_jets`), so a shot
-    integrates once.
+    integrates once.  On the linear chart with K < 0 and on the tan chart it
+    ends as soon as the first maximum is out of reach
+    (:func:`_downcross_or_escape`, :func:`_downcross_or_pole`), and the shot
+    fails.
     """
     Tf = problem.drift()
     span0 = min(math.pi / math.sqrt(lam), t_cap - a)
@@ -654,6 +684,8 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     until = _downcross
     if problem.chart == "linear" and problem.K < 0:
         until = partial(_downcross_or_escape, problem.K, lam)
+    elif problem.chart == "tan":
+        until = partial(_downcross_or_pole, Tf, lam)
     ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **_PROBE_TOL)
     if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
         raise SolverError("no critical point of v' before the chart boundary "
@@ -753,7 +785,7 @@ def _walk(p, grow=lambda p: p * 2.0):
 def _fit_param(family, k: float, p0: float, offsets, rising: bool,
                m: float | None = None) -> ModelSolution | None:
     """The member p of a family of shots whose first maximum M(p) =
-    family(p).top is within _FIT_TOL of k, sampled from its own shot, or
+    family(p).top fits k (:func:`_fits`), sampled from its own shot, or
     None if ``offsets`` ends first.
 
     M is monotone in p, rising if ``rising``.  M(p0) is ``m`` or is shot;
@@ -784,7 +816,7 @@ def _fit_param(family, k: float, p0: float, offsets, rising: bool,
         return g_p
 
     def done():
-        return best is not None and best[0] <= _FIT_TOL
+        return best is not None and _fits(best[2].top, k)
 
     g_prev = g(p0) if m is None else m - k
     if done():
@@ -899,7 +931,7 @@ def _fit_infinite(K: float, lam: float, k: float) -> ModelSolution:
 
 def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolution:
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
-    min = -1 and max = k, to within _FIT_TOL = 1e-8.
+    min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;
@@ -920,11 +952,11 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     m = ms.max_value
     if not (m * (1.0 - 1e-9) <= k <= (1.0 + 1e-9) / m):
         raise ValueError(f"k={k} outside the admissible range [{m}, {1/m}]")
-    if abs(k - m) <= _FIT_TOL:
+    if _fits(m, k):
         return ms
     if k > 1.0:
         kp = 1.0 / k
-        base = ms if abs(kp - m) <= _FIT_TOL else _fit_below_finite(K, N, lam, kp, m)
+        base = ms if _fits(m, kp) else _fit_below_finite(K, N, lam, kp, m)
         return _reflect(base, kp)
     return _fit_below_finite(K, N, lam, k, m)
 

@@ -14,7 +14,6 @@ from fingap.domain import (
     CurvatureCertificate,
     DomainSpec,
     analytic_diameter,
-    asymmetric_distance,
     build_domain,
     curvature_certificate,
     diameter,
@@ -168,15 +167,20 @@ class TestBuild:
             assert d.total_measure > 0
 
 
+def distance(d, norm, i, j):
+    """Directed shortest-path distance node i -> node j on the stencil graph."""
+    return dijkstra(d.edge_graph(norm), directed=True, indices=i)[j]
+
+
 class TestDistances:
     def test_two_slope_interval_endpoints(self):
         spec = interval_spec(norm=two_slope_norm(2.0, 0.5))
         d = build_domain(spec)
         i0 = int(np.argmin(d.nodes[:, 0]))
         i1 = int(np.argmax(d.nodes[:, 0]))
-        assert asymmetric_distance(d, spec.norm, i0, i1) == pytest.approx(2.0)
-        assert asymmetric_distance(d, spec.norm, i1, i0) == pytest.approx(0.5)
-        assert asymmetric_distance(d, spec.norm, i0, i0) == 0.0
+        assert distance(d, spec.norm, i0, i1) == pytest.approx(2.0)
+        assert distance(d, spec.norm, i1, i0) == pytest.approx(0.5)
+        assert distance(d, spec.norm, i0, i0) == 0.0
 
     def test_one_dim_distance_is_segment_integral(self):
         spec = interval_spec(norm=two_slope_norm(3.0, 0.7), res=8)
@@ -186,7 +190,7 @@ class TestDistances:
             for j in range(d.n_nodes):
                 gap = xs[j] - xs[i]
                 expect = 3.0 * gap if gap >= 0 else -0.7 * gap
-                assert asymmetric_distance(d, spec.norm, i, j) == pytest.approx(
+                assert distance(d, spec.norm, i, j) == pytest.approx(
                     expect, abs=1e-12
                 )
 
@@ -195,7 +199,7 @@ class TestDistances:
         d = build_domain(spec)
         c00 = int(np.argmin(d.nodes[:, 0] + d.nodes[:, 1]))
         c11 = int(np.argmax(d.nodes[:, 0] + d.nodes[:, 1]))
-        dist = asymmetric_distance(d, spec.norm, c00, c11)
+        dist = distance(d, spec.norm, c00, c11)
         assert dist <= math.sqrt(2) * 1.03
         assert dist >= math.sqrt(2) - 1e-12
 
@@ -206,8 +210,8 @@ class TestDistances:
         mid = np.abs(d.nodes[:, 1])
         left = int(np.argmin(d.nodes[:, 0] * 100 + mid))
         right = int(np.argmax(d.nodes[:, 0] * 100 - mid))
-        assert asymmetric_distance(d, norm, left, right) == pytest.approx(1.5)
-        assert asymmetric_distance(d, norm, right, left) == pytest.approx(0.5)
+        assert distance(d, norm, left, right) == pytest.approx(1.5)
+        assert distance(d, norm, right, left) == pytest.approx(0.5)
 
     def test_directed_triangle_inequality_1000(self):
         norm = randers_norm(np.eye(2), [0.4, -0.2])
@@ -277,13 +281,44 @@ class TestDiameter:
         box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=6),
         DomainSpec(shape="ball", norm=randers_norm(np.eye(3), [0.2, 0.0, 0.1]),
                    radius=0.5, resolution=8),
+        # partly symmetric: only some signed axis permutations are automorphisms
+        box_spec(lengths=(1.0, 0.6), res=20),
+        box_spec(norm=euclidean_norm(3), lengths=(1.0, 0.6, 1.0), res=7),
+        box_spec(norm=randers_norm(np.eye(2), [0.3, 0.0]), res=20),
+        box_spec(norm=randers_norm(np.eye(2), [0.2, 0.2]), res=20),
+        box_spec(norm=quadratic_norm(np.diag([2.0, 1.0, 2.0])),
+                 lengths=(1.0, 1.0, 1.0), res=7),
+        interval_spec(norm=two_slope_norm(2.0, 2.0), res=40),
     ], ids=["twoslope-interval", "box-euclid", "box-quadratic", "box-randers",
-            "ball-euclid-r30", "ball-randers-r30", "box3d", "ball3d-randers"])
+            "ball-euclid-r30", "ball-randers-r30", "box3d", "ball3d-randers",
+            "box-unequal", "box3d-unequal", "randers-axis", "randers-diagonal",
+            "box3d-quadratic", "twoslope-symmetric"])
     def test_sweeps_match_all_pairs(self, spec):
         # the pruned sweeps return the all-pairs max, bit for bit
         d = build_domain(spec)
         full = float(dijkstra(d.edge_graph(spec.norm), directed=True).max())
         assert diameter(d, spec.norm) == full
+
+    @pytest.mark.parametrize("edit", ["cut-mask", "stretched-weights"])
+    def test_sweeps_match_all_pairs_hand_edited(self, edit):
+        # "cut-mask": nodes left of x = 0 lose their radius-2 out-edges, so the
+        # edges are no longer the full lattice stencil; "stretched-weights":
+        # out-edges right of x = 0.3 weigh twice as much, so a weight no longer
+        # depends on its offset alone.  Both graphs are directed, and the
+        # square's eight symmetries would give a wrong diameter: none is used
+        d = build_domain(box_spec(res=20))
+        x = d.nodes[:, 0]
+        mask, disp = d.neighbor_mask.copy(), d.neighbor_disp.copy()
+        if edit == "cut-mask":
+            mask[x < 0] &= np.abs(disp[x < 0]).max(axis=2) < 1.5 * d.h
+        else:
+            disp[x > 0.3] *= 2.0
+        cut = dataclasses.replace(d, neighbor_mask=mask, neighbor_disp=disp,
+                                  _cache={})
+        norm = cut.spec.norm
+        assert domain_mod._lattice_symmetries(cut, norm) == []
+        full = float(dijkstra(cut.edge_graph(norm), directed=True).max())
+        assert diameter(cut, norm) == full
 
     @pytest.mark.parametrize("keep", ["split", "one-way"])
     def test_disconnected_graph_rejected(self, keep):
@@ -301,23 +336,38 @@ class TestDiameter:
         with pytest.raises(ValueError, match="disconnected"):
             diameter(cut, cut.spec.norm)
 
-    def test_sweeps_use_few_sources(self, monkeypatch):
-        # work guard without a timer: count Dijkstra source rows
-        rows = []
+    @pytest.fixture
+    def dijkstra_calls(self, monkeypatch):
+        """Work guard without a timer: (graph, source rows) of each Dijkstra."""
+        calls = []
         real = domain_mod.dijkstra
 
         def counting(graph, *args, indices=None, **kwargs):
-            rows.append(graph.shape[0] if indices is None
-                        else np.atleast_1d(indices).size)
+            calls.append((graph, graph.shape[0] if indices is None
+                          else np.atleast_1d(indices).size))
             return real(graph, *args, indices=indices, **kwargs)
 
         monkeypatch.setattr(domain_mod, "dijkstra", counting)
+        return calls
+
+    def test_sweeps_use_few_sources(self, dijkstra_calls):
         spec = DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
                           resolution=60)
         d = build_domain(spec)
         assert d.n_nodes == 2821
         diameter(d, spec.norm)
-        assert sum(rows) <= 0.15 * d.n_nodes
+        assert sum(rows for _, rows in dijkstra_calls) <= 0.01 * d.n_nodes
+
+    def test_undirected_sweeps_run_one_dijkstra(self, dijkstra_calls):
+        # the Euclidean graph equals its transpose, so a sweep runs Dijkstra
+        # once, on the edge graph itself; its 47 symmetries retire most sources
+        spec = box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=8)
+        d = build_domain(spec)
+        g = d.edge_graph(spec.norm)
+        assert len(domain_mod._lattice_symmetries(d, spec.norm)) == 47
+        diameter(d, spec.norm)
+        assert all(graph is g and rows == 1 for graph, rows in dijkstra_calls)
+        assert len(dijkstra_calls) <= 20
 
 
 class TestMeasureConvergence:

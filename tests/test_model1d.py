@@ -461,8 +461,9 @@ class TestFitBranches:
         (3.0, INF, 3.2, 3.0, 1e-8),
     ])
     def test_fit_reaches_k(self, K, N, lam, k, tol):
+        # tol is relative to max(1, k), as the fit's own tolerance
         fit = fit_model_solution(K, N, lam, k)
-        assert abs(fit.max_value - k) <= tol
+        assert abs(fit.max_value - k) <= tol * max(1.0, k)
         assert fit.min_value == -1.0
 
     @pytest.mark.parametrize("K, lam", [(3.0, 3.2), (0.5, 0.7)])
@@ -501,6 +502,28 @@ class TestFitBranches:
             assert early == plain
         else:
             assert len(early[0]) < len(plain[0]) / 100
+
+    @pytest.mark.parametrize("a, reached", [(-1.2, True), (-1.0, True),
+                                            (-0.9, False), (-0.8, False)])
+    def test_pole_stop_ends_only_failing_probes(self, a, reached):
+        # tan chart, K = 1, N = 2, lam = 2.5: the pole is at pi/2 and a first
+        # maximum exists for a <= -1 here; the pole stop ends the other
+        # probes early and never a reachable one
+        lam = 2.5
+        T = ModelProblem(1.0, 2.0, "tan").drift()
+        cap = 0.5 * math.pi * (1.0 - 1e-12)
+        early = model1d._integrate(
+            T, lam, a, -1.0, 0.0, cap,
+            until=lambda *s: model1d._downcross_or_pole(T, lam, *s))
+        near = 0.5 * math.pi * (1.0 - 1e-6)
+        plain = model1d._integrate(T, lam, a, -1.0, 0.0, cap if reached else near,
+                                   until=model1d._downcross)
+        assert (plain[2][-1] <= 0.0) == reached
+        if reached:
+            assert early == plain
+        else:
+            assert early[2][-1] > 0.0
+            assert len(early[0]) < len(plain[0])
 
     def test_tanh_fit_eigenvalue_matches(self):
         lam = 20.0
@@ -542,14 +565,33 @@ class TestFitBranches:
 
     def test_fit_ends_within_tol_or_raises(self):
         # M is so steep in a here that probes 1.3e-14 apart differ by 1e-7;
-        # the fit once settled for a probe 3.7e-8 below k
+        # the fit once settled for a probe 3.7e-8 below k, and with an
+        # absolute 1e-8 tolerance it raised "out of reach" with its closest
+        # probe 1.02e-8 above k.  The tolerance is relative to max(1, k).
         k = 1e6
-        try:
-            fit = fit_model_solution(-1.0, INF, 0.3, k)
-        except ValueError as exc:
-            assert "out of reach" in str(exc)
-        else:
-            assert abs(fit.max_value - k) <= 1e-8
+        fit = fit_model_solution(-1.0, INF, 0.3, k)
+        assert abs(fit.max_value - k) <= 1e-8 * k
+        assert fit.min_value == -1.0
+
+    def test_tan_fit_failing_probes_end_early(self, monkeypatch):
+        # the probes at a = 0 and a = -pi/4 find no first maximum; each ran
+        # into the drift pole until its step size underflowed (0.8 s apiece)
+        steps = []
+        integrate = model1d._integrate
+
+        def counting(*args, **kwargs):
+            try:
+                out = integrate(*args, **kwargs)
+            except model1d.SolverError:
+                steps.append(INF)  # a step size underflow, say
+                raise
+            steps.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(model1d, "_integrate", counting)
+        fit = fit_model_solution(1.0, 2.0, 2.5, 0.8)
+        assert abs(fit.max_value - 0.8) <= 1e-8
+        assert sum(steps) <= 4000
 
 
 class TestFitWork:
