@@ -30,10 +30,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .norms import NormSpec, from_config as norm_from_config, norm_eval, to_config as norm_to_config
 
@@ -48,6 +47,9 @@ __all__ = [
     "domain_spec_from_config",
     "domain_spec_to_config",
 ]
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +143,8 @@ class DiscreteDomain:
         key = _norm_key(norm)
         g = self._cache.get(key)
         if g is None:
+            from scipy.sparse import csr_matrix
+
             mask = self.neighbor_mask
             rows = np.repeat(np.arange(self.n_nodes), mask.sum(axis=1))
             cols = self.neighbor_idx[mask]
@@ -326,6 +330,8 @@ def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
     ub = inf until its own sweep fails.  The symmetries add at most
     2^dim dim! - 1 index arrays of length n.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     g = domain.edge_graph(norm)
     gt = g.T.tocsr()
     undirected = (g != gt).nnz == 0

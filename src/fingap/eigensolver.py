@@ -48,13 +48,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, kron
-from scipy.sparse.linalg import eigsh, splu
 
 from .domain import DiscreteDomain, _stencil_offsets
 from .norms import NormSpec, dual_norm_eval, legendre_inverse
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "EigenResult",
@@ -120,6 +122,8 @@ def _kuhn_slots(dim: int) -> np.ndarray:
 
 
 def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
+    from scipy.sparse import csr_matrix, diags
+
     n, dim, spec = domain.n_nodes, domain.dim, domain.spec
     x = domain.nodes.astype(float)
     if spec.shape == "ball":
@@ -193,6 +197,8 @@ def _energy_and_grad(op: MeshOperator, norm: NormSpec, u: np.ndarray):
 
 def _stiffness(op: MeshOperator, norm: NormSpec):
     """S = D^T (diag(mu) (x) B) D, B the dual norm's matrix (module docstring)."""
+    from scipy.sparse import diags, kron
+
     dual = norm.dual
     if norm.family == "two_slope_1d":
         B = np.array([[dual.a_plus * dual.a_minus]])
@@ -212,6 +218,9 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
     """
     if domain.n_nodes < 3:
         raise ValueError("domain too small for an eigenvalue")
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+
     op = mesh_operator(domain)
     m = op.m
     Mtot = float(m.sum())
@@ -283,6 +292,8 @@ def dense_oracle(domain: DiscreteDomain, norm: NormSpec) -> np.ndarray:
         raise ValueError("dense oracle requires a euclidean or quadratic norm")
     if domain.n_nodes > 5000:
         raise ValueError("dense oracle limited to 5000 nodes")
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
 
     op = mesh_operator(domain)
     S, m = _stiffness(op, norm), op.m

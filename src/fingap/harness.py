@@ -35,7 +35,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -446,6 +445,8 @@ def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
     os.makedirs(out_dir, exist_ok=True)
 
     if jobs > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_pipeline, cases))
     else:

@@ -40,20 +40,20 @@ Hermite interpolant of its steps gives b, v(b) and, for the closest probe
 only, the 2001 samples of the fitted solution.  No parameter is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
-trivially.
+trivially.  The module runs on numpy and the standard library alone (the
+roots of b and of the fit are :func:`_illinois`); only the oracle imports
+``scipy.linalg``, when it is called, so the model layer loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 __all__ = [
     "SolverError",
@@ -629,6 +629,33 @@ def _fits(top: float, k: float) -> bool:
     return abs(top - k) <= _FIT_TOL * max(1.0, k)
 
 
+def _illinois(f, ends: list, stop) -> list:
+    """Illinois regula falsi on the bracket ``ends`` = [(x0, f(x0)), (x1,
+    f(x1))], whose values differ in sign (either may be infinite), until
+    ``stop(x0, x1)`` holds or 200 steps are taken; returns the last bracket.
+
+    A step bisects where an end has no finite value or the false-position
+    point leaves the bracket, and halves the value kept at an end that
+    stayed twice.
+    """
+    moved = None
+    for _ in range(200):
+        (x0, g0), (x1, g1) = ends
+        if stop(x0, x1):
+            break
+        x = 0.5 * (x0 + x1)
+        if math.isfinite(g0) and math.isfinite(g1):
+            xf = x1 - g1 * (x1 - x0) / (g1 - g0)
+            if min(x0, x1) < xf < max(x0, x1):
+                x = xf
+        gx = f(x)
+        side = 0 if (gx < 0.0) == (g0 < 0.0) else 1
+        if side == moved:  # the other end stayed twice: halve its value
+            ends[1 - side] = (ends[1 - side][0], 0.5 * ends[1 - side][1])
+        ends[side], moved = (x, gx), side
+    return ends
+
+
 def _hermite5(x, h, y0, d0, dd0, y1, d1, dd1):
     """Quintic Hermite interpolant at x in [0, 1] of a step of length h whose
     ends have values y, first derivatives d and second derivatives dd;
@@ -670,10 +697,11 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     """Shoot from a at ``_PROBE_TOL`` up to the first interior zero b of v'.
 
     The integration ends with the step where v' falls through 0: b is the
-    root of that step's quintic Hermite interpolant of v' and v(b) the value
-    of its interpolant of v (:func:`_hermite5` on :func:`_jets`), so a shot
-    integrates once.  On the linear chart with K < 0 and on the tan chart it
-    ends as soon as the first maximum is out of reach
+    root of that step's quintic Hermite interpolant of v' (:func:`_illinois`
+    down to a bracket 1e-15 wide in the step's unit interval) and v(b) the
+    value of its interpolant of v (:func:`_hermite5` on :func:`_jets`), so a
+    shot integrates once.  On the linear chart with K < 0 and on the tan
+    chart it ends as soon as the first maximum is out of reach
     (:func:`_downcross_or_escape`, :func:`_downcross_or_pole`), and the shot
     fails.
     """
@@ -694,8 +722,10 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     (v0, v1), (w0, w1) = vs[-2:], ws[-2:]
     (wp0, wpp0), (wp1, wpp1) = (_jets(problem, lam, Tf(t), v, w)
                                 for t, v, w in zip(ts[-2:], vs[-2:], ws[-2:]))
-    x = brentq(lambda x: _hermite5(x, h, w0, wp0, wpp0, w1, wp1, wpp1), 0.0, 1.0,
-               xtol=1e-15)
+    (x0, _), (x1, _) = _illinois(
+        lambda x: _hermite5(x, h, w0, wp0, wpp0, w1, wp1, wpp1),
+        [(0.0, w0), (1.0, w1)], lambda x0, x1: abs(x1 - x0) <= 1e-15)
+    x = 0.5 * (x0 + x1)
     top = _hermite5(x, h, v0, w0, wp0, v1, w1, wp1)
     return _Shot(problem, lam, a_exact, ts[-2] + x * h, top, ts, vs, ws)
 
@@ -735,6 +765,7 @@ def model_threshold(K: float, N: float) -> float:
     return abs(K) * (N - 1.0) / 4.0
 
 
+@lru_cache(maxsize=1)
 def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """Solution v with v(a) = -1, v'(a) = 0 from the chart endpoint, up to the
     first zero b of v'.  Its maximum v(b) is the comparison bound m_{K,N}.
@@ -742,6 +773,10 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     Requires finite N and lam >= :func:`model_threshold` (strictly above it
     for K <= 0); at equality (K > 0) the solution is the analytic sine mode
     with b at the chart boundary and m = 1.
+
+    The last solution is kept and returned again for equal arguments (a
+    lattice case needs it in the fit and in the maxima check), so its arrays
+    are read-only.
     """
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
@@ -754,12 +789,17 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
         if lam <= thresh * (1.0 + 1e-12):
             al = math.sqrt(K / (N - 1.0))
             ts = np.linspace(-half, half, 2001)
-            return ModelSolution(a=-half, b=half, lam=thresh, ts=ts,
-                                 vs=np.sin(al * ts), vps=al * np.cos(al * ts))
-        return _solution(_first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12)))
-    if lam <= thresh:
+            sol = ModelSolution(a=-half, b=half, lam=thresh, ts=ts,
+                                vs=np.sin(al * ts), vps=al * np.cos(al * ts))
+        else:
+            sol = _solution(_first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12)))
+    elif lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
-    return _solution(_first_max(prob, lam, 0.0, t_cap=_INF))
+    else:
+        sol = _solution(_first_max(prob, lam, 0.0, t_cap=_INF))
+    for x in (sol.ts, sol.vs, sol.vps):
+        x.flags.writeable = False
+    return sol
 
 
 def _reflect(sol: ModelSolution, kprime: float) -> ModelSolution:
@@ -790,13 +830,12 @@ def _fit_param(family, k: float, p0: float, offsets, rising: bool,
 
     M is monotone in p, rising if ``rising``.  M(p0) is ``m`` or is shot;
     p then runs over p0 +- offsets, on the side where M moves toward k,
-    until M crosses k, and Illinois regula falsi on g = M - k narrows that
-    step, bisecting where an end has no finite g or the false-position
-    point leaves the bracket.  A probe with no first maximum counts as
-    M = +inf if M rises and 0 if it falls (on the linear and constant
-    charts the maximum escapes to infinity past a finite parameter, where M
-    tends to that limit); one whose v diverges counts as M = +inf.  Only
-    the closest probe's shot is kept.
+    until M crosses k, and :func:`_illinois` on g = M - k narrows that
+    step.  A probe with no first maximum counts as M = +inf if M rises and
+    0 if it falls (on the linear and constant charts the maximum escapes to
+    infinity past a finite parameter, where M tends to that limit); one
+    whose v diverges counts as M = +inf.  Only the closest probe's shot is
+    kept.
     If the bracket collapses first: ValueError naming the closest M if
     probes failed (k is out of reach), else SolverError.
     """
@@ -832,21 +871,8 @@ def _fit_param(family, k: float, p0: float, offsets, rising: bool,
     else:
         return None
 
-    ends, moved = [(prev, g_prev), (p, g_p)], None
-    for _ in range(200):
-        (x0, g0), (x1, g1) = ends
-        if done() or abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)):
-            break
-        x = 0.5 * (x0 + x1)
-        if math.isfinite(g0) and math.isfinite(g1):
-            xf = x1 - g1 * (x1 - x0) / (g1 - g0)
-            if min(x0, x1) < xf < max(x0, x1):
-                x = xf
-        gx = g(x)
-        side = 0 if (gx < 0.0) == (g0 < 0.0) else 1
-        if side == moved:  # the other end stayed twice: halve its g
-            ends[1 - side] = (ends[1 - side][0], 0.5 * ends[1 - side][1])
-        ends[side], moved = (x, gx), side
+    _illinois(g, [(prev, g_prev), (p, g_p)], lambda x0, x1: done() or
+              abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)))
     if done():
         return _solution(best[2], best[1])
     if failed and best is not None:
@@ -1005,5 +1031,7 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     if np.any(prod <= 0):
         raise SolverError("oracle grid too coarse to symmetrize the drift")
     off = np.sqrt(prod)
-    vals = eigh_tridiagonal(d, off, select="i", select_range=(0, k - 1))[0]
-    return vals
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                            select_range=(0, k - 1))

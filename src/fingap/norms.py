@@ -27,7 +27,8 @@ inverse is the gradient of F*^2/2, which is the Legendre transform of the
 dual.  So F* and l^{-1} are ``norm_eval`` and ``legendre`` of ``norm.dual``,
 and each formula is written once.  The dual closed forms are cross-checked
 in the test suite against a generic numeric supremum oracle
-(``dual_norm_numeric``).
+(``dual_norm_numeric``), the only user of ``scipy.optimize`` in fingap, which
+imports it when called.
 
 ``NormSpec.sphere_max`` is max F(u) over the Euclidean unit sphere: 1,
 sqrt(lambda_max(A)) and max(a_plus, a_minus) in closed form, a batched
@@ -45,7 +46,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "NormSpec",
@@ -358,6 +358,8 @@ def _sphere_search(ratio, dim: int, seed: int, tol: float) -> float:
     """
     if dim == 1:
         return float(np.max(ratio(np.array([[1.0], [-1.0]]))))
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((max(64 * dim, 128), dim))
     dirs = np.concatenate([dirs, np.eye(dim), -np.eye(dim)])

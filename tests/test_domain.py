@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 from scipy.sparse.csgraph import dijkstra
 from scipy.special import erf
 
@@ -340,14 +341,15 @@ class TestDiameter:
     def dijkstra_calls(self, monkeypatch):
         """Work guard without a timer: (graph, source rows) of each Dijkstra."""
         calls = []
-        real = domain_mod.dijkstra
+        real = csgraph.dijkstra
 
         def counting(graph, *args, indices=None, **kwargs):
             calls.append((graph, graph.shape[0] if indices is None
                           else np.atleast_1d(indices).size))
             return real(graph, *args, indices=indices, **kwargs)
 
-        monkeypatch.setattr(domain_mod, "dijkstra", counting)
+        # diameter imports dijkstra from scipy.sparse.csgraph when called
+        monkeypatch.setattr(csgraph, "dijkstra", counting)
         return calls
 
     def test_sweeps_use_few_sources(self, dijkstra_calls):

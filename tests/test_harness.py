@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from fingap import model1d
 from fingap.domain import CurvatureCertificate, DomainSpec, build_domain
 from fingap.eigensolver import EigenResult
 from fingap.harness import (
@@ -166,6 +167,24 @@ class TestMaxima:
         assert not mx.inconclusive
         assert mx.fraction == 1.0
         assert mx.worst_violation == 0.0
+
+    def test_one_model_shot_per_case(self, monkeypatch):
+        # the fit takes m from model_solution and the maxima check takes
+        # m_{K,N} from it: one shot serves both, and no other shot repeats
+        shots = []
+        first_max = model1d._first_max
+
+        def counting(problem, lam, a, *args, **kwargs):
+            shots.append((problem.chart, problem.c, lam, a))
+            return first_max(problem, lam, a, *args, **kwargs)
+
+        model1d.model_solution.cache_clear()
+        monkeypatch.setattr(model1d, "_first_max", counting)
+        result = run_case(box_case(res=(10, 20)))
+        assert not result.maxima.inconclusive
+        assert not result.gradient_comparison.inconclusive
+        assert shots.count(("power", 0.0, result.eigen.lam, 0.0)) == 1, shots
+        assert len(set(shots)) == len(shots), shots
 
     def test_infinite_N_inconclusive(self):
         result = run_case(sharp_case(res=(25, 50)))
