@@ -24,8 +24,11 @@ v(a) = -1, v'(a) = 0 and read the scaled Pruefer phase
 Theta = atan2(v'/sqrt(lambda), -v) off the accepted steps.  Theta(b) - pi
 is negative below lambda_1 and positive above it, and a secant on it, loose
 shots first, finds lambda_1 (on a centered interval the shot stops at 0,
-where the odd first eigenfunction vanishes).  A strictly independent dense
-finite-difference Sturm-Liouville oracle is provided for cross-validation.
+where the odd first eigenfunction vanishes).  A strictly independent
+finite-difference Sturm-Liouville oracle is provided for cross-validation:
+shift-invert Lanczos on the symmetrized tridiagonal matrix, factored once,
+stopped when each Ritz value's error bound is at most eps ||A||_1 (the
+default tolerance of LAPACK's bisection).
 Singular chart endpoints (tan at +-pi/(2a), coth/power at 0) are started
 from the series v = -1 + lambda/(2N) (t-a)^2, which follows from the
 endpoint balance v''(a) = lambda/N.
@@ -42,7 +45,7 @@ only, the 2001 samples of the fitted solution.  No parameter is shot twice.
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.  The module runs on numpy and the standard library alone (the
 roots of b and of the fit are :func:`_illinois`); only the oracle imports
-``scipy.linalg``, when it is called, so the model layer loads no scipy.
+``scipy.linalg.lapack``, when it is called, so the model layer loads no scipy.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class _Diverged(SolverError):
 # chart table
 
 # Drift builders take xp = math (a scalar closure for the integrator, which
-# calls it 7 times per RK step, so the constants are bound once) or xp = np.
+# calls it 6 times per RK step, so the constants are bound once) or xp = np.
 
 
 def _tan(p, xp):
@@ -352,7 +355,8 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
             - (5103.0 / 18656.0) * k5w
         )
         k6v = yw
-        k6w = Tfun(tt) * yw - lam * yv
+        T_end = Tfun(tt)  # the drift at t + h serves k6 and k7
+        k6w = T_end * yw - lam * yv
 
         y5v = v + h * (
             (35.0 / 384.0) * k1v
@@ -369,7 +373,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
             + (11.0 / 84.0) * k6w
         )
         k7v = y5w
-        k7w = Tfun(t + h) * y5w - lam * y5v
+        k7w = T_end * y5w - lam * y5v
 
         errv = h * (
             (71.0 / 57600.0) * k1v
@@ -629,25 +633,27 @@ def _fits(top: float, k: float) -> bool:
     return abs(top - k) <= _FIT_TOL * max(1.0, k)
 
 
-def _illinois(f, ends: list, stop) -> list:
+def _illinois(f, ends: list, xtol: float, done=lambda: False) -> list:
     """Illinois regula falsi on the bracket ``ends`` = [(x0, f(x0)), (x1,
     f(x1))], whose values differ in sign (either may be infinite), until
-    ``stop(x0, x1)`` holds or 200 steps are taken; returns the last bracket.
+    ``done()`` holds, the bracket is at most ``xtol`` wide or 200 steps are
+    taken; returns the last bracket.
 
-    A step bisects where an end has no finite value or the false-position
-    point leaves the bracket, and halves the value kept at an end that
-    stayed twice.
+    A step bisects where an end has no finite value or the bracket is at
+    most 2 xtol wide, and halves the value kept at an end that stayed twice.
+    As in Brent's method, the false-position point is kept at least xtol
+    inside each end: once an end is the root to rounding, the point would
+    round onto that end, and the other end would only move in by halves.
     """
     moved = None
     for _ in range(200):
         (x0, g0), (x1, g1) = ends
-        if stop(x0, x1):
+        if done() or abs(x1 - x0) <= xtol:
             break
+        lo, hi = min(x0, x1) + xtol, max(x0, x1) - xtol
         x = 0.5 * (x0 + x1)
-        if math.isfinite(g0) and math.isfinite(g1):
-            xf = x1 - g1 * (x1 - x0) / (g1 - g0)
-            if min(x0, x1) < xf < max(x0, x1):
-                x = xf
+        if math.isfinite(g0) and math.isfinite(g1) and lo < hi:
+            x = min(max(x1 - g1 * (x1 - x0) / (g1 - g0), lo), hi)
         gx = f(x)
         side = 0 if (gx < 0.0) == (g0 < 0.0) else 1
         if side == moved:  # the other end stayed twice: halve its value
@@ -724,7 +730,7 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
                                 for t, v, w in zip(ts[-2:], vs[-2:], ws[-2:]))
     (x0, _), (x1, _) = _illinois(
         lambda x: _hermite5(x, h, w0, wp0, wpp0, w1, wp1, wpp1),
-        [(0.0, w0), (1.0, w1)], lambda x0, x1: abs(x1 - x0) <= 1e-15)
+        [(0.0, w0), (1.0, w1)], 1e-15)
     x = 0.5 * (x0 + x1)
     top = _hermite5(x, h, v0, w0, wp0, v1, w1, wp1)
     return _Shot(problem, lam, a_exact, ts[-2] + x * h, top, ts, vs, ws)
@@ -871,8 +877,8 @@ def _fit_param(family, k: float, p0: float, offsets, rising: bool,
     else:
         return None
 
-    _illinois(g, [(prev, g_prev), (p, g_p)], lambda x0, x1: done() or
-              abs(x1 - x0) <= 1e-15 * (1.0 + abs(x0) + abs(x1)))
+    _illinois(g, [(prev, g_prev), (p, g_p)],
+              1e-15 * (1.0 + abs(prev) + abs(p)), done)
     if done():
         return _solution(best[2], best[1])
     if failed and best is not None:
@@ -988,22 +994,84 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
 
 
 # ---------------------------------------------------------------------------
-# dense finite-difference oracle
+# finite-difference oracle
+
+
+def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int,
+                        sigma: float) -> np.ndarray:
+    """The k lowest eigenvalues, sorted, of the symmetric tridiagonal matrix A
+    with diagonal d and off-diagonal off, where A + sigma I is positive
+    definite.
+
+    Shift-invert Lanczos: A + sigma I is factored once (LAPACK ``dpttrf``),
+    and each step is one solve with it (``dpttrs``), from the start vector
+    cos(0), cos(1), ..., with full reorthogonalization in two Gram-Schmidt
+    passes.  A Ritz value theta of (A + sigma I)^{-1} with residual r and
+    distance gap to the nearest other Ritz value gives 1/theta - sigma within
+    min(r, r^2/gap)/theta^2 of an eigenvalue of A; the iteration stops once
+    that bound is at most eps ||A||_1 for the first k, the default absolute
+    tolerance of LAPACK's bisection (``dstebz``).  Raises SolverError if the
+    factorization finds A + sigma I not positive definite, or the bound is
+    not met within min(n, 200) steps.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    n = d.size
+    a_off = np.abs(off)
+    tol = np.finfo(float).eps * float(np.max(np.abs(d) + np.r_[a_off, 0.0]
+                                             + np.r_[0.0, a_off]))
+    df, ef, info = dpttrf(d + sigma, off)
+    if info != 0:
+        raise SolverError(f"shifted oracle matrix is not positive definite "
+                          f"(dpttrf info {info})")
+    steps = min(n, 200)
+    Q = np.empty((steps + 1, n))  # Lanczos vectors; only used rows are touched
+    H = np.zeros((steps, steps))  # the Lanczos tridiagonal
+    q = np.cos(np.arange(n, dtype=float))
+    Q[0] = q / np.linalg.norm(q)
+    for j in range(steps):
+        w, _ = dpttrs(df, ef, Q[j])
+        basis = Q[:j + 1]
+        for _ in range(2):
+            c = basis @ w
+            w -= c @ basis
+            H[j, j] += c[j]
+        beta = float(np.linalg.norm(w))
+        if j + 1 >= k:
+            theta, S = np.linalg.eigh(H[:j + 1, :j + 1])
+            theta, S = theta[::-1], S[:, ::-1]  # largest first
+            gaps = np.diff(-theta)
+            gap = np.minimum(np.r_[_INF, gaps], np.r_[gaps, _INF])[:k]
+            r = beta * np.abs(S[j, :k])
+            if np.all(np.minimum(r, r * r / gap) <= tol * theta[:k] ** 2):
+                return np.sort(1.0 / theta[:k] - sigma)
+        if beta == 0.0:  # an invariant subspace holding fewer than k
+            break
+        Q[j + 1] = w / beta
+        H[j, j + 1] = H[j + 1, j] = beta
+    raise SolverError(f"oracle Lanczos did not converge in {j + 1} steps")
 
 
 def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
                            n_nodes: int = 4000, k: int = 5) -> np.ndarray:
-    """First k Neumann eigenvalues by dense finite differences.
+    """First k Neumann eigenvalues by finite differences.
 
     Three-point interior discretization of v'' - T v' with second-order
     one-sided Neumann rows, boundary unknowns eliminated, and the resulting
     tridiagonal matrix symmetrized by a diagonal similarity.  Fully
     independent of the shooting path.  Endpoints must be regular.
 
+    The matrix is positive semidefinite (its lowest eigenvalue is 0 up to
+    rounding), so shifted by sigma = (pi/(b - a))^2 it is positive definite:
+    :func:`_lowest_eigenvalues` runs shift-invert Lanczos on it, about 7-18
+    steps of one tridiagonal solve each, and stops once every one of the k
+    values is within eps ||A||_1 (the tolerance of LAPACK's bisection).
+
     Rounding sets a floor of about eps/h^2 absolute (the matrix entries are
     of order 1/h^2), which refining the grid raises: for
-    ``lambda1_model(-4, 5, 8)`` = 1.077458e-5 the oracle gives 1.077447e-5 /
-    1.077523e-5 / 1.077811e-5 at 8000 / 16000 / 32000 nodes, so it cannot
+    ``lambda1_model(-4, 5, 8)`` = 1.077458e-5 the oracle gives 1.077424e-5 /
+    1.077464e-5 / 1.077378e-5 at 8000 / 16000 / 32000 nodes (-3.2e-5 /
+    +5.6e-6 / -7.4e-5 relative), no closer on finer grids, so it cannot
     referee an exponentially small eigenvalue.
     """
     problem.validate_interval(a, b)
@@ -1030,8 +1098,4 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     prod = up[:-1] * lo[1:]
     if np.any(prod <= 0):
         raise SolverError("oracle grid too coarse to symmetrize the drift")
-    off = np.sqrt(prod)
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(d, off, eigvals_only=True, select="i",
-                            select_range=(0, k - 1))
+    return _lowest_eigenvalues(d, np.sqrt(prod), k, (math.pi / (b - a)) ** 2)

@@ -358,6 +358,7 @@ class TestDiameter:
         d = build_domain(spec)
         assert d.n_nodes == 2821
         diameter(d, spec.norm)
+        assert dijkstra_calls
         assert sum(rows for _, rows in dijkstra_calls) <= 0.01 * d.n_nodes
 
     def test_undirected_sweeps_run_one_dijkstra(self, dijkstra_calls):
@@ -368,6 +369,7 @@ class TestDiameter:
         g = d.edge_graph(spec.norm)
         assert len(domain_mod._lattice_symmetries(d, spec.norm)) == 47
         diameter(d, spec.norm)
+        assert dijkstra_calls
         assert all(graph is g and rows == 1 for graph, rows in dijkstra_calls)
         assert len(dijkstra_calls) <= 20
 

@@ -1,11 +1,15 @@
 """1-D model operators: drift identities, shooting goldens, eigenvalues, fits."""
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import j0, jn_zeros
 
 from fingap import model1d
@@ -615,6 +619,45 @@ class TestFitWork:
         assert not capped
 
 
+def _model_sweep_fits(seed):
+    """The fit inputs of the benchmark's model-sweep workload for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_inputs("model-sweep", seed)["fits"]
+
+
+class TestQuinticRoots:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_model_sweep_roots_take_few_evaluations(self, monkeypatch, seed):
+        # once an end of the bracket was the root to rounding, the
+        # false-position point rounded onto that end and the other end moved
+        # in by halves: a fifth of these roots took 21-38 evaluations
+        evals = []
+        hermite5, first_max = model1d._hermite5, model1d._first_max
+
+        def counting_hermite5(x, *args):
+            if np.isscalar(x):
+                evals[-1] += 1
+            return hermite5(x, *args)
+
+        def counting_first_max(*args, **kwargs):
+            evals.append(-1)  # the shot's last scalar evaluation is v(b)
+            return first_max(*args, **kwargs)
+
+        monkeypatch.setattr(model1d, "_hermite5", counting_hermite5)
+        monkeypatch.setattr(model1d, "_first_max", counting_first_max)
+        for f in _model_sweep_fits(seed):
+            fit = fit_model_solution(f["K"], f["N"], f["lam"], f["k"])
+            assert model1d._fits(fit.max_value, f["k"])
+            if math.isfinite(f["N"]):
+                model_solution(f["K"], f["N"], f["lam"])
+        roots = [n for n in evals if n >= 0]  # failed shots end before a root
+        assert roots
+        assert max(roots) <= 12
+
+
 def _capped_reference(problem, sol, start):
     """v and v' at sol.ts[start:] from a re-integration of sol from that
     sample on, at the default tolerance with steps capped at (b - a)/2000.
@@ -665,6 +708,52 @@ class TestFitSampling:
             assert sol.vs[0] == pytest.approx(-1.0, abs=1e-8)
         else:
             assert sol.vs[0] == -1.0
+
+
+class TestOracle:
+    # every chart, and tanh at (-4, 5, 8), where lambda_1 is about 1.1e-5
+    CASES = [(p, a, b) for p, (a, b) in zip(all_charts(), [
+        (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (0.5, 2.5),
+        (0.3, 1.7), (-0.5, 0.5), (0.5, 3.0), (-1.0, 2.0), (-1.0, 1.0)])]
+    CASES.append((centered_model(-4.0, 5.0), -4.0, 4.0))
+
+    @pytest.mark.parametrize("p, a, b", CASES, ids=[
+        f"{p.chart}-K{p.K:g}-N{p.N:g}" for p, _, _ in CASES])
+    def test_lanczos_matches_bisection(self, monkeypatch, p, a, b):
+        # the reference is LAPACK bisection on the matrix the oracle built;
+        # both are accurate to eps ||A||_1, its default tolerance
+        matrices, solves = [], []
+        lowest, dpttrs = model1d._lowest_eigenvalues, scipy.linalg.lapack.dpttrs
+
+        def recording(d, off, k, sigma):
+            matrices.append((d, off))
+            solves.append(0)
+            return lowest(d, off, k, sigma)
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return dpttrs(*args, **kwargs)
+
+        monkeypatch.setattr(model1d, "_lowest_eigenvalues", recording)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting)
+        for n in (400, 4000, 32000):
+            for k in (2, 3, 5):
+                vals = sturm_liouville_oracle(p, a, b, n_nodes=n, k=k)
+                d, off = matrices[-1]
+                ref = eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                       select_range=(0, k - 1))
+                a_off = np.abs(off)
+                norm1 = np.max(np.abs(d) + np.r_[a_off, 0.0] + np.r_[0.0, a_off])
+                assert vals.shape == (k,)
+                assert np.all(np.diff(vals) > 0)
+                assert np.max(np.abs(vals - ref)) <= 2.0 * np.finfo(float).eps * norm1
+                assert solves[-1] <= 30
+
+    def test_shift_not_positive_definite(self):
+        # tridiag(-1, 2, -1) has eigenvalues in (0, 4): shifted by -1 it is
+        # indefinite
+        with pytest.raises(model1d.SolverError, match="not positive definite"):
+            model1d._lowest_eigenvalues(np.full(50, 2.0), np.full(49, -1.0), 2, -1.0)
 
 
 class TestOffCenterIntervals:
