@@ -33,13 +33,15 @@ Singular chart endpoints (tan at +-pi/(2a), coth/power at 0) are started
 from the series v = -1 + lambda/(2N) (t-a)^2, which follows from the
 endpoint balance v''(a) = lambda/N.
 
-Interval fitting walks a one-parameter family of shots (the start a on the
-tan, power, coth, tanh and linear charts, the drift c on the constant chart)
-until the first maximum v(b) crosses the target, then narrows that step by
-Illinois regula falsi (4-14 shots per model-sweep fit, model_solution's
-included).  Each shot integrates once, at a tighter tolerance than the
-default, and stops after the step where v' falls through 0; one quintic
-Hermite interpolant of its steps gives b, v(b) and, for the closest probe
+Shots integrate with the Prince-Dormand 8(5,3) pair (DOP853): a median of
+8 steps for a shot of lambda1_model at the default tolerance, 19 for a fit
+probe at the fit's tighter one.  Interval fitting walks a one-parameter
+family of shots (the start a on the tan, power, coth, tanh and linear charts,
+the drift c on the constant chart) until the first maximum v(b) crosses the
+target, then narrows that step by Illinois regula falsi (4-14 shots per
+model-sweep fit, model_solution's included).  Each shot integrates once and
+stops after the step where v' falls through 0; DOP853's own 7th-order
+continuous extension of its steps gives b, v(b) and, for the closest probe
 only, the 2001 samples of the fitted solution.  No parameter is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
@@ -90,7 +92,7 @@ class _Diverged(SolverError):
 # chart table
 
 # Drift builders take xp = math (a scalar closure for the integrator, which
-# calls it 6 times per RK step, so the constants are bound once) or xp = np.
+# calls it 12 times per step, so the constants are bound once) or xp = np.
 
 
 def _tan(p, xp):
@@ -270,7 +272,87 @@ def invariant_density(problem: ModelProblem, t):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince RK45, specialized to the 2-state shooting system
+# adaptive Prince-Dormand 8(5,3) (DOP853), specialized to the 2-state
+# shooting system; coefficients from Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, section II.10
+
+
+def _stages(T, lam, t, v, w, h, k1v, k1w):
+    """The 12 stages of the DOP853 step of length h from (t, v, w) for
+    v' = w, w' = T(t) w - lam v, whose first stage (k1v, k1w) is the
+    derivative at the start: (kv, kw, T(t + h)), with kv and kw the tuples of
+    the stages' v' and w'.  Plain arithmetic, so the arguments may be scalars
+    with a ``math`` drift or arrays over steps with a numpy one."""
+    k2v = w + h * (0.05260015195876773 * k1w)
+    k2w = (T(t + 0.05260015195876773 * h) * k2v
+           - lam * (v + h * (0.05260015195876773 * k1v)))
+    k3v = w + h * (0.0197250569845379 * k1w + 0.0591751709536137 * k2w)
+    k3w = (T(t + 0.0789002279381516 * h) * k3v
+           - lam * (v + h * (0.0197250569845379 * k1v + 0.0591751709536137 * k2v)))
+    k4v = w + h * (0.02958758547680685 * k1w + 0.08876275643042054 * k3w)
+    k4w = (T(t + 0.1183503419072274 * h) * k4v
+           - lam * (v + h * (0.02958758547680685 * k1v + 0.08876275643042054 * k3v)))
+    k5v = w + h * (0.2413651341592667 * k1w - 0.8845494793282861 * k3w
+                   + 0.924834003261792 * k4w)
+    k5w = (T(t + 0.2816496580927726 * h) * k5v
+           - lam * (v + h * (0.2413651341592667 * k1v - 0.8845494793282861 * k3v
+                             + 0.924834003261792 * k4v)))
+    k6v = w + h * (0.037037037037037035 * k1w + 0.17082860872947386 * k4w
+                   + 0.12546768756682242 * k5w)
+    k6w = (T(t + 0.3333333333333333 * h) * k6v
+           - lam * (v + h * (0.037037037037037035 * k1v + 0.17082860872947386 * k4v
+                             + 0.12546768756682242 * k5v)))
+    k7v = w + h * (0.037109375 * k1w + 0.17025221101954405 * k4w
+                   + 0.06021653898045596 * k5w - 0.017578125 * k6w)
+    k7w = (T(t + 0.25 * h) * k7v
+           - lam * (v + h * (0.037109375 * k1v + 0.17025221101954405 * k4v
+                             + 0.06021653898045596 * k5v - 0.017578125 * k6v)))
+    k8v = w + h * (0.03709200011850479 * k1w + 0.17038392571223998 * k4w
+                   + 0.10726203044637328 * k5w - 0.015319437748624402 * k6w
+                   + 0.008273789163814023 * k7w)
+    k8w = (T(t + 0.3076923076923077 * h) * k8v
+           - lam * (v + h * (0.03709200011850479 * k1v + 0.17038392571223998 * k4v
+                             + 0.10726203044637328 * k5v - 0.015319437748624402 * k6v
+                             + 0.008273789163814023 * k7v)))
+    k9v = w + h * (0.6241109587160757 * k1w - 3.3608926294469414 * k4w
+                   - 0.868219346841726 * k5w + 27.59209969944671 * k6w
+                   + 20.154067550477894 * k7w - 43.48988418106996 * k8w)
+    k9w = (T(t + 0.6512820512820513 * h) * k9v
+           - lam * (v + h * (0.6241109587160757 * k1v - 3.3608926294469414 * k4v
+                             - 0.868219346841726 * k5v + 27.59209969944671 * k6v
+                             + 20.154067550477894 * k7v - 43.48988418106996 * k8v)))
+    k10v = w + h * (0.47766253643826434 * k1w - 2.4881146199716677 * k4w
+                    - 0.590290826836843 * k5w + 21.230051448181193 * k6w
+                    + 15.279233632882423 * k7w - 33.28821096898486 * k8w
+                    - 0.020331201708508627 * k9w)
+    k10w = (T(t + 0.6 * h) * k10v
+            - lam * (v + h * (0.47766253643826434 * k1v - 2.4881146199716677 * k4v
+                              - 0.590290826836843 * k5v + 21.230051448181193 * k6v
+                              + 15.279233632882423 * k7v - 33.28821096898486 * k8v
+                              - 0.020331201708508627 * k9v)))
+    k11v = w + h * (-0.9371424300859873 * k1w + 5.186372428844064 * k4w
+                    + 1.0914373489967295 * k5w - 8.149787010746927 * k6w
+                    - 18.52006565999696 * k7w + 22.739487099350505 * k8w
+                    + 2.4936055526796523 * k9w - 3.0467644718982196 * k10w)
+    k11w = (T(t + 0.8571428571428571 * h) * k11v
+            - lam * (v + h * (-0.9371424300859873 * k1v + 5.186372428844064 * k4v
+                              + 1.0914373489967295 * k5v - 8.149787010746927 * k6v
+                              - 18.52006565999696 * k7v + 22.739487099350505 * k8v
+                              + 2.4936055526796523 * k9v - 3.0467644718982196 * k10v)))
+    k12v = w + h * (2.273310147516538 * k1w - 10.53449546673725 * k4w
+                    - 2.0008720582248625 * k5w - 17.9589318631188 * k6w
+                    + 27.94888452941996 * k7w - 2.8589982771350235 * k8w
+                    - 8.87285693353063 * k9w + 12.360567175794303 * k10w
+                    + 0.6433927460157636 * k11w)
+    T_end = T(t + h)  # the drift at t + h serves k12 and the next step's k1
+    k12w = T_end * k12v - lam * (
+        v + h * (2.273310147516538 * k1v - 10.53449546673725 * k4v
+                 - 2.0008720582248625 * k5v - 17.9589318631188 * k6v
+                 + 27.94888452941996 * k7v - 2.8589982771350235 * k8v
+                 - 8.87285693353063 * k9v + 12.360567175794303 * k10v
+                 + 0.6433927460157636 * k11v))
+    return ((k1v, k2v, k3v, k4v, k5v, k6v, k7v, k8v, k9v, k10v, k11v, k12v),
+            (k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T_end)
 
 
 def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_INF,
@@ -280,8 +362,11 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
     Returns (ts, vs, ws) as float lists of accepted steps, starting at t0.
     With ``until`` the run ends right after the first accepted step for which
     ``until(t, v, w, w_prev)`` is true (see :func:`_downcross`).
-    Scalar Python arithmetic, about 5 microseconds per step; a shot of
-    ``lambda1_model`` at the default tolerance takes about 60 steps.
+    DOP853 in scalar Python arithmetic: the 12 stages of :func:`_stages`,
+    the derivative at the end reused as the next step's first stage, and
+    the err5/err3 error estimate (step factor err^(-1/8)).  About 12
+    microseconds per step; a shot of ``lambda1_model`` at the default
+    tolerance takes a median of 8 steps, a fit probe at ``_PROBE_TOL`` 19.
     """
     t, v, w = float(t0), float(v0), float(w0)
     ts, vs, ws = [t], [v], [w]
@@ -304,98 +389,41 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
         if h <= 4.45e-16 * abs(t):  # t + h == t: cannot advance
             raise SolverError("step size underflow")
 
-        k1v, k1w = f1v, f1w
-        tt = t + 0.2 * h
-        yv = v + h * 0.2 * k1v
-        yw = w + h * 0.2 * k1w
-        k2v = yw
-        k2w = Tfun(tt) * yw - lam * yv
+        (k1v, _, _, _, _, k6v, k7v, k8v, k9v, k10v, k11v, k12v), \
+            (k1w, _, _, _, _, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T_end = \
+            _stages(Tfun, lam, t, v, w, h, f1v, f1w)
+        dv = (0.054293734116568765 * k1v + 4.450312892752409 * k6v
+              + 1.8915178993145003 * k7v - 5.801203960010585 * k8v
+              + 0.3111643669578199 * k9v - 0.1521609496625161 * k10v
+              + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v)
+        dw = (0.054293734116568765 * k1w + 4.450312892752409 * k6w
+              + 1.8915178993145003 * k7w - 5.801203960010585 * k8w
+              + 0.3111643669578199 * k9w - 0.1521609496625161 * k10w
+              + 0.20136540080403034 * k11w + 0.04471061572777259 * k12w)
+        y8v = v + h * dv
+        y8w = w + h * dw
+        # differences to the embedded 5th- and 3rd-order results, which
+        # err5^2 / sqrt(err5^2 + err3^2/100) turns into an estimate of the
+        # 8th-order step's error
+        e5v = (0.01312004499419488 * k1v - 1.2251564463762044 * k6v
+               - 0.4957589496572502 * k7v + 1.6643771824549864 * k8v
+               - 0.35032884874997366 * k9v + 0.3341791187130175 * k10v
+               + 0.08192320648511571 * k11v - 0.022355307863886294 * k12v)
+        e5w = (0.01312004499419488 * k1w - 1.2251564463762044 * k6w
+               - 0.4957589496572502 * k7w + 1.6643771824549864 * k8w
+               - 0.35032884874997366 * k9w + 0.3341791187130175 * k10w
+               + 0.08192320648511571 * k11w - 0.022355307863886294 * k12w)
+        e3v = dv - (0.2440944881889764 * k1v + 0.7338466882816118 * k9v
+                    + 0.022058823529411766 * k12v)
+        e3w = dw - (0.2440944881889764 * k1w + 0.7338466882816118 * k9w
+                    + 0.022058823529411766 * k12w)
+        scv = atol + rtol * max(abs(v), abs(y8v))
+        scw = atol + rtol * max(abs(w), abs(y8w))
+        err5 = (e5v / scv) ** 2 + (e5w / scw) ** 2
+        err3 = (e3v / scv) ** 2 + (e3w / scw) ** 2
+        err = 0.0 if err5 == 0.0 else h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
 
-        tt = t + 0.3 * h
-        yv = v + h * (0.075 * k1v + 0.225 * k2v)
-        yw = w + h * (0.075 * k1w + 0.225 * k2w)
-        k3v = yw
-        k3w = Tfun(tt) * yw - lam * yv
-
-        tt = t + 0.8 * h
-        yv = v + h * ((44.0 / 45.0) * k1v - (56.0 / 15.0) * k2v + (32.0 / 9.0) * k3v)
-        yw = w + h * ((44.0 / 45.0) * k1w - (56.0 / 15.0) * k2w + (32.0 / 9.0) * k3w)
-        k4v = yw
-        k4w = Tfun(tt) * yw - lam * yv
-
-        tt = t + (8.0 / 9.0) * h
-        yv = v + h * (
-            (19372.0 / 6561.0) * k1v
-            - (25360.0 / 2187.0) * k2v
-            + (64448.0 / 6561.0) * k3v
-            - (212.0 / 729.0) * k4v
-        )
-        yw = w + h * (
-            (19372.0 / 6561.0) * k1w
-            - (25360.0 / 2187.0) * k2w
-            + (64448.0 / 6561.0) * k3w
-            - (212.0 / 729.0) * k4w
-        )
-        k5v = yw
-        k5w = Tfun(tt) * yw - lam * yv
-
-        tt = t + h
-        yv = v + h * (
-            (9017.0 / 3168.0) * k1v
-            - (355.0 / 33.0) * k2v
-            + (46732.0 / 5247.0) * k3v
-            + (49.0 / 176.0) * k4v
-            - (5103.0 / 18656.0) * k5v
-        )
-        yw = w + h * (
-            (9017.0 / 3168.0) * k1w
-            - (355.0 / 33.0) * k2w
-            + (46732.0 / 5247.0) * k3w
-            + (49.0 / 176.0) * k4w
-            - (5103.0 / 18656.0) * k5w
-        )
-        k6v = yw
-        T_end = Tfun(tt)  # the drift at t + h serves k6 and k7
-        k6w = T_end * yw - lam * yv
-
-        y5v = v + h * (
-            (35.0 / 384.0) * k1v
-            + (500.0 / 1113.0) * k3v
-            + (125.0 / 192.0) * k4v
-            - (2187.0 / 6784.0) * k5v
-            + (11.0 / 84.0) * k6v
-        )
-        y5w = w + h * (
-            (35.0 / 384.0) * k1w
-            + (500.0 / 1113.0) * k3w
-            + (125.0 / 192.0) * k4w
-            - (2187.0 / 6784.0) * k5w
-            + (11.0 / 84.0) * k6w
-        )
-        k7v = y5w
-        k7w = T_end * y5w - lam * y5v
-
-        errv = h * (
-            (71.0 / 57600.0) * k1v
-            - (71.0 / 16695.0) * k3v
-            + (71.0 / 1920.0) * k4v
-            - (17253.0 / 339200.0) * k5v
-            + (22.0 / 525.0) * k6v
-            - 0.025 * k7v
-        )
-        errw = h * (
-            (71.0 / 57600.0) * k1w
-            - (71.0 / 16695.0) * k3w
-            + (71.0 / 1920.0) * k4w
-            - (17253.0 / 339200.0) * k5w
-            + (22.0 / 525.0) * k6w
-            - 0.025 * k7w
-        )
-        scv = atol + rtol * max(abs(v), abs(y5v))
-        scw = atol + rtol * max(abs(w), abs(y5w))
-        err = math.sqrt(0.5 * ((errv / scv) ** 2 + (errw / scw) ** 2))
-
-        if not (math.isfinite(y5v) and math.isfinite(y5w) and math.isfinite(err)):
+        if not (math.isfinite(y8v) and math.isfinite(y8w) and math.isfinite(err)):
             nreject += 1
             if nreject > 200:
                 raise SolverError("integration produced non-finite state")
@@ -405,8 +433,8 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
         if err <= 1.0:
             w_prev = w
             t += h
-            v, w = y5v, y5w
-            f1v, f1w = k7v, k7w
+            v, w = y8v, y8w
+            f1v, f1w = w, T_end * w - lam * v
             ts.append(t)
             vs.append(v)
             ws.append(w)
@@ -414,11 +442,11 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
                 break
             if abs(v) > 1e12:
                 raise _Diverged("trajectory diverged")
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             h *= fac
         else:
             nreject += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** -0.125)
     return ts, vs, ws
 
 
@@ -508,17 +536,27 @@ def _phase_excess(problem: ModelProblem, lam: float, a: float, b: float,
     sq = math.sqrt(lam)
     half = a == -b and problem.c == 0.0
     sol = shoot(problem, lam, a, 0.0 if half else b, max_step=1.0 / sq, rtol=rtol)
-    theta = float(np.unwrap(np.arctan2(sol.vps / sq, -sol.vs))[-1])
+    turns = phase = 0.0  # whole turns of the unwrapped phase, in radians
+    for v, w in zip(sol.vs.tolist(), sol.vps.tolist()):
+        prev, phase = phase, math.atan2(w / sq, -v)
+        if abs(phase - prev) > math.pi:
+            turns += math.tau if phase < prev else -math.tau
+    theta = phase + turns
     return (2.0 * theta if half else theta) - math.pi
 
 
 def _secant(f, x0: float, f0: float, x1: float, xtol: float) -> float:
     """Zero of f (< 0 below it, > 0 above) by secant steps from (x0, f0 = f(x0))
-    and x1 until a step is at most xtol * x; a step leaving the bracket that
-    the signs show bisects it, or doubles x while it has no upper end."""
+    and x1 until a step is at most xtol * x or f is 0; a step leaving the
+    bracket that the signs show bisects it, or doubles x while it has no
+    upper end."""
+    if f0 == 0.0:
+        return x0
     lo, hi = (x0, _INF) if f0 < 0.0 else (0.0, x0)
     for _ in range(200):
         f1 = f(x1)
+        if f1 == 0.0:  # a zero step would land on the bracket end and bisect
+            return x1
         lo, hi = (max(lo, x1), hi) if f1 < 0.0 else (lo, min(hi, x1))
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else _INF
         if not lo < x2 < hi:
@@ -662,27 +700,88 @@ def _illinois(f, ends: list, xtol: float, done=lambda: False) -> list:
     return ends
 
 
-def _hermite5(x, h, y0, d0, dd0, y1, d1, dd1):
-    """Quintic Hermite interpolant at x in [0, 1] of a step of length h whose
-    ends have values y, first derivatives d and second derivatives dd;
-    scalars or arrays."""
-    x3 = x * x * x
-    h0 = 1.0 + x3 * (-10.0 + x * (15.0 - 6.0 * x))
-    h1 = x + x3 * (-6.0 + x * (8.0 - 3.0 * x))
-    h2 = 0.5 * x * x * (1.0 - x) ** 3
-    h3 = 0.5 * x3 * (1.0 - x) ** 2
-    h4 = x3 * (-4.0 + x * (7.0 - 3.0 * x))
-    h5 = x3 * (10.0 + x * (-15.0 + 6.0 * x))
-    return (y0 * h0 + y1 * h5 + h * (d0 * h1 + d1 * h4)
-            + h * h * (dd0 * h2 + dd1 * h3))
+def _extension(T, lam, t, h, v0, w0, v1, w1):
+    """Coefficients (Fv, Fw) of DOP853's 7th-order continuous extension of
+    the accepted step of length h from (t, v0, w0) to (v1, w1), for
+    :func:`_dense`.  It re-forms the step's stages (:func:`_stages`, the
+    integrator's own arithmetic) and evaluates 3 more.  Scalars with a
+    ``math`` drift T, or arrays over steps with a numpy one."""
+    k1w = T(t) * w0 - lam * v0
+    (k1v, _, _, _, _, k6v, k7v, k8v, k9v, k10v, k11v, k12v), \
+        (_, _, _, _, _, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T1 = \
+        _stages(T, lam, t, v0, w0, h, w0, k1w)
+    k13v, k13w = w1, T1 * w1 - lam * v1
+    k14v = w0 + h * (0.056167502283047954 * k1w + 0.25350021021662483 * k7w
+                     - 0.2462390374708025 * k8w - 0.12419142326381637 * k9w
+                     + 0.15329179827876568 * k10w + 0.00820105229563469 * k11w
+                     + 0.007567897660545699 * k12w - 0.008298 * k13w)
+    k14w = (T(t + 0.1 * h) * k14v
+            - lam * (v0 + h * (0.056167502283047954 * k1v + 0.25350021021662483 * k7v
+                               - 0.2462390374708025 * k8v - 0.12419142326381637 * k9v
+                               + 0.15329179827876568 * k10v + 0.00820105229563469 * k11v
+                               + 0.007567897660545699 * k12v - 0.008298 * k13v)))
+    k15v = w0 + h * (0.03183464816350214 * k1w + 0.028300909672366776 * k6w
+                     + 0.053541988307438566 * k7w - 0.05492374857139099 * k8w
+                     - 0.00010834732869724932 * k11w + 0.0003825710908356584 * k12w
+                     - 0.00034046500868740456 * k13w + 0.1413124436746325 * k14w)
+    k15w = (T(t + 0.2 * h) * k15v
+            - lam * (v0 + h * (0.03183464816350214 * k1v + 0.028300909672366776 * k6v
+                               + 0.053541988307438566 * k7v - 0.05492374857139099 * k8v
+                               - 0.00010834732869724932 * k11v
+                               + 0.0003825710908356584 * k12v
+                               - 0.00034046500868740456 * k13v
+                               + 0.1413124436746325 * k14v)))
+    k16v = w0 + h * (-0.42889630158379194 * k1w - 4.697621415361164 * k6w
+                     + 7.683421196062599 * k7w + 4.06898981839711 * k8w
+                     + 0.3567271874552811 * k9w - 0.0013990241651590145 * k13w
+                     + 2.9475147891527724 * k14w - 9.15095847217987 * k15w)
+    k16w = (T(t + 0.7777777777777778 * h) * k16v
+            - lam * (v0 + h * (-0.42889630158379194 * k1v - 4.697621415361164 * k6v
+                               + 7.683421196062599 * k7v + 4.06898981839711 * k8v
+                               + 0.3567271874552811 * k9v - 0.0013990241651590145 * k13v
+                               + 2.9475147891527724 * k14v - 9.15095847217987 * k15v)))
+    coeffs = []
+    for y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 in (
+            (v0, v1, k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v),
+            (w0, w1, k1w, k6w, k7w, k8w, k9w, k10w, k11w, k12w, k13w, k14w, k15w,
+             k16w)):
+        dy = y1 - y0
+        coeffs.append((
+            dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1),
+            h * (-8.428938276109013 * k1 + 0.5667149535193777 * k6
+                 - 3.0689499459498917 * k7 + 2.38466765651207 * k8
+                 + 2.117034582445028 * k9 - 0.871391583777973 * k10
+                 + 2.2404374302607883 * k11 + 0.6315787787694688 * k12
+                 - 0.08899033645133331 * k13 + 18.148505520854727 * k14
+                 - 9.194632392478356 * k15 - 4.436036387594894 * k16),
+            h * (10.427508642579134 * k1 + 242.28349177525817 * k6
+                 + 165.20045171727028 * k7 - 374.5467547226902 * k8
+                 - 22.113666853125306 * k9 + 7.733432668472264 * k10
+                 - 30.674084731089398 * k11 - 9.332130526430229 * k12
+                 + 15.697238121770845 * k13 - 31.139403219565178 * k14
+                 - 9.35292435884448 * k15 + 35.81684148639408 * k16),
+            h * (19.985053242002433 * k1 - 387.0373087493518 * k6
+                 - 189.17813819516758 * k7 + 527.8081592054236 * k8
+                 - 11.57390253995963 * k9 + 6.8812326946963 * k10
+                 - 1.0006050966910838 * k11 + 0.7777137798053443 * k12
+                 - 2.778205752353508 * k13 - 60.19669523126412 * k14
+                 + 84.32040550667716 * k15 + 11.99229113618279 * k16),
+            h * (-25.69393346270375 * k1 - 154.18974869023643 * k6
+                 - 231.5293791760455 * k7 + 357.6391179106141 * k8
+                 + 93.40532418362432 * k9 - 37.45832313645163 * k10
+                 + 104.0996495089623 * k11 + 29.8402934266605 * k12
+                 - 43.53345659001114 * k13 + 96.32455395918828 * k14
+                 - 39.17726167561544 * k15 - 149.72683625798564 * k16)))
+    return tuple(coeffs)
 
 
-def _jets(problem: ModelProblem, lam: float, T, v, w):
-    """w' = T w - lam v and w'' = T' w + T w' - lam w at states (v, w) where
-    the drift is T, with T' = K + T^2/(N-1) (K for N = inf) on every chart."""
-    wp = T * w - lam * v
-    Tp = problem.K + (T * T / (problem.N - 1.0) if math.isfinite(problem.N) else 0.0)
-    return wp, Tp * w + T * wp - lam * w
+def _dense(x, y0, F):
+    """DOP853's continuous extension at x in [0, 1] of a step that starts at
+    y0, with F one component's coefficients from :func:`_extension`; scalars
+    or arrays."""
+    f0, f1, f2, f3, f4, f5, f6 = F
+    u = 1.0 - x
+    return y0 + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (f5 + x * f6))))))
 
 
 class _Shot(NamedTuple):
@@ -703,10 +802,11 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     """Shoot from a at ``_PROBE_TOL`` up to the first interior zero b of v'.
 
     The integration ends with the step where v' falls through 0: b is the
-    root of that step's quintic Hermite interpolant of v' (:func:`_illinois`
-    down to a bracket 1e-15 wide in the step's unit interval) and v(b) the
-    value of its interpolant of v (:func:`_hermite5` on :func:`_jets`), so a
-    shot integrates once.  On the linear chart with K < 0 and on the tan
+    root of that step's continuous extension of v' (:func:`_illinois` down
+    to a bracket 1e-15 wide in the step's unit interval, each evaluation a
+    scalar :func:`_dense`) and v(b) the value of its extension of v
+    (:func:`_extension` re-forms the step once), so a shot integrates once.
+    On the linear chart with K < 0 and on the tan
     chart it ends as soon as the first maximum is out of reach
     (:func:`_downcross_or_escape`, :func:`_downcross_or_pole`), and the shot
     fails.
@@ -725,31 +825,31 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
         raise SolverError("no critical point of v' before the chart boundary "
                           "or horizon")
     h = ts[-1] - ts[-2]
-    (v0, v1), (w0, w1) = vs[-2:], ws[-2:]
-    (wp0, wpp0), (wp1, wpp1) = (_jets(problem, lam, Tf(t), v, w)
-                                for t, v, w in zip(ts[-2:], vs[-2:], ws[-2:]))
-    (x0, _), (x1, _) = _illinois(
-        lambda x: _hermite5(x, h, w0, wp0, wpp0, w1, wp1, wpp1),
-        [(0.0, w0), (1.0, w1)], 1e-15)
+    v0, w0 = vs[-2], ws[-2]
+    Fv, Fw = _extension(Tf, lam, ts[-2], h, v0, w0, vs[-1], ws[-1])
+    (x0, _), (x1, _) = _illinois(lambda x: _dense(x, w0, Fw),
+                                 [(0.0, w0), (1.0, ws[-1])], 1e-15)
     x = 0.5 * (x0 + x1)
-    top = _hermite5(x, h, v0, w0, wp0, v1, w1, wp1)
+    top = _dense(x, v0, Fv)
     return _Shot(problem, lam, a_exact, ts[-2] + x * h, top, ts, vs, ws)
 
 
 def _solution(shot: _Shot, param: float = math.nan) -> ModelSolution:
     """The shot at _DENSE_SAMPLES + 1 equispaced points of [ts[0], b], each
-    from the quintic Hermite interpolant of its step (on the steps of a shot
-    at ``_PROBE_TOL`` within 5e-12 of a re-integration capped at 1/2000 of
-    the interval).  The first sample is the start state and the last is
-    (b, v(b)); a series start puts (a, -1, 0) in front."""
+    from the continuous extension of its step (:func:`_extension`, evaluated
+    for every step at once).  On a shot at ``_PROBE_TOL`` the step ends are
+    within about 1e-11 of the exact solution; inside a long step the
+    extension's own error can reach 5e-10 in v' (the linear-chart fit
+    K = 1, lam = 6, k = 1.1).  The first sample is the start state and the
+    last is (b, v(b)); a series start puts (a, -1, 0) in front."""
     ts, vs, ws = np.array(shot.ts), np.array(shot.vs), np.array(shot.ws)
-    wp, wpp = _jets(shot.problem, shot.lam, shot.problem.drift(np)(ts), vs, ws)
+    F = np.array(_extension(shot.problem.drift(np), shot.lam, ts[:-1], np.diff(ts),
+                            vs[:-1], ws[:-1], vs[1:], ws[1:]))
     s = np.linspace(ts[0], shot.b, _DENSE_SAMPLES + 1)
     j = np.minimum(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
-    h = ts[j + 1] - ts[j]
-    x = (s - ts[j]) / h
-    dvs = _hermite5(x, h, vs[j], ws[j], wp[j], vs[j + 1], ws[j + 1], wp[j + 1])
-    dws = _hermite5(x, h, ws[j], wp[j], wpp[j], ws[j + 1], wp[j + 1], wpp[j + 1])
+    x = (s - ts[j]) / (ts[j + 1] - ts[j])
+    dvs = _dense(x, vs[j], F[0][:, j])
+    dws = _dense(x, ws[j], F[1][:, j])
     dvs[-1] = shot.top
     if ts[0] > shot.a:
         s, dvs, dws = np.r_[shot.a, s], np.r_[-1.0, dvs], np.r_[0.0, dws]

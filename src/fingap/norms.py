@@ -353,18 +353,33 @@ def _sphere_search(ratio, dim: int, seed: int, tol: float) -> float:
     """max of a 0-homogeneous ``ratio(w)`` over directions w in R^dim.
 
     Samples max(64*dim, 128) seeded random directions plus
-    the +-coordinate axes and polishes the best three with Nelder-Mead
-    (xatol ``tol``, fatol ``tol/10``).  ``ratio`` takes batched rows.
+    the +-coordinate axes.  In 2-D the best sampled angle is polished by
+    bounded Brent (xatol ``tol``) between its two neighbouring samples in
+    angle, where a local maximum lies; it is the only one when ``ratio`` is
+    a linear functional over a convex unit ball, as in the dual norm.  In
+    3-D the best three are polished with Nelder-Mead (xatol ``tol``, fatol
+    ``tol/10``).  ``ratio`` takes batched rows.
     """
     if dim == 1:
         return float(np.max(ratio(np.array([[1.0], [-1.0]]))))
-    from scipy.optimize import minimize
+    from scipy.optimize import minimize, minimize_scalar
 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((max(64 * dim, 128), dim))
     dirs = np.concatenate([dirs, np.eye(dim), -np.eye(dim)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = ratio(dirs)
+
+    if dim == 2:
+        ang = np.arctan2(dirs[:, 1], dirs[:, 0])
+        order = np.argsort(ang)
+        ang, vals = ang[order], vals[order]
+        i = int(np.argmax(vals))
+        ring = np.r_[ang[-1] - 2.0 * np.pi, ang, ang[0] + 2.0 * np.pi]
+        res = minimize_scalar(lambda t: -float(ratio(np.array([np.cos(t), np.sin(t)]))),
+                              bounds=(ring[i], ring[i + 2]), method="bounded",
+                              options={"xatol": tol})
+        return float(max(vals[i], -res.fun))
 
     def objective(w):
         if np.linalg.norm(w) == 0.0:

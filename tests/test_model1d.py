@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg.lapack
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import j0, jn_zeros
+from scipy.special import j0, jn_zeros, spherical_jn
 
 from fingap import model1d
 from fingap.model1d import (
@@ -267,7 +267,8 @@ class TestLambda1:
 
     @pytest.mark.parametrize("K, N, d", WORK_POINTS)
     def test_work_bound(self, monkeypatch, K, N, d):
-        # they take 5-10 shots and 170-640 steps now
+        # they take 5-10 shots and 34-155 steps now; with a 5th-order
+        # method they took 173-633
         steps = []
         integrate = model1d._integrate
 
@@ -279,7 +280,20 @@ class TestLambda1:
         monkeypatch.setattr(model1d, "_integrate", counting)
         lambda1_model(K, N, d)
         assert len(steps) <= 12
-        assert sum(steps) <= 800
+        assert sum(steps) <= 250
+
+    def test_secant_stops_on_an_exact_zero(self):
+        # a shot that lands on lambda_1 to rounding reads a phase excess of
+        # exactly 0; taken for "above", it sent the secant back to bisect
+        # from [0, x], and some model-sweep points took 10-26 tight shots
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 2.0
+
+        assert model1d._secant(f, 1.0, -1.0, 2.0, 1e-12) == 2.0
+        assert calls == [2.0]
 
     @pytest.mark.parametrize("K", [0.5, 3.0])
     @pytest.mark.parametrize("frac", [0.87, 0.9, 0.93, 0.95])
@@ -633,20 +647,21 @@ class TestQuinticRoots:
     def test_model_sweep_roots_take_few_evaluations(self, monkeypatch, seed):
         # once an end of the bracket was the root to rounding, the
         # false-position point rounded onto that end and the other end moved
-        # in by halves: a fifth of these roots took 21-38 evaluations
+        # in by halves: a fifth of these roots took 21-38 evaluations of the
+        # last step's interpolant
         evals = []
-        hermite5, first_max = model1d._hermite5, model1d._first_max
+        dense, first_max = model1d._dense, model1d._first_max
 
-        def counting_hermite5(x, *args):
+        def counting_dense(x, *args):
             if np.isscalar(x):
                 evals[-1] += 1
-            return hermite5(x, *args)
+            return dense(x, *args)
 
         def counting_first_max(*args, **kwargs):
             evals.append(-1)  # the shot's last scalar evaluation is v(b)
             return first_max(*args, **kwargs)
 
-        monkeypatch.setattr(model1d, "_hermite5", counting_hermite5)
+        monkeypatch.setattr(model1d, "_dense", counting_dense)
         monkeypatch.setattr(model1d, "_first_max", counting_first_max)
         for f in _model_sweep_fits(seed):
             fit = fit_model_solution(f["K"], f["N"], f["lam"], f["k"])
@@ -708,6 +723,44 @@ class TestFitSampling:
             assert sol.vs[0] == pytest.approx(-1.0, abs=1e-8)
         else:
             assert sol.vs[0] == -1.0
+
+    # the checks below compare with closed forms, not with the integrator
+
+    @pytest.mark.parametrize("lam", [2.0, math.pi**2, 40.0])
+    def test_samples_match_sinc(self, lam):
+        # N = 3, K = 0: v = -sin(x)/x = -j_0(x) with x = sqrt(lam) t, so
+        # v' = sqrt(lam) j_1(x), and b is the first root of tan x = x
+        sol = model_solution(0.0, 3.0, lam)
+        x = math.sqrt(lam) * sol.ts
+        assert np.max(np.abs(sol.vs + spherical_jn(0, x))) <= 1e-9
+        assert np.max(np.abs(sol.vps - math.sqrt(lam) * spherical_jn(1, x))) <= 1e-9
+        # relative, as the shot's tolerance: at lam = 2 b is 3.18, 2.6e-12 off
+        assert sol.b == pytest.approx(4.493409457909064 / math.sqrt(lam), rel=1e-12)
+
+    @pytest.mark.parametrize("lam, k", [(10.0, 0.2), (math.pi**2, 0.55), (5.0, 3.0)])
+    def test_samples_match_constant_drift(self, lam, k):
+        # T = c: v = e^{ct/2} (-cos(wt) + c/(2w) sin(wt)) with w^2 = lam - c^2/4,
+        # so v' = (lam/w) e^{ct/2} sin(wt)
+        sol = fit_model_solution(0.0, INF, lam, k)
+        c = sol.fitted_param
+        om = math.sqrt(lam - c * c / 4.0)
+        t = sol.ts - sol.a
+        grow = np.exp(0.5 * c * t)
+        v = grow * (-np.cos(om * t) + c / (2.0 * om) * np.sin(om * t))
+        assert np.max(np.abs(sol.vs - v)) <= 1e-9
+        assert np.max(np.abs(sol.vps - lam / om * grow * np.sin(om * t))) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_model_sweep_fits_rise_up_to_b(self, seed):
+        # a fitted solution rises from -1 to its first maximum at b; a step
+        # of the shot that jumped over a maximum and the minimum after it
+        # would show here as v' < 0 at the samples inside it
+        for f in _model_sweep_fits(seed):
+            sols = [fit_model_solution(f["K"], f["N"], f["lam"], f["k"])]
+            if math.isfinite(f["N"]):
+                sols.append(model_solution(f["K"], f["N"], f["lam"]))
+            for sol in sols:
+                assert np.min(sol.vps) >= -1e-9
 
 
 class TestOracle:
