@@ -9,10 +9,10 @@ diagonal quadratic boxes, the N = inf model value for Gaussian boxes,
 comparison's fraction of nodes within tolerance and its core gap
 max |F*(Du) - v'(v^{-1}(u))| over |u| <= 0.9 ("-" where the comparison is
 inconclusive), and is followed by the descent's iterations and convergence
-at every resolution; the last line is the suite's wall time.  The tracked
-golden_suite.json next to this script is the same suite as a config file for
-`fingap suite`; the tests pin the two equal.  Exit status is nonzero iff some
-case violates its bound beyond the discretization tolerance.
+at every resolution; the last line is the suite's wall time.  This script
+is the golden suite's entry point; `fingap suite` runs any other suite
+config.  Exit status is nonzero iff some case violates its bound beyond the
+discretization tolerance.
 
 Usage: python scripts/run_golden_suite.py [--out OUT_DIR] [--jobs K]
 """

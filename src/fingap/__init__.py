@@ -17,8 +17,6 @@ from .norms import (
     legendre,
     legendre_inverse,
     legendre_inverse_fd,
-    metric_tensor,
-    validate_norm,
 )
 from .model1d import (
     ModelProblem,

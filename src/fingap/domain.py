@@ -45,7 +45,6 @@ __all__ = [
     "analytic_diameter",
     "curvature_certificate",
     "domain_spec_from_config",
-    "domain_spec_to_config",
 ]
 
 if TYPE_CHECKING:
@@ -429,22 +428,3 @@ def domain_spec_from_config(cfg: dict) -> DomainSpec:
                           radius=float(shape_cfg["radius"]),
                           weight=kind, kappa=kappa, resolution=resolution)
     raise ValueError(f"unknown shape {shape!r}")
-
-
-def domain_spec_to_config(spec: DomainSpec) -> dict:
-    shape_cfg: dict = {"shape": spec.shape}
-    if spec.shape == "interval":
-        shape_cfg["length"] = spec.lengths[0]
-    elif spec.shape == "box":
-        shape_cfg["lengths"] = list(spec.lengths)
-    else:
-        shape_cfg["radius"] = spec.radius
-    weight_cfg = {"kind": spec.weight}
-    if spec.weight == "gaussian":
-        weight_cfg["kappa"] = spec.kappa
-    return {
-        "domain": shape_cfg,
-        "norm": norm_to_config(spec.norm),
-        "weight": weight_cfg,
-        "resolution": spec.resolution,
-    }

@@ -156,16 +156,13 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean.tocsr(), dim=dim)
 
 
-def discrete_gradient(domain: DiscreteDomain, u, i: int | None = None):
-    """Nodal differential: the mu-weighted mean of the element gradients
-    around each node.
-
-    Returns the full (n, dim) array, or a single covector when ``i`` is
-    given.  Exact for affine u; zero for constant u.
+def discrete_gradient(domain: DiscreteDomain, u) -> np.ndarray:
+    """Nodal differential, shape (n, dim): the mu-weighted mean of the
+    element gradients around each node.  Exact for affine u; zero for
+    constant u.
     """
     op = mesh_operator(domain)
-    out = op.node_mean @ op.gradient(np.asarray(u, dtype=float))
-    return out if i is None else out[int(i)]
+    return op.node_mean @ op.gradient(np.asarray(u, dtype=float))
 
 
 def _variance(m: np.ndarray, u: np.ndarray) -> float:
@@ -207,14 +204,17 @@ def _stiffness(op: MeshOperator, norm: NormSpec):
     return (op.D.T @ kron(diags(op.mu), B) @ op.D).tocsc()
 
 
-def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
-                      max_iter: int = 50_000) -> EigenResult:
+_MAX_ITER = 50_000  # descent iterations before a solve is flagged unconverged
+
+
+def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec,
+                      seed: int = 0) -> EigenResult:
     """Minimize the Rayleigh quotient on the mean-zero sphere.
 
     Start: first coordinate function minus its weighted mean, plus seeded
     1e-3 noise to break grid symmetries.  Terminates when the relative
-    decrease of the quotient over 10 iterations falls below 1e-12 (or at
-    the iteration cap, flagged as not converged).
+    decrease of the quotient over 10 iterations falls below 1e-12 (or after
+    _MAX_ITER iterations, flagged as not converged).
     """
     if domain.n_nodes < 3:
         raise ValueError("domain too small for an eigenvalue")
@@ -242,7 +242,7 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec, seed: int = 0,
     step = 1.0
     converged = False
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # preconditioned residual; the quotient's derivative along d is 2 r.d
         r = 0.5 * g - R * m * u
         d = -project(lu.solve(r))

@@ -210,7 +210,7 @@ def run_case(case: dict) -> CaseResult:
     )
     grad_cmp = check_gradient_comparison(dom, spec, cert, eigen)
     max_cmp = check_maxima(cert, eigen, spec)
-    lich = lichnerowicz_check(cert, lam_num, d_used) if cert.K > 0 else None
+    lich = lichnerowicz_check(cert, lam_num, bound) if cert.K > 0 else None
     return CaseResult(case_id=case_id, report=report,
                       gradient_comparison=grad_cmp, maxima=max_cmp,
                       lichnerowicz=lich, eigen=eigen, domain=dom)
@@ -297,18 +297,15 @@ def check_maxima(cert: CurvatureCertificate, eigen: EigenResult,
 
 
 def lichnerowicz_check(cert: CurvatureCertificate, lam_numeric: float,
-                       d: Optional[float] = None) -> LichnerowiczReport:
-    """For K > 0: lambda >= N K/(N-1), and the model bound dominates it
-    (each within _LICHNEROWICZ_TOL)."""
+                       bound: Optional[float] = None) -> LichnerowiczReport:
+    """For K > 0: lambda >= N K/(N-1), and the model bound lambda_1(K, N, d),
+    if given, dominates it (each within _LICHNEROWICZ_TOL)."""
     if cert.K <= 0:
         return LichnerowiczReport(applicable=False)
     threshold, tol = model_threshold(cert.K, cert.N), _LICHNEROWICZ_TOL
-    holds = lam_numeric >= threshold - tol
-    model_ok = True
-    if d is not None:
-        model_ok = lambda1_model(cert.K, cert.N, d) >= threshold - tol
     return LichnerowiczReport(applicable=True, threshold=threshold,
-                              holds=holds, model_bound_holds=model_ok)
+                              holds=lam_numeric >= threshold - tol,
+                              model_bound_holds=bound is None or bound >= threshold - tol)
 
 
 # ---------------------------------------------------------------------------

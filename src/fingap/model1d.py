@@ -467,10 +467,6 @@ class ModelSolution:
     fitted_param: float = field(default=math.nan)
 
     @property
-    def vp_end(self) -> float:
-        return float(self.vps[-1])
-
-    @property
     def max_value(self) -> float:
         return float(np.max(self.vs))
 
@@ -620,40 +616,25 @@ def _downcross(t, v, w, w_prev) -> bool:
     return w_prev > 0.0 and w <= 0.0
 
 
-def _downcross_or_escape(K, lam, t, v, w, w_prev) -> bool:
-    """:func:`_downcross`, or the first maximum is out of reach on the linear
-    chart with K < 0.
+def _out_of_reach(drift, sign, lam, t, v, w, w_prev) -> bool:
+    """:func:`_downcross`, or the first maximum is out of reach: on the tan
+    chart before the drift pole (``sign`` +1), on the linear chart with
+    K < 0 for good (``sign`` -1).  Those are the sides where |T| grows.
 
-    v' can only fall through 0 where v >= 0 (there v'' = -lam v).  While
-    v < 0, r = v'/v obeys r' = -(r^2 - T r + lam); once T = K t < -2 sqrt(lam)
-    the lower root r_- of r^2 - T r + lam only decreases and r cannot cross
-    it, so v < 0 with v' < |r_-| |v| keeps v below 0 for good.  Without this
-    a failing probe runs, ever stiffer, to the 64 pi/sqrt(lam) horizon.
-    """
-    T = K * t
-    return _downcross(t, v, w, w_prev) or (
-        v < 0.0 and T < 0.0 and T * T > 4.0 * lam
-        and w < -0.5 * v * (math.sqrt(T * T - 4.0 * lam) - T))
-
-
-def _downcross_or_pole(drift, lam, t, v, w, w_prev) -> bool:
-    """:func:`_downcross`, or the first maximum is out of reach before the
-    drift pole on the tan chart.
-
-    While v > 0, r = v'/v obeys r' = -(r^2 - T r + lam).  Past t = 0 the drift
-    T rises to +inf at the pole; once T > 2 sqrt(lam) the lower root
-    r_- = 2 lam / (T + sqrt(T^2 - 4 lam)) of r^2 - T r + lam only decreases
-    and r cannot fall below it, so v > 0 with v' > r_- v keeps v' > 0 up to
-    the pole.  Without this a failing probe runs, ever stiffer, into the pole
-    until its step size underflows.
+    While v != 0, r = v'/v obeys r' = -(r^2 - T r + lam).  Once sign T > 0
+    and T^2 > 4 lam, the lower root r_- of r^2 - T r + lam only decreases as
+    |T| grows, and r cannot fall below it.  So with sign v > 0 and r > r_-,
+    v keeps its sign: on the tan chart v' > 0 up to the pole, on the linear
+    chart v < 0, where v' cannot fall through 0 (there v'' = -lam v > 0).
+    r > r_- is r > T/2 or r^2 - T r + lam < 0, times v^2.  Without this a
+    failing probe runs, ever stiffer, into the pole until its step size
+    underflows, or to the 64 pi/sqrt(lam) horizon.
     """
     if _downcross(t, v, w, w_prev):
         return True
-    if v <= 0.0:
-        return False
     T = drift(t)
-    disc = T * T - 4.0 * lam
-    return T > 0.0 and disc > 0.0 and w * (T + math.sqrt(disc)) > 2.0 * lam * v
+    return (sign * T > 0.0 and sign * v > 0.0 and T * T > 4.0 * lam
+            and (v * w > 0.5 * T * v * v or w * w - T * v * w + lam * v * v < 0.0))
 
 
 # Shots of the fit run at this tolerance: a probe's v(b) must be far below
@@ -808,8 +789,7 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     (:func:`_extension` re-forms the step once), so a shot integrates once.
     On the linear chart with K < 0 and on the tan
     chart it ends as soon as the first maximum is out of reach
-    (:func:`_downcross_or_escape`, :func:`_downcross_or_pole`), and the shot
-    fails.
+    (:func:`_out_of_reach`), and the shot fails.
     """
     Tf = problem.drift()
     span0 = min(math.pi / math.sqrt(lam), t_cap - a)
@@ -817,9 +797,9 @@ def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Sh
     t_end = min(t_cap, t0 + 64.0 * math.pi / math.sqrt(lam))
     until = _downcross
     if problem.chart == "linear" and problem.K < 0:
-        until = partial(_downcross_or_escape, problem.K, lam)
+        until = partial(_out_of_reach, Tf, -1.0, lam)
     elif problem.chart == "tan":
-        until = partial(_downcross_or_pole, Tf, lam)
+        until = partial(_out_of_reach, Tf, 1.0, lam)
     ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **_PROBE_TOL)
     if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
         raise SolverError("no critical point of v' before the chart boundary "
@@ -855,6 +835,17 @@ def _solution(shot: _Shot, param: float = math.nan) -> ModelSolution:
         s, dvs, dws = np.r_[shot.a, s], np.r_[-1.0, dvs], np.r_[0.0, dws]
     return ModelSolution(a=shot.a, b=shot.b, lam=shot.lam, ts=s, vs=dvs, vps=dws,
                          fitted_param=param)
+
+
+def _half_wave(a: float, omega: float, lam: float,
+               param: float = math.nan) -> ModelSolution:
+    """v = -cos(omega (t - a)) on [a, a + pi/omega] at _DENSE_SAMPLES + 1
+    equispaced points: the closed-form solution from min -1 to max 1
+    exactly.  It solves L v = -lam v for omega^2 = lam on the flat chart,
+    and for the threshold lam at the Myers length on the tan chart."""
+    x = np.linspace(0.0, math.pi, _DENSE_SAMPLES + 1)
+    return ModelSolution(a=a, b=a + math.pi / omega, lam=lam, ts=a + x / omega,
+                         vs=-np.cos(x), vps=omega * np.sin(x), fitted_param=param)
 
 
 def model_threshold(K: float, N: float) -> float:
@@ -893,10 +884,7 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
         if lam < thresh * (1.0 - 1e-12):
             raise ValueError(f"lambda={lam} below the threshold {thresh}")
         if lam <= thresh * (1.0 + 1e-12):
-            al = math.sqrt(K / (N - 1.0))
-            ts = np.linspace(-half, half, 2001)
-            sol = ModelSolution(a=-half, b=half, lam=thresh, ts=ts,
-                                vs=np.sin(al * ts), vps=al * np.cos(al * ts))
+            sol = _half_wave(-half, math.sqrt(K / (N - 1.0)), thresh)
         else:
             sol = _solution(_first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12)))
     elif lam <= thresh:
@@ -1020,12 +1008,12 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
         sol = _fit_param(power, k, 0.0, walk, True, m)
         if sol is not None:
             return sol
-        # k this close to 1 is only reachable in the a -> inf (flat) limit;
-        # at a = 1e8 the miss is below 1e-8 for any moderate lambda
+        # k this close to 1 is reached only in the a -> inf limit, the flat
+        # member with max 1: take whichever of it and a = 1e8 is closer
         shot = power(a_cap)
-        if k - shot.top <= 1e-7:
+        if abs(k - shot.top) <= 1.0 - k:
             return _solution(shot, a_cap)
-        raise SolverError("power-chart fit failed to bracket")
+        return _half_wave(0.0, math.sqrt(lam), lam, _INF)
 
     # K < 0: the family spans the coth branch, then the tanh branch
     scale = 1.0 / math.sqrt(-K / (N - 1.0))
@@ -1064,6 +1052,12 @@ def _fit_infinite(K: float, lam: float, k: float) -> ModelSolution:
 def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolution:
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
     min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
+
+    One exception: for K = 0 and finite N, 1 - M(a) falls only like
+    (N-1) pi/(2 a sqrt(lam)), and a k above M(1e8) gets the closer of the
+    a = 1e8 member and the flat member -cos(sqrt(lam) t) (the a -> inf end,
+    max 1, ``fitted_param`` inf).  That miss is at most (N-1) pi/(4e8
+    sqrt(lam)), within _FIT_TOL while (N-1)/sqrt(lam) <= 1.27.
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;

@@ -1,4 +1,4 @@
-"""Minkowski norm families on R^n with duals, Legendre transforms and metric tensors.
+"""Minkowski norm families on R^n with duals and Legendre transforms.
 
 A Minkowski norm F is positively 1-homogeneous (F(tv) = tF(v) for t > 0),
 positive away from the origin, and strongly convex: the Hessian of F^2/2 is
@@ -49,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "NormSpec",
-    "NormValidation",
     "euclidean_norm",
     "quadratic_norm",
     "randers_norm",
@@ -60,8 +59,6 @@ __all__ = [
     "legendre",
     "legendre_inverse",
     "legendre_inverse_fd",
-    "metric_tensor",
-    "validate_norm",
     "is_reversible",
     "to_config",
     "from_config",
@@ -253,35 +250,6 @@ def legendre_inverse_fd(norm: NormSpec, xi) -> np.ndarray:
     return out
 
 
-def metric_tensor(norm: NormSpec, v) -> np.ndarray:
-    """Fundamental tensor g_ij(v) = Hessian of F^2/2 at v != 0.
-
-    Symmetric positive definite; satisfies g_v(v, v) = F(v)^2.
-    """
-    v = _check_dim(norm, v)
-    if v.ndim != 1:
-        raise ValueError("metric_tensor takes a single vector")
-    if np.linalg.norm(v) == 0.0:
-        raise ValueError("metric tensor is undefined at v = 0")
-    if norm.family == "euclidean":
-        return np.eye(norm.dim)
-    if norm.family == "quadratic":
-        return norm.A.copy()
-    if norm.family == "randers":
-        Av = norm.A @ v
-        alpha = float(np.sqrt(v @ Av))
-        beta = float(norm.b @ v)
-        g = (
-            norm.A
-            + beta * (norm.A / alpha - np.outer(Av, Av) / alpha**3)
-            + (np.outer(Av, norm.b) + np.outer(norm.b, Av)) / alpha
-            + np.outer(norm.b, norm.b)
-        )
-        return g
-    slope = norm.a_plus if v[0] > 0 else norm.a_minus
-    return np.array([[slope**2]])
-
-
 def is_reversible(norm: NormSpec) -> bool:
     """True iff F(-v) = F(v) identically."""
     if norm.family in ("euclidean", "quadratic"):
@@ -406,63 +374,6 @@ def dual_norm_numeric(norm: NormSpec, xi) -> float:
         return 0.0
     return _sphere_search(lambda w: (w @ xi) / norm_eval(norm, w), norm.dim,
                           seed=12345, tol=1e-14)
-
-
-@dataclass
-class NormValidation:
-    """Sampled sanity report for a NormSpec."""
-
-    passed: bool
-    max_homogeneity_violation: float
-    min_norm_on_sphere: float
-    min_metric_eigenvalue: float
-    max_fenchel_violation: float
-    failures: list[str]
-
-
-def validate_norm(norm: NormSpec, n_samples: int = 100, seed: int = 0) -> NormValidation:
-    """Sample directions and check homogeneity, positivity, strong convexity
-    and the Fenchel inequality xi(v) <= F(v) F*(xi).  Reports, never throws.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_samples, norm.dim))
-    v = v[np.linalg.norm(v, axis=1) > 1e-8]
-    t = rng.uniform(0.01, 10.0, size=v.shape[0])
-
-    Fv = norm_eval(norm, v)
-    Ftv = norm_eval(norm, t[:, None] * v)
-    homog = np.max(np.abs(Ftv - t * Fv) / (1.0 + Ftv))
-
-    unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-    min_sphere = float(np.min(norm_eval(norm, unit)))
-
-    min_eig = np.inf
-    for w in v[: min(20, v.shape[0])]:
-        g = metric_tensor(norm, w)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(g).min()))
-
-    xi = rng.standard_normal((v.shape[0], norm.dim))
-    pair = np.einsum("ni,ni->n", xi, v)
-    prod = Fv * dual_norm_eval(norm, xi)
-    fenchel = float(np.max(pair - prod * (1.0 + 1e-10)))
-
-    failures = []
-    if homog > 1e-12:
-        failures.append(f"homogeneity violated by {homog:.3e}")
-    if min_sphere <= 0:
-        failures.append("norm not positive on unit sphere")
-    if min_eig <= 0:
-        failures.append("metric tensor not positive definite")
-    if fenchel > 0:
-        failures.append(f"Fenchel inequality violated by {fenchel:.3e}")
-    return NormValidation(
-        passed=not failures,
-        max_homogeneity_violation=float(homog),
-        min_norm_on_sphere=min_sphere,
-        min_metric_eigenvalue=float(min_eig),
-        max_fenchel_violation=fenchel,
-        failures=failures,
-    )
 
 
 def to_config(norm: NormSpec) -> dict:

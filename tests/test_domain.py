@@ -19,9 +19,9 @@ from fingap.domain import (
     curvature_certificate,
     diameter,
     domain_spec_from_config,
-    domain_spec_to_config,
 )
-from fingap.norms import euclidean_norm, quadratic_norm, randers_norm, two_slope_norm
+from fingap.norms import (euclidean_norm, quadratic_norm, randers_norm, to_config,
+                          two_slope_norm)
 
 
 def interval_spec(norm=None, L=1.0, res=10, weight="lebesgue", kappa=0.0):
@@ -413,13 +413,19 @@ class TestCertificates:
 
 class TestConfig:
     def test_round_trip(self):
-        for spec in [
-            interval_spec(norm=two_slope_norm(2.0, 0.5)),
-            box_spec(norm=quadratic_norm(np.diag([1.0, 4.0]))),
-            DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
-                       weight="gaussian", kappa=0.5, resolution=8),
+        # each spec with the config record a case file gives for it
+        lebesgue = {"kind": "lebesgue"}
+        for spec, shape_cfg, weight_cfg in [
+            (interval_spec(norm=two_slope_norm(2.0, 0.5)),
+             {"shape": "interval", "length": 1.0}, lebesgue),
+            (box_spec(norm=quadratic_norm(np.diag([1.0, 4.0]))),
+             {"shape": "box", "lengths": [1.0, 1.0]}, lebesgue),
+            (DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                        weight="gaussian", kappa=0.5, resolution=8),
+             {"shape": "ball", "radius": 0.5}, {"kind": "gaussian", "kappa": 0.5}),
         ]:
-            cfg = domain_spec_to_config(spec)
+            cfg = {"domain": shape_cfg, "norm": to_config(spec.norm),
+                   "weight": weight_cfg, "resolution": spec.resolution}
             spec2 = domain_spec_from_config(cfg)
             assert spec2.shape == spec.shape
             assert spec2.lengths == spec.lengths

@@ -85,12 +85,6 @@ class TestDiscreteGradient:
         Du = discrete_gradient(d, np.ones(d.n_nodes))
         assert np.max(np.abs(Du)) <= 1e-13
 
-    def test_single_node_access(self):
-        d, _ = box_domain(6)
-        u = d.nodes[:, 0] ** 2
-        full = discrete_gradient(d, u)
-        assert np.allclose(discrete_gradient(d, u, 10), full[10])
-
     def test_cosine_second_order(self):
         d, _ = interval_domain(100)
         x = d.nodes[:, 0]

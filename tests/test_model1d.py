@@ -405,7 +405,7 @@ class TestFit:
         assert abs(fit.max_value - 0.5) <= 1e-8
         re = shoot(ModelProblem(0.0, 3.0, "power"), lam, fit.a, fit.b)
         assert abs(float(re.vs.max()) - 0.5) <= 1e-6
-        assert abs(re.vp_end) <= 1e-6
+        assert abs(re.vps[-1]) <= 1e-6
 
     def test_constant_chart_analytic_drift(self):
         # max value of the constant-drift family is exp(c pi / (2 omega))
@@ -514,7 +514,7 @@ class TestFitBranches:
                                    until=model1d._downcross)
         early = model1d._integrate(
             T, lam, a, -1.0, 0.0, horizon,
-            until=lambda *s: model1d._downcross_or_escape(K, lam, *s))
+            until=lambda *s: model1d._out_of_reach(T, -1.0, lam, *s))
         assert (plain[2][-1] <= 0.0) == reached
         if reached:
             assert early == plain
@@ -532,7 +532,7 @@ class TestFitBranches:
         cap = 0.5 * math.pi * (1.0 - 1e-12)
         early = model1d._integrate(
             T, lam, a, -1.0, 0.0, cap,
-            until=lambda *s: model1d._downcross_or_pole(T, lam, *s))
+            until=lambda *s: model1d._out_of_reach(T, 1.0, lam, *s))
         near = 0.5 * math.pi * (1.0 - 1e-6)
         plain = model1d._integrate(T, lam, a, -1.0, 0.0, cap if reached else near,
                                    until=model1d._downcross)

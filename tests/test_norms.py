@@ -14,13 +14,11 @@ from fingap.norms import (
     is_reversible,
     legendre,
     legendre_inverse,
-    metric_tensor,
     norm_eval,
     quadratic_norm,
     randers_norm,
     to_config,
     two_slope_norm,
-    validate_norm,
 )
 
 
@@ -82,27 +80,6 @@ class TestExamples:
             z = np.zeros(n.dim)
             assert np.all(legendre(n, z) == 0.0)
             assert np.all(legendre_inverse(n, z) == 0.0)
-
-    def test_metric_tensor_euclidean(self):
-        assert np.allclose(metric_tensor(euclidean_norm(2), [0.3, 1.0]), np.eye(2))
-
-    def test_metric_tensor_quadratic(self):
-        A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.allclose(metric_tensor(quadratic_norm(A), [1.0, -2.0]), A)
-
-    def test_metric_tensor_rejects_zero(self):
-        with pytest.raises(ValueError):
-            metric_tensor(euclidean_norm(2), [0.0, 0.0])
-
-    def test_metric_tensor_self_pairing(self):
-        # g_v(v, v) = F(v)^2 at sampled directions
-        rng = np.random.default_rng(3)
-        for n in all_test_norms():
-            for _ in range(10):
-                v = rng.standard_normal(n.dim)
-                g = metric_tensor(n, v)
-                assert v @ g @ v == pytest.approx(float(norm_eval(n, v)) ** 2,
-                                                  rel=1e-10)
 
     def test_randers_drift_too_large(self):
         with pytest.raises(ValueError, match="drift too large"):
@@ -354,12 +331,6 @@ def test_hypothesis_two_slope_dual(x):
 
 
 class TestValidationAndConfig:
-    def test_validate_passes_for_families(self):
-        for n in all_test_norms():
-            rep = validate_norm(n)
-            assert rep.passed, rep.failures
-            assert rep.max_homogeneity_violation <= 1e-12
-
     def test_config_round_trip(self):
         for n in all_test_norms():
             cfg = to_config(n)
