@@ -192,8 +192,9 @@ def _lattice_grid(idx: np.ndarray) -> np.ndarray:
 
 def _stencil_neighbors(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """(n, slots) node numbers of idx + each stencil offset, -1 off the nodes."""
+    strides = np.array(grid.strides) // grid.itemsize
     offsets = _stencil_offsets(idx.shape[1])
-    return grid[tuple(np.moveaxis(idx[:, None, :] + 2 + offsets, -1, 0))]
+    return grid.ravel()[((idx + 2) @ strides)[:, None] + offsets @ strides]
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:

@@ -23,7 +23,9 @@ e^{-Psi} over the vertices of T, and the mass m_i is e^{-Psi(x_i)} times the
 lumped P1 volume (the node measure on intervals and boxes).  D ((n_el*dim) x
 n, dim+1 nonzeros per row) maps u to the element gradients, so one energy and
 gradient evaluation is E = mu . F*(Du)^2 and grad E = D^T (2 mu l(Du)), with
-l the inverse Legendre map.
+l the inverse Legendre map.  The element geometry is closed-form: each edge
+matrix is inverted by its adjugate (cross products in 3-D), and D and the
+node mean are written straight into CSR.
 
 The stiffness S = D^T (diag(mu) (x) B) D, with B the dual norm's matrix (I
 for Euclidean, the product of the dual slopes for two-slope), is the exact
@@ -35,12 +37,13 @@ weak-form residual plus mesh refinement.
 Descent is preconditioned steepest descent on the weighted mean-zero sphere
 (LOBPCG's single-vector form, Knyazev 2001), alike for every norm: direction
 -L^{-1} r, r = g/2 - R M u, made mean-zero and M-orthogonal to u, with L =
-S + 1e-3 M factored once per solve.  Armijo backtracking (constant 1e-4; each
-cut to the quadratic interpolant's minimum, kept within 0.1-0.5 of the step)
-starts from the last accepted step, doubled after a first-try acceptance;
-once the predicted decrease a*slope is below 1e-14 R the line search is an
-iteration with zero progress and resets the step to 1.  Deterministic given
-(domain, norm, seed).
+S + 1e-3 M factored once per solve.  L is SPD, so SuperLU factors it on its
+diagonal pivots in a symmetric minimum-degree ordering (MMD on A^T + A).
+Armijo backtracking (constant 1e-4; each cut to the quadratic interpolant's
+minimum, kept within 0.1-0.5 of the step) starts from the last accepted
+step, doubled after a first-try acceptance; once the predicted decrease
+a*slope is below 1e-14 R the line search is an iteration with zero progress
+and resets the step to 1.  Deterministic given (domain, norm, seed).
 """
 
 from __future__ import annotations
@@ -121,8 +124,28 @@ def _kuhn_slots(dim: int) -> np.ndarray:
     return np.array(out)
 
 
+def _inverse_and_det(E: np.ndarray):
+    """Inverse and determinant of each edge matrix E (rows e_1..e_dim) by the
+    adjugate: 1/e in 1-D, [[d, -b], [-c, a]]/det in 2-D, and the columns
+    (e2 x e3, e3 x e1, e1 x e2)/det in 3-D."""
+    dim = E.shape[-1]
+    if dim == 1:
+        return 1.0 / E, E[:, 0, 0]
+    if dim == 2:
+        a, b, c, d = E.reshape(-1, 4).T
+        det = a * d - b * c
+        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    elif dim == 3:
+        e1, e2, e3 = E[:, 0], E[:, 1], E[:, 2]
+        adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=2)
+        det = np.einsum("ni,ni->n", e1, adj[:, :, 0])
+    else:
+        return np.linalg.inv(E), np.linalg.det(E)
+    return adj / det[:, None, None], det
+
+
 def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
-    from scipy.sparse import csr_matrix, diags
+    from scipy.sparse import csr_matrix
 
     n, dim, spec = domain.n_nodes, domain.dim, domain.spec
     x = domain.nodes.astype(float)
@@ -134,26 +157,29 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     v0 = np.repeat(np.arange(n), rest.shape[0] // n)
     keep = (rest >= 0).all(axis=1)
     verts = np.column_stack([v0[keep], rest[keep]])  # (n_el, dim+1)
-    if np.bincount(verts.ravel(), minlength=n).min() == 0:
+    count = np.bincount(verts.ravel(), minlength=n)
+    if count.min() == 0:
         raise ValueError("some lattice node lies in no simplex")
 
     # u(v_k) - u(v_0) = E_k . grad u, so grad u = E^{-1} (u(v_k) - u(v_0))
-    E = x[verts[:, 1:]] - x[verts[:, :1]]
-    Einv = np.linalg.inv(E)
-    vol = np.abs(np.linalg.det(E)) / (math.factorial(dim) * 2 ** (dim - 1))
+    Einv, det = _inverse_and_det(x[verts[:, 1:]] - x[verts[:, :1]])
+    vol = np.abs(det) / (math.factorial(dim) * 2 ** (dim - 1))
     coef = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
-    n_el = verts.shape[0]
-    rows = np.repeat(np.arange(n_el * dim), dim + 1)
-    D = csr_matrix((coef.ravel(), (rows, np.repeat(verts, dim, axis=0).ravel())),
-                   shape=(n_el * dim, n))
+    n_el, k = verts.shape
+    D = csr_matrix((coef.ravel(), np.repeat(verts, dim, axis=0).ravel(),
+                    np.arange(0, n_el * dim * k + 1, k)), shape=(n_el * dim, n))
 
     w = spec.weight_at(x)
     mu = vol * w[verts].mean(axis=1)
-    m = w * np.bincount(verts.ravel(), np.repeat(vol / (dim + 1), dim + 1), n)
-    incidence = csr_matrix((np.repeat(mu, dim + 1), (verts.ravel(),
-                            np.repeat(np.arange(n_el), dim + 1))), shape=(n, n_el))
-    node_mean = diags(1.0 / np.asarray(incidence.sum(axis=1)).ravel()) @ incidence
-    return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean.tocsr(), dim=dim)
+    m = w * np.bincount(verts.ravel(), np.repeat(vol / k, k), n)
+    # row i of node_mean: the elements around node i, in element order,
+    # weighted by mu and divided by their sum
+    el = np.argsort(verts.ravel(), kind="stable") // k
+    start = np.concatenate([[0], np.cumsum(count)])
+    mu_el = mu[el]
+    data = mu_el / np.repeat(np.add.reduceat(mu_el, start[:-1]), count)
+    node_mean = csr_matrix((data, el, start), shape=(n, n_el))
+    return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean, dim=dim)
 
 
 def discrete_gradient(domain: DiscreteDomain, u) -> np.ndarray:
@@ -224,7 +250,10 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec,
     op = mesh_operator(domain)
     m = op.m
     Mtot = float(m.sum())
-    lu = splu(_stiffness(op, norm) + diags(1e-3 * m, format="csc"))
+    # L is SPD: a symmetric minimum-degree ordering on its diagonal pivots
+    lu = splu(_stiffness(op, norm) + diags(1e-3 * m, format="csc"),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
 
     def project(w):
         return w - (float(m @ w) / Mtot)

@@ -406,12 +406,14 @@ def _case_summary(result: CaseResult) -> dict:
 
 
 def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None:
-    """One row per node: coordinates x1..x_dim, then u, at full precision."""
+    """One row per node: coordinates x1..x_dim, then u, at full precision.
+    The bytes are those of the csv module's default dialect: no field needs
+    quoting, and each row ends in CRLF."""
+    header = ",".join([f"x{i+1}" for i in range(nodes.shape[1])] + ["u"])
+    rows = np.column_stack([nodes, u]).tolist()
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{i+1}" for i in range(nodes.shape[1])] + ["u"])
-        for row in np.column_stack([nodes, u]):
-            w.writerow([repr(float(x)) for x in row])
+        f.write(header + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _pipeline(case: dict):

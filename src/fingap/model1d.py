@@ -1008,9 +1008,16 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
         sol = _fit_param(power, k, 0.0, walk, True, m)
         if sol is not None:
             return sol
+        # past a_cap, 1 - M(a) = c/a to first order: one shot at the a where
+        # that asymptote, fit at a_cap, meets k
+        shot = power(a_cap)
+        if not _fits(1.0, k):
+            a = a_cap * (1.0 - shot.top) / (1.0 - k)
+            tail = power(a)
+            if _fits(tail.top, k):
+                return _solution(tail, a)
         # k this close to 1 is reached only in the a -> inf limit, the flat
         # member with max 1: take whichever of it and a = 1e8 is closer
-        shot = power(a_cap)
         if abs(k - shot.top) <= 1.0 - k:
             return _solution(shot, a_cap)
         return _half_wave(0.0, math.sqrt(lam), lam, _INF)
@@ -1053,11 +1060,12 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
     min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
 
-    One exception: for K = 0 and finite N, 1 - M(a) falls only like
-    (N-1) pi/(2 a sqrt(lam)), and a k above M(1e8) gets the closer of the
-    a = 1e8 member and the flat member -cos(sqrt(lam) t) (the a -> inf end,
-    max 1, ``fitted_param`` inf).  That miss is at most (N-1) pi/(4e8
-    sqrt(lam)), within _FIT_TOL while (N-1)/sqrt(lam) <= 1.27.
+    For K = 0 and finite N, 1 - M(a) falls only like c/a, c = (N-1) pi/(2
+    sqrt(lam)), so a k above M(1e8) is fit on that tail by one shot at
+    a = c'/(1 - k), c' = 1e8 (1 - M(1e8)).  A k within _FIT_TOL of 1, or
+    one that shot misses, gets the closer of the a = 1e8 member and the
+    flat member -cos(sqrt(lam) t) (the a -> inf end, max 1,
+    ``fitted_param`` inf).
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;

@@ -159,6 +159,23 @@ class TestBuild:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("spec", [
+        interval_spec(res=10),
+        box_spec(lengths=(1.0, 0.6), res=17),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   resolution=7),
+        box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=8),
+    ], ids=["interval", "box", "ball", "box3d"])
+    def test_stencil_neighbors_flat_index(self, spec):
+        # the flat take on the padded grid is the per-axis tuple index
+        idx = build_domain(spec).idx
+        grid = domain_mod._lattice_grid(idx)
+        offsets = domain_mod._stencil_offsets(spec.dim)
+        want = grid[tuple(np.moveaxis(idx[:, None, :] + 2 + offsets, -1, 0))]
+        got = domain_mod._stencil_neighbors(grid, idx)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
     def test_measures_positive(self):
         for spec in [interval_spec(), box_spec(),
                      DomainSpec(shape="ball", norm=euclidean_norm(2),

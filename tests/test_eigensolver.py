@@ -131,6 +131,55 @@ class TestDiscreteGradient:
         assert mesh_operator(d) is mesh_operator(d)
 
 
+def coo_reference(d):
+    """D, mu, m and node_mean written the long way: each element's inverse and
+    determinant from LAPACK, every operator assembled from COO triplets."""
+    from scipy.sparse import coo_matrix, diags
+
+    x = d.nodes.astype(float)
+    if d.spec.shape == "ball":
+        x[d.boundary] *= d.spec.radius / np.linalg.norm(x[d.boundary], axis=1)[:, None]
+    verts = np.array(per_element_fit(d, np.zeros(d.n_nodes))[2])
+    n, dim, (n_el, k) = d.n_nodes, d.dim, verts.shape
+    E = x[verts[:, 1:]] - x[verts[:, :1]]
+    Einv = np.linalg.inv(E)
+    vol = np.abs(np.linalg.det(E)) / (math.factorial(dim) * 2 ** (dim - 1))
+    coef = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
+    D = coo_matrix((coef.ravel(), (np.repeat(np.arange(n_el * dim), k),
+                                   np.repeat(verts, dim, axis=0).ravel())),
+                   shape=(n_el * dim, n))
+    w = d.spec.weight_at(x)
+    mu = vol * w[verts].mean(axis=1)
+    m = w * np.bincount(verts.ravel(), np.repeat(vol / k, k), n)
+    incidence = coo_matrix((np.repeat(mu, k), (verts.ravel(),
+                            np.repeat(np.arange(n_el), k))), shape=(n, n_el)).tocsr()
+    node_mean = diags(1.0 / np.asarray(incidence.sum(axis=1)).ravel()) @ incidence
+    return {"D": D.toarray(), "mu": mu, "m": m, "node_mean": node_mean.toarray()}
+
+
+class TestMeshAssembly:
+    @pytest.mark.parametrize("spec", [
+        DomainSpec(shape="box", norm=euclidean_norm(2), lengths=(1.0, 0.6),
+                   resolution=7),
+        DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                   weight="gaussian", kappa=1.0, resolution=6),
+        DomainSpec(shape="box", norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0),
+                   resolution=4),
+    ], ids=["box", "ball-gauss", "box3d"])
+    def test_matches_coo_reference(self, spec):
+        # the closed-form geometry and the in-place CSR give the operators
+        # of the LAPACK and COO assembly up to rounding
+        d = build_domain(spec)
+        op = mesh_operator(d)
+        got = {"D": op.D.toarray(), "mu": op.mu, "m": op.m,
+               "node_mean": op.node_mean.toarray()}
+        for name, want in coo_reference(d).items():
+            assert got[name].shape == want.shape, name
+            err = np.max(np.abs(got[name] - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), name
+        assert op.node_mean.has_sorted_indices  # each row in element order
+
+
 class TestRayleighQuotient:
     def test_cosine_value(self):
         d, spec = interval_domain(200)

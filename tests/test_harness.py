@@ -1,5 +1,6 @@
 """Verification harness: bounds, comparisons, suite mechanics."""
 
+import csv
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from fingap.harness import (
     lichnerowicz_check,
     run_case,
     run_suite,
+    write_eigenfunction_csv,
 )
 from fingap.model1d import lambda1_model
 from fingap.norms import euclidean_norm
@@ -281,6 +283,25 @@ class TestSuite:
         s1 = open(os.path.join(str(tmp_path / "ser"), "summary.json"), "rb").read()
         s2 = open(os.path.join(str(tmp_path / "par"), "summary.json"), "rb").read()
         assert s1 == s2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eigenfunction_csv_bytes(self, tmp_path, dim):
+        # the same bytes as the csv module's writer, -0.0 and the extremes
+        # of repr included
+        rng = np.random.default_rng(dim)
+        nodes = rng.standard_normal((7, dim))
+        nodes[0, 0], nodes[1, -1] = -0.0, 1e300
+        u = np.append(rng.standard_normal(6), 1e-300)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow([f"x{i+1}" for i in range(dim)] + ["u"])
+            for row in np.column_stack([nodes, u]):
+                w.writerow([repr(float(x)) for x in row])
+        got = tmp_path / "got.csv"
+        write_eigenfunction_csv(str(got), nodes, u)
+        assert got.read_bytes() == ref.read_bytes()
+        assert b"-0.0," in got.read_bytes()
 
     def test_golden_cases_shape(self):
         cases = golden_cases()

@@ -473,7 +473,9 @@ class TestFitBranches:
         (-4.0, 2.0, 20.0, 0.5, 1e-8),         # tanh branch, a walks upward
         (0.5, INF, 0.7, 0.3, 1e-8),           # linear chart, failing probes
         (1.0, 2.0, 3.0, 0.7, 1e-8),           # tan chart, a failing probe
-        (0.0, 2.0, 0.2, 0.99999999, 1e-7),    # power chart, a = 1e8 fallback
+        (0.0, 2.0, 0.2, 0.99999999, 1e-7),    # power chart, past a = 1e8
+        (0.0, 4.0, 0.5, 1.0 - 3.3e-8, 1e-8),  # the 1/a tail, 3.3e-8 off flat
+        (0.0, 4.0, 0.5, 1.0 - 5e-9, 1e-8),    # power chart, flat member
         (0.0, INF, 10.0, 0.2, 1e-8),          # constant chart, c < 0
         # with probes at the default tolerance this fit ends 1.7e-7 off k
         (3.0, INF, 3.2, 3.0, 1e-8),
