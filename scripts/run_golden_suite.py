@@ -14,7 +14,7 @@ is the golden suite's entry point; `fingap suite` runs any other suite
 config.  Exit status is nonzero iff some case violates its bound beyond the
 discretization tolerance.
 
-Usage: python scripts/run_golden_suite.py [--out OUT_DIR] [--jobs K]
+Usage: python scripts/run_golden_suite.py [--out OUT_DIR]
 """
 
 import argparse
@@ -59,12 +59,11 @@ def closed_form(case: dict):
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out/golden")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     t0 = time.perf_counter()
     cases = golden_cases()
-    result = run_suite({"cases": cases}, out_dir=args.out, jobs=args.jobs)
+    result = run_suite({"cases": cases}, out_dir=args.out)
     wall = time.perf_counter() - t0
     exact = {c["id"]: closed_form(c) for c in cases}
     print(f"{'case':24s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "

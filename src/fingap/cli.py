@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     case = _load_case(args.spec)
-    result = run_suite({"cases": [case]}, out_dir=args.out, jobs=1)
+    result = run_suite({"cases": [case]}, out_dir=args.out)
     summary = result.summaries[0]
     if summary.get("error") is not None:
         print(f"error: {summary['error']}")
@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    result = run_suite(args.config, out_dir=args.out, jobs=args.jobs)
+    result = run_suite(args.config, out_dir=args.out)
     for s in result.summaries:
         if s.get("error") is not None:
             print(f"{s['id']}: ERROR {s['error']}")
@@ -154,7 +154,6 @@ def main(argv=None) -> int:
     pu = sub.add_parser("suite", help="run a verification suite")
     pu.add_argument("--config", required=True, help="suite config JSON")
     pu.add_argument("--out", required=True, help="output directory")
-    pu.add_argument("--jobs", type=int, default=1)
     pu.set_defaults(fn=cmd_suite)
 
     args = p.parse_args(argv)

@@ -4,12 +4,16 @@ A DomainSpec pairs a convex shape (centered interval, box, or ball) with a
 Minkowski norm and a smooth weight; build_domain rasterizes it to a regular
 lattice carrying per-node measures (cell volume times exp(-Psi)), a radius-2
 neighbor stencil, and boundary flags.  Distances are directed shortest paths
-with edge weight F(displacement), so non-reversible norms give order-dependent
-distances and the diameter is a supremum over ordered pairs; diameter() gets
-it exactly, in O(n) memory, from a few pruned Dijkstra sweeps.  A sweep runs
-one Dijkstra when the edge graph equals its transpose (a reversible norm),
-and bounds every node of its source's orbit under the lattice symmetries
-(signed axis permutations that keep the node set and every stencil weight).
+with edge weight F(displacement).  A stencil slot's displacement is its
+offset times the per-axis spacing, so each weight is a function of the slot
+alone: F is evaluated once per slot (24 in 2-D, 124 in 3-D) and the edge
+graph is written straight into CSR.  Non-reversible norms give
+order-dependent distances and the diameter is a supremum over ordered pairs;
+diameter() gets it exactly, in O(n) memory, from a few pruned Dijkstra
+sweeps.  A sweep runs one Dijkstra when the edge graph equals its transpose
+(a reversible norm), and bounds every node of its source's orbit under the
+lattice symmetries (signed axis permutations that keep the node set and
+every slot weight).
 
 Geodesics of a Minkowski norm in flat space are straight lines, so for the
 supported shapes the diameter also has an exact analytic value (max F-length
@@ -27,14 +31,13 @@ Other (norm, weight) pairs need a user-supplied certificate.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .norms import NormSpec, from_config as norm_from_config, norm_eval, to_config as norm_to_config
+from .norms import NormSpec, from_config as norm_from_config, norm_eval
 
 __all__ = [
     "DomainSpec",
@@ -103,26 +106,26 @@ class DomainSpec:
 class DiscreteDomain:
     """Lattice nodes with measures, a symmetric radius-2 stencil, and flags.
 
-    ``neighbor_idx`` is (n, max_deg) with -1 padding; ``neighbor_disp`` holds
-    the exact displacement vectors node -> neighbor; masks mark real slots.
-    ``idx`` is each node's integer index on the lattice box, from 0 per axis.
+    ``neighbor_idx`` is (n, slots), the node at each stencil offset
+    (:func:`_stencil_offsets`) or -1 where there is none; ``neighbor_mask``
+    is ``neighbor_idx >= 0``.  ``idx`` is each node's integer index on the
+    lattice box, from 0 per axis.
     The radius-2 stencil serves only the graph distances and the boundary
     flags; the eigensolver reads its Kuhn simplices off the max-norm-1 slots.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
-    is a whole number; ``h`` is the largest h_k (1/r on balls).
-    Immutable after build; ``_cache`` holds derived data only (edge graphs,
-    their lattice symmetries, the eigensolver's mesh operator).
+    is a whole number (``spacing``, 1/r on every axis of a ball); ``h`` is
+    the largest h_k.
+    Immutable after build; ``_cache`` holds derived data only (the
+    eigensolver's mesh operator).
     """
 
     spec: DomainSpec
     nodes: np.ndarray
     node_measure: np.ndarray
     neighbor_idx: np.ndarray
-    neighbor_disp: np.ndarray
-    neighbor_mask: np.ndarray
     boundary: np.ndarray
     idx: np.ndarray
-    h: float
+    spacing: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -134,27 +137,33 @@ class DiscreteDomain:
         return self.nodes.shape[1]
 
     @property
+    def h(self) -> float:
+        return float(self.spacing.max())
+
+    @property
+    def neighbor_mask(self) -> np.ndarray:
+        return self.neighbor_idx >= 0
+
+    @property
     def total_measure(self) -> float:
         return float(self.node_measure.sum())
 
     def edge_graph(self, norm: NormSpec) -> csr_matrix:
-        """Directed sparse matrix of F(displacement) edge weights."""
-        key = _norm_key(norm)
-        g = self._cache.get(key)
-        if g is None:
-            from scipy.sparse import csr_matrix
+        """Directed sparse matrix of F(displacement) edge weights, row i
+        holding node i's neighbors in slot order."""
+        from scipy.sparse import csr_matrix
 
-            mask = self.neighbor_mask
-            rows = np.repeat(np.arange(self.n_nodes), mask.sum(axis=1))
-            cols = self.neighbor_idx[mask]
-            w = norm_eval(norm, self.neighbor_disp[mask])
-            g = csr_matrix((w, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-            self._cache[key] = g
-        return g
+        mask = self.neighbor_mask
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(mask.sum(axis=1), out=indptr[1:])
+        w = _slot_weights(norm, self.spacing)[np.nonzero(mask)[1]]
+        return csr_matrix((w, self.neighbor_idx[mask], indptr),
+                          shape=(self.n_nodes, self.n_nodes))
 
 
-def _norm_key(norm: NormSpec) -> str:
-    return json.dumps(norm_to_config(norm), sort_keys=True)
+def _slot_weights(norm: NormSpec, spacing: np.ndarray) -> np.ndarray:
+    """F of each stencil slot's displacement, offset times spacing."""
+    return norm_eval(norm, _stencil_offsets(spacing.size) * spacing)
 
 
 def _axis_nodes(L: float, resolution: int):
@@ -233,58 +242,39 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
     if nodes.shape[0] == 0:
         raise ValueError("domain is empty at this resolution")
 
-    offsets = _stencil_offsets(dim)
     nb_idx = _stencil_neighbors(_lattice_grid(idx), idx)
     if spec.shape == "ball":
         # a ball node is on the boundary if an axis neighbor is missing
-        axis_slots = np.abs(offsets).sum(axis=1) == 1
+        axis_slots = np.abs(_stencil_offsets(dim)).sum(axis=1) == 1
         boundary = (nb_idx[:, axis_slots] < 0).any(axis=1)
-
-    measure = cell * spec.weight_at(nodes)
-    nb_mask = nb_idx >= 0
-    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * spacing, 0.0)
 
     return DiscreteDomain(
         spec=spec,
         nodes=nodes,
-        node_measure=measure,
+        node_measure=cell * spec.weight_at(nodes),
         neighbor_idx=nb_idx,
-        neighbor_disp=nb_disp,
-        neighbor_mask=nb_mask,
         boundary=boundary,
         idx=idx,
-        h=float(spacing.max()),
+        spacing=spacing,
     )
 
 
 def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
     """Node permutations pi of the graph automorphisms that come from signed
-    axis permutations of the lattice index box; cached per norm.
+    axis permutations of the lattice index box.
 
-    The weights are read off the edge graph itself.  If its edges are the
-    full radius-2 stencil on the node set and each weight depends only on
-    its stencil offset o, then a signed axis permutation P gives an
-    automorphism when it maps the node set onto itself and w(P o) = w(o)
-    bit for bit for every o.  Anything else (a hand-cut mask, weights that
-    vary along a slot) gives no symmetries.
+    Each edge weight is its slot's weight (:func:`_slot_weights`).  So if
+    ``neighbor_idx`` is the full radius-2 stencil on the node set, a signed
+    axis permutation P gives an automorphism when it maps the node set onto
+    itself and w(P o) = w(o) bit for bit for every offset o.  A hand-cut
+    edge (a -1 in ``neighbor_idx`` where the stencil has a node) gives no
+    symmetries.
     """
-    key = "symmetries " + _norm_key(norm)
-    perms = domain._cache.get(key)
-    if perms is not None:
-        return perms
-    perms = []
-    domain._cache[key] = perms
-    idx, mask = domain.idx, domain.neighbor_mask
+    idx = domain.idx
     grid = _lattice_grid(idx)
-    nb = _stencil_neighbors(grid, idx)
-    if not (np.array_equal(domain.neighbor_idx, nb) and np.array_equal(mask, nb >= 0)):
-        return perms
-    rows, slots = np.nonzero(mask)
-    w = np.asarray(domain.edge_graph(norm)[rows, nb[rows, slots]]).ravel()
-    w_slot = np.full(nb.shape[1], np.nan)
-    w_slot[slots] = w
-    if not np.array_equal(w, w_slot[slots]):
-        return perms
+    if not np.array_equal(domain.neighbor_idx, _stencil_neighbors(grid, idx)):
+        return []
+    w_slot = _slot_weights(norm, domain.spacing)
 
     dim = idx.shape[1]
     offsets = _stencil_offsets(dim)
@@ -294,12 +284,13 @@ def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
     candidates = itertools.product(itertools.permutations(range(dim)),
                                    itertools.product((1, -1), repeat=dim))
     next(candidates)  # the identity
+    perms = []
     for perm, signs in candidates:
         perm, signs = list(perm), np.array(signs)
         if not np.array_equal(ext[perm], ext):
             continue
         sigma = slot_of[tuple((offsets[:, perm] * signs + 2).T)]
-        if not np.array_equal(w_slot[sigma], w_slot, equal_nan=True):
+        if not np.array_equal(w_slot[sigma], w_slot):
             continue
         image = np.where(signs > 0, idx[:, perm], ext - idx[:, perm])
         pi = grid[tuple((image + 2).T)]

@@ -24,9 +24,9 @@ because -u is not an eigenfunction of a non-reversible Laplacian.  For the
 pointwise comparison u is additionally shrunk by (1 - 1e-6) so its range
 stays strictly inside the model's.
 
-Suites run case-independently (optionally in parallel), never abort on a
-single case, and write a deterministic summary.json plus per-case CSV dumps;
-the exit status is nonzero iff some case is violated.
+Suites run their cases one after another, never abort on a single case,
+and write a deterministic summary.json plus per-case CSV dumps; the exit
+status is nonzero iff some case is violated.
 """
 
 from __future__ import annotations
@@ -434,24 +434,19 @@ class SuiteResult:
 
 
 def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
-    """Run every case in the config; write summary.json, bounds.csv and
+    """Run the config's cases in order; write summary.json, bounds.csv and
     per-case eigenfunction dumps.  Exit code 1 iff some verdict is violated.
+    ``jobs`` must be 1; it is accepted because perfbench's worker passes it.
     """
+    if jobs != 1:
+        raise ValueError("run_suite runs its cases in order; jobs must be 1")
     if isinstance(config, (str, os.PathLike)):
         with open(config) as f:
             config = json.load(f)
     cases = config.get("cases", [])
     os.makedirs(out_dir, exist_ok=True)
 
-    if jobs > 1 and len(cases) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_pipeline, cases))
-    else:
-        results = [_pipeline(c) for c in cases]
-
-    results.sort(key=lambda t: str(t[0]))
+    results = sorted(map(_pipeline, cases), key=lambda t: str(t[0]))
     summaries = []
     violated = 0
     for case_id, summary, dump in results:

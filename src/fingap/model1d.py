@@ -34,7 +34,7 @@ from the series v = -1 + lambda/(2N) (t-a)^2, which follows from the
 endpoint balance v''(a) = lambda/N.
 
 Shots integrate with the Prince-Dormand 8(5,3) pair (DOP853): a median of
-8 steps for a shot of lambda1_model at the default tolerance, 19 for a fit
+7 steps for a shot of lambda1_model at the default tolerance, 18 for a fit
 probe at the fit's tighter one.  Interval fitting walks a one-parameter
 family of shots (the start a on the tan, power, coth, tanh and linear charts,
 the drift c on the constant chart) until the first maximum v(b) crosses the
@@ -366,7 +366,9 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
     the derivative at the end reused as the next step's first stage, and
     the err5/err3 error estimate (step factor err^(-1/8)).  About 12
     microseconds per step; a shot of ``lambda1_model`` at the default
-    tolerance takes a median of 8 steps, a fit probe at ``_PROBE_TOL`` 19.
+    tolerance takes a median of 7 steps, a fit probe at ``_PROBE_TOL`` 18.
+    The first step is at most a sixteenth of the span and 0.4/sqrt(lam + 1),
+    about a sixteenth of the solution's wavelength 2 pi/sqrt(lam).
     """
     t, v, w = float(t0), float(v0), float(w0)
     ts, vs, ws = [t], [v], [w]
@@ -374,7 +376,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
         return ts, vs, ws
     f1v = w
     f1w = Tfun(t) * w - lam * v
-    h = min(max_step, (t_end - t0) / 64.0, 0.1 / math.sqrt(lam + 1.0))
+    h = min(max_step, (t_end - t0) / 16.0, 0.4 / math.sqrt(lam + 1.0))
     nsteps = 0
     nreject = 0
     while t < t_end:

@@ -60,7 +60,6 @@ __all__ = [
     "legendre_inverse",
     "legendre_inverse_fd",
     "is_reversible",
-    "to_config",
     "from_config",
 ]
 
@@ -374,19 +373,6 @@ def dual_norm_numeric(norm: NormSpec, xi) -> float:
         return 0.0
     return _sphere_search(lambda w: (w @ xi) / norm_eval(norm, w), norm.dim,
                           seed=12345, tol=1e-14)
-
-
-def to_config(norm: NormSpec) -> dict:
-    """Serialize to a plain config record; matrices flattened row-major."""
-    params: dict = {}
-    if norm.family in ("quadratic", "randers"):
-        params["A"] = [float(x) for x in norm.A.reshape(-1)]
-    if norm.family == "randers":
-        params["b"] = [float(x) for x in norm.b]
-    if norm.family == "two_slope_1d":
-        params["a_plus"] = norm.a_plus
-        params["a_minus"] = norm.a_minus
-    return {"family": norm.family, "dim": norm.dim, "params": params}
 
 
 def from_config(cfg: dict) -> NormSpec:

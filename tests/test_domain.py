@@ -20,7 +20,7 @@ from fingap.domain import (
     diameter,
     domain_spec_from_config,
 )
-from fingap.norms import (euclidean_norm, quadratic_norm, randers_norm, to_config,
+from fingap.norms import (euclidean_norm, norm_eval, quadratic_norm, randers_norm,
                           two_slope_norm)
 
 
@@ -75,11 +75,8 @@ def reference_build(spec):
     for i, k in enumerate(idx):
         for slot, o in enumerate(offsets):
             nb_idx[i, slot] = lookup.get(tuple(k + o), -1)
-    nb_mask = nb_idx >= 0
-    nb_disp = np.where(nb_mask[:, :, None], offsets[None, :, :] * spacing, 0.0)
     return {"nodes": nodes, "node_measure": cell * spec.weight_at(nodes),
-            "neighbor_idx": nb_idx, "neighbor_disp": nb_disp,
-            "neighbor_mask": nb_mask, "boundary": boundary}
+            "neighbor_idx": nb_idx, "boundary": boundary, "spacing": spacing}
 
 
 class TestBuild:
@@ -109,8 +106,7 @@ class TestBuild:
         d = build_domain(interval_spec(L=1.5, res=res))
         cells = d.n_nodes - 1
         assert np.diff(d.nodes[:, 0]) == pytest.approx(1.5 / cells, rel=1e-12)
-        assert np.max(np.abs(d.neighbor_disp)) == pytest.approx(2 * 1.5 / cells,
-                                                                 rel=1e-12)
+        assert d.spacing == pytest.approx([1.5 / cells], rel=1e-12)
         assert d.total_measure == pytest.approx(1.5, rel=1e-12)
 
     def test_resolution_floor(self):
@@ -126,16 +122,22 @@ class TestBuild:
                     pairs.add((i, int(d.neighbor_idx[i, s])))
         assert all((j, i) in pairs for (i, j) in pairs)
 
-    def test_stencil_displacements_antisymmetric(self):
-        d = build_domain(box_spec(res=5))
-        for i in range(0, d.n_nodes, 7):
-            for s in range(d.neighbor_idx.shape[1]):
-                if not d.neighbor_mask[i, s]:
-                    continue
-                j = int(d.neighbor_idx[i, s])
-                disp = d.neighbor_disp[i, s]
-                back = d.neighbor_disp[j][d.neighbor_mask[j]]
-                assert any(np.allclose(bd, -disp) for bd in back)
+    @pytest.mark.parametrize("spec", [
+        interval_spec(norm=two_slope_norm(2.0, 0.5)),
+        box_spec(norm=randers_norm(np.eye(2), [0.3, 0.1]), lengths=(1.0, 0.6),
+                 res=17),
+        box_spec(norm=quadratic_norm(np.diag([2.0, 1.0, 3.0])),
+                 lengths=(1.0, 1.0, 1.0), res=6),
+        DomainSpec(shape="ball", norm=randers_norm(np.eye(2), [0.2, 0.1]),
+                   radius=0.5, resolution=12),
+    ], ids=["twoslope-interval", "randers-box", "quadratic-box3d", "randers-ball"])
+    def test_edge_weights_are_norm_of_node_displacement(self, spec):
+        # one weight per stencil slot is F of every edge's own displacement
+        d = build_domain(spec)
+        g = d.edge_graph(spec.norm).tocoo()
+        assert g.nnz == d.neighbor_mask.sum()
+        want = norm_eval(spec.norm, d.nodes[g.col] - d.nodes[g.row])
+        np.testing.assert_allclose(g.data, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("spec", [
         interval_spec(res=10),
@@ -317,22 +319,16 @@ class TestDiameter:
         full = float(dijkstra(d.edge_graph(spec.norm), directed=True).max())
         assert diameter(d, spec.norm) == full
 
-    @pytest.mark.parametrize("edit", ["cut-mask", "stretched-weights"])
+    @pytest.mark.parametrize("edit", ["cut-mask"])
     def test_sweeps_match_all_pairs_hand_edited(self, edit):
-        # "cut-mask": nodes left of x = 0 lose their radius-2 out-edges, so the
-        # edges are no longer the full lattice stencil; "stretched-weights":
-        # out-edges right of x = 0.3 weigh twice as much, so a weight no longer
-        # depends on its offset alone.  Both graphs are directed, and the
+        # nodes left of x = 0 lose their radius-2 out-edges, so the edges are
+        # no longer the full lattice stencil.  The graph is directed, and the
         # square's eight symmetries would give a wrong diameter: none is used
         d = build_domain(box_spec(res=20))
-        x = d.nodes[:, 0]
-        mask, disp = d.neighbor_mask.copy(), d.neighbor_disp.copy()
-        if edit == "cut-mask":
-            mask[x < 0] &= np.abs(disp[x < 0]).max(axis=2) < 1.5 * d.h
-        else:
-            disp[x > 0.3] *= 2.0
-        cut = dataclasses.replace(d, neighbor_mask=mask, neighbor_disp=disp,
-                                  _cache={})
+        far = np.abs(domain_mod._stencil_offsets(2)).max(axis=1) == 2
+        nb = d.neighbor_idx.copy()
+        nb[np.ix_(d.nodes[:, 0] < 0, far)] = -1
+        cut = dataclasses.replace(d, neighbor_idx=nb, _cache={})
         norm = cut.spec.norm
         assert domain_mod._lattice_symmetries(cut, norm) == []
         full = float(dijkstra(cut.edge_graph(norm), directed=True).max())
@@ -343,26 +339,25 @@ class TestDiameter:
         # "split": no edge crosses x = 0; "one-way": only rightward edges, so
         # the left end reaches every node but no node reaches it
         d = build_domain(interval_spec(res=10))
-        x = d.nodes[:, 0]
-        dx = d.neighbor_disp[:, :, 0]
+        x, nb = d.nodes[:, 0], d.neighbor_idx
         if keep == "split":
-            target = np.where(d.neighbor_mask, x[d.neighbor_idx], x[:, None])
-            mask = d.neighbor_mask & ((x[:, None] < 0) == (target < 0))
+            keep_edge = (x[:, None] < 0) == (x[nb] < 0)
         else:
-            mask = d.neighbor_mask & (dx > 0)
-        cut = dataclasses.replace(d, neighbor_mask=mask, _cache={})
+            keep_edge = domain_mod._stencil_offsets(1)[:, 0] > 0
+        cut = dataclasses.replace(d, neighbor_idx=np.where(keep_edge, nb, -1),
+                                  _cache={})
         with pytest.raises(ValueError, match="disconnected"):
             diameter(cut, cut.spec.norm)
 
     @pytest.fixture
     def dijkstra_calls(self, monkeypatch):
-        """Work guard without a timer: (graph, source rows) of each Dijkstra."""
+        """Work guard without a timer: the source rows of each Dijkstra."""
         calls = []
         real = csgraph.dijkstra
 
         def counting(graph, *args, indices=None, **kwargs):
-            calls.append((graph, graph.shape[0] if indices is None
-                          else np.atleast_1d(indices).size))
+            calls.append(np.arange(graph.shape[0]) if indices is None
+                         else np.atleast_1d(indices))
             return real(graph, *args, indices=indices, **kwargs)
 
         # diameter imports dijkstra from scipy.sparse.csgraph when called
@@ -376,18 +371,20 @@ class TestDiameter:
         assert d.n_nodes == 2821
         diameter(d, spec.norm)
         assert dijkstra_calls
-        assert sum(rows for _, rows in dijkstra_calls) <= 0.01 * d.n_nodes
+        assert sum(rows.size for rows in dijkstra_calls) <= 0.01 * d.n_nodes
 
     def test_undirected_sweeps_run_one_dijkstra(self, dijkstra_calls):
         # the Euclidean graph equals its transpose, so a sweep runs Dijkstra
-        # once, on the edge graph itself; its 47 symmetries retire most sources
+        # once, from one source that no other sweep uses; its 47 symmetries
+        # retire most sources
         spec = box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=8)
         d = build_domain(spec)
-        g = d.edge_graph(spec.norm)
         assert len(domain_mod._lattice_symmetries(d, spec.norm)) == 47
         diameter(d, spec.norm)
         assert dijkstra_calls
-        assert all(graph is g and rows == 1 for graph, rows in dijkstra_calls)
+        assert all(rows.size == 1 for rows in dijkstra_calls)
+        sources = [int(rows[0]) for rows in dijkstra_calls]
+        assert len(set(sources)) == len(sources)
         assert len(dijkstra_calls) <= 20
 
 
@@ -432,16 +429,21 @@ class TestConfig:
     def test_round_trip(self):
         # each spec with the config record a case file gives for it
         lebesgue = {"kind": "lebesgue"}
-        for spec, shape_cfg, weight_cfg in [
+        for spec, shape_cfg, norm_cfg, weight_cfg in [
             (interval_spec(norm=two_slope_norm(2.0, 0.5)),
-             {"shape": "interval", "length": 1.0}, lebesgue),
+             {"shape": "interval", "length": 1.0},
+             {"family": "two_slope_1d", "dim": 1,
+              "params": {"a_plus": 2.0, "a_minus": 0.5}}, lebesgue),
             (box_spec(norm=quadratic_norm(np.diag([1.0, 4.0]))),
-             {"shape": "box", "lengths": [1.0, 1.0]}, lebesgue),
+             {"shape": "box", "lengths": [1.0, 1.0]},
+             {"family": "quadratic", "dim": 2,
+              "params": {"A": [1.0, 0.0, 0.0, 4.0]}}, lebesgue),
             (DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
                         weight="gaussian", kappa=0.5, resolution=8),
-             {"shape": "ball", "radius": 0.5}, {"kind": "gaussian", "kappa": 0.5}),
+             {"shape": "ball", "radius": 0.5}, {"family": "euclidean", "dim": 2},
+             {"kind": "gaussian", "kappa": 0.5}),
         ]:
-            cfg = {"domain": shape_cfg, "norm": to_config(spec.norm),
+            cfg = {"domain": shape_cfg, "norm": norm_cfg,
                    "weight": weight_cfg, "resolution": spec.resolution}
             spec2 = domain_spec_from_config(cfg)
             assert spec2.shape == spec.shape
@@ -450,3 +452,5 @@ class TestConfig:
             assert spec2.weight == spec.weight
             assert spec2.kappa == spec.kappa
             assert spec2.norm.family == spec.norm.family
+            v = np.random.default_rng(0).standard_normal((8, spec.dim))
+            assert np.array_equal(norm_eval(spec2.norm, v), norm_eval(spec.norm, v))

@@ -276,14 +276,6 @@ class TestSuite:
                           delimiter=",", skiprows=1)
         assert dump.shape[1] == 3  # x1, x2, u
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}
-        r1 = run_suite(cfg, out_dir=str(tmp_path / "ser"), jobs=1)
-        r2 = run_suite(cfg, out_dir=str(tmp_path / "par"), jobs=2)
-        s1 = open(os.path.join(str(tmp_path / "ser"), "summary.json"), "rb").read()
-        s2 = open(os.path.join(str(tmp_path / "par"), "summary.json"), "rb").read()
-        assert s1 == s2
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_eigenfunction_csv_bytes(self, tmp_path, dim):
         # the same bytes as the csv module's writer, -0.0 and the extremes

@@ -17,7 +17,6 @@ from fingap.norms import (
     norm_eval,
     quadratic_norm,
     randers_norm,
-    to_config,
     two_slope_norm,
 )
 
@@ -332,17 +331,36 @@ def test_hypothesis_two_slope_dual(x):
 
 class TestValidationAndConfig:
     def test_config_round_trip(self):
-        for n in all_test_norms():
-            cfg = to_config(n)
+        # each norm of all_test_norms() from the config record a case file
+        # gives for it; A flat row-major or nested, params nested or flat
+        records = [
+            {"family": "euclidean", "dim": 2},
+            {"family": "euclidean", "dim": 3},
+            {"family": "quadratic", "dim": 2, "params": {"A": [4.0, 0.0, 0.0, 1.0]}},
+            {"family": "quadratic", "dim": 2, "params": {"A": [[2.0, 0.5], [0.5, 1.0]]}},
+            {"family": "randers", "dim": 2,
+             "params": {"A": [1.0, 0.0, 0.0, 1.0], "b": [0.5, 0.0]}},
+            {"family": "randers", "dim": 2,
+             "params": {"A": [2.0, 0.3, 0.3, 1.0], "b": [0.2, -0.4]}},
+            {"family": "two_slope_1d", "dim": 1,
+             "params": {"a_plus": 2.0, "a_minus": 0.5}},
+            {"family": "two_slope_1d", "dim": 1, "a_plus": 1.0, "a_minus": 1.0},
+        ]
+        rng = np.random.default_rng(9)
+        for n, cfg in zip(all_test_norms(), records, strict=True):
             n2 = from_config(cfg)
-            rng = np.random.default_rng(9)
+            assert (n2.family, n2.dim) == (n.family, n.dim)
             v = rng.standard_normal((20, n.dim))
-            assert np.allclose(norm_eval(n, v), norm_eval(n2, v))
+            assert np.array_equal(norm_eval(n, v), norm_eval(n2, v))
 
     def test_config_matrix_row_major(self):
-        q = quadratic_norm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        cfg = to_config(q)
-        assert cfg["params"]["A"] == [2.0, 0.5, 0.5, 1.0]
+        cfg = {"family": "quadratic", "dim": 2, "params": {"A": [2.0, 0.5, 0.5, 1.0]}}
+        assert np.array_equal(from_config(cfg).A, [[2.0, 0.5], [0.5, 1.0]])
+        cfg = {"family": "randers", "dim": 3,
+               "params": {"A": [3.0, 0.1, 0.2, 0.1, 2.0, 0.3, 0.2, 0.3, 1.0],
+                          "b": [0.1, 0.0, 0.2]}}
+        assert np.array_equal(from_config(cfg).A,
+                              [[3.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 1.0]])
 
 
 class TestFiniteDifferenceOracle:
