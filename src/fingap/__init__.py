@@ -35,6 +35,7 @@ from .model1d import (
 from .domain import (
     DomainSpec,
     DiscreteDomain,
+    MeshOperator,
     CurvatureCertificate,
     build_domain,
     diameter,
@@ -43,8 +44,6 @@ from .domain import (
 )
 from .eigensolver import (
     EigenResult,
-    MeshOperator,
-    mesh_operator,
     discrete_gradient,
     rayleigh_quotient,
     minimize_rayleigh,

@@ -20,7 +20,7 @@ import sys
 
 from .domain import analytic_diameter, build_domain, diameter, domain_spec_from_config
 from .eigensolver import minimize_rayleigh
-from .harness import run_suite, write_eigenfunction_csv
+from .harness import case_resolutions, run_suite, write_eigenfunction_csv
 from .model1d import lambda1_model
 
 
@@ -30,12 +30,7 @@ def _load_case(path: str) -> dict:
 
 
 def _finest_spec(case: dict):
-    res = case.get("resolutions", [case.get("resolution", 8)])
-    if not res:
-        raise ValueError(f"case {case.get('id')}: no resolutions given")
-    cfg = dict(case)
-    cfg["resolution"] = max(int(r) for r in res)
-    return domain_spec_from_config(cfg)
+    return domain_spec_from_config(dict(case, resolution=case_resolutions(case)[-1]))
 
 
 def cmd_model_eig(args) -> int:

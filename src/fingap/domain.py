@@ -2,18 +2,22 @@
 
 A DomainSpec pairs a convex shape (centered interval, box, or ball) with a
 Minkowski norm and a smooth weight; build_domain rasterizes it to a regular
-lattice carrying per-node measures (cell volume times exp(-Psi)), a radius-2
-neighbor stencil, and boundary flags.  Distances are directed shortest paths
-with edge weight F(displacement).  A stencil slot's displacement is its
-offset times the per-axis spacing, so each weight is a function of the slot
-alone: F is evaluated once per slot (24 in 2-D, 124 in 3-D) and the edge
-graph is written straight into CSR.  Non-reversible norms give
-order-dependent distances and the diameter is a supremum over ordered pairs;
-diameter() gets it exactly, in O(n) memory, from a few pruned Dijkstra
-sweeps.  A sweep runs one Dijkstra when the edge graph equals its transpose
-(a reversible norm), and bounds every node of its source's orbit under the
-lattice symmetries (signed axis permutations that keep the node set and
-every slot weight).
+lattice: the nodes of per-axis coordinates (a ball keeps those inside it), a
+radius-2 neighbor stencil, and boundary flags (a node one of whose axis
+neighbors is missing).  The lattice owns its P1 mesh
+(``DiscreteDomain.mesh``, built on first use), whose lumped masses are the
+one node measure.
+
+Distances are directed shortest paths with edge weight F(displacement).  A
+stencil slot's displacement is its offset times the per-axis spacing, so
+each weight is a function of the slot alone: F is evaluated once per slot
+(24 in 2-D, 124 in 3-D) and the edge graph is written straight into CSR.
+Non-reversible norms give order-dependent distances and the diameter is a
+supremum over ordered pairs; diameter() gets it exactly, in O(n) memory,
+from a few pruned Dijkstra sweeps.  A sweep runs one Dijkstra when the edge
+graph equals its transpose (a reversible norm), and bounds every node of its
+source's orbit under the lattice symmetries (signed axis permutations that
+keep the node set and every slot weight).
 
 Geodesics of a Minkowski norm in flat space are straight lines, so for the
 supported shapes the diameter also has an exact analytic value (max F-length
@@ -30,9 +34,10 @@ Other (norm, weight) pairs need a user-supplied certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +47,7 @@ from .norms import NormSpec, from_config as norm_from_config, norm_eval
 __all__ = [
     "DomainSpec",
     "DiscreteDomain",
+    "MeshOperator",
     "CurvatureCertificate",
     "build_domain",
     "diameter",
@@ -104,29 +110,29 @@ class DomainSpec:
 
 @dataclass(eq=False)
 class DiscreteDomain:
-    """Lattice nodes with measures, a symmetric radius-2 stencil, and flags.
+    """Lattice nodes, a symmetric radius-2 stencil, boundary flags and the
+    lattice's P1 mesh.
 
     ``neighbor_idx`` is (n, slots), the node at each stencil offset
     (:func:`_stencil_offsets`) or -1 where there is none; ``neighbor_mask``
     is ``neighbor_idx >= 0``.  ``idx`` is each node's integer index on the
     lattice box, from 0 per axis.
-    The radius-2 stencil serves only the graph distances and the boundary
-    flags; the eigensolver reads its Kuhn simplices off the max-norm-1 slots.
+    The radius-2 stencil serves the graph distances and the boundary flags;
+    the mesh reads its Kuhn simplices off the max-norm-1 slots.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
     is a whole number (``spacing``, 1/r on every axis of a ball); ``h`` is
     the largest h_k.
-    Immutable after build; ``_cache`` holds derived data only (the
-    eigensolver's mesh operator).
+    ``mesh`` (:func:`_build_mesh`) is built on first use and kept; its lumped
+    masses ``mesh.m`` are the node measure, and ``total_measure`` is their
+    sum.  Immutable after build.
     """
 
     spec: DomainSpec
     nodes: np.ndarray
-    node_measure: np.ndarray
     neighbor_idx: np.ndarray
     boundary: np.ndarray
     idx: np.ndarray
     spacing: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -144,9 +150,13 @@ class DiscreteDomain:
     def neighbor_mask(self) -> np.ndarray:
         return self.neighbor_idx >= 0
 
+    @functools.cached_property
+    def mesh(self) -> MeshOperator:
+        return _build_mesh(self)
+
     @property
     def total_measure(self) -> float:
-        return float(self.node_measure.sum())
+        return float(self.mesh.m.sum())
 
     def edge_graph(self, norm: NormSpec) -> csr_matrix:
         """Directed sparse matrix of F(displacement) edge weights, row i
@@ -175,19 +185,22 @@ def _axis_nodes(L: float, resolution: int):
     return np.linspace(-L / 2.0, L / 2.0, cells + 1), L * resolution / cells
 
 
-_OFFSET_CACHE: dict = {}
-
-
+@functools.cache
 def _stencil_offsets(dim: int) -> np.ndarray:
     """All integer offsets with max-norm <= 2, excluding the origin."""
-    out = _OFFSET_CACHE.get(dim)
-    if out is None:
-        out = np.array(
-            [o for o in itertools.product(range(-2, 3), repeat=dim) if any(o)],
-            dtype=np.int64,
-        )
-        _OFFSET_CACHE[dim] = out
-    return out
+    return np.array(
+        [o for o in itertools.product(range(-2, 3), repeat=dim) if any(o)],
+        dtype=np.int64,
+    )
+
+
+@functools.cache
+def _slot_of(dim: int) -> np.ndarray:
+    """The stencil slot of each offset o at index o + 2, -1 at the origin."""
+    offsets = _stencil_offsets(dim)
+    slot_of = np.full((5,) * dim, -1)
+    slot_of[tuple((offsets + 2).T)] = np.arange(offsets.shape[0])
+    return slot_of
 
 
 def _lattice_grid(idx: np.ndarray) -> np.ndarray:
@@ -207,56 +220,143 @@ def _stencil_neighbors(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
-    """Rasterize the spec to a lattice with measures, stencil and flags."""
+    """Rasterize the spec to a lattice with its stencil and boundary flags."""
     h = 1.0 / spec.resolution
-    dim = spec.dim
-
-    if spec.shape in ("interval", "box"):
+    if spec.shape == "ball":
+        m = int(math.floor(spec.radius / h))
+        axes = [np.arange(-m, m + 1) * h] * spec.dim
+        spacing = np.full(spec.dim, h)
+    else:
         axes, stretch = zip(*[_axis_nodes(L, spec.resolution) for L in spec.lengths])
         spacing = h * np.array(stretch)
-        index_grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in index_grids], axis=1)
-        nodes = np.stack(
-            [axes[d][idx[:, d]] for d in range(dim)], axis=1
-        )
-        # cells of h^dim times the stretches; half cells at the two ends of
-        # each axis
-        cell = np.full(idx.shape[0], h**dim * math.prod(stretch))
-        boundary = np.zeros(idx.shape[0], dtype=bool)
-        for d in range(dim):
-            at_end = (idx[:, d] == 0) | (idx[:, d] == axes[d].size - 1)
-            cell[at_end] *= 0.5
-            boundary |= at_end
-    else:
+    index_grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
+    idx = np.stack([g.reshape(-1) for g in index_grids], axis=1)
+    nodes = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=1)
+    if spec.shape == "ball":
         R = spec.radius
-        m = int(math.floor(R / h))
-        rng = np.arange(-m, m + 1)
-        grids = np.meshgrid(*[rng] * dim, indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in grids], axis=1)
-        nodes = idx * h
         inside = np.einsum("ni,ni->n", nodes, nodes) <= R * R + 1e-12
-        idx, nodes = idx[inside] + m, nodes[inside]
-        cell = np.full(idx.shape[0], h**dim)
-        spacing = np.full(dim, h)
-
-    if nodes.shape[0] == 0:
-        raise ValueError("domain is empty at this resolution")
+        idx, nodes = idx[inside], nodes[inside]
 
     nb_idx = _stencil_neighbors(_lattice_grid(idx), idx)
-    if spec.shape == "ball":
-        # a ball node is on the boundary if an axis neighbor is missing
-        axis_slots = np.abs(_stencil_offsets(dim)).sum(axis=1) == 1
-        boundary = (nb_idx[:, axis_slots] < 0).any(axis=1)
-
+    # a node is on the boundary if an axis neighbor is missing
+    axis_slots = np.abs(_stencil_offsets(spec.dim)).sum(axis=1) == 1
     return DiscreteDomain(
         spec=spec,
         nodes=nodes,
-        node_measure=cell * spec.weight_at(nodes),
         neighbor_idx=nb_idx,
-        boundary=boundary,
+        boundary=(nb_idx[:, axis_slots] < 0).any(axis=1),
         idx=idx,
         spacing=spacing,
     )
+
+
+# ---------------------------------------------------------------------------
+# the P1 mesh
+
+
+@dataclass(frozen=True)
+class MeshOperator:
+    """P1 element gradients D, element measures mu, lumped masses m and the
+    mu-weighted element-to-node mean of a lattice (see :func:`_build_mesh`)."""
+
+    D: csr_matrix
+    mu: np.ndarray
+    m: np.ndarray
+    node_mean: csr_matrix
+    dim: int
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """Du as per-element covectors, shape (n_el, dim)."""
+        return (self.D @ u).reshape(-1, self.dim)
+
+
+def _kuhn_slots(dim: int) -> np.ndarray:
+    """Stencil slots of v_1..v_dim for every reflected Kuhn simplex at a node."""
+    out = []
+    for perm in itertools.permutations(range(dim)):
+        for signs in itertools.product((1, -1), repeat=dim - 1):
+            s, v = (1,) + signs, [0] * dim
+            for k in perm:
+                v[k] += s[k]
+                out.append(list(v))
+    return _slot_of(dim)[tuple((np.array(out) + 2).T)].reshape(-1, dim)
+
+
+def _inverse_and_det(E: np.ndarray):
+    """Inverse and determinant of each edge matrix E (rows e_1..e_dim) by the
+    adjugate: 1/e in 1-D, [[d, -b], [-c, a]]/det in 2-D, and the columns
+    (e2 x e3, e3 x e1, e1 x e2)/det in 3-D."""
+    dim = E.shape[-1]
+    if dim == 1:
+        return 1.0 / E, E[:, 0, 0]
+    if dim == 2:
+        a, b, c, d = E.reshape(-1, 4).T
+        det = a * d - b * c
+        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    elif dim == 3:
+        e1, e2, e3 = E[:, 0], E[:, 1], E[:, 2]
+        adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=2)
+        det = np.einsum("ni,ni->n", e1, adj[:, :, 0])
+    else:
+        return np.linalg.inv(E), np.linalg.det(E)
+    return adj / det[:, None, None], det
+
+
+def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
+    """The lattice's P1 operator.
+
+    For every permutation pi of the axes and every sign vector s with
+    s_0 = +1, the simplex v_0 = i, v_{k+1} = v_k + s_pi(k) e_pi(k) at every
+    node i whose vertices all exist.  Each sign vector (up to an overall
+    sign) is one Kuhn triangulation; a single one breaks the lattice's
+    reflection symmetry and splits degenerate eigenpairs, so all 2^(dim-1)
+    are averaged: each volume is divided by 2^(dim-1).  Ball boundary nodes
+    are moved radially onto the sphere inside the mesh only.  The element
+    measure is mu_T = |T| times the mean of e^{-Psi} over the vertices of T,
+    and the mass m_i is e^{-Psi(x_i)} times the lumped P1 volume: on
+    intervals and boxes, the cell volume halved once per axis at whose end
+    the node lies.  D ((n_el*dim) x n, dim+1 nonzeros per row) maps u to the
+    element gradients, so one energy and gradient evaluation is
+    E = mu . F*(Du)^2 and grad E = D^T (2 mu l(Du)), with l the inverse
+    Legendre map.  The element geometry is closed-form: each edge matrix is
+    inverted by its adjugate (cross products in 3-D), and D and the node
+    mean are written straight into CSR.
+    """
+    from scipy.sparse import csr_matrix
+
+    n, dim, spec = domain.n_nodes, domain.dim, domain.spec
+    x = domain.nodes.astype(float)
+    if spec.shape == "ball":
+        b = domain.boundary
+        x[b] *= spec.radius / np.linalg.norm(x[b], axis=1)[:, None]
+
+    rest = domain.neighbor_idx[:, _kuhn_slots(dim)].reshape(-1, dim)  # v_1..v_dim
+    v0 = np.repeat(np.arange(n), rest.shape[0] // n)
+    keep = (rest >= 0).all(axis=1)
+    verts = np.column_stack([v0[keep], rest[keep]])  # (n_el, dim+1)
+    count = np.bincount(verts.ravel(), minlength=n)
+    if count.min() == 0:
+        raise ValueError("some lattice node lies in no simplex")
+
+    # u(v_k) - u(v_0) = E_k . grad u, so grad u = E^{-1} (u(v_k) - u(v_0))
+    Einv, det = _inverse_and_det(x[verts[:, 1:]] - x[verts[:, :1]])
+    vol = np.abs(det) / (math.factorial(dim) * 2 ** (dim - 1))
+    coef = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
+    n_el, k = verts.shape
+    D = csr_matrix((coef.ravel(), np.repeat(verts, dim, axis=0).ravel(),
+                    np.arange(0, n_el * dim * k + 1, k)), shape=(n_el * dim, n))
+
+    w = spec.weight_at(x)
+    mu = vol * w[verts].mean(axis=1)
+    m = w * np.bincount(verts.ravel(), np.repeat(vol / k, k), n)
+    # row i of node_mean: the elements around node i, in element order,
+    # weighted by mu and divided by their sum
+    el = np.argsort(verts.ravel(), kind="stable") // k
+    start = np.concatenate([[0], np.cumsum(count)])
+    mu_el = mu[el]
+    data = mu_el / np.repeat(np.add.reduceat(mu_el, start[:-1]), count)
+    node_mean = csr_matrix((data, el, start), shape=(n, n_el))
+    return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean, dim=dim)
 
 
 def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
@@ -277,9 +377,7 @@ def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
     w_slot = _slot_weights(norm, domain.spacing)
 
     dim = idx.shape[1]
-    offsets = _stencil_offsets(dim)
-    slot_of = np.full((5,) * dim, -1)
-    slot_of[tuple((offsets + 2).T)] = np.arange(offsets.shape[0])
+    offsets, slot_of = _stencil_offsets(dim), _slot_of(dim)
     ext = idx.max(axis=0)
     candidates = itertools.product(itertools.permutations(range(dim)),
                                    itertools.product((1, -1), repeat=dim))
@@ -399,24 +497,18 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
-    """Build a DomainSpec from a config block {shape/domain, norm, weight, resolution}."""
+    """Build a DomainSpec from a config block {shape/domain, norm, weight,
+    resolution}; a missing or bad size fails in DomainSpec's own checks."""
     shape_cfg = cfg.get("domain", cfg)
-    shape = shape_cfg["shape"]
-    norm = norm_from_config(cfg["norm"])
+    shape = shape_cfg.get("shape")
     weight_cfg = cfg.get("weight", {"kind": "lebesgue"})
-    kind = weight_cfg.get("kind", "lebesgue")
-    kappa = float(weight_cfg.get("kappa", 0.0))
-    resolution = int(cfg["resolution"])
     if shape == "interval":
-        lengths = (float(shape_cfg["length"]),)
-        return DomainSpec(shape="interval", norm=norm, lengths=lengths,
-                          weight=kind, kappa=kappa, resolution=resolution)
-    if shape == "box":
-        lengths = tuple(float(L) for L in shape_cfg["lengths"])
-        return DomainSpec(shape="box", norm=norm, lengths=lengths,
-                          weight=kind, kappa=kappa, resolution=resolution)
-    if shape == "ball":
-        return DomainSpec(shape="ball", norm=norm,
-                          radius=float(shape_cfg["radius"]),
-                          weight=kind, kappa=kappa, resolution=resolution)
-    raise ValueError(f"unknown shape {shape!r}")
+        lengths = [shape_cfg["length"]] if "length" in shape_cfg else []
+    else:
+        lengths = shape_cfg.get("lengths", [])
+    return DomainSpec(shape=shape, norm=norm_from_config(cfg["norm"]),
+                      lengths=tuple(float(L) for L in lengths),
+                      radius=float(shape_cfg.get("radius", 0.0)),
+                      weight=weight_cfg.get("kind", "lebesgue"),
+                      kappa=float(weight_cfg.get("kappa", 0.0)),
+                      resolution=int(cfg["resolution"]))

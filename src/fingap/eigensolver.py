@@ -6,26 +6,11 @@ quotient
     R(u) = sum_T mu_T F*(grad u_T)^2 / sum_i m_i (u_i - mean)^2
 
 over non-constant node functions: the optimal Poincare constant of the
-discrete space.  u is continuous and piecewise linear (P1) on a Kuhn
-triangulation of the lattice, so grad u_T is constant on each simplex T; no
-boundary rows are imposed, so the Neumann condition arises naturally from
-the quotient.  P1 has no checkerboard null mode and needs no stabilization.
-
-Mesh (``mesh_operator``, built once per lattice and cached on the domain):
-for every permutation pi of the axes and every sign vector s with s_0 = +1,
-the simplex v_0 = i, v_{k+1} = v_k + s_pi(k) e_pi(k) at every node i whose
-vertices all exist.  Each sign vector (up to an overall sign) is one Kuhn
-triangulation; a single one breaks the lattice's reflection symmetry and
-splits degenerate eigenpairs, so all 2^(dim-1) are averaged: each volume is
-divided by 2^(dim-1).  Ball boundary nodes are moved radially onto the sphere
-inside the mesh only.  The element measure is mu_T = |T| times the mean of
-e^{-Psi} over the vertices of T, and the mass m_i is e^{-Psi(x_i)} times the
-lumped P1 volume (the node measure on intervals and boxes).  D ((n_el*dim) x
-n, dim+1 nonzeros per row) maps u to the element gradients, so one energy and
-gradient evaluation is E = mu . F*(Du)^2 and grad E = D^T (2 mu l(Du)), with
-l the inverse Legendre map.  The element geometry is closed-form: each edge
-matrix is inverted by its adjugate (cross products in 3-D), and D and the
-node mean are written straight into CSR.
+discrete space.  u is continuous and piecewise linear (P1) on the lattice's
+own Kuhn mesh (``DiscreteDomain.mesh``), so grad u_T is constant on each
+simplex T and the masses m are the lattice's node measure; no boundary rows
+are imposed, so the Neumann condition arises naturally from the quotient.
+P1 has no checkerboard null mode and needs no stabilization.
 
 The stiffness S = D^T (diag(mu) (x) B) D, with B the dual norm's matrix (I
 for Euclidean, the product of the dual slopes for two-slope), is the exact
@@ -48,23 +33,16 @@ and resets the step to 1.  Deterministic given (domain, norm, seed).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import DiscreteDomain, _stencil_offsets
+from .domain import DiscreteDomain, MeshOperator
 from .norms import NormSpec, dual_norm_eval, legendre_inverse
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "EigenResult",
-    "MeshOperator",
-    "mesh_operator",
     "discrete_gradient",
     "rayleigh_quotient",
     "minimize_rayleigh",
@@ -84,110 +62,12 @@ class EigenResult:
     history: list = field(default_factory=list, repr=False)
 
 
-@dataclass(frozen=True)
-class MeshOperator:
-    """P1 element gradients D, element measures mu, lumped masses m and the
-    mu-weighted element-to-node mean of a lattice (see the module docstring)."""
-
-    D: csr_matrix
-    mu: np.ndarray
-    m: np.ndarray
-    node_mean: csr_matrix
-    dim: int
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Du as per-element covectors, shape (n_el, dim)."""
-        return (self.D @ u).reshape(-1, self.dim)
-
-
-def mesh_operator(domain: DiscreteDomain) -> MeshOperator:
-    """The lattice's P1 operator, built on first use and cached on the domain."""
-    op = domain._cache.get("mesh_operator")
-    if op is None:
-        op = _build_mesh(domain)
-        domain._cache["mesh_operator"] = op
-    return op
-
-
-def _kuhn_slots(dim: int) -> np.ndarray:
-    """Stencil slots of v_1..v_dim for every reflected Kuhn simplex at a node."""
-    slot = {tuple(o): k for k, o in enumerate(_stencil_offsets(dim))}
-    out = []
-    for perm in itertools.permutations(range(dim)):
-        for signs in itertools.product((1, -1), repeat=dim - 1):
-            s, v = (1,) + signs, [0] * dim
-            row = []
-            for k in perm:
-                v[k] += s[k]
-                row.append(slot[tuple(v)])
-            out.append(row)
-    return np.array(out)
-
-
-def _inverse_and_det(E: np.ndarray):
-    """Inverse and determinant of each edge matrix E (rows e_1..e_dim) by the
-    adjugate: 1/e in 1-D, [[d, -b], [-c, a]]/det in 2-D, and the columns
-    (e2 x e3, e3 x e1, e1 x e2)/det in 3-D."""
-    dim = E.shape[-1]
-    if dim == 1:
-        return 1.0 / E, E[:, 0, 0]
-    if dim == 2:
-        a, b, c, d = E.reshape(-1, 4).T
-        det = a * d - b * c
-        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
-    elif dim == 3:
-        e1, e2, e3 = E[:, 0], E[:, 1], E[:, 2]
-        adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=2)
-        det = np.einsum("ni,ni->n", e1, adj[:, :, 0])
-    else:
-        return np.linalg.inv(E), np.linalg.det(E)
-    return adj / det[:, None, None], det
-
-
-def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
-    from scipy.sparse import csr_matrix
-
-    n, dim, spec = domain.n_nodes, domain.dim, domain.spec
-    x = domain.nodes.astype(float)
-    if spec.shape == "ball":
-        b = domain.boundary
-        x[b] *= spec.radius / np.linalg.norm(x[b], axis=1)[:, None]
-
-    rest = domain.neighbor_idx[:, _kuhn_slots(dim)].reshape(-1, dim)  # v_1..v_dim
-    v0 = np.repeat(np.arange(n), rest.shape[0] // n)
-    keep = (rest >= 0).all(axis=1)
-    verts = np.column_stack([v0[keep], rest[keep]])  # (n_el, dim+1)
-    count = np.bincount(verts.ravel(), minlength=n)
-    if count.min() == 0:
-        raise ValueError("some lattice node lies in no simplex")
-
-    # u(v_k) - u(v_0) = E_k . grad u, so grad u = E^{-1} (u(v_k) - u(v_0))
-    Einv, det = _inverse_and_det(x[verts[:, 1:]] - x[verts[:, :1]])
-    vol = np.abs(det) / (math.factorial(dim) * 2 ** (dim - 1))
-    coef = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
-    n_el, k = verts.shape
-    D = csr_matrix((coef.ravel(), np.repeat(verts, dim, axis=0).ravel(),
-                    np.arange(0, n_el * dim * k + 1, k)), shape=(n_el * dim, n))
-
-    w = spec.weight_at(x)
-    mu = vol * w[verts].mean(axis=1)
-    m = w * np.bincount(verts.ravel(), np.repeat(vol / k, k), n)
-    # row i of node_mean: the elements around node i, in element order,
-    # weighted by mu and divided by their sum
-    el = np.argsort(verts.ravel(), kind="stable") // k
-    start = np.concatenate([[0], np.cumsum(count)])
-    mu_el = mu[el]
-    data = mu_el / np.repeat(np.add.reduceat(mu_el, start[:-1]), count)
-    node_mean = csr_matrix((data, el, start), shape=(n, n_el))
-    return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean, dim=dim)
-
-
 def discrete_gradient(domain: DiscreteDomain, u) -> np.ndarray:
     """Nodal differential, shape (n, dim): the mu-weighted mean of the
     element gradients around each node.  Exact for affine u; zero for
     constant u.
     """
-    op = mesh_operator(domain)
+    op = domain.mesh
     return op.node_mean @ op.gradient(np.asarray(u, dtype=float))
 
 
@@ -205,7 +85,7 @@ def rayleigh_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
     invariant.  For any non-constant u it dominates the discrete spectral gap,
     so it certifies the Poincare inequality from above."""
     u = np.asarray(u, dtype=float)
-    op = mesh_operator(domain)
+    op = domain.mesh
     den = _variance(op.m, u)
     return float(op.mu @ dual_norm_eval(norm, op.gradient(u)) ** 2) / den
 
@@ -247,7 +127,7 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec,
     from scipy.sparse import diags
     from scipy.sparse.linalg import splu
 
-    op = mesh_operator(domain)
+    op = domain.mesh
     m = op.m
     Mtot = float(m.sum())
     # L is SPD: a symmetric minimum-degree ordering on its diagonal pivots
@@ -324,7 +204,7 @@ def dense_oracle(domain: DiscreteDomain, norm: NormSpec) -> np.ndarray:
     from scipy.sparse import diags
     from scipy.sparse.linalg import eigsh
 
-    op = mesh_operator(domain)
+    op = domain.mesh
     S, m = _stiffness(op, norm), op.m
     M = diags(m).tocsc()
     x = domain.nodes[:, 0] - float(m @ domain.nodes[:, 0]) / float(m.sum())

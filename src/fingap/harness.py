@@ -67,6 +67,7 @@ __all__ = [
     "check_gradient_comparison",
     "check_maxima",
     "lichnerowicz_check",
+    "case_resolutions",
     "run_case",
     "run_suite",
     "write_eigenfunction_csv",
@@ -132,7 +133,7 @@ def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
                                 provenance="user")
 
 
-def _resolutions(case: dict) -> list[int]:
+def case_resolutions(case: dict) -> list[int]:
     """Distinct resolutions, ascending.  A one-entry list gets a half-size
     coarse companion; the error bar needs two distinct lattices."""
     given = [int(r) for r in case.get("resolutions", [])]
@@ -161,7 +162,7 @@ def run_case(case: dict) -> CaseResult:
     """Solve, bound, and compare one case at its listed resolutions."""
     case_id = str(case.get("id", "case"))
     seed = int(case.get("seed", 0))
-    res_list = _resolutions(case)
+    res_list = case_resolutions(case)
 
     solves = []
     dom = None

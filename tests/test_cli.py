@@ -93,14 +93,15 @@ def test_suite(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["geom", "solve"])
 def test_empty_resolutions_rejected(tmp_path, command):
+    # an empty list and a missing key alike: the CLI reads the suite's rule
     case = {
         "id": "e",
         "domain": {"shape": "interval", "length": 1.0},
         "norm": {"family": "euclidean", "dim": 1},
         "weight": {"kind": "lebesgue"},
-        "resolutions": [],
     }
     path = tmp_path / "case.json"
-    path.write_text(json.dumps(case))
-    with pytest.raises(ValueError, match="case e: no resolutions given"):
-        main([command, "--spec", str(path)])
+    for cfg in (dict(case, resolutions=[]), case):
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="case e: no resolutions given"):
+            main([command, "--spec", str(path)])

@@ -35,7 +35,10 @@ def box_spec(norm=None, lengths=(1.0, 1.0), res=10, weight="lebesgue", kappa=0.0
 
 
 def reference_build(spec):
-    """Per-node dict-lookup lattice builder: the arrays build_domain must match."""
+    """Per-node dict-lookup lattice builder: the arrays build_domain must
+    match, and under "measure" the cell measures (cell volume, halved per
+    axis end, times the weight) that the mesh's lumped masses equal on
+    intervals and boxes."""
     h = 1.0 / spec.resolution
     dim = spec.dim
     if spec.shape in ("interval", "box"):
@@ -61,7 +64,7 @@ def reference_build(spec):
         nodes = idx * h
         inside = np.einsum("ni,ni->n", nodes, nodes) <= spec.radius**2 + 1e-12
         idx, nodes = idx[inside], nodes[inside]
-        cell = np.full(idx.shape[0], h**dim)
+        cell = None
         spacing = np.full(dim, h)
         present = {tuple(k) for k in idx}
         boundary = np.array([
@@ -75,8 +78,9 @@ def reference_build(spec):
     for i, k in enumerate(idx):
         for slot, o in enumerate(offsets):
             nb_idx[i, slot] = lookup.get(tuple(k + o), -1)
-    return {"nodes": nodes, "node_measure": cell * spec.weight_at(nodes),
-            "neighbor_idx": nb_idx, "boundary": boundary, "spacing": spacing}
+    return {"nodes": nodes, "neighbor_idx": nb_idx, "boundary": boundary,
+            "spacing": spacing, "idx": idx - idx.min(axis=0),
+            "measure": None if cell is None else cell * spec.weight_at(nodes)}
 
 
 class TestBuild:
@@ -84,8 +88,8 @@ class TestBuild:
         d = build_domain(interval_spec(res=10))
         assert d.n_nodes == 11
         interior = ~d.boundary
-        assert np.allclose(d.node_measure[interior], 0.1)
-        assert np.allclose(d.node_measure[d.boundary], 0.05)
+        assert np.allclose(d.mesh.m[interior], 0.1)
+        assert np.allclose(d.mesh.m[d.boundary], 0.05)
         assert d.total_measure == pytest.approx(1.0)
 
     def test_box_node_count(self):
@@ -97,7 +101,7 @@ class TestBuild:
         d = build_domain(spec)
         x = d.nodes[:, 0]
         interior = ~d.boundary
-        assert np.allclose(d.node_measure[interior],
+        assert np.allclose(d.mesh.m[interior],
                            0.1 * np.exp(-x[interior] ** 2 / 2))
 
     @pytest.mark.parametrize("res", [67, 69])
@@ -156,10 +160,14 @@ class TestBuild:
             "ball-r45", "ball3d", "box-gauss"])
     def test_matches_reference_builder(self, spec):
         d = build_domain(spec)
-        for name, want in reference_build(spec).items():
+        ref = reference_build(spec)
+        measure = ref.pop("measure")
+        for name, want in ref.items():
             got = getattr(d, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
+        if spec.shape != "ball":
+            np.testing.assert_allclose(d.mesh.m, measure, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("spec", [
         interval_spec(res=10),
@@ -183,8 +191,20 @@ class TestBuild:
                      DomainSpec(shape="ball", norm=euclidean_norm(2),
                                 radius=0.5, resolution=12)]:
             d = build_domain(spec)
-            assert np.all(d.node_measure > 0)
+            assert np.all(d.mesh.m > 0)
             assert d.total_measure > 0
+
+    def test_geometry_leaves_mesh_unbuilt(self):
+        # the geometry path (build, edge graph, diameter) never assembles
+        # the P1 mesh; it is built on first use and kept
+        spec = DomainSpec(shape="ball", norm=randers_norm(np.eye(2), [0.2, 0.1]),
+                          radius=0.5, resolution=12)
+        d = build_domain(spec)
+        d.edge_graph(spec.norm)
+        diameter(d, spec.norm)
+        assert "mesh" not in d.__dict__
+        assert d.mesh is d.mesh
+        assert "mesh" in d.__dict__
 
 
 def distance(d, norm, i, j):
@@ -328,7 +348,7 @@ class TestDiameter:
         far = np.abs(domain_mod._stencil_offsets(2)).max(axis=1) == 2
         nb = d.neighbor_idx.copy()
         nb[np.ix_(d.nodes[:, 0] < 0, far)] = -1
-        cut = dataclasses.replace(d, neighbor_idx=nb, _cache={})
+        cut = dataclasses.replace(d, neighbor_idx=nb)
         norm = cut.spec.norm
         assert domain_mod._lattice_symmetries(cut, norm) == []
         full = float(dijkstra(cut.edge_graph(norm), directed=True).max())
@@ -344,8 +364,7 @@ class TestDiameter:
             keep_edge = (x[:, None] < 0) == (x[nb] < 0)
         else:
             keep_edge = domain_mod._stencil_offsets(1)[:, 0] > 0
-        cut = dataclasses.replace(d, neighbor_idx=np.where(keep_edge, nb, -1),
-                                  _cache={})
+        cut = dataclasses.replace(d, neighbor_idx=np.where(keep_edge, nb, -1))
         with pytest.raises(ValueError, match="disconnected"):
             diameter(cut, cut.spec.norm)
 
@@ -426,6 +445,17 @@ class TestCertificates:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("shape_cfg, dim, message", [
+        ({"shape": "interval"}, 1, "interval needs one positive length"),
+        ({"shape": "box"}, 2, "box needs positive side lengths"),
+        ({"shape": "ball"}, 2, "ball needs a positive radius"),
+    ], ids=["interval", "box", "ball"])
+    def test_missing_size_rejected(self, shape_cfg, dim, message):
+        cfg = {"domain": shape_cfg, "norm": {"family": "euclidean", "dim": dim},
+               "resolution": 8}
+        with pytest.raises(ValueError, match=message):
+            domain_spec_from_config(cfg)
+
     def test_round_trip(self):
         # each spec with the config record a case file gives for it
         lebesgue = {"kind": "lebesgue"}

@@ -12,7 +12,6 @@ from fingap.eigensolver import (
     _energy_and_grad,
     dense_oracle,
     discrete_gradient,
-    mesh_operator,
     minimize_rayleigh,
     rayleigh_quotient,
 )
@@ -101,7 +100,7 @@ class TestDiscreteGradient:
         # the transpose of the assembled D (used by the descent) is the
         # adjoint of the per-element fit
         d, _ = box_domain(7)
-        D = mesh_operator(d).D
+        D = d.mesh.D
         rng = np.random.default_rng(0)
         u = rng.standard_normal(d.n_nodes)
         grads = per_element_fit(d, u)[0]
@@ -128,7 +127,7 @@ class TestDiscreteGradient:
 
     def test_operator_assembled_once(self):
         d, _ = box_domain(6)
-        assert mesh_operator(d) is mesh_operator(d)
+        assert d.mesh is d.mesh
 
 
 def coo_reference(d):
@@ -170,7 +169,7 @@ class TestMeshAssembly:
         # the closed-form geometry and the in-place CSR give the operators
         # of the LAPACK and COO assembly up to rounding
         d = build_domain(spec)
-        op = mesh_operator(d)
+        op = d.mesh
         got = {"D": op.D.toarray(), "mu": op.mu, "m": op.m,
                "node_mean": op.node_mean.toarray()}
         for name, want in coo_reference(d).items():
@@ -237,7 +236,7 @@ class TestEnergyAssembly:
         rng = np.random.default_rng(11)
         for spec in energy_cases():
             d = build_domain(spec)
-            op = mesh_operator(d)
+            op = d.mesh
             for u in (rng.standard_normal(d.n_nodes),
                       np.sin(3.0 * d.nodes @ np.arange(1.0, d.dim + 1))):
                 grads, mus, _, m = per_element_fit(d, u)
@@ -251,12 +250,18 @@ class TestEnergyAssembly:
     def test_mass_is_node_measure(self):
         # the reflection average makes the lumped P1 volumes the lattice's
         # cell measures, on faces and corners too; one Kuhn orientation
-        # gives a 2-D corner 1/6 or 1/3 of a cell instead of 1/4
-        for spec in energy_cases():
-            if spec.shape != "ball":
-                d = build_domain(spec)
-                assert np.allclose(mesh_operator(d).m, d.node_measure,
-                                   rtol=1e-13, atol=0), spec
+        # gives a 2-D corner 1/6 or 1/3 of a cell instead of 1/4.  The 4-D
+        # box runs the LAPACK branch of the element geometry
+        specs = [s for s in energy_cases() if s.shape != "ball"]
+        specs.append(DomainSpec(shape="box", norm=euclidean_norm(4),
+                                lengths=(1.0,) * 4, resolution=4))
+        for spec in specs:
+            d = build_domain(spec)
+            ends = (d.idx == 0) | (d.idx == d.idx.max(axis=0))
+            cell = (np.prod(d.spacing) * 0.5 ** ends.sum(axis=1)
+                    * spec.weight_at(d.nodes))
+            assert np.allclose(d.mesh.m, cell, rtol=1e-13, atol=0), spec
+        assert d.n_nodes == 625
 
 
 class TestGradientCorrectness:
@@ -266,7 +271,7 @@ class TestGradientCorrectness:
         checked = 0
         for spec in specs:
             d = build_domain(spec)
-            op = mesh_operator(d)
+            op = d.mesh
             for _ in range(2):
                 u = rng.standard_normal(d.n_nodes)
                 w = rng.standard_normal(d.n_nodes)
@@ -292,7 +297,7 @@ class TestMinimize:
     def test_normalization_invariants(self):
         d, spec = interval_domain(60)
         res = minimize_rayleigh(d, spec.norm, seed=0)
-        m = d.node_measure
+        m = d.mesh.m
         assert abs(float(m @ res.u)) <= 1e-12 * float(m @ np.abs(res.u))
         assert float(m @ res.u**2) == pytest.approx(1.0, rel=1e-12)
 
