@@ -8,11 +8,11 @@ diagonal quadratic boxes, the N = inf model value for Gaussian boxes,
 (j'_{1,1}/R)^2 for the Euclidean disk; "-" otherwise) and the gradient
 comparison's fraction of nodes within tolerance and its core gap
 max |F*(Du) - v'(v^{-1}(u))| over |u| <= 0.9 ("-" where the comparison is
-inconclusive), and is followed by the descent's iterations and convergence
-at every resolution; the last line is the suite's wall time.  This script
-is the golden suite's entry point; `fingap suite` runs any other suite
-config.  Exit status is nonzero iff some case violates its bound beyond the
-discretization tolerance.
+inconclusive), and is followed by the descent's iterations, energy+gradient
+evaluations and convergence at every resolution; the last line is the
+suite's wall time.  This script is the golden suite's entry point; `fingap
+suite` runs any other suite config.  Exit status is nonzero iff some case
+violates its bound beyond the discretization tolerance.
 
 Usage: python scripts/run_golden_suite.py [--out OUT_DIR]
 """
@@ -82,9 +82,10 @@ def main() -> int:
             gap = "-" if g["max_gap_core"] is None else f"{g['max_gap_core']:.3e}"
         print(f"{r['case_id']:24s} {lam:10.6f} {err:>10s} {frac:>8s} {gap:>10s} "
               f"{r['bound']:10.6f} {r['margin']:+11.3e} {r['verdict']}")
-        solves = zip(r["lambda_by_resolution"], r["iterations"], r["converged"])
-        print(" " * 24 + "  ".join(f"r={res} it={it} converged={conv}"
-                                   for (res, _), it, conv in solves))
+        solves = zip(r["lambda_by_resolution"], r["iterations"], r["evaluations"],
+                     r["converged"])
+        print(" " * 24 + "  ".join(f"r={res} it={it} ev={ev} converged={conv}"
+                                   for (res, _), it, ev, conv in solves))
     print(f"suite wall time {wall:.2f} s; outputs in {result.out_dir}")
     return result.exit_code
 

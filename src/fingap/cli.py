@@ -78,6 +78,7 @@ def cmd_solve(args) -> int:
     print(f"lambda = {res.lam:.12g}")
     print(f"residual = {res.residual:.3e}")
     print(f"iterations = {res.iterations}")
+    print(f"evaluations = {res.evaluations}")
     print(f"converged = {res.converged}")
     if args.dump_u:
         write_eigenfunction_csv(args.dump_u, dom.nodes, res.u)

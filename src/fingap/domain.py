@@ -498,7 +498,11 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from a config block {shape/domain, norm, weight,
-    resolution}; a missing or bad size fails in DomainSpec's own checks."""
+    resolution}; a missing norm or resolution is a ValueError that names
+    it, and a missing or bad size fails in DomainSpec's own checks."""
+    for key in ("norm", "resolution"):
+        if key not in cfg:
+            raise ValueError(f"domain config has no {key!r}")
     shape_cfg = cfg.get("domain", cfg)
     shape = shape_cfg.get("shape")
     weight_cfg = cfg.get("weight", {"kind": "lebesgue"})

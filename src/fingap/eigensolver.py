@@ -24,11 +24,19 @@ Descent is preconditioned steepest descent on the weighted mean-zero sphere
 -L^{-1} r, r = g/2 - R M u, made mean-zero and M-orthogonal to u, with L =
 S + 1e-3 M factored once per solve.  L is SPD, so SuperLU factors it on its
 diagonal pivots in a symmetric minimum-degree ordering (MMD on A^T + A).
-Armijo backtracking (constant 1e-4; each cut to the quadratic interpolant's
-minimum, kept within 0.1-0.5 of the step) starts from the last accepted
-step, doubled after a first-try acceptance; once the predicted decrease
-a*slope is below 1e-14 R the line search is an iteration with zero progress
-and resets the step to 1.  Deterministic given (domain, norm, seed).
+Each trial step costs one energy+gradient evaluation, and one norm kernel:
+F*(Du)^2 = Du . l^{-1}(Du), so ``legendre_inverse`` gives the energy and the
+gradient together.  Armijo backtracking (constant 1e-4) cuts a rejected step
+a to t a, t the quadratic interpolant's minimum in units of a, kept within
+0.1-0.5; after an accepted step a the next iteration first tries a min(t, 2),
+with t = inf where the interpolant is not convex.  Once the predicted
+decrease a*slope is below 1e-14 R the line search is an iteration with zero
+progress and resets the step to 1.  An iteration that started from step 1
+and made no progress leaves u, R, the gradient and the step as they were,
+so every later iteration would repeat it bit for bit: those are not
+computed, only their history entries appended until the 10-iteration window
+closes.  The residual is that of the last evaluation.  Deterministic given
+(domain, norm, seed).
 """
 
 from __future__ import annotations
@@ -59,6 +67,8 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
+    # energy+gradient evaluations, the initial one included
+    evaluations: int = 0
     history: list = field(default_factory=list, repr=False)
 
 
@@ -91,11 +101,11 @@ def rayleigh_quotient(domain: DiscreteDomain, norm: NormSpec, u) -> float:
 
 
 def _energy_and_grad(op: MeshOperator, norm: NormSpec, u: np.ndarray):
-    """Numerator E(u) and its exact gradient."""
+    """Numerator E(u) and its exact gradient, from one norm kernel:
+    F*(Du)^2 = Du . l^{-1}(Du) (:func:`legendre_inverse`)."""
     Du = op.gradient(u)
-    num = float(op.mu @ dual_norm_eval(norm, Du) ** 2)
     z = 2.0 * op.mu[:, None] * legendre_inverse(norm, Du)
-    return num, op.D.T @ z.ravel()
+    return 0.5 * float(Du.ravel() @ z.ravel()), op.D.T @ z.ravel()
 
 
 def _stiffness(op: MeshOperator, norm: NormSpec):
@@ -148,42 +158,50 @@ def minimize_rayleigh(domain: DiscreteDomain, norm: NormSpec,
 
     R, g = _energy_and_grad(op, norm, u)
     history = [R]
+    evaluations = 1
     step = 1.0
+    # the last iteration started from step 1 and made no progress, so each
+    # later one would repeat it bit for bit: only its history entry is kept
+    stuck = False
     converged = False
 
-    for _ in range(_MAX_ITER):
-        # preconditioned residual; the quotient's derivative along d is 2 r.d
-        r = 0.5 * g - R * m * u
-        d = -project(lu.solve(r))
-        d -= float((m * u) @ d) * u
-        slope = -2.0 * float(r @ d)
-        if slope <= 1e-30 * max(1.0, R * R):
-            converged = True
-            break
-
-        a = step
-        while a * slope > 1e-14 * R:
-            u_try = normalize(project(u + a * d))
-            R_try, g_try = _energy_and_grad(op, norm, u_try)
-            if R_try <= R - 1e-4 * a * slope:
-                step = 2.0 * a if a == step else a  # doubled on a first try
-                u, R, g = u_try, R_try, g_try
+    while len(history) <= _MAX_ITER:
+        if not stuck:
+            # preconditioned residual; the quotient's derivative along d is 2 r.d
+            r = 0.5 * g - R * m * u
+            d = -project(lu.solve(r))
+            d -= float((m * u) @ d) * u
+            slope = -2.0 * float(r @ d)
+            if slope <= 1e-30 * max(1.0, R * R):
+                converged = True
                 break
-            a *= min(max(0.5 * slope * a / (R_try - R + slope * a), 0.1), 0.5)
-        else:  # predicted decrease below rounding: a zero-progress iteration
-            step = 1.0
+
+            a = step
+            while a * slope > 1e-14 * R:
+                u_try = normalize(project(u + a * d))
+                R_try, g_try = _energy_and_grad(op, norm, u_try)
+                evaluations += 1
+                # the quadratic interpolant along d has its minimum at t a
+                curv = R_try - R + slope * a
+                t = 0.5 * slope * a / curv if curv > 0.0 else math.inf
+                if R_try <= R - 1e-4 * a * slope:
+                    step = a * min(t, 2.0)
+                    u, R, g = u_try, R_try, g_try
+                    break
+                a *= min(max(t, 0.1), 0.5)
+            else:  # predicted decrease below rounding: a zero-progress iteration
+                stuck = step == 1.0
+                step = 1.0
         history.append(R)
         if len(history) > 10 and history[-11] - R < 1e-12 * max(R, 1e-300):
             converged = True
             break
 
-    u = normalize(project(u))
-    _, gfin = _energy_and_grad(op, norm, u)
-    defect = np.abs(0.5 * gfin - R * m * u)
+    defect = np.abs(0.5 * g - R * m * u)
     scale = max(R * float(np.max(m * np.abs(u))), 1e-300)
     return EigenResult(lam=R, u=u, residual=float(defect.max()) / scale,
                        iterations=len(history) - 1, converged=converged,
-                       history=history)
+                       evaluations=evaluations, history=history)
 
 
 _ORACLE_EIGS = 5  # eigenvalues returned by dense_oracle

@@ -90,6 +90,7 @@ class BoundReport:
     lambda_by_resolution: list = field(default_factory=list)
     # the descent's evidence at each resolution, in the same order
     iterations: list = field(default_factory=list)
+    evaluations: list = field(default_factory=list)
     converged: list = field(default_factory=list)
     residual: list = field(default_factory=list)
 
@@ -206,6 +207,7 @@ def run_case(case: dict) -> CaseResult:
         verdict=verdict,
         lambda_by_resolution=[[r, l] for r, l in zip(res_list, lams)],
         iterations=[e.iterations for e in solves],
+        evaluations=[e.evaluations for e in solves],
         converged=[e.converged for e in solves],
         residual=[e.residual for e in solves],
     )

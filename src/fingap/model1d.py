@@ -1004,12 +1004,15 @@ def _fit_below_finite(K: float, N: float, lam: float, k: float,
     if K == 0:
         power = partial(_first_max, ModelProblem(K, N, "power"), lam, t_cap=_INF)
         a_cap = 1e8
-        # 1 - M falls only like 1/a, so a k near 1 lies far out: stride by 4
-        walk = takewhile(lambda p: p <= a_cap,
-                         _walk(0.3 / math.sqrt(lam), lambda p: 4.0 * p))
-        sol = _fit_param(power, k, 0.0, walk, True, m)
-        if sol is not None:
-            return sol
+        if k < 1.0:  # k = 1 is met only as a -> inf: straight to the tail
+            # 1 - M falls only like c/a, so a k near 1 lies far out: the walk
+            # starts one stride of 4 short of where that asymptote meets k
+            c = (N - 1.0) * math.pi / (2.0 * math.sqrt(lam))
+            start = max(0.3 / math.sqrt(lam), c / (4.0 * (1.0 - k)))
+            walk = takewhile(lambda p: p <= a_cap, _walk(start, lambda p: 4.0 * p))
+            sol = _fit_param(power, k, 0.0, walk, True, m)
+            if sol is not None:
+                return sol
         # past a_cap, 1 - M(a) = c/a to first order: one shot at the a where
         # that asymptote, fit at a_cap, meets k
         shot = power(a_cap)
@@ -1063,11 +1066,13 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
 
     For K = 0 and finite N, 1 - M(a) falls only like c/a, c = (N-1) pi/(2
-    sqrt(lam)), so a k above M(1e8) is fit on that tail by one shot at
+    sqrt(lam)), so the walk over a starts at max(0.3/sqrt(lam),
+    c/(4(1 - k))), one stride of 4 short of where that asymptote meets k,
+    and a k above M(1e8) is fit on that tail by one shot at
     a = c'/(1 - k), c' = 1e8 (1 - M(1e8)).  A k within _FIT_TOL of 1, or
     one that shot misses, gets the closer of the a = 1e8 member and the
     flat member -cos(sqrt(lam) t) (the a -> inf end, max 1,
-    ``fitted_param`` inf).
+    ``fitted_param`` inf); k = 1 goes there with no walk.
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;

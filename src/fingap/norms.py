@@ -376,18 +376,26 @@ def dual_norm_numeric(norm: NormSpec, xi) -> float:
 
 
 def from_config(cfg: dict) -> NormSpec:
-    """Rebuild a NormSpec from a config record (accepts flat or nested A)."""
-    family = cfg["family"]
-    dim = int(cfg["dim"])
+    """Rebuild a NormSpec from a config record (accepts flat or nested A).
+    A missing key is a ValueError that names it."""
+
+    def need(block: dict, key: str, what: str = "norm"):
+        if key not in block:
+            raise ValueError(f"{what} config has no {key!r}")
+        return block[key]
+
+    family = need(cfg, "family")
+    dim = int(need(cfg, "dim"))
     params = cfg.get("params", cfg)
     if family == "euclidean":
         return euclidean_norm(dim)
     if family == "quadratic":
-        A = np.asarray(params["A"], dtype=float).reshape(dim, dim)
+        A = np.asarray(need(params, "A", family), dtype=float).reshape(dim, dim)
         return quadratic_norm(A)
     if family == "randers":
-        A = np.asarray(params["A"], dtype=float).reshape(dim, dim)
-        return randers_norm(A, np.asarray(params["b"], dtype=float))
+        A = np.asarray(need(params, "A", family), dtype=float).reshape(dim, dim)
+        return randers_norm(A, np.asarray(need(params, "b", family), dtype=float))
     if family == "two_slope_1d":
-        return two_slope_norm(params["a_plus"], params["a_minus"])
+        return two_slope_norm(need(params, "a_plus", family),
+                              need(params, "a_minus", family))
     raise ValueError(f"unknown norm family {family!r}")

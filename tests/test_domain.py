@@ -456,6 +456,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             domain_spec_from_config(cfg)
 
+    @pytest.mark.parametrize("key", ["norm", "resolution"])
+    def test_missing_key_named(self, key):
+        cfg = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+               "norm": {"family": "euclidean", "dim": 2}, "resolution": 8}
+        del cfg[key]
+        with pytest.raises(ValueError, match=f"domain config has no '{key}'"):
+            domain_spec_from_config(cfg)
+
     def test_round_trip(self):
         # each spec with the config record a case file gives for it
         lebesgue = {"kind": "lebesgue"}

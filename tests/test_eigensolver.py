@@ -247,6 +247,30 @@ class TestEnergyAssembly:
                 assert rayleigh_quotient(d, spec.norm, u) * var == pytest.approx(
                     raw, rel=1e-12), spec
 
+    def test_one_norm_kernel_per_evaluation(self, monkeypatch):
+        # the energy comes from the gradient's kernel, F*(Du)^2 = Du.l^{-1}(Du)
+        calls = []
+        inner = eigensolver.legendre_inverse
+
+        def counted(norm, xi):
+            calls.append(1)
+            return inner(norm, xi)
+
+        def forbidden(norm, xi):
+            raise AssertionError("dual_norm_eval called")
+
+        monkeypatch.setattr(eigensolver, "legendre_inverse", counted)
+        monkeypatch.setattr(eigensolver, "dual_norm_eval", forbidden)
+        rng = np.random.default_rng(5)
+        for spec in energy_cases():
+            op = build_domain(spec).mesh
+            u = rng.standard_normal(op.m.size)
+            calls.clear()
+            num, _ = _energy_and_grad(op, spec.norm, u)
+            assert len(calls) == 1, spec
+            ref = float(op.mu @ dual_norm_eval(spec.norm, op.gradient(u)) ** 2)
+            assert num == pytest.approx(ref, rel=1e-13), spec
+
     def test_mass_is_node_measure(self):
         # the reflection average makes the lumped P1 volumes the lattice's
         # cell measures, on faces and corners too; one Kuhn orientation
@@ -432,7 +456,7 @@ WORK_BOUND_LATTICES = work_bound_lattices()
 @pytest.mark.parametrize("cfg", [c for _, c in WORK_BOUND_LATTICES],
                          ids=[i for i, _ in WORK_BOUND_LATTICES])
 def test_preconditioned_work_bound(cfg, monkeypatch):
-    # deterministic work: each of these takes 16-35 iterations, so 60 leaves
+    # deterministic work: each of these takes 15-29 iterations, so 60 leaves
     # room for rounding but not for a lost preconditioner; a line search
     # that cuts into rounding noise shows as more than two energy
     # evaluations (one legendre_inverse call each) per iteration
@@ -449,6 +473,100 @@ def test_preconditioned_work_bound(cfg, monkeypatch):
     assert res.converged
     assert res.iterations <= 60
     assert len(calls) <= 2 * res.iterations + 2
+    assert res.evaluations == len(calls)
+
+
+def reference_descent(domain, norm, seed):
+    """minimize_rayleigh written out with every iteration computed in full,
+    repeats included: (lam, u, residual, history, LU solves)."""
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+
+    op = domain.mesh
+    m, Mtot = op.m, float(op.m.sum())
+    lu = splu(eigensolver._stiffness(op, norm) + diags(1e-3 * m, format="csc"),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+    def project(w):
+        return w - (float(m @ w) / Mtot)
+
+    def normalize(w):
+        return w / math.sqrt(float(m @ (w * w)))
+
+    rng = np.random.default_rng(seed)
+    u = project(domain.nodes[:, 0].astype(float))
+    scale = float(np.max(np.abs(u))) or 1.0
+    u = normalize(project(u + 1e-3 * scale * rng.standard_normal(domain.n_nodes)))
+    R, g = _energy_and_grad(op, norm, u)
+    history, step, solves = [R], 1.0, 0
+    for _ in range(eigensolver._MAX_ITER):
+        r = 0.5 * g - R * m * u
+        d = -project(lu.solve(r))
+        solves += 1
+        d -= float((m * u) @ d) * u
+        slope = -2.0 * float(r @ d)
+        if slope <= 1e-30 * max(1.0, R * R):
+            break
+        a, step = step, 1.0  # kept only if a step is accepted
+        while a * slope > 1e-14 * R:
+            u_try = normalize(project(u + a * d))
+            R_try, g_try = _energy_and_grad(op, norm, u_try)
+            curv = R_try - R + slope * a
+            t = 0.5 * slope * a / curv if curv > 0.0 else math.inf
+            if R_try <= R - 1e-4 * a * slope:
+                u, R, g, step = u_try, R_try, g_try, a * min(t, 2.0)
+                break
+            a *= min(max(t, 0.1), 0.5)
+        history.append(R)
+        if len(history) > 10 and history[-11] - R < 1e-12 * max(R, 1e-300):
+            break
+    defect = np.abs(0.5 * g - R * m * u)
+    residual = float(defect.max()) / max(R * float(np.max(m * np.abs(u))), 1e-300)
+    return R, u, residual, history, solves
+
+
+@pytest.mark.parametrize("cfg", [
+    {"domain": {"shape": "interval", "length": 1.0}, "resolution": 200,
+     "norm": {"family": "two_slope_1d", "dim": 1,
+              "params": {"a_plus": 2.0, "a_minus": 0.5}}},
+    {"domain": {"shape": "box", "lengths": [1.0, 1.0]}, "resolution": 40,
+     "norm": {"family": "randers", "dim": 2,
+              "params": {"A": [1.0, 0.0, 0.0, 1.0], "b": [0.3, 0.0]}}},
+    {"domain": {"shape": "box", "lengths": [1.0, 1.0, 1.0]}, "resolution": 8,
+     "norm": {"family": "euclidean", "dim": 3}},
+    {"domain": {"shape": "ball", "radius": 0.5}, "resolution": 60,
+     "norm": {"family": "euclidean", "dim": 2}},
+], ids=["two-slope-interval", "randers-box", "box3d", "ball"])
+def test_skipped_repeats_match_reference(cfg, monkeypatch):
+    # iterations that only repeat a stuck one are skipped, LU solve and all,
+    # with the result bit for bit that of the loop that computes each of them
+    import scipy.sparse.linalg
+
+    spec = domain_spec_from_config(cfg)
+    dom = build_domain(spec)
+    lam, u, residual, history, ref_solves = reference_descent(dom, spec.norm, seed=1)
+    solves = []
+    splu = scipy.sparse.linalg.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, r):
+            solves.append(1)
+            return self.lu.solve(r)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
+    res = minimize_rayleigh(dom, spec.norm, seed=1)
+    assert res.converged
+    assert res.lam == lam
+    assert np.array_equal(res.u, u)
+    assert res.history == history
+    assert res.iterations == len(history) - 1
+    assert res.residual == residual
+    assert len(solves) < res.iterations < ref_solves + 1
 
 
 class TestDenseOracle:

@@ -262,6 +262,12 @@ class TestSuite:
         assert by_id["good"]["error"] is None
         assert result.exit_code == 0  # errors are not violations
 
+    def test_missing_key_error_named(self, tmp_path):
+        case = {"id": "no-norm", "domain": {"shape": "box", "lengths": [1.0, 1.0]},
+                "resolutions": [5, 10]}
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert result.summaries[0]["error"] == "domain config has no 'norm'"
+
     def test_outputs_and_determinism(self, tmp_path):
         cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -634,6 +634,21 @@ class TestFitWork:
         assert len(shots) <= 16
         assert not capped
 
+    def test_power_walk_starts_at_asymptote(self, monkeypatch):
+        # 1 - M(a) falls like c/a on the power chart; a walk from
+        # a = 0.3/sqrt(lam) took 17 shots to reach a k this close to 1
+        K, N, lam, k = 0.0, 3.0, 9.743419838555312, 1.0 - 1.46e-8
+        shots, _ = _count_probes(monkeypatch)
+        fit = fit_model_solution(K, N, lam, k)
+        assert model1d._fits(fit.max_value, k)
+        assert len(shots) <= 5
+
+    def test_k_one_is_flat_member(self):
+        # c/(1 - k) has no value at k = 1: the fit goes straight to the tail
+        fit = fit_model_solution(0.0, 2.0, 5.0, 1.0)
+        assert fit.fitted_param == INF
+        assert fit.max_value == 1.0
+
 
 def _model_sweep_fits(seed):
     """The fit inputs of the benchmark's model-sweep workload for ``seed``."""

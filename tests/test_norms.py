@@ -353,6 +353,21 @@ class TestValidationAndConfig:
             v = rng.standard_normal((20, n.dim))
             assert np.array_equal(norm_eval(n, v), norm_eval(n2, v))
 
+    @pytest.mark.parametrize("record, key, what", [
+        ({"dim": 2}, "family", "norm"),
+        ({"family": "euclidean"}, "dim", "norm"),
+        ({"family": "quadratic", "dim": 2, "params": {}}, "A", "quadratic"),
+        ({"family": "randers", "dim": 2, "params": {"b": [0.1, 0.0]}}, "A", "randers"),
+        ({"family": "randers", "dim": 2, "params": {"A": [1.0, 0.0, 0.0, 1.0]}},
+         "b", "randers"),
+        ({"family": "two_slope_1d", "dim": 1, "a_minus": 1.0}, "a_plus", "two_slope_1d"),
+        ({"family": "two_slope_1d", "dim": 1, "a_plus": 1.0}, "a_minus", "two_slope_1d"),
+    ], ids=["family", "dim", "quadratic-A", "randers-A", "randers-b", "a_plus",
+            "a_minus"])
+    def test_config_missing_key_named(self, record, key, what):
+        with pytest.raises(ValueError, match=f"{what} config has no '{key}'"):
+            from_config(record)
+
     def test_config_matrix_row_major(self):
         cfg = {"family": "quadratic", "dim": 2, "params": {"A": [2.0, 0.5, 0.5, 1.0]}}
         assert np.array_equal(from_config(cfg).A, [[2.0, 0.5], [0.5, 1.0]])
