@@ -498,14 +498,17 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from a config block {shape/domain, norm, weight,
-    resolution}; a missing norm or resolution is a ValueError that names
-    it, and a missing or bad size fails in DomainSpec's own checks."""
+    resolution}; a missing norm, resolution or Gaussian kappa is a
+    ValueError that names it, and a missing or bad size fails in
+    DomainSpec's own checks."""
     for key in ("norm", "resolution"):
         if key not in cfg:
             raise ValueError(f"domain config has no {key!r}")
     shape_cfg = cfg.get("domain", cfg)
     shape = shape_cfg.get("shape")
     weight_cfg = cfg.get("weight", {"kind": "lebesgue"})
+    if weight_cfg.get("kind") == "gaussian" and "kappa" not in weight_cfg:
+        raise ValueError("weight config has no 'kappa'")
     if shape == "interval":
         lengths = [shape_cfg["length"]] if "length" in shape_cfg else []
     else:

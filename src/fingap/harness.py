@@ -129,6 +129,9 @@ def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
     cfg = case.get("certificate")
     if cfg is None:
         return curvature_certificate(spec)
+    for key in ("K", "N"):
+        if key not in cfg:
+            raise ValueError(f"certificate config has no {key!r}")
     # float() reads "inf"/"infinity" in any case, so N may be a string
     return CurvatureCertificate(K=float(cfg["K"]), N=float(cfg["N"]),
                                 provenance="user")

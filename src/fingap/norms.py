@@ -30,10 +30,16 @@ in the test suite against a generic numeric supremum oracle
 (``dual_norm_numeric``), the only user of ``scipy.optimize`` in fingap, which
 imports it when called.
 
-``NormSpec.sphere_max`` is max F(u) over the Euclidean unit sphere: 1,
-sqrt(lambda_max(A)) and max(a_plus, a_minus) in closed form, a batched
-monotone ascent from seeded starts finished by Newton steps on the sphere
-for Randers.  By duality, min F*(xi) over |xi| = 1 is its reciprocal.
+Every family but two-slope is F(v) = sqrt(v^T A v) + b.v, with A = I for
+Euclidean and b = 0 for Euclidean and quadratic (``A``/``b`` are None
+there); ``norm_eval``, ``legendre`` and ``is_reversible`` have one branch
+for all three and one for two-slope.
+
+``NormSpec.sphere_max`` is max F(u) over the Euclidean unit sphere:
+max(a_plus, a_minus) for two-slope; otherwise F is the support function of
+an ellipsoid, and it is the distance from 0 to that ellipsoid's farthest
+point, from an exact secular equation (:func:`_far_direction`).  By
+duality, min F*(xi) over |xi| = 1 is its reciprocal.
 
 All evaluation functions accept batched input with the vector components on
 the last axis and are pure; NormSpec values are immutable and safe to share.
@@ -139,13 +145,9 @@ class NormSpec:
     @cached_property
     def sphere_max(self) -> float:
         """max F(u) over the Euclidean unit sphere |u| = 1."""
-        if self.family == "euclidean":
-            return 1.0
-        if self.family == "quadratic":
-            return float(np.sqrt(np.linalg.eigvalsh(self.A).max()))
         if self.family == "two_slope_1d":
             return max(self.a_plus, self.a_minus)
-        return _sphere_ascent(self, seed=4321)
+        return float(norm_eval(self, _far_direction(self)))
 
 
 def euclidean_norm(dim: int) -> NormSpec:
@@ -185,16 +187,14 @@ def _check_dim(norm: NormSpec, x: np.ndarray) -> np.ndarray:
 def norm_eval(norm: NormSpec, v) -> np.ndarray:
     """Evaluate F(v).  Batched over leading axes; F(0) = 0."""
     v = _check_dim(norm, v)
-    if norm.family == "euclidean":
-        return np.sqrt(np.einsum("...i,...i->...", v, v))
-    if norm.family == "quadratic":
-        return np.sqrt(np.einsum("...i,ij,...j->...", v, norm.A, v))
-    if norm.family == "randers":
+    if norm.family == "two_slope_1d":
+        x = v[..., 0]
+        return np.where(x >= 0, norm.a_plus * x, -norm.a_minus * x)
+    if norm.A is None:
+        alpha = np.sqrt(np.einsum("...i,...i->...", v, v))
+    else:
         alpha = np.sqrt(np.einsum("...i,ij,...j->...", v, norm.A, v))
-        return alpha + np.einsum("...i,i->...", v, norm.b)
-    # two_slope_1d
-    x = v[..., 0]
-    return np.where(x >= 0, norm.a_plus * x, -norm.a_minus * x)
+    return alpha if norm.b is None else alpha + np.einsum("...i,i->...", v, norm.b)
 
 
 def dual_norm_eval(norm: NormSpec, xi) -> np.ndarray:
@@ -205,20 +205,18 @@ def dual_norm_eval(norm: NormSpec, xi) -> np.ndarray:
 def legendre(norm: NormSpec, v) -> np.ndarray:
     """Legendre transform l(v) = g_v(v, .) as a covector; l(0) = 0."""
     v = _check_dim(norm, v)
-    if norm.family == "euclidean":
-        return v.copy()
-    if norm.family == "quadratic":
-        return np.einsum("ij,...j->...i", norm.A, v)
-    if norm.family == "randers":
-        Av = np.einsum("ij,...j->...i", norm.A, v)
-        alpha = np.sqrt(np.einsum("...i,...i->...", v, Av))
-        F = alpha + np.einsum("...i,i->...", v, norm.b)
-        safe = np.where(alpha == 0.0, 1.0, alpha)
-        # grad(F^2/2) = F * (Av/alpha + b), and = 0 at v = 0
-        out = F[..., None] * (Av / safe[..., None] + norm.b)
-        return np.where(alpha[..., None] == 0.0, 0.0, out)
-    x = v[..., 0]
-    return np.where(x >= 0, norm.a_plus**2 * x, norm.a_minus**2 * x)[..., None]
+    if norm.family == "two_slope_1d":
+        x = v[..., 0]
+        return np.where(x >= 0, norm.a_plus**2 * x, norm.a_minus**2 * x)[..., None]
+    Av = v.copy() if norm.A is None else np.einsum("ij,...j->...i", norm.A, v)
+    if norm.b is None:
+        return Av
+    alpha = np.sqrt(np.einsum("...i,...i->...", v, Av))
+    F = alpha + np.einsum("...i,i->...", v, norm.b)
+    safe = np.where(alpha == 0.0, 1.0, alpha)
+    # grad(F^2/2) = F * (Av/alpha + b), and = 0 at v = 0
+    out = F[..., None] * (Av / safe[..., None] + norm.b)
+    return np.where(alpha[..., None] == 0.0, 0.0, out)
 
 
 def legendre_inverse(norm: NormSpec, xi) -> np.ndarray:
@@ -251,69 +249,47 @@ def legendre_inverse_fd(norm: NormSpec, xi) -> np.ndarray:
 
 def is_reversible(norm: NormSpec) -> bool:
     """True iff F(-v) = F(v) identically."""
-    if norm.family in ("euclidean", "quadratic"):
-        return True
-    if norm.family == "randers":
-        return bool(np.all(norm.b == 0.0))
-    return norm.a_plus == norm.a_minus
+    if norm.family == "two_slope_1d":
+        return norm.a_plus == norm.a_minus
+    return norm.b is None or bool(np.all(norm.b == 0.0))
 
 
-def _sphere_ascent(norm: NormSpec, seed: int) -> float:
-    """max of a Randers norm over |u| = 1: the fixed point
-    u <- grad F(u) / |grad F(u)|, grad F(u) = Au / sqrt(u^T A u) + b, then
-    Newton's method on the sphere.
+def _far_direction(norm: NormSpec) -> np.ndarray:
+    """The unit u maximizing F(u) = sqrt(u^T A u) + b.u over |u| = 1.
 
-    F is convex and 1-homogeneous, so at the new point v
-    F(v) >= grad F(u).v = |grad F(u)| >= grad F(u).u = F(u): every start
-    climbs.  Starts are 64 seeded directions plus the +-coordinate axes,
-    stepped together until the best F climbs by at most 1e-6 F.  That rate
-    is linear, and slow on nearly isotropic norms, so every start then takes
-    Newton steps (:func:`_sphere_newton_step`), each kept only where F rises.
+    F is the support function of the ellipsoid E = {A^{1/2} w + b : |w| <= 1},
+    so its maximizer is x/|x| for the point x of E farthest from 0.  In A's
+    eigenbasis (eigenvalues s, c = Q^T b) that point is x_i = c_i t/(t - s_i)
+    with t >= max s the root of the decreasing secular function
+    phi(t) = sum s_i c_i^2/(t - s_i)^2 = 1 (More and Sorensen 1983), found
+    by bisection to adjacent floats.  When c has little or no weight on the
+    top eigenspace, t - max s falls below rounding, so there x takes the
+    length that puts it on E instead, along c's part on that eigenspace or,
+    with none (the hard case), along the top eigenvector.  F is stationary
+    at u, so an error in u enters F(u) squared.
     """
-    rng = np.random.default_rng(seed)
-    eye = np.eye(norm.dim)
-    u = np.concatenate([rng.standard_normal((64, norm.dim)), eye, -eye])
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    F, best = norm_eval(norm, u), -np.inf
-    for _ in range(1000):
-        if F.max() - best <= 1e-6 * F.max():
-            break
-        best = F.max()
-        g = legendre(norm, u)  # F grad F(u)
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        F = norm_eval(norm, u)
-    for _ in range(20):
-        v = _sphere_newton_step(norm, u)
-        F_new = norm_eval(norm, v)
-        better = F_new > F
-        if not np.any(better):
-            break
-        u[better], F[better] = v[better], F_new[better]
-    return float(F.max())
+    A = np.eye(norm.dim) if norm.A is None else norm.A
+    s, Q = np.linalg.eigh(A)
+    c = Q.T @ (np.zeros(norm.dim) if norm.b is None else norm.b)
+    top = s == s[-1]
+    s_off, c_off = s[~top], c[~top]
+    c_top = np.linalg.norm(c[top])
 
+    def phi_off(t):
+        return float(np.sum(s_off * c_off**2 / (t - s_off) ** 2))
 
-def _sphere_newton_step(norm: NormSpec, u: np.ndarray) -> np.ndarray:
-    """One Newton step for max F on the unit sphere from each row of u.
-
-    With a = sqrt(u^T A u), the gradient g = Au/a + b has g.u = F and the
-    Hessian H = A/a - (Au)(Au)^T/a^3 has H u = 0, so on the tangent space
-    the Riemannian gradient is g - F u and the Riemannian Hessian is H - F I.
-    The step xi solves [[H - F I, u], [u^T, 0]] [xi, mu] = [F u - g, 0].
-    """
-    n, dim = u.shape
-    Au = u @ norm.A
-    a = np.sqrt(np.einsum("ni,ni->n", u, Au))
-    F = a + u @ norm.b
-    g = Au / a[:, None] + norm.b
-    M = np.zeros((n, dim + 1, dim + 1))
-    M[:, :dim, :dim] = (norm.A / a[:, None, None]
-                        - np.einsum("ni,nj->nij", Au, Au) / a[:, None, None] ** 3
-                        - F[:, None, None] * np.eye(dim))
-    M[:, :dim, dim] = M[:, dim, :dim] = u
-    rhs = np.concatenate([F[:, None] * u - g, np.zeros((n, 1))], axis=1)
-    xi = np.einsum("nij,nj->ni", np.linalg.pinv(M), rhs)[:, :dim]
-    v = u + xi
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    lo, hi = s[-1], s[-1] + np.sqrt(s[-1]) * np.linalg.norm(c)  # phi(hi) <= 1
+    while lo < (t := 0.5 * (lo + hi)) < hi:
+        if phi_off(t) + s[-1] * c_top**2 / (t - s[-1]) ** 2 > 1.0:
+            lo = t
+        else:
+            hi = t
+    x = np.empty(norm.dim)
+    x[~top] = c_off * hi / (hi - s_off)
+    z = c[top] / c_top if c_top > 0.0 else np.eye(top.sum())[-1]
+    x[top] = c[top] + np.sqrt(s[top]) * z * np.sqrt(max(0.0, 1.0 - phi_off(hi)))
+    u = Q @ x
+    return u / np.linalg.norm(u)
 
 
 def _sphere_search(ratio, dim: int, seed: int, tol: float) -> float:

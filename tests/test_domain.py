@@ -456,12 +456,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             domain_spec_from_config(cfg)
 
-    @pytest.mark.parametrize("key", ["norm", "resolution"])
-    def test_missing_key_named(self, key):
+    @pytest.mark.parametrize("block, key", [
+        ("domain", "norm"), ("domain", "resolution"), ("weight", "kappa"),
+    ], ids=["norm", "resolution", "kappa"])
+    def test_missing_key_named(self, block, key):
         cfg = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
-               "norm": {"family": "euclidean", "dim": 2}, "resolution": 8}
-        del cfg[key]
-        with pytest.raises(ValueError, match=f"domain config has no '{key}'"):
+               "norm": {"family": "euclidean", "dim": 2},
+               "weight": {"kind": "gaussian", "kappa": 0.5}, "resolution": 8}
+        del (cfg if block == "domain" else cfg[block])[key]
+        with pytest.raises(ValueError, match=f"{block} config has no '{key}'"):
             domain_spec_from_config(cfg)
 
     def test_round_trip(self):
@@ -480,6 +483,11 @@ class TestConfig:
                         weight="gaussian", kappa=0.5, resolution=8),
              {"shape": "ball", "radius": 0.5}, {"family": "euclidean", "dim": 2},
              {"kind": "gaussian", "kappa": 0.5}),
+            # an explicit kappa 0 is kept (only a missing one is an error)
+            (DomainSpec(shape="box", norm=euclidean_norm(2), lengths=(1.0, 1.0),
+                        weight="gaussian", kappa=0.0, resolution=8),
+             {"shape": "box", "lengths": [1.0, 1.0]}, {"family": "euclidean", "dim": 2},
+             {"kind": "gaussian", "kappa": 0}),
         ]:
             cfg = {"domain": shape_cfg, "norm": norm_cfg,
                    "weight": weight_cfg, "resolution": spec.resolution}

@@ -262,11 +262,16 @@ class TestSuite:
         assert by_id["good"]["error"] is None
         assert result.exit_code == 0  # errors are not violations
 
-    def test_missing_key_error_named(self, tmp_path):
-        case = {"id": "no-norm", "domain": {"shape": "box", "lengths": [1.0, 1.0]},
-                "resolutions": [5, 10]}
+    @pytest.mark.parametrize("block, key", [
+        ("domain", "norm"), ("certificate", "K"), ("certificate", "N"),
+    ], ids=["norm", "K", "N"])
+    def test_missing_key_error_named(self, tmp_path, block, key):
+        case = {"id": "missing", "domain": {"shape": "box", "lengths": [1.0, 1.0]},
+                "norm": {"family": "euclidean", "dim": 2},
+                "certificate": {"K": 0.0, "N": 2.0}, "resolutions": [5, 10]}
+        del (case if block == "domain" else case[block])[key]
         result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
-        assert result.summaries[0]["error"] == "domain config has no 'norm'"
+        assert result.summaries[0]["error"] == f"{block} config has no '{key}'"
 
     def test_outputs_and_determinism(self, tmp_path):
         cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}

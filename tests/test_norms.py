@@ -203,6 +203,15 @@ def dual_family_norms():
     ]
 
 
+def turned(ev, b):
+    """(R diag(ev) R^T, R b) for a seeded rotation R.  For a hard case, b
+    keeps a weight of rounding size on A's computed top eigenspace, and eigh
+    splits a repeated top eigenvalue by rounding."""
+    R = np.linalg.qr(np.random.default_rng(24).standard_normal((len(ev),) * 2))[0]
+    A = R @ np.diag(ev) @ R.T
+    return (A + A.T) / 2, R @ np.asarray(b)
+
+
 class TestDualNorm:
     def test_same_values_as_written_out_forms(self):
         rng = np.random.default_rng(21)
@@ -269,6 +278,12 @@ class TestDualNorm:
         (np.eye(3), [-0.1, 0.25, 0.2]),
         (np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]]),
          [0.4, -0.3, 0.2]),
+        # hard cases: b has no weight on the top eigenspace
+        (np.diag([1.0, 2.0]), [0.1, 0.0]),
+        (np.diag([1.0, 2.0]), [0.9, 0.0]),
+        (np.diag([1.0, 2.0, 2.0]), [0.2, 0.0, 0.0]),
+        turned([1.0, 2.0], [0.9, 0.0]),
+        turned([1.0, 2.0, 2.0], [0.2, 0.0, 0.0]),
     ])
     def test_sphere_max_matches_search_oracle(self, A, b):
         n = randers_norm(A, b)
@@ -281,8 +296,8 @@ class TestDualNorm:
         ([[1.0, 0.0], [0.0, 1.0001]], [1e-4, 0.0]),
     ])
     def test_sphere_max_nearly_isotropic(self, monkeypatch, A, b):
-        # the fixed-point ascent alone ran into its 1000-step cap on both,
-        # 1.3e-8 short on the first; Newton steps on the sphere finish it
+        # near the hard case: the secular root t is 7e-4 above max s on the
+        # first, and the second sits on the hard case's boundary
         calls = []
         inner = norms.norm_eval
 
