@@ -16,7 +16,6 @@ from .norms import (
     dual_norm_eval,
     legendre,
     legendre_inverse,
-    legendre_inverse_fd,
 )
 from .model1d import (
     ModelProblem,

@@ -23,13 +23,11 @@ Geodesics of a Minkowski norm in flat space are straight lines, so for the
 supported shapes the diameter also has an exact analytic value (max F-length
 of a straight segment); the graph value serves as a cross-check.
 
-Curvature certificates record a pair (K, N) with Ric_N >= K:
-
-  * any Minkowski norm with the Lebesgue measure has Ric_N >= 0 at N = dim;
-  * the Euclidean norm with Gaussian weight Psi = kappa |x|^2 / 2 has
-    Ric_inf = (Psi o line)'' = kappa along unit-speed straight lines.
-
-Other (norm, weight) pairs need a user-supplied certificate.
+Curvature certificates record a pair (K, N) with Ric_N >= K.  In a
+Minkowski space straight lines are geodesics and the Lebesgue measure has
+zero S-curvature, so for m = e^{-Psi} dx, Ric_inf(v) = D^2 Psi(v, v) (Ohta
+2009; Ohta and Sturm 2009).  Every supported (norm, weight) pair gets its
+certificate from that one formula (:func:`curvature_certificate`).
 """
 
 from __future__ import annotations
@@ -474,22 +472,20 @@ class CurvatureCertificate:
 
 
 def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
-    """Certificate for the supported (norm, weight) families.
+    """Certificate for any Minkowski norm with either weight.
 
-    Lebesgue measure: (K, N) = (0, dim) for any Minkowski norm.  Euclidean
-    norm with Gaussian weight kappa: (K, N) = (kappa, inf), since the weight
-    restricted to any unit-speed straight line has second derivative kappa.
+    Lebesgue measure: (K, N) = (0, dim).  Gaussian weight Psi = kappa |x|^2/2:
+    Ric_inf(v) = kappa |v|^2, and F(v)/|v| lies between 1/dual.sphere_max and
+    sphere_max, so K = kappa / sphere_max^2 for kappa >= 0 and
+    kappa dual.sphere_max^2 for kappa < 0, with N = inf.  Both sphere maxima
+    are exactly 1 for the Euclidean norm, where K = kappa.
     """
     if spec.weight == "lebesgue":
         return CurvatureCertificate(K=0.0, N=float(spec.dim),
                                     provenance="minkowski_lebesgue")
-    if spec.norm.family == "euclidean":
-        return CurvatureCertificate(K=spec.kappa, N=math.inf,
-                                    provenance="gaussian_weight")
-    raise ValueError(
-        "no certificate for a non-Euclidean norm with Gaussian weight; "
-        "supply a user certificate in the case config"
-    )
+    kappa, norm = spec.kappa, spec.norm
+    K = kappa / norm.sphere_max**2 if kappa >= 0 else kappa * norm.dual.sphere_max**2
+    return CurvatureCertificate(K=K, N=math.inf, provenance="gaussian_weight")
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +494,8 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from a config block {shape/domain, norm, weight,
-    resolution}; a missing norm, resolution or Gaussian kappa is a
-    ValueError that names it, and a missing or bad size fails in
+    resolution}; a missing norm, resolution, weight kind or Gaussian kappa
+    is a ValueError that names it, and a missing or bad size fails in
     DomainSpec's own checks."""
     for key in ("norm", "resolution"):
         if key not in cfg:
@@ -507,7 +503,9 @@ def domain_spec_from_config(cfg: dict) -> DomainSpec:
     shape_cfg = cfg.get("domain", cfg)
     shape = shape_cfg.get("shape")
     weight_cfg = cfg.get("weight", {"kind": "lebesgue"})
-    if weight_cfg.get("kind") == "gaussian" and "kappa" not in weight_cfg:
+    if "kind" not in weight_cfg:
+        raise ValueError("weight config has no 'kind'")
+    if weight_cfg["kind"] == "gaussian" and "kappa" not in weight_cfg:
         raise ValueError("weight config has no 'kappa'")
     if shape == "interval":
         lengths = [shape_cfg["length"]] if "length" in shape_cfg else []
@@ -516,6 +514,6 @@ def domain_spec_from_config(cfg: dict) -> DomainSpec:
     return DomainSpec(shape=shape, norm=norm_from_config(cfg["norm"]),
                       lengths=tuple(float(L) for L in lengths),
                       radius=float(shape_cfg.get("radius", 0.0)),
-                      weight=weight_cfg.get("kind", "lebesgue"),
+                      weight=weight_cfg["kind"],
                       kappa=float(weight_cfg.get("kappa", 0.0)),
                       resolution=int(cfg["resolution"]))

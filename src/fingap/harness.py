@@ -342,6 +342,15 @@ def golden_cases() -> list[dict]:
             "sharp": True,
         },
         {
+            "id": "sharp-1d-gauss-twoslope-asym",
+            "domain": {"shape": "interval", "length": 1.0},
+            "norm": {"family": "two_slope_1d", "dim": 1,
+                     "params": {"a_plus": 2.0, "a_minus": 0.5}},
+            "weight": {"kind": "gaussian", "kappa": 1.0},
+            "resolutions": [100, 200],
+            "sharp": True,
+        },
+        {
             "id": "box-euclid",
             "domain": {"shape": "box", "lengths": [1.0, 1.0]},
             "norm": {"family": "euclidean", "dim": 2},
@@ -375,6 +384,22 @@ def golden_cases() -> list[dict]:
             "id": "box-gauss-one",
             "domain": {"shape": "box", "lengths": [4.0, 4.0]},
             "norm": {"family": "euclidean", "dim": 2},
+            "weight": {"kind": "gaussian", "kappa": 1.0},
+            "resolutions": [8, 16],
+        },
+        {
+            "id": "box-gauss-quadratic",
+            "domain": {"shape": "box", "lengths": [4.0, 4.0]},
+            "norm": {"family": "quadratic", "dim": 2,
+                     "params": {"A": [1.0, 0.0, 0.0, 4.0]}},
+            "weight": {"kind": "gaussian", "kappa": 1.0},
+            "resolutions": [8, 16],
+        },
+        {
+            "id": "box-gauss-randers",
+            "domain": {"shape": "box", "lengths": [4.0, 4.0]},
+            "norm": {"family": "randers", "dim": 2,
+                     "params": {"A": [1.0, 0.0, 0.0, 1.0], "b": [0.3, 0.0]}},
             "weight": {"kind": "gaussian", "kappa": 1.0},
             "resolutions": [8, 16],
         },

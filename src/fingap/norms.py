@@ -64,7 +64,6 @@ __all__ = [
     "dual_norm_numeric",
     "legendre",
     "legendre_inverse",
-    "legendre_inverse_fd",
     "is_reversible",
     "from_config",
 ]
@@ -225,26 +224,6 @@ def legendre_inverse(norm: NormSpec, xi) -> np.ndarray:
     Satisfies F(l^{-1}(xi)) = F*(xi) and xi(l^{-1}(xi)) = F*(xi)^2.
     """
     return legendre(norm.dual, xi)
-
-
-def legendre_inverse_fd(norm: NormSpec, xi) -> np.ndarray:
-    """Inverse Legendre transform by central differences of F*^2/2.
-
-    Step h = 1e-6 * max(1, |xi|).  Reference implementation for validating
-    the closed forms in :func:`legendre_inverse`; O(h^2) accurate.
-    """
-    xi = _check_dim(norm, xi)
-    if xi.ndim != 1:
-        raise ValueError("legendre_inverse_fd takes a single covector")
-    h = 1e-6 * max(1.0, float(np.linalg.norm(xi)))
-    out = np.empty(norm.dim)
-    for i in range(norm.dim):
-        e = np.zeros(norm.dim)
-        e[i] = h
-        fp = float(dual_norm_eval(norm, xi + e)) ** 2
-        fm = float(dual_norm_eval(norm, xi - e)) ** 2
-        out[i] = (fp - fm) / (4.0 * h)
-    return out
 
 
 def is_reversible(norm: NormSpec) -> bool:

@@ -20,8 +20,8 @@ from fingap.domain import (
     diameter,
     domain_spec_from_config,
 )
-from fingap.norms import (euclidean_norm, norm_eval, quadratic_norm, randers_norm,
-                          two_slope_norm)
+from fingap.norms import (_far_direction, euclidean_norm, norm_eval, quadratic_norm,
+                          randers_norm, two_slope_norm)
 
 
 def interval_spec(norm=None, L=1.0, res=10, weight="lebesgue", kappa=0.0):
@@ -32,6 +32,13 @@ def interval_spec(norm=None, L=1.0, res=10, weight="lebesgue", kappa=0.0):
 def box_spec(norm=None, lengths=(1.0, 1.0), res=10, weight="lebesgue", kappa=0.0):
     return DomainSpec(shape="box", norm=norm or euclidean_norm(2),
                       lengths=lengths, resolution=res, weight=weight, kappa=kappa)
+
+
+def weighted_spec(norm, kappa):
+    """The unit interval or cube of the norm's dimension with Gaussian weight."""
+    shape = "interval" if norm.dim == 1 else "box"
+    return DomainSpec(shape=shape, norm=norm, lengths=(1.0,) * norm.dim,
+                      resolution=8, weight="gaussian", kappa=kappa)
 
 
 def reference_build(spec):
@@ -433,11 +440,53 @@ class TestCertificates:
         assert cert.K == 1.0
         assert math.isinf(cert.N)
 
-    def test_gaussian_non_euclidean_rejected(self):
-        spec = box_spec(norm=quadratic_norm(np.diag([1.0, 4.0])),
-                        weight="gaussian", kappa=1.0)
-        with pytest.raises(ValueError, match="user certificate"):
-            curvature_certificate(spec)
+    def test_gaussian_any_norm(self):
+        # Ric_inf(v) = kappa |v|^2 >= K F(v)^2: K = kappa / sphere_max^2 for
+        # kappa >= 0, and kappa dual.sphere_max^2 below
+        for norm, kappa, K in [
+            (quadratic_norm(np.diag([1.0, 4.0])), 1.0, 0.25),
+            (randers_norm(np.eye(2), [0.3, 0.0]), 1.0, 1.0 / 1.69),
+            (randers_norm(np.eye(2), [0.3, 0.0]), -1.0, -1.0 / 0.49),
+            (two_slope_norm(2.0, 0.5), 1.0, 0.25),
+            (two_slope_norm(2.0, 0.5), -1.0, -4.0),
+        ]:
+            cert = curvature_certificate(weighted_spec(norm, kappa))
+            assert cert.K == pytest.approx(K, rel=1e-12)
+            assert math.isinf(cert.N)
+            assert cert.provenance == "gaussian_weight"
+        # both sphere maxima are exactly 1 for the Euclidean norm
+        for dim in (1, 2, 3, 4):
+            for kappa in (1.0, 0.3, 0.0, -0.7):
+                cert = curvature_certificate(weighted_spec(euclidean_norm(dim), kappa))
+                assert cert.K == kappa
+
+    def test_gaussian_bound_sampled(self):
+        # kappa |v|^2 >= K F(v)^2 on random vectors of random norms of every
+        # family, with equality along the sphere maximizer for kappa >= 0
+        rng = np.random.default_rng(2024)
+        norms = []
+        for _ in range(6):
+            dim = int(rng.integers(2, 4))
+            M = rng.standard_normal((dim, dim))
+            A = M @ M.T + 0.1 * np.eye(dim)
+            b = rng.standard_normal(dim)
+            b *= math.sqrt(rng.uniform(0.0, 0.9) / (b @ np.linalg.solve(A, b)))
+            norms += [euclidean_norm(int(rng.integers(1, 5))), quadratic_norm(A),
+                      randers_norm(A, b), two_slope_norm(*rng.uniform(0.2, 3.0, 2))]
+        for norm in norms:
+            v = rng.standard_normal((200, norm.dim))
+            if norm.family == "two_slope_1d":
+                far = np.array([1.0 if norm.a_plus >= norm.a_minus else -1.0])
+            else:
+                far = _far_direction(norm)
+            for kappa in (1.5, -1.5):
+                K = curvature_certificate(weighted_spec(norm, kappa)).K
+                F2 = norm_eval(norm, v) ** 2
+                assert np.all(kappa * np.sum(v * v, axis=1) - K * F2
+                              >= -1e-12 * np.abs(K * F2))
+                if kappa >= 0:
+                    assert K * float(norm_eval(norm, far)) ** 2 == pytest.approx(
+                        kappa * float(far @ far), rel=1e-12)
 
     def test_user_passthrough(self):
         cert = CurvatureCertificate(K=-1.0, N=4.0, provenance="user")
@@ -457,8 +506,9 @@ class TestConfig:
             domain_spec_from_config(cfg)
 
     @pytest.mark.parametrize("block, key", [
-        ("domain", "norm"), ("domain", "resolution"), ("weight", "kappa"),
-    ], ids=["norm", "resolution", "kappa"])
+        ("domain", "norm"), ("domain", "resolution"), ("weight", "kind"),
+        ("weight", "kappa"),
+    ], ids=["norm", "resolution", "kind", "kappa"])
     def test_missing_key_named(self, block, key):
         cfg = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
                "norm": {"family": "euclidean", "dim": 2},

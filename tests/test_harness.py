@@ -248,19 +248,39 @@ class TestSuite:
 
     def test_error_isolation(self, tmp_path):
         bad = {
-            "id": "bad-cert",
+            "id": "bad-norm",
             "domain": {"shape": "box", "lengths": [1.0, 1.0]},
-            "norm": {"family": "randers", "dim": 2,
-                     "params": {"A": [1, 0, 0, 1], "b": [0.3, 0.0]}},
-            "weight": {"kind": "gaussian", "kappa": 1.0},  # no auto certificate
+            "norm": {"family": "randers", "dim": 2,  # b^T A^{-1} b >= 1
+                     "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}},
+            "weight": {"kind": "gaussian", "kappa": 1.0},
             "resolutions": [5, 10],
         }
         good = sharp_case(res=(25, 50), ident="good")
         result = run_suite({"cases": [bad, good]}, out_dir=str(tmp_path / "out"))
         by_id = {s["id"]: s for s in result.summaries}
-        assert by_id["bad-cert"]["error"] is not None
+        assert by_id["bad-norm"]["error"] is not None
         assert by_id["good"]["error"] is None
         assert result.exit_code == 0  # errors are not violations
+
+    def test_golden_script_fails_on_error(self, tmp_path, monkeypatch):
+        # unlike run_suite, the golden suite's script fails on a case that errors
+        import importlib.util
+        import sys
+
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "run_golden_suite.py")
+        loader = importlib.util.spec_from_file_location("run_golden_suite", path)
+        script = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(script)
+        bad = dict(box_case(res=(5, 10), ident="bad"),
+                   norm={"family": "randers", "dim": 2,
+                         "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}})
+        good = sharp_case(res=(25, 50), ident="good")
+        monkeypatch.setattr(sys, "argv", ["run_golden_suite.py", "--out",
+                                          str(tmp_path / "out")])
+        for cases, code in (([good], 0), ([bad, good], 1)):
+            monkeypatch.setattr(script, "golden_cases", lambda: cases)
+            assert script.main() == code
 
     @pytest.mark.parametrize("block, key", [
         ("domain", "norm"), ("certificate", "K"), ("certificate", "N"),

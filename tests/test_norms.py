@@ -393,11 +393,19 @@ class TestValidationAndConfig:
                               [[3.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 1.0]])
 
 
+def legendre_inverse_fd(norm, xi):
+    """Inverse Legendre transform of one covector by central differences of
+    F*^2/2 at step h = 1e-6 max(1, |xi|); O(h^2) accurate."""
+    h = 1e-6 * max(1.0, float(np.linalg.norm(xi)))
+    e = h * np.eye(norm.dim)
+    fp = dual_norm_eval(norm, xi + e) ** 2
+    fm = dual_norm_eval(norm, xi - e) ** 2
+    return (fp - fm) / (4.0 * h)
+
+
 class TestFiniteDifferenceOracle:
     def test_legendre_inverse_matches_fd_gradient(self):
         # closed forms vs central differences of F*^2/2 at h = 1e-6 max(1,|xi|)
-        from fingap.norms import legendre_inverse_fd
-
         rng = np.random.default_rng(11)
         for n in all_test_norms():
             for _ in range(10):
