@@ -12,12 +12,12 @@ simplex T and the masses m are the lattice's node measure; no boundary rows
 are imposed, so the Neumann condition arises naturally from the quotient.
 P1 has no checkerboard null mode and needs no stabilization.
 
-The stiffness S = D^T (diag(mu) (x) B) D, with B the dual norm's matrix (I
-for Euclidean, the product of the dual slopes for two-slope), is the exact
-energy for Euclidean and quadratic norms: ``dense_oracle`` solves
-S u = lam M u directly, and the descent result must agree with it.  For
-genuinely nonlinear norms (Randers, two-slope) certification rests on the
-weak-form residual plus mesh refinement.
+The stiffness S = D^T (diag(mu) (x) B) D, with B the dual norm's matrix A*
+(I for Euclidean), is the exact energy for Euclidean and quadratic norms:
+``dense_oracle`` solves S u = lam M u directly, and the descent result must
+agree with it.  For Randers norms, two-slope included, F* is not quadratic,
+S only preconditions, and certification rests on the weak-form residual
+plus mesh refinement.
 
 Descent is preconditioned steepest descent on the weighted mean-zero sphere
 (LOBPCG's single-vector form, Knyazev 2001), alike for every norm: direction
@@ -109,14 +109,10 @@ def _energy_and_grad(op: MeshOperator, norm: NormSpec, u: np.ndarray):
 
 
 def _stiffness(op: MeshOperator, norm: NormSpec):
-    """S = D^T (diag(mu) (x) B) D, B the dual norm's matrix (module docstring)."""
+    """S = D^T (diag(mu) (x) B) D, B = ``norm.dual.A`` (I where None)."""
     from scipy.sparse import diags, kron
 
-    dual = norm.dual
-    if norm.family == "two_slope_1d":
-        B = np.array([[dual.a_plus * dual.a_minus]])
-    else:
-        B = np.eye(op.dim) if dual.A is None else dual.A
+    B = np.eye(op.dim) if norm.dual.A is None else norm.dual.A
     return (op.D.T @ kron(diags(op.mu), B) @ op.D).tocsc()
 
 
@@ -215,7 +211,7 @@ def dense_oracle(domain: DiscreteDomain, norm: NormSpec) -> np.ndarray:
     S u = lam M u on the same mesh as the descent.  The first eigenvalue is
     ~0 (constants); the second is the spectral gap.
     """
-    if norm.family not in ("euclidean", "quadratic"):
+    if norm.b is not None:
         raise ValueError("dense oracle requires a euclidean or quadratic norm")
     if domain.n_nodes > 5000:
         raise ValueError("dense oracle limited to 5000 nodes")

@@ -133,8 +133,13 @@ def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
         if key not in cfg:
             raise ValueError(f"certificate config has no {key!r}")
     # float() reads "inf"/"infinity" in any case, so N may be a string
-    return CurvatureCertificate(K=float(cfg["K"]), N=float(cfg["N"]),
-                                provenance="user")
+    K, N = float(cfg["K"]), float(cfg["N"])
+    if not math.isfinite(K):
+        raise ValueError(f"certificate K = {cfg['K']!r} is not finite")
+    if not N >= spec.dim:  # NaN too: Ric_N >= K needs N >= dim
+        raise ValueError(f"certificate N = {cfg['N']!r} is not a number >= "
+                         f"the dimension {spec.dim}, as Ric_N needs")
+    return CurvatureCertificate(K=K, N=N, provenance="user")
 
 
 def case_resolutions(case: dict) -> list[int]:
@@ -173,6 +178,7 @@ def run_case(case: dict) -> CaseResult:
     # one NormSpec for every resolution, so its dual and sphere maximum are
     # worked out once
     base = domain_spec_from_config(dict(case, resolution=res_list[0]))
+    cert = _case_certificate(case, base)
     for r in res_list:
         spec = replace(base, resolution=r)
         dom = build_domain(spec)
@@ -182,7 +188,6 @@ def run_case(case: dict) -> CaseResult:
 
     lam_num = lams[-1]
     tol_disc = max(2.0 * abs(lams[-1] - lams[-2]), 1e-8)
-    cert = _case_certificate(case, spec)
     d_used = analytic_diameter(spec)
     bound = lambda1_model(cert.K, cert.N, d_used)
     margin = lam_num - bound

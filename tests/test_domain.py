@@ -462,23 +462,24 @@ class TestCertificates:
 
     def test_gaussian_bound_sampled(self):
         # kappa |v|^2 >= K F(v)^2 on random vectors of random norms of every
-        # family, with equality along the sphere maximizer for kappa >= 0
+        # family, with equality along the sphere maximizer for kappa >= 0;
+        # a two-slope norm's is the side of its larger slope
         rng = np.random.default_rng(2024)
-        norms = []
+        cases = []
         for _ in range(6):
             dim = int(rng.integers(2, 4))
             M = rng.standard_normal((dim, dim))
             A = M @ M.T + 0.1 * np.eye(dim)
             b = rng.standard_normal(dim)
             b *= math.sqrt(rng.uniform(0.0, 0.9) / (b @ np.linalg.solve(A, b)))
-            norms += [euclidean_norm(int(rng.integers(1, 5))), quadratic_norm(A),
-                      randers_norm(A, b), two_slope_norm(*rng.uniform(0.2, 3.0, 2))]
-        for norm in norms:
+            euclid = euclidean_norm(int(rng.integers(1, 5)))
+            a_plus, a_minus = rng.uniform(0.2, 3.0, 2)
+            cases += [(n, _far_direction(n))
+                      for n in (euclid, quadratic_norm(A), randers_norm(A, b))]
+            cases.append((two_slope_norm(a_plus, a_minus),
+                          np.array([1.0 if a_plus >= a_minus else -1.0])))
+        for norm, far in cases:
             v = rng.standard_normal((200, norm.dim))
-            if norm.family == "two_slope_1d":
-                far = np.array([1.0 if norm.a_plus >= norm.a_minus else -1.0])
-            else:
-                far = _far_direction(norm)
             for kappa in (1.5, -1.5):
                 K = curvature_certificate(weighted_spec(norm, kappa)).K
                 F2 = norm_eval(norm, v) ** 2

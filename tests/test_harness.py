@@ -293,6 +293,24 @@ class TestSuite:
         result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
         assert result.summaries[0]["error"] == f"{block} config has no '{key}'"
 
+    @pytest.mark.parametrize("K, N, error", [
+        ("nan", 2.0, "certificate K = 'nan' is not finite"),
+        (float("inf"), 2.0, "certificate K = inf is not finite"),
+        ("-inf", "inf", "certificate K = '-inf' is not finite"),
+        (0.0, "nan", "certificate N = 'nan' is not a number >= the dimension 2, "
+                     "as Ric_N needs"),
+        (2.0, 1.5, "certificate N = 1.5 is not a number >= the dimension 2, "
+                   "as Ric_N needs"),
+    ], ids=["K-nan", "K-inf", "K-minus-inf", "N-nan", "N-below-dim"])
+    def test_certificate_out_of_range_named(self, tmp_path, K, N, error):
+        case = {"id": "bad-cert", "domain": {"shape": "box", "lengths": [1.0, 1.0]},
+                "norm": {"family": "euclidean", "dim": 2},
+                "certificate": {"K": K, "N": N}, "resolutions": [5, 10]}
+        out = tmp_path / "out"
+        run_suite({"cases": [case]}, out_dir=str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cases"][0]["error"] == error
+
     def test_outputs_and_determinism(self, tmp_path):
         cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fingap import norms
 from fingap.norms import (
+    NormSpec,
     _sphere_search,
     dual_norm_eval,
     dual_norm_numeric,
@@ -88,6 +89,23 @@ class TestExamples:
         with pytest.raises(ValueError):
             two_slope_norm(-1.0, 2.0)
 
+    def test_drift_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="drift b needs a matrix A"):
+            NormSpec(dim=2, b=np.array([0.1, 0.0]))
+
+    def test_family_follows_A_and_b(self):
+        assert NormSpec(dim=2).family == "euclidean"
+        assert NormSpec(dim=2, A=4.0 * np.eye(2)).family == "quadratic"
+        assert NormSpec(dim=2, A=np.eye(2), b=np.zeros(2)).family == "randers"
+        assert two_slope_norm(2.0, 0.5).family == "randers"
+        # a family cannot be given, so it cannot disagree with A: A = 4I is
+        # 2|v| with the dual |xi|/2
+        with pytest.raises(TypeError):
+            NormSpec(family="euclidean", dim=2, A=4.0 * np.eye(2))
+        n = NormSpec(dim=2, A=4.0 * np.eye(2))
+        assert norm_eval(n, [1.0, 0.0]) == 2.0
+        assert dual_norm_eval(n, [1.0, 0.0]) == 0.5
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             norm_eval(euclidean_norm(2), [1.0, 2.0, 3.0])
@@ -165,11 +183,6 @@ def reference_dual(n):
     if n.family == "quadratic":
         return (lambda xi: np.sqrt(np.einsum("...i,ij,...j->...", xi, n.A_inv, xi)),
                 lambda xi: np.einsum("ij,...j->...i", n.A_inv, xi))
-    if n.family == "two_slope_1d":
-        return (lambda xi: np.where(xi[..., 0] >= 0, xi[..., 0] / n.a_plus,
-                                    -xi[..., 0] / n.a_minus),
-                lambda xi: np.where(xi[..., 0] >= 0, xi[..., 0] / n.a_plus**2,
-                                    xi[..., 0] / n.a_minus**2)[..., None])
     s = float(n.b @ n.A_inv @ n.b)
     p = n.A_inv @ n.b
     dual_A = ((1.0 - s) * n.A_inv + np.outer(p, p)) / (1.0 - s) ** 2
@@ -188,6 +201,30 @@ def reference_dual(n):
         return np.where(alpha[..., None] == 0.0, 0.0, out)
 
     return fstar, linv
+
+
+def slope_forms(a_plus, a_minus):
+    """(F, F*, l, l^{-1}) of the two-slope norm a_plus v^+ + a_minus v^-,
+    each written from the slopes on batched 1-D input: the reference for
+    the Randers form that ``two_slope_norm`` builds."""
+
+    def piecewise(up, down, covector=False):
+        def form(v):
+            x = v[..., 0]
+            out = np.where(x >= 0, up(x), down(x))
+            return out[..., None] if covector else out
+        return form
+
+    return (piecewise(lambda x: a_plus * x, lambda x: -a_minus * x),
+            piecewise(lambda x: x / a_plus, lambda x: -x / a_minus),
+            piecewise(lambda x: a_plus**2 * x, lambda x: a_minus**2 * x, True),
+            piecewise(lambda x: x / a_plus**2, lambda x: x / a_minus**2, True))
+
+
+def slope_rtol(a_plus, a_minus):
+    """Rounding bound of the Randers form against the slope formulas: p|v|
+    and qv cancel along the smaller slope, as do 1 and s in the dual."""
+    return 4.0 * np.finfo(float).eps * max(a_plus, a_minus) / min(a_plus, a_minus)
 
 
 def dual_family_norms():
@@ -224,14 +261,32 @@ class TestDualNorm:
             assert np.array_equal(dual_norm_eval(n, xi[3]), fstar(xi[3])), n
 
     def test_two_slope_within_rounding(self):
-        # 1/a is rounded once more than x/a, so only powers of two agree exactly
+        # the Randers form against the slope formulas, within slope_rtol
         rng = np.random.default_rng(22)
         x = rng.standard_normal((500, 1)) * 10.0
         for a_plus, a_minus in ((1.7, 0.3), (3.1, 0.9), (0.37, 2.9)):
             n = two_slope_norm(a_plus, a_minus)
-            fstar, linv = reference_dual(n)
-            np.testing.assert_allclose(dual_norm_eval(n, x), fstar(x), rtol=1e-15, atol=0)
-            np.testing.assert_allclose(legendre_inverse(n, x), linv(x), rtol=1e-15, atol=0)
+            _, fstar, _, linv = slope_forms(a_plus, a_minus)
+            rtol = slope_rtol(a_plus, a_minus)
+            np.testing.assert_allclose(dual_norm_eval(n, x), fstar(x), rtol=rtol, atol=0)
+            np.testing.assert_allclose(legendre_inverse(n, x), linv(x), rtol=rtol, atol=0)
+
+    def test_two_slope_ratio_sweep(self):
+        # F, F*, l and l^{-1} for slope ratios 1 to 1e6, either slope the
+        # larger, at scales 1e-2 to 1e2
+        rng = np.random.default_rng(26)
+        x = np.concatenate([[[0.0]], rng.standard_normal((300, 1)) * 10.0])
+        kernels = (norm_eval, dual_norm_eval, legendre, legendre_inverse)
+        for ratio in np.concatenate([[1.0, 1e6], 10.0 ** rng.uniform(0.0, 6.0, 40)]):
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            slopes = (scale * ratio, scale)
+            if rng.random() < 0.5:
+                slopes = slopes[::-1]
+            n = two_slope_norm(*slopes)
+            rtol = slope_rtol(*slopes)
+            for kernel, form in zip(kernels, slope_forms(*slopes), strict=True):
+                np.testing.assert_allclose(kernel(n, x), form(x), rtol=rtol, atol=0,
+                                           err_msg=f"{kernel.__name__} at {slopes}")
 
     def test_dual_of_dual_is_the_norm(self):
         for n in dual_family_norms() + [two_slope_norm(1.7, 0.3)]:
@@ -241,9 +296,15 @@ class TestDualNorm:
                 np.testing.assert_allclose(dd.A, n.A, rtol=0, atol=1e-12)
             if n.family == "randers":
                 np.testing.assert_allclose(dd.b, n.b, rtol=0, atol=1e-12)
-            if n.family == "two_slope_1d":
-                assert dd.a_plus == pytest.approx(n.a_plus, rel=1e-12)
-                assert dd.a_minus == pytest.approx(n.a_minus, rel=1e-12)
+        # a two-slope norm's dual has the slopes 1/a_plus, 1/a_minus, and
+        # the dual of that has the norm's own
+        ends = np.array([[1.0], [-1.0]])
+        for a_plus, a_minus in ((1.7, 0.3), (0.37, 2.9)):
+            n = two_slope_norm(a_plus, a_minus)
+            np.testing.assert_allclose(norm_eval(n.dual, ends), [1 / a_plus, 1 / a_minus],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(norm_eval(n.dual.dual, ends), [a_plus, a_minus],
+                                       rtol=1e-12)
 
     def test_dual_is_cached(self):
         n = randers_norm(np.eye(2), [0.2, 0.1])
@@ -256,6 +317,8 @@ class TestDualNorm:
         assert quadratic_norm(A).sphere_max == pytest.approx(
             np.sqrt(np.linalg.eigvalsh(A).max()), rel=1e-15)
         assert two_slope_norm(2.0, 0.5).sphere_max == 2.0
+        assert two_slope_norm(0.5, 2.0).sphere_max == 2.0
+        assert two_slope_norm(0.3, 1.7).sphere_max == pytest.approx(1.7, rel=1e-15)
 
     def test_sphere_max_randers(self):
         # A = I: the max of |u| + b.u on the unit sphere is 1 + |b| at u = b/|b|
@@ -381,6 +444,18 @@ class TestValidationAndConfig:
             "a_minus"])
     def test_config_missing_key_named(self, record, key, what):
         with pytest.raises(ValueError, match=f"{what} config has no '{key}'"):
+            from_config(record)
+
+    @pytest.mark.parametrize("record, message", [
+        ({"family": "two_slope_1d", "dim": 2, "a_plus": 2.0, "a_minus": 0.5},
+         "two_slope_1d config has 'dim' 2; the family is 1-D"),
+        ({"family": "quadratic", "dim": 3, "params": {"A": [1.0, 0.0, 0.0, 1.0]}},
+         "quadratic config 'A' has 4 entries; 'dim' 3 needs 9"),
+        ({"family": "randers", "dim": 2, "A": [[1.0, 0.0, 0.0]], "b": [0.1, 0.0]},
+         "randers config 'A' has 3 entries; 'dim' 2 needs 4"),
+    ], ids=["two_slope-dim", "quadratic-A", "randers-A"])
+    def test_config_wrong_size_named(self, record, message):
+        with pytest.raises(ValueError, match=message):
             from_config(record)
 
     def test_config_matrix_row_major(self):
