@@ -3,7 +3,7 @@
 Subcommands:
   model-eig    print lambda_1(K, N, d) for one parameter triple
   model-table  CSV of (K, N, d, lambda) over a config-specified grid
-  geom         node count, total measure, analytic and graph diameters
+  geom         node count, total measure, analytic and lattice diameters
   solve        discrete eigensolve for one case config
   verify       bound verification for one case config
   suite        full verification suite from a config file
@@ -66,7 +66,7 @@ def cmd_geom(args) -> int:
     print(f"nodes: {dom.n_nodes}")
     print(f"total measure: {dom.total_measure:.12g}")
     print(f"analytic diameter: {analytic_diameter(spec):.12g}")
-    print(f"graph diameter: {diameter(dom, spec.norm):.12g}")
+    print(f"lattice diameter: {diameter(dom, spec.norm):.12g}")
     return 0
 
 

@@ -8,20 +8,15 @@ neighbors is missing).  The lattice owns its P1 mesh
 (``DiscreteDomain.mesh``, built on first use), whose lumped masses are the
 one node measure.
 
-Distances are directed shortest paths with edge weight F(displacement).  A
-stencil slot's displacement is its offset times the per-axis spacing, so
-each weight is a function of the slot alone: F is evaluated once per slot
-(24 in 2-D, 124 in 3-D) and the edge graph is written straight into CSR.
-Non-reversible norms give order-dependent distances and the diameter is a
-supremum over ordered pairs; diameter() gets it exactly, in O(n) memory,
-from a few pruned Dijkstra sweeps.  A sweep runs one Dijkstra when the edge
-graph equals its transpose (a reversible norm), and bounds every node of its
-source's orbit under the lattice symmetries (signed axis permutations that
-keep the node set and every slot weight).
-
-Geodesics of a Minkowski norm in flat space are straight lines, so for the
-supported shapes the diameter also has an exact analytic value (max F-length
-of a straight segment); the graph value serves as a cross-check.
+Geodesics of a Minkowski norm in flat space are straight lines, so on these
+convex shapes the distance from x to y is F(y - x); for a non-reversible
+norm it depends on the order, and a diameter is a maximum over ordered
+pairs.  :func:`analytic_diameter` is the continuum shape's exact value (max
+F-length of a straight segment); :func:`diameter`, the maximum over the
+lattice's node pairs, is a cross-check that never exceeds it.
+``DiscreteDomain.edge_graph`` weighs each stencil edge by F(displacement),
+evaluated once per slot (24 in 2-D, 124 in 3-D) and written straight into
+CSR, for shortest-path checks on the lattice graph.
 
 Curvature certificates record a pair (K, N) with Ric_N >= K.  In a
 Minkowski space straight lines are geodesics and the Lebesgue measure has
@@ -77,6 +72,12 @@ class DomainSpec:
             raise ValueError(f"unknown weight {self.weight!r}")
         if self.resolution < 4:
             raise ValueError("resolution must be >= 4")
+        if not all(map(math.isfinite, self.lengths)):
+            raise ValueError(f"lengths must be finite, got {self.lengths}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
         if self.shape == "interval":
             if len(self.lengths) != 1 or self.lengths[0] <= 0:
                 raise ValueError("interval needs one positive length")
@@ -357,93 +358,20 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean, dim=dim)
 
 
-def _lattice_symmetries(domain: DiscreteDomain, norm: NormSpec) -> list:
-    """Node permutations pi of the graph automorphisms that come from signed
-    axis permutations of the lattice index box.
-
-    Each edge weight is its slot's weight (:func:`_slot_weights`).  So if
-    ``neighbor_idx`` is the full radius-2 stencil on the node set, a signed
-    axis permutation P gives an automorphism when it maps the node set onto
-    itself and w(P o) = w(o) bit for bit for every offset o.  A hand-cut
-    edge (a -1 in ``neighbor_idx`` where the stencil has a node) gives no
-    symmetries.
-    """
-    idx = domain.idx
-    grid = _lattice_grid(idx)
-    if not np.array_equal(domain.neighbor_idx, _stencil_neighbors(grid, idx)):
-        return []
-    w_slot = _slot_weights(norm, domain.spacing)
-
-    dim = idx.shape[1]
-    offsets, slot_of = _stencil_offsets(dim), _slot_of(dim)
-    ext = idx.max(axis=0)
-    candidates = itertools.product(itertools.permutations(range(dim)),
-                                   itertools.product((1, -1), repeat=dim))
-    next(candidates)  # the identity
-    perms = []
-    for perm, signs in candidates:
-        perm, signs = list(perm), np.array(signs)
-        if not np.array_equal(ext[perm], ext):
-            continue
-        sigma = slot_of[tuple((offsets[:, perm] * signs + 2).T)]
-        if not np.array_equal(w_slot[sigma], w_slot):
-            continue
-        image = np.where(signs > 0, idx[:, perm], ext - idx[:, perm])
-        pi = grid[tuple((image + 2).T)]
-        if np.all(pi >= 0):
-            perms.append(pi)
-    return perms
-
-
 def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
-    """Graph diameter: max over ordered node pairs of the directed distance.
+    """Lattice diameter: max over ordered node pairs of F(x_j - x_i).
 
-    Exact bounding-diameter sweeps (Takes & Kosters 2011, for directed
-    graphs), in O(n) memory.  A sweep runs Dijkstra from a source s forward,
-    giving ecc(s), and on the transposed graph, giving d(., s); so ecc(i) <=
-    ub(i) = min over sources of d(i, s) + ecc(s).  When the graph equals its
-    transpose (a reversible norm) the forward run is also d(., s).  Each
-    lattice symmetry pi (:func:`_lattice_symmetries`) is a graph
-    automorphism, so d(pi i, pi s) = d(i, s) and ecc(pi s) = ecc(s): the
-    sweep bounds ub(pi i) too and retires the whole orbit of s.  That holds
-    for the computed floats as well: when every weight raises a path sum
-    (fl(d + w) > d), Dijkstra's distances are the unique solution of the
-    rounded Bellman equation d(v) = min_u fl(d(u) + w(u, v)), which pi maps
-    onto itself.
-    Nodes with ub <= best * (1 - 1e-12), best the largest source
-    eccentricity, are dropped: the margin covers rounding in path sums, so
-    the result is the all-pairs max, bit for bit.  The next source is the
-    live node with the largest ub.  A node that cannot reach a source keeps
-    ub = inf until its own sweep fails.  The symmetries add at most
-    2^dim dim! - 1 index arrays of length n.
+    Straight segments are geodesics of a Minkowski norm in flat space, so
+    F(x_j - x_i) is the distance from node i to node j.  An interior node
+    is the midpoint of its two neighbours on each axis and F is convex, so
+    the maximum is attained on a pair of boundary nodes.  One ``norm_eval``
+    call of b rows per boundary node keeps memory O(b dim), for b boundary
+    nodes.  The nodes lie in the shape, so the value never exceeds
+    :func:`analytic_diameter`, and equals it on boxes and intervals, whose
+    corners are nodes.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    g = domain.edge_graph(norm)
-    gt = g.T.tocsr()
-    undirected = (g != gt).nnz == 0
-    perms = _lattice_symmetries(domain, norm)
-    ub = np.full(domain.n_nodes, np.inf)
-    live = np.ones(domain.n_nodes, dtype=bool)
-    best = 0.0
-    s = 0
-    while True:
-        out = dijkstra(g, directed=True, indices=s)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("domain graph is disconnected")
-        into = out if undirected else dijkstra(gt, directed=True, indices=s)
-        ecc = float(out.max())
-        best = max(best, ecc)
-        bound = into + ecc
-        np.minimum(ub, bound, out=ub)
-        live[s] = False
-        for pi in perms:
-            ub[pi] = np.minimum(ub[pi], bound)
-            live[pi[s]] = False
-        live &= ub > best * (1.0 - 1e-12)
-        if not live.any():
-            return best
-        s = int(np.argmax(np.where(live, ub, -np.inf)))
+    x = domain.nodes[domain.boundary]
+    return float(max(norm_eval(norm, x - xi).max() for xi in x))
 
 
 def analytic_diameter(spec: DomainSpec) -> float:

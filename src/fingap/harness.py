@@ -3,8 +3,9 @@
 For each configured case the pipeline
 
   1. solves the discrete eigenproblem at each listed resolution,
-  2. computes the domain diameter (analytic for flat convex shapes; the graph
-     value is a cross-check, and overestimating d only weakens the bound),
+  2. computes the domain diameter, analytic for flat convex shapes
+     (overestimating d only weakens the bound); the lattice value of
+     ``domain.diameter`` is a cross-check that never exceeds it,
   3. obtains a curvature certificate (K, N) and the model bound
      lambda_1(K, N, d),
   4. emits a BoundReport with margin = lambda_numeric - bound and a
@@ -452,14 +453,22 @@ def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _pipeline(case: dict):
+def _pipeline(case: dict, seen: set):
+    """Run one case; its id names its CSV dump, so an id that repeats one in
+    ``seen`` or is not a plain file name is the case's error."""
+    case_id = case.get("id", "case")
+    name = str(case_id)
     try:
+        if name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ValueError(f"case id {name!r} is not a plain file name")
+        if name in seen:
+            raise ValueError(f"case id {name!r} repeats an earlier case's id")
+        seen.add(name)
         result = run_case(case)
         summary = _case_summary(result)
-        return case.get("id", "case"), summary, (result.domain.nodes, result.eigen.u)
+        return case_id, summary, (result.domain.nodes, result.eigen.u)
     except Exception as exc:  # per-case isolation: record, do not abort
-        return (case.get("id", "case"),
-                {"id": str(case.get("id", "case")), "error": str(exc)}, None)
+        return case_id, {"id": name, "error": str(exc)}, None
 
 
 @dataclass
@@ -482,7 +491,8 @@ def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
     cases = config.get("cases", [])
     os.makedirs(out_dir, exist_ok=True)
 
-    results = sorted(map(_pipeline, cases), key=lambda t: str(t[0]))
+    seen = set()
+    results = sorted((_pipeline(case, seen) for case in cases), key=lambda t: str(t[0]))
     summaries = []
     violated = 0
     for case_id, summary, dump in results:

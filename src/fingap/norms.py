@@ -88,6 +88,8 @@ class NormSpec:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (self.dim, self.dim):
             raise ValueError("A must be dim x dim")
+        if not np.all(np.isfinite(A)):
+            raise ValueError(f"A has a non-finite entry: {A.tolist()}")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0:
@@ -98,8 +100,10 @@ class NormSpec:
             b = np.asarray(self.b, dtype=float)
             if b.shape != (self.dim,):
                 raise ValueError("b must have length dim")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"b has a non-finite entry: {b.tolist()}")
             s = float(b @ self.A_inv @ b)
-            if s >= 1.0:
+            if not s < 1.0:  # NaN too
                 raise ValueError(
                     f"randers drift too large: |b|_Ainv^2 = {s:.6g} >= 1"
                 )
@@ -163,8 +167,9 @@ def two_slope_norm(a_plus: float, a_minus: float) -> NormSpec:
     2.4e-10 at 1e6, over 1e5 samples at five scales, both ways round.
     """
     a_plus, a_minus = float(a_plus), float(a_minus)
-    if not (a_plus > 0 and a_minus > 0):
-        raise ValueError("two-slope coefficients must be positive")
+    if not (0 < a_plus < np.inf and 0 < a_minus < np.inf):
+        raise ValueError(f"two-slope coefficients must be positive and finite, "
+                         f"got {a_plus!r}, {a_minus!r}")
     p, q = 0.5 * (a_plus + a_minus), 0.5 * (a_plus - a_minus)
     return randers_norm([[p * p]], [q])
 
@@ -343,5 +348,10 @@ def from_config(cfg: dict) -> NormSpec:
     if A.size != dim * dim:
         raise ValueError(f"{family} config 'A' has {A.size} entries; "
                          f"'dim' {dim} needs {dim * dim}")
-    b = need(params, "b", family) if family == "randers" else None
+    b = None
+    if family == "randers":
+        b = np.asarray(need(params, "b", family), dtype=float)
+        if b.shape != (dim,):
+            raise ValueError(f"randers config 'b' has {b.size} entries; "
+                             f"'dim' {dim} needs {dim}")
     return NormSpec(dim=dim, A=A.reshape(dim, dim), b=b)

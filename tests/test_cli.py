@@ -50,7 +50,7 @@ def test_geom(case_file, capsys):
     out = capsys.readouterr().out
     assert "nodes: 41" in out
     assert "analytic diameter: 1" in out
-    assert "graph diameter: 1" in out
+    assert "lattice diameter: 1" in out
 
 
 def test_solve_and_dump(case_file, tmp_path, capsys):

@@ -1,12 +1,10 @@
 """Discrete domains: construction, directed distances, diameters, certificates."""
 
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
 from scipy.sparse.csgraph import dijkstra
 from scipy.special import erf
 
@@ -284,11 +282,12 @@ class TestDiameter:
         spec = box_spec(res=8)
         d = build_domain(spec)
         assert analytic_diameter(spec) == pytest.approx(math.sqrt(2))
-        assert diameter(d, spec.norm) == pytest.approx(math.sqrt(2), rel=0.03)
+        assert diameter(d, spec.norm) == analytic_diameter(spec)
 
     def test_interval_euclidean(self):
         spec = interval_spec()
         assert analytic_diameter(spec) == pytest.approx(1.0)
+        assert diameter(build_domain(spec), spec.norm) == analytic_diameter(spec)
 
     def test_ball_euclidean(self):
         spec = DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
@@ -341,77 +340,33 @@ class TestDiameter:
             "box-unequal", "box3d-unequal", "randers-axis", "randers-diagonal",
             "box3d-quadratic", "twoslope-symmetric"])
     def test_sweeps_match_all_pairs(self, spec):
-        # the pruned sweeps return the all-pairs max, bit for bit
+        # the boundary pairs give the all-pairs max of F(x_j - x_i), bit for
+        # bit, and the lattice never reaches past the continuum shape; the
+        # corners of boxes and intervals are nodes, so there it is exact
         d = build_domain(spec)
-        full = float(dijkstra(d.edge_graph(spec.norm), directed=True).max())
+        diffs = d.nodes[None, :, :] - d.nodes[:, None, :]
+        full = float(norm_eval(spec.norm, diffs).max())
         assert diameter(d, spec.norm) == full
+        assert full <= analytic_diameter(spec)
+        if spec.shape != "ball":
+            assert full == analytic_diameter(spec)
 
-    @pytest.mark.parametrize("edit", ["cut-mask"])
-    def test_sweeps_match_all_pairs_hand_edited(self, edit):
-        # nodes left of x = 0 lose their radius-2 out-edges, so the edges are
-        # no longer the full lattice stencil.  The graph is directed, and the
-        # square's eight symmetries would give a wrong diameter: none is used
-        d = build_domain(box_spec(res=20))
-        far = np.abs(domain_mod._stencil_offsets(2)).max(axis=1) == 2
-        nb = d.neighbor_idx.copy()
-        nb[np.ix_(d.nodes[:, 0] < 0, far)] = -1
-        cut = dataclasses.replace(d, neighbor_idx=nb)
-        norm = cut.spec.norm
-        assert domain_mod._lattice_symmetries(cut, norm) == []
-        full = float(dijkstra(cut.edge_graph(norm), directed=True).max())
-        assert diameter(cut, norm) == full
-
-    @pytest.mark.parametrize("keep", ["split", "one-way"])
-    def test_disconnected_graph_rejected(self, keep):
-        # "split": no edge crosses x = 0; "one-way": only rightward edges, so
-        # the left end reaches every node but no node reaches it
-        d = build_domain(interval_spec(res=10))
-        x, nb = d.nodes[:, 0], d.neighbor_idx
-        if keep == "split":
-            keep_edge = (x[:, None] < 0) == (x[nb] < 0)
-        else:
-            keep_edge = domain_mod._stencil_offsets(1)[:, 0] > 0
-        cut = dataclasses.replace(d, neighbor_idx=np.where(keep_edge, nb, -1))
-        with pytest.raises(ValueError, match="disconnected"):
-            diameter(cut, cut.spec.norm)
-
-    @pytest.fixture
-    def dijkstra_calls(self, monkeypatch):
-        """Work guard without a timer: the source rows of each Dijkstra."""
-        calls = []
-        real = csgraph.dijkstra
-
-        def counting(graph, *args, indices=None, **kwargs):
-            calls.append(np.arange(graph.shape[0]) if indices is None
-                         else np.atleast_1d(indices))
-            return real(graph, *args, indices=indices, **kwargs)
-
-        # diameter imports dijkstra from scipy.sparse.csgraph when called
-        monkeypatch.setattr(csgraph, "dijkstra", counting)
-        return calls
-
-    def test_sweeps_use_few_sources(self, dijkstra_calls):
-        spec = DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
-                          resolution=60)
+    def test_one_norm_eval_per_boundary_node(self, monkeypatch):
+        # memory guard without a timer: b calls of at most b rows each
+        spec = DomainSpec(shape="ball", norm=randers_norm(np.eye(2), [0.3, 0.1]),
+                          radius=0.5, resolution=30)
         d = build_domain(spec)
-        assert d.n_nodes == 2821
-        diameter(d, spec.norm)
-        assert dijkstra_calls
-        assert sum(rows.size for rows in dijkstra_calls) <= 0.01 * d.n_nodes
+        rows = []
 
-    def test_undirected_sweeps_run_one_dijkstra(self, dijkstra_calls):
-        # the Euclidean graph equals its transpose, so a sweep runs Dijkstra
-        # once, from one source that no other sweep uses; its 47 symmetries
-        # retire most sources
-        spec = box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=8)
-        d = build_domain(spec)
-        assert len(domain_mod._lattice_symmetries(d, spec.norm)) == 47
+        def counting(norm, v):
+            rows.append(np.shape(v)[0])
+            return norm_eval(norm, v)
+
+        monkeypatch.setattr(domain_mod, "norm_eval", counting)
         diameter(d, spec.norm)
-        assert dijkstra_calls
-        assert all(rows.size == 1 for rows in dijkstra_calls)
-        sources = [int(rows[0]) for rows in dijkstra_calls]
-        assert len(set(sources)) == len(sources)
-        assert len(dijkstra_calls) <= 20
+        b = int(d.boundary.sum())
+        assert len(rows) == b
+        assert max(rows) <= b < d.n_nodes
 
 
 class TestMeasureConvergence:
@@ -516,6 +471,25 @@ class TestConfig:
                "weight": {"kind": "gaussian", "kappa": 0.5}, "resolution": 8}
         del (cfg if block == "domain" else cfg[block])[key]
         with pytest.raises(ValueError, match=f"{block} config has no '{key}'"):
+            domain_spec_from_config(cfg)
+
+    @pytest.mark.parametrize("shape_cfg, weight_cfg, message", [
+        ({"shape": "box", "lengths": [math.nan, 1.0]}, None,
+         r"lengths must be finite, got \(nan, 1.0\)"),
+        ({"shape": "box", "lengths": [1.0, math.inf]}, None,
+         r"lengths must be finite, got \(1.0, inf\)"),
+        ({"shape": "ball", "radius": math.nan}, None, "radius must be finite, got nan"),
+        ({"shape": "ball", "radius": math.inf}, None, "radius must be finite, got inf"),
+        ({"shape": "box", "lengths": [1.0, 1.0]}, {"kind": "gaussian", "kappa": math.nan},
+         "kappa must be finite, got nan"),
+        ({"shape": "box", "lengths": [1.0, 1.0]}, {"kind": "gaussian", "kappa": math.inf},
+         "kappa must be finite, got inf"),
+    ], ids=["length-nan", "length-inf", "radius-nan", "radius-inf", "kappa-nan",
+            "kappa-inf"])
+    def test_non_finite_rejected(self, shape_cfg, weight_cfg, message):
+        cfg = {"domain": shape_cfg, "norm": {"family": "euclidean", "dim": 2},
+               "weight": weight_cfg or {"kind": "lebesgue"}, "resolution": 8}
+        with pytest.raises(ValueError, match=message):
             domain_spec_from_config(cfg)
 
     def test_round_trip(self):

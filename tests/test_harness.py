@@ -325,6 +325,35 @@ class TestSuite:
                           delimiter=",", skiprows=1)
         assert dump.shape[1] == 3  # x1, x2, u
 
+    def test_repeated_id_is_an_error(self, tmp_path):
+        # the first case keeps its dump; the second would overwrite it
+        first = sharp_case(res=(25, 50), ident="dup")
+        second = sharp_case(res=(25, 50), a_minus=1.0, ident="dup")
+        out = tmp_path / "out"
+        result = run_suite({"cases": [first, second]}, out_dir=str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["id"] for c in summary["cases"]] == ["dup", "dup"]
+        assert summary["cases"][0]["error"] is None
+        assert summary["cases"][1]["error"] == "case id 'dup' repeats an earlier case's id"
+        assert result.exit_code == 0
+        run_suite({"cases": [first]}, out_dir=str(tmp_path / "alone"))
+        assert sorted(p.name for p in out.glob("case-*.csv")) == ["case-dup.csv"]
+        assert ((out / "case-dup.csv").read_bytes()
+                == (tmp_path / "alone" / "case-dup.csv").read_bytes())
+
+    @pytest.mark.parametrize("ident", ["a/b", "", ".", ".."],
+                             ids=["slash", "empty", "dot", "dotdot"])
+    def test_id_not_a_file_name_is_an_error(self, tmp_path, ident):
+        # the suite does not abort: the other case runs and summary.json is written
+        bad = sharp_case(res=(25, 50), ident=ident)
+        out = tmp_path / "out"
+        run_suite({"cases": [bad, box_case(res=(5, 10))]}, out_dir=str(out))
+        by_id = {c["id"]: c for c in json.loads((out / "summary.json").read_text())["cases"]}
+        assert by_id[ident]["error"] == f"case id {ident!r} is not a plain file name"
+        assert by_id["box"]["error"] is None
+        assert sorted(p.name for p in out.iterdir()) == ["bounds.csv", "case-box.csv",
+                                                         "summary.json"]
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_eigenfunction_csv_bytes(self, tmp_path, dim):
         # the same bytes as the csv module's writer, -0.0 and the extremes

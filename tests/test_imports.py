@@ -1,5 +1,6 @@
-"""What a fingap process loads: the 1-D model layer runs on numpy alone, and
-scipy.optimize is loaded only by the numeric dual-norm oracle."""
+"""What a fingap process loads: the 1-D model layer runs on numpy alone,
+scipy.optimize is loaded only by the numeric dual-norm oracle, and no
+layer loads scipy.sparse.csgraph."""
 
 import json
 import os
@@ -18,6 +19,7 @@ def scipy_modules():
 
 import fingap
 from fingap import fit_model_solution, lambda1_model, model_solution
+from fingap.domain import diameter
 from fingap.harness import run_case
 
 out = {"import": scipy_modules()}
@@ -32,6 +34,7 @@ result = run_case({
     "norm": {"family": "euclidean", "dim": 2}, "weight": {"kind": "lebesgue"},
     "resolutions": [4, 8]})
 out["verdict"] = result.report.verdict
+out["diameter"] = diameter(result.domain, result.domain.spec.norm)
 out["lattice"] = scipy_modules()
 print(json.dumps(out))
 """
@@ -48,3 +51,5 @@ def test_model_layer_loads_no_scipy():
     assert out["verdict"] in ("holds", "holds_within_tol")
     assert "scipy.sparse" in out["lattice"]
     assert not [m for m in out["lattice"] if m.startswith("scipy.optimize")]
+    assert out["diameter"] == 2**0.5
+    assert not [m for m in out["lattice"] if m.startswith("scipy.sparse.csgraph")]

@@ -453,10 +453,34 @@ class TestValidationAndConfig:
          "quadratic config 'A' has 4 entries; 'dim' 3 needs 9"),
         ({"family": "randers", "dim": 2, "A": [[1.0, 0.0, 0.0]], "b": [0.1, 0.0]},
          "randers config 'A' has 3 entries; 'dim' 2 needs 4"),
-    ], ids=["two_slope-dim", "quadratic-A", "randers-A"])
+        ({"family": "randers", "dim": 2, "A": [1.0, 0.0, 0.0, 1.0],
+          "b": [0.1, 0.0, 0.0]},
+         "randers config 'b' has 3 entries; 'dim' 2 needs 2"),
+    ], ids=["two_slope-dim", "quadratic-A", "randers-A", "randers-b"])
     def test_config_wrong_size_named(self, record, message):
         with pytest.raises(ValueError, match=message):
             from_config(record)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: randers_norm(np.eye(2), [0.1, np.nan]), "b has a non-finite entry"),
+        (lambda: randers_norm([[1.0, 0.0], [0.0, np.nan]], [0.1, 0.0]),
+         "A has a non-finite entry"),
+        (lambda: quadratic_norm([[np.inf, 0.0], [0.0, 1.0]]),
+         "A has a non-finite entry"),
+        (lambda: two_slope_norm(np.inf, 1.0), "must be positive and finite, got inf, 1.0"),
+        (lambda: two_slope_norm(1.0, np.inf), "must be positive and finite, got 1.0, inf"),
+        (lambda: two_slope_norm(np.nan, 1.0), "must be positive and finite, got nan, 1.0"),
+        (lambda: from_config({"family": "quadratic", "dim": 2,
+                              "A": [1.0, 0.0, 0.0, np.nan]}),
+         "A has a non-finite entry"),
+        # finite entries whose drift b^T A^{-1} b overflows to inf - inf
+        (lambda: randers_norm(np.array([[10.0, 9.0], [9.0, 10.0]]) / 19.0,
+                              [1e308, 1e307]), "drift too large: .* = nan"),
+    ], ids=["randers-b-nan", "randers-A-nan", "quadratic-A-inf", "two_slope-plus-inf",
+            "two_slope-minus-inf", "two_slope-nan", "config-A-nan", "drift-nan"])
+    def test_non_finite_rejected(self, build, message):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            build()
 
     def test_config_matrix_row_major(self):
         cfg = {"family": "quadratic", "dim": 2, "params": {"A": [2.0, 0.5, 0.5, 1.0]}}
