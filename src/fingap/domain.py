@@ -1,12 +1,12 @@
 """Discrete Finsler measure spaces on convex flat domains.
 
 A DomainSpec pairs a convex shape (centered interval, box, or ball) with a
-Minkowski norm and a smooth weight; build_domain rasterizes it to a regular
-lattice: the nodes of per-axis coordinates (a ball keeps those inside it), a
-radius-2 neighbor stencil, and boundary flags (a node one of whose axis
-neighbors is missing).  The lattice owns its P1 mesh
-(``DiscreteDomain.mesh``, built on first use), whose lumped masses are the
-one node measure.
+Minkowski norm and a smooth weight; build_domain rasterizes it to a tensor
+lattice: the nodes of per-axis coordinates, a radius-2 neighbor stencil, and
+boundary flags (a node at either end of an axis).  A ball is its box's
+lattice under a node map that sends the box boundary onto the sphere.  The
+lattice owns its P1 mesh (``DiscreteDomain.mesh``, built on first use),
+whose lumped masses are the one node measure.
 
 Geodesics of a Minkowski norm in flat space are straight lines, so on these
 convex shapes the distance from x to y is F(y - x); for a non-reversible
@@ -14,9 +14,8 @@ norm it depends on the order, and a diameter is a maximum over ordered
 pairs.  :func:`analytic_diameter` is the continuum shape's exact value (max
 F-length of a straight segment); :func:`diameter`, the maximum over the
 lattice's node pairs, is a cross-check that never exceeds it.
-``DiscreteDomain.edge_graph`` weighs each stencil edge by F(displacement),
-evaluated once per slot (24 in 2-D, 124 in 3-D) and written straight into
-CSR, for shortest-path checks on the lattice graph.
+``DiscreteDomain.edge_graph`` weighs each stencil edge by F of its own
+displacement, for shortest-path checks on the lattice graph.
 
 Curvature certificates record a pair (K, N) with Ric_N >= K.  In a
 Minkowski space straight lines are geodesics and the Lebesgue measure has
@@ -47,6 +46,7 @@ __all__ = [
     "analytic_diameter",
     "curvature_certificate",
     "domain_spec_from_config",
+    "whole_number",
 ]
 
 if TYPE_CHECKING:
@@ -116,11 +116,11 @@ class DiscreteDomain:
     (:func:`_stencil_offsets`) or -1 where there is none; ``neighbor_mask``
     is ``neighbor_idx >= 0``.  ``idx`` is each node's integer index on the
     lattice box, from 0 per axis.
-    The radius-2 stencil serves the graph distances and the boundary flags;
-    the mesh reads its Kuhn simplices off the max-norm-1 slots.
+    The radius-2 stencil serves the graph distances; the mesh reads its Kuhn
+    simplices off the max-norm-1 slots.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
-    is a whole number (``spacing``, 1/r on every axis of a ball); ``h`` is
-    the largest h_k.
+    is a whole number; a ball's ``spacing`` is that of its box [-R, R]^dim,
+    2R / round(2R c_d r) (:func:`build_domain`).  ``h`` is the largest h_k.
     ``mesh`` (:func:`_build_mesh`) is built on first use and kept; its lumped
     masses ``mesh.m`` are the node measure, and ``total_measure`` is their
     sum.  Immutable after build.
@@ -162,20 +162,14 @@ class DiscreteDomain:
         holding node i's neighbors in slot order."""
         from scipy.sparse import csr_matrix
 
-        mask = self.neighbor_mask
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        w = _slot_weights(norm, self.spacing)[np.nonzero(mask)[1]]
-        return csr_matrix((w, self.neighbor_idx[mask], indptr),
-                          shape=(self.n_nodes, self.n_nodes))
+        rows, slots = np.nonzero(self.neighbor_mask)  # row-major: rows ascend
+        cols = self.neighbor_idx[rows, slots]
+        w = norm_eval(norm, self.nodes[cols] - self.nodes[rows])
+        indptr = np.searchsorted(rows, np.arange(self.n_nodes + 1))
+        return csr_matrix((w, cols, indptr), shape=(self.n_nodes,) * 2)
 
 
-def _slot_weights(norm: NormSpec, spacing: np.ndarray) -> np.ndarray:
-    """F of each stencil slot's displacement, offset times spacing."""
-    return norm_eval(norm, _stencil_offsets(spacing.size) * spacing)
-
-
-def _axis_nodes(L: float, resolution: int):
+def _axis_nodes(L: float, resolution: float):
     """round(L r) + 1 nodes across [-L/2, L/2], and the stretch L r / round(L r)
     of their spacing against 1/r: exactly 1 when L r is a whole number."""
     cells = int(round(L * resolution))
@@ -219,33 +213,28 @@ def _stencil_neighbors(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
-    """Rasterize the spec to a lattice with its stencil and boundary flags."""
-    h = 1.0 / spec.resolution
+    """Rasterize the spec to a lattice with its stencil and boundary flags.
+
+    A ball of radius R is the box [-R, R]^dim at resolution c_d r, where
+    c_d^dim = |B^dim| / 2^dim keeps about |B^dim| (R r)^dim nodes, and each
+    node x moves to x |x|_inf / |x|_2: every cube shell lands on a sphere."""
+    r, lengths, d = spec.resolution, spec.lengths, spec.dim
     if spec.shape == "ball":
-        m = int(math.floor(spec.radius / h))
-        axes = [np.arange(-m, m + 1) * h] * spec.dim
-        spacing = np.full(spec.dim, h)
-    else:
-        axes, stretch = zip(*[_axis_nodes(L, spec.resolution) for L in spec.lengths])
-        spacing = h * np.array(stretch)
-    index_grids = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in index_grids], axis=1)
+        r *= (math.pi ** (d / 2) / math.gamma(d / 2 + 1) / 2**d) ** (1.0 / d)
+        lengths = (2.0 * spec.radius,) * d
+    axes, stretch = zip(*[_axis_nodes(L, r) for L in lengths])
+    idx = np.indices([a.size for a in axes]).reshape(d, -1).T
     nodes = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=1)
     if spec.shape == "ball":
-        R = spec.radius
-        inside = np.einsum("ni,ni->n", nodes, nodes) <= R * R + 1e-12
-        idx, nodes = idx[inside], nodes[inside]
-
-    nb_idx = _stencil_neighbors(_lattice_grid(idx), idx)
-    # a node is on the boundary if an axis neighbor is missing
-    axis_slots = np.abs(_stencil_offsets(spec.dim)).sum(axis=1) == 1
+        l2 = np.linalg.norm(nodes, axis=1, keepdims=True)
+        nodes *= np.abs(nodes).max(axis=1, keepdims=True) / np.where(l2 > 0, l2, 1.0)
     return DiscreteDomain(
         spec=spec,
         nodes=nodes,
-        neighbor_idx=nb_idx,
-        boundary=(nb_idx[:, axis_slots] < 0).any(axis=1),
+        neighbor_idx=_stencil_neighbors(_lattice_grid(idx), idx),
+        boundary=((idx == 0) | (idx == idx.max(axis=0))).any(axis=1),
         idx=idx,
-        spacing=spacing,
+        spacing=(1.0 / r) * np.array(stretch),
     )
 
 
@@ -309,8 +298,7 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     node i whose vertices all exist.  Each sign vector (up to an overall
     sign) is one Kuhn triangulation; a single one breaks the lattice's
     reflection symmetry and splits degenerate eigenpairs, so all 2^(dim-1)
-    are averaged: each volume is divided by 2^(dim-1).  Ball boundary nodes
-    are moved radially onto the sphere inside the mesh only.  The element
+    are averaged: each volume is divided by 2^(dim-1).  The element
     measure is mu_T = |T| times the mean of e^{-Psi} over the vertices of T,
     and the mass m_i is e^{-Psi(x_i)} times the lumped P1 volume: on
     intervals and boxes, the cell volume halved once per axis at whose end
@@ -323,11 +311,7 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     """
     from scipy.sparse import csr_matrix
 
-    n, dim, spec = domain.n_nodes, domain.dim, domain.spec
-    x = domain.nodes.astype(float)
-    if spec.shape == "ball":
-        b = domain.boundary
-        x[b] *= spec.radius / np.linalg.norm(x[b], axis=1)[:, None]
+    n, dim, spec, x = domain.n_nodes, domain.dim, domain.spec, domain.nodes
 
     rest = domain.neighbor_idx[:, _kuhn_slots(dim)].reshape(-1, dim)  # v_1..v_dim
     v0 = np.repeat(np.arange(n), rest.shape[0] // n)
@@ -362,13 +346,14 @@ def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:
     """Lattice diameter: max over ordered node pairs of F(x_j - x_i).
 
     Straight segments are geodesics of a Minkowski norm in flat space, so
-    F(x_j - x_i) is the distance from node i to node j.  An interior node
-    is the midpoint of its two neighbours on each axis and F is convex, so
-    the maximum is attained on a pair of boundary nodes.  One ``norm_eval``
-    call of b rows per boundary node keeps memory O(b dim), for b boundary
-    nodes.  The nodes lie in the shape, so the value never exceeds
-    :func:`analytic_diameter`, and equals it on boxes and intervals, whose
-    corners are nodes.
+    F(x_j - x_i) is the distance from node i to node j.  Every node lies in
+    the convex hull of the boundary nodes (a ball's interior nodes lie within
+    radius R - h, inside the polytope its boundary nodes span on the sphere)
+    and F is convex, so the maximum is attained on a pair of boundary nodes.
+    One ``norm_eval`` call of b rows per boundary node keeps memory O(b dim),
+    for b boundary nodes.  The nodes lie in the shape, so the value never
+    exceeds :func:`analytic_diameter`, and equals it on boxes and intervals,
+    whose corners are nodes.
     """
     x = domain.nodes[domain.boundary]
     return float(max(norm_eval(norm, x - xi).max() for xi in x))
@@ -420,6 +405,14 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 # config records
 
 
+def whole_number(value, key: str) -> int:
+    """An int, or an integral float such as JSON's 8.0, read as an int."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"config {key!r} must be a whole number, got {value!r}")
+
+
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from a config block {shape/domain, norm, weight,
     resolution}; a missing norm, resolution, weight kind or Gaussian kappa
@@ -444,4 +437,4 @@ def domain_spec_from_config(cfg: dict) -> DomainSpec:
                       radius=float(shape_cfg.get("radius", 0.0)),
                       weight=weight_cfg["kind"],
                       kappa=float(weight_cfg.get("kappa", 0.0)),
-                      resolution=int(cfg["resolution"]))
+                      resolution=whole_number(cfg["resolution"], "resolution"))

@@ -49,6 +49,7 @@ from .domain import (
     build_domain,
     curvature_certificate,
     domain_spec_from_config,
+    whole_number,
 )
 from .eigensolver import EigenResult, discrete_gradient, minimize_rayleigh
 from .norms import dual_norm_eval, is_reversible
@@ -145,8 +146,13 @@ def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
 
 def case_resolutions(case: dict) -> list[int]:
     """Distinct resolutions, ascending.  A one-entry list gets a half-size
-    coarse companion; the error bar needs two distinct lattices."""
-    given = [int(r) for r in case.get("resolutions", [])]
+    coarse companion; the error bar needs two distinct lattices.  Each entry
+    is read by :func:`~fingap.domain.whole_number`."""
+    given = case.get("resolutions", [])
+    if not isinstance(given, (list, tuple)):
+        raise ValueError(f"case {case.get('id')}: resolutions must be a list, "
+                         f"got {given!r}")
+    given = [whole_number(r, "resolutions") for r in given]
     if not given:
         raise ValueError(f"case {case.get('id')}: no resolutions given")
     if len(given) == 1:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,39 +44,36 @@ def reference_build(spec):
     """Per-node dict-lookup lattice builder: the arrays build_domain must
     match, and under "measure" the cell measures (cell volume, halved per
     axis end, times the weight) that the mesh's lumped masses equal on
-    intervals and boxes."""
-    h = 1.0 / spec.resolution
+    intervals and boxes.  A ball of radius R is the box [-R, R]^dim at
+    resolution c r, c^dim the unit ball's volume over 2^dim, with every node
+    x then moved to x |x|_inf / |x|_2."""
     dim = spec.dim
-    if spec.shape in ("interval", "box"):
-        # round(L r) cells per axis, of width (1/r) (L r / round(L r))
-        cells = [int(round(L * spec.resolution)) for L in spec.lengths]
-        axes = [np.linspace(-L / 2.0, L / 2.0, c + 1)
-                for L, c in zip(spec.lengths, cells)]
-        stretch = [L * spec.resolution / c for L, c in zip(spec.lengths, cells)]
-        spacing = h * np.array(stretch)
-        idx = np.array(list(itertools.product(*[range(a.size) for a in axes])),
-                       dtype=np.int64)
-        nodes = np.stack([axes[k][idx[:, k]] for k in range(dim)], axis=1)
-        cell = np.ones(idx.shape[0]) * h**dim * math.prod(stretch)
-        boundary = np.zeros(idx.shape[0], dtype=bool)
-        for k in range(dim):
-            at_end = (idx[:, k] == 0) | (idx[:, k] == axes[k].size - 1)
-            cell[at_end] *= 0.5
-            boundary |= at_end
+    if spec.shape == "ball":
+        res = spec.resolution * ({2: math.pi / 4, 3: math.pi / 6}[dim]) ** (1 / dim)
+        lengths = (2.0 * spec.radius,) * dim
     else:
-        m = int(math.floor(spec.radius / h))
-        idx = np.array(list(itertools.product(range(-m, m + 1), repeat=dim)),
-                       dtype=np.int64)
-        nodes = idx * h
-        inside = np.einsum("ni,ni->n", nodes, nodes) <= spec.radius**2 + 1e-12
-        idx, nodes = idx[inside], nodes[inside]
+        res, lengths = spec.resolution, spec.lengths
+    h = 1.0 / res
+    # round(L r) cells per axis, of width (1/r) (L r / round(L r))
+    cells = [int(round(L * res)) for L in lengths]
+    axes = [np.linspace(-L / 2.0, L / 2.0, c + 1) for L, c in zip(lengths, cells)]
+    stretch = [L * res / c for L, c in zip(lengths, cells)]
+    spacing = h * np.array(stretch)
+    idx = np.array(list(itertools.product(*[range(a.size) for a in axes])),
+                   dtype=np.int64)
+    nodes = np.stack([axes[k][idx[:, k]] for k in range(dim)], axis=1)
+    cell = np.ones(idx.shape[0]) * h**dim * math.prod(stretch)
+    boundary = np.zeros(idx.shape[0], dtype=bool)
+    for k in range(dim):
+        at_end = (idx[:, k] == 0) | (idx[:, k] == axes[k].size - 1)
+        cell[at_end] *= 0.5
+        boundary |= at_end
+    if spec.shape == "ball":
         cell = None
-        spacing = np.full(dim, h)
-        present = {tuple(k) for k in idx}
-        boundary = np.array([
-            any(tuple(k + sgn * e) not in present
-                for e in np.eye(dim, dtype=np.int64) for sgn in (-1, 1))
-            for k in idx], dtype=bool)
+        for x in nodes:
+            l2 = math.sqrt(sum(t * t for t in x))
+            if l2 > 0:
+                x *= max(abs(x)) / l2
     lookup = {tuple(k): i for i, k in enumerate(idx)}
     offsets = np.array([o for o in itertools.product(range(-2, 3), repeat=dim)
                         if any(o)], dtype=np.int64)
@@ -84,7 +82,7 @@ def reference_build(spec):
         for slot, o in enumerate(offsets):
             nb_idx[i, slot] = lookup.get(tuple(k + o), -1)
     return {"nodes": nodes, "neighbor_idx": nb_idx, "boundary": boundary,
-            "spacing": spacing, "idx": idx - idx.min(axis=0),
+            "spacing": spacing, "idx": idx,
             "measure": None if cell is None else cell * spec.weight_at(nodes)}
 
 
@@ -335,10 +333,18 @@ class TestDiameter:
         box_spec(norm=quadratic_norm(np.diag([2.0, 1.0, 2.0])),
                  lengths=(1.0, 1.0, 1.0), res=7),
         interval_spec(norm=two_slope_norm(2.0, 2.0), res=40),
+        # the coarsest mapped balls, where the interior nodes come closest to
+        # the polytope of the boundary nodes
+        *[DomainSpec(shape="ball", norm=norm, radius=0.5, resolution=res)
+          for norm in (euclidean_norm(2), randers_norm(np.eye(2), [0.3, 0.1]),
+                       euclidean_norm(3), randers_norm(np.eye(3), [0.2, 0.0, 0.1]))
+          for res in (4, 5)],
     ], ids=["twoslope-interval", "box-euclid", "box-quadratic", "box-randers",
             "ball-euclid-r30", "ball-randers-r30", "box3d", "ball3d-randers",
             "box-unequal", "box3d-unequal", "randers-axis", "randers-diagonal",
-            "box3d-quadratic", "twoslope-symmetric"])
+            "box3d-quadratic", "twoslope-symmetric",
+            *[f"ball{dim}d-{name}-r{res}" for dim in (2, 3)
+              for name in ("euclid", "randers") for res in (4, 5)]])
     def test_sweeps_match_all_pairs(self, spec):
         # the boundary pairs give the all-pairs max of F(x_j - x_i), bit for
         # bit, and the lattice never reaches past the continuum shape; the
@@ -370,6 +376,14 @@ class TestDiameter:
 
 
 class TestMeasureConvergence:
+    def test_disk_total_measure(self):
+        # the mapped disk's boundary nodes lie on the circle: the inscribed
+        # polygon misses O(h^2) of the area
+        spec = DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
+                          resolution=20)
+        assert build_domain(spec).total_measure == pytest.approx(
+            math.pi * 0.25, rel=2e-3)
+
     def test_gaussian_box_total_mass(self):
         kappa = 1.0
         exact_1d = math.sqrt(2 * math.pi / kappa) * erf(0.5 * math.sqrt(kappa / 2))
@@ -491,6 +505,22 @@ class TestConfig:
                "weight": weight_cfg or {"kind": "lebesgue"}, "resolution": 8}
         with pytest.raises(ValueError, match=message):
             domain_spec_from_config(cfg)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, 8.9, "8", True],
+                             ids=["nan", "inf", "fraction", "string", "bool"])
+    def test_resolution_not_whole_rejected(self, resolution):
+        cfg = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+               "norm": {"family": "euclidean", "dim": 2}, "resolution": resolution}
+        with pytest.raises(ValueError, match=r"config 'resolution' must be a whole "
+                           rf"number, got {re.escape(repr(resolution))}$"):
+            domain_spec_from_config(cfg)
+
+    def test_integral_float_resolution_accepted(self):
+        # JSON may write a whole number as 8.0
+        cfg = {"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+               "norm": {"family": "euclidean", "dim": 2}, "resolution": 8.0}
+        resolution = domain_spec_from_config(cfg).resolution
+        assert resolution == 8 and type(resolution) is int
 
     def test_round_trip(self):
         # each spec with the config record a case file gives for it

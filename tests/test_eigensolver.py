@@ -27,6 +27,7 @@ from fingap.norms import (
 
 PI2 = math.pi**2
 DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
+BALL3D_J11 = 2.0815759778  # first zero of j_1', the Neumann 3-D ball eigenvalue
 
 
 def interval_domain(res, L=1.0, norm=None, weight="lebesgue", kappa=0.0):
@@ -45,11 +46,7 @@ def per_element_fit(d, u):
     """Explicit loop over the reflected Kuhn simplices, found by lattice
     coordinates: per element its gradient (solved from the vertex values),
     measure and vertices, plus the lumped node masses."""
-    x = d.nodes.astype(float)
-    if d.spec.shape == "ball":
-        x[d.boundary] *= d.spec.radius / np.linalg.norm(x[d.boundary], axis=1)[:, None]
-    h = np.array([np.diff(np.unique(d.nodes[:, k])).min() for k in range(d.dim)])
-    key = np.rint((d.nodes - d.nodes.min(axis=0)) / h).astype(int)
+    x, key = d.nodes, d.idx
     where = {tuple(k): i for i, k in enumerate(key)}
     w = d.spec.weight_at(x)
     grads, mus, elems = [], [], []
@@ -112,7 +109,7 @@ class TestDiscreteGradient:
     def test_node_mean_weights(self):
         # the nodal gradient is the mu-weighted mean of the element
         # gradients around the node; a Gaussian-weighted ball makes the
-        # weights unequal (weight and moved boundary nodes)
+        # weights unequal (weight and mapped nodes)
         d = build_domain(DomainSpec(shape="ball", norm=euclidean_norm(2), radius=0.5,
                                     weight="gaussian", kappa=1.0, resolution=6))
         u = np.sin(3.0 * d.nodes[:, 0]) * d.nodes[:, 1]
@@ -135,9 +132,7 @@ def coo_reference(d):
     determinant from LAPACK, every operator assembled from COO triplets."""
     from scipy.sparse import coo_matrix, diags
 
-    x = d.nodes.astype(float)
-    if d.spec.shape == "ball":
-        x[d.boundary] *= d.spec.radius / np.linalg.norm(x[d.boundary], axis=1)[:, None]
+    x = d.nodes
     verts = np.array(per_element_fit(d, np.zeros(d.n_nodes))[2])
     n, dim, (n_el, k) = d.n_nodes, d.dim, verts.shape
     E = x[verts[:, 1:]] - x[verts[:, :1]]
@@ -419,8 +414,8 @@ class TestAnalyticValues:
         assert lam == pytest.approx(PI2, rel=0.01)
 
     def test_disk_ladder(self):
-        # lattice-conforming elements are first order on the curved boundary:
-        # the error is positive and shrinks with r
+        # the mapped ball's boundary nodes lie on the circle, so the disk
+        # converges at second order: small at r=40 and quartering per halving
         exact = (DISK_J11 / 0.5) ** 2
         errs = []
         for r in (20, 40, 80):
@@ -428,8 +423,15 @@ class TestAnalyticValues:
                               resolution=r)
             lam = minimize_rayleigh(build_domain(spec), spec.norm, seed=0).lam
             errs.append((lam - exact) / exact)
-        assert 0.0 < errs[2] < errs[1] < errs[0]
-        assert errs[1] <= 0.015
+        assert abs(errs[1]) <= 5e-4
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(abs(coarse / fine)) >= 1.8
+
+    def test_ball3d_within_half_percent(self):
+        spec = DomainSpec(shape="ball", norm=euclidean_norm(3), radius=0.5,
+                          resolution=12)
+        lam = minimize_rayleigh(build_domain(spec), spec.norm, seed=0).lam
+        assert lam == pytest.approx((BALL3D_J11 / 0.5) ** 2, rel=5e-3)
 
 
 def work_bound_lattices():

@@ -12,6 +12,7 @@ from fingap import model1d
 from fingap.domain import CurvatureCertificate, DomainSpec, build_domain
 from fingap.eigensolver import EigenResult
 from fingap.harness import (
+    case_resolutions,
     check_gradient_comparison,
     check_maxima,
     golden_cases,
@@ -91,6 +92,12 @@ class TestVerifyBound:
         # one lattice solved twice would give a zero error bar
         with pytest.raises(ValueError, match="twice-eight"):
             run_case(sharp_case(res=(8, 8), ident="twice-eight"))
+
+    def test_integral_float_resolutions_accepted(self):
+        # JSON may write a whole number as 8.0
+        got = case_resolutions({"id": "floats", "resolutions": [16.0, 8.0]})
+        assert got == [8, 16]
+        assert all(type(r) is int for r in got)
 
     def test_solver_evidence_per_resolution(self):
         rep = run_case(box_case()).report
@@ -310,6 +317,20 @@ class TestSuite:
         run_suite({"cases": [case]}, out_dir=str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cases"][0]["error"] == error
+
+    @pytest.mark.parametrize("resolutions, error", [
+        ([math.nan, 16], "config 'resolutions' must be a whole number, got nan"),
+        ([8, math.inf], "config 'resolutions' must be a whole number, got inf"),
+        ([8.9, 16], "config 'resolutions' must be a whole number, got 8.9"),
+        (["8", 16], "config 'resolutions' must be a whole number, got '8'"),
+        (8, "case bad-res: resolutions must be a list, got 8"),
+    ], ids=["nan", "inf", "fraction", "string", "bare-int"])
+    def test_resolutions_not_whole_named(self, tmp_path, resolutions, error):
+        # rejected before any solve, naming the key and the value: 8.9 is not
+        # truncated to 8
+        case = dict(box_case(ident="bad-res"), resolutions=resolutions)
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert result.summaries[0]["error"] == error
 
     def test_outputs_and_determinism(self, tmp_path):
         cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}
