@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .norms import NormSpec, from_config as norm_from_config, norm_eval
+from .norms import NormSpec, from_config as norm_from_config, norm_eval, whole_number
 
 __all__ = [
     "DomainSpec",
@@ -403,14 +403,6 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 # ---------------------------------------------------------------------------
 # config records
-
-
-def whole_number(value, key: str) -> int:
-    """An int, or an integral float such as JSON's 8.0, read as an int."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"config {key!r} must be a whole number, got {value!r}")
 
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:

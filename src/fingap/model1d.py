@@ -19,30 +19,26 @@ nonzero Neumann eigenvalue of L on a centered interval of length d is the
 sharp spectral-gap lower bound lambda_1(K, N, d); off-center intervals never
 beat the centered one.
 
-Eigenvalues are found by shooting: integrate v'' = T v' - lambda v with
-v(a) = -1, v'(a) = 0 and read the scaled Pruefer phase
-Theta = atan2(v'/sqrt(lambda), -v) off the accepted steps.  Theta(b) - pi
-is negative below lambda_1 and positive above it, and a secant on it, loose
-shots first, finds lambda_1 (on a centered interval the shot stops at 0,
-where the odd first eigenfunction vanishes).  A strictly independent
-finite-difference Sturm-Liouville oracle is provided for cross-validation:
-shift-invert Lanczos on the symmetrized tridiagonal matrix, factored once,
-stopped when each Ritz value's error bound is at most eps ||A||_1 (the
-default tolerance of LAPACK's bisection).
-Singular chart endpoints (tan at +-pi/(2a), coth/power at 0) are started
-from the series v = -1 + lambda/(2N) (t-a)^2, which follows from the
-endpoint balance v''(a) = lambda/N.
+Eigenvalues are Rayleigh-Ritz quotients int rho v'^2 / int rho (v - mean)^2,
+rho = exp(-int T), over polynomials orthonormal for rho on a Gauss-Jacobi
+rule (:func:`lambda1_interval`): upper bounds on lambda_1 up to quadrature
+error, with no digits lost where rho spans many orders of magnitude.  A
+strictly independent finite-difference Sturm-Liouville oracle
+(:func:`sturm_liouville_oracle`) cross-validates them.
 
-Shots integrate with the Prince-Dormand 8(5,3) pair (DOP853): a median of
-7 steps for a shot of lambda1_model at the default tolerance, 18 for a fit
-probe at the fit's tighter one.  Interval fitting walks a one-parameter
-family of shots (the start a on the tan, power, coth, tanh and linear charts,
-the drift c on the constant chart) until the first maximum v(b) crosses the
-target, then narrows that step by Illinois regula falsi (4-14 shots per
-model-sweep fit, model_solution's included).  Each shot integrates once and
-stops after the step where v' falls through 0; DOP853's own 7th-order
-continuous extension of its steps gives b, v(b) and, for the closest probe
-only, the 2001 samples of the fitted solution.  No parameter is shot twice.
+Model solutions are shots of v'' = T v' - lambda v from v(a) = -1,
+v'(a) = 0 by the Prince-Dormand 8(5,3) pair (DOP853), started at singular
+chart endpoints (tan at +-pi/(2a), coth/power at 0) from the series
+v = -1 + lambda/(2N) (t-a)^2 that the balance v''(a) = lambda/N gives.
+Interval fitting walks a one-parameter family of shots (the start a on the
+tan, power, coth, tanh and linear charts, the drift c on the constant
+chart) until the first maximum v(b) crosses the target, then narrows that
+step by Illinois regula falsi (4-14 shots per model-sweep fit,
+model_solution's included; a median of 18 steps per shot).  Each shot
+integrates once and stops after the step where v' falls through 0;
+DOP853's own 7th-order continuous extension of its steps gives b, v(b)
+and, for the closest probe only, the 2001 samples of the fitted solution.
+No parameter is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.  The module runs on numpy and the standard library alone (the
@@ -81,7 +77,7 @@ _INF = math.inf
 
 
 class SolverError(RuntimeError):
-    """Shooting, bracketing or fitting failed."""
+    """Shooting, bracketing, fitting or the Galerkin eigenvalue failed."""
 
 
 class _Diverged(SolverError):
@@ -355,8 +351,7 @@ def _stages(T, lam, t, v, w, h, k1v, k1w):
             (k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T_end)
 
 
-def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_INF,
-               until=None):
+def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, until=None):
     """Integrate v' = w, w' = T(t) w - lam v from t0 to t_end.
 
     Returns (ts, vs, ws) as float lists of accepted steps, starting at t0.
@@ -365,8 +360,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
     DOP853 in scalar Python arithmetic: the 12 stages of :func:`_stages`,
     the derivative at the end reused as the next step's first stage, and
     the err5/err3 error estimate (step factor err^(-1/8)).  About 12
-    microseconds per step; a shot of ``lambda1_model`` at the default
-    tolerance takes a median of 7 steps, a fit probe at ``_PROBE_TOL`` 18.
+    microseconds per step; a fit probe at ``_PROBE_TOL`` takes a median of 18.
     The first step is at most a sixteenth of the span and 0.4/sqrt(lam + 1),
     about a sixteenth of the solution's wavelength 2 pi/sqrt(lam).
     """
@@ -376,7 +370,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
         return ts, vs, ws
     f1v = w
     f1w = Tfun(t) * w - lam * v
-    h = min(max_step, (t_end - t0) / 16.0, 0.4 / math.sqrt(lam + 1.0))
+    h = min((t_end - t0) / 16.0, 0.4 / math.sqrt(lam + 1.0))
     nsteps = 0
     nreject = 0
     while t < t_end:
@@ -387,7 +381,7 @@ def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, max_step=_I
         nsteps += 1
         if nsteps > 2_000_000:
             raise SolverError("integration exceeded step budget")
-        h = min(h, remaining, max_step)
+        h = min(h, remaining)
         if h <= 4.45e-16 * abs(t):  # t + h == t: cannot advance
             raise SolverError("step size underflow")
 
@@ -497,14 +491,12 @@ def _start_state(problem: ModelProblem, lam: float, a: float, span: float):
     return a, -1.0, 0.0, a, False
 
 
-def shoot(problem: ModelProblem, lam: float, a: float, b: float,
-          max_step: float = _INF, rtol: float = 1e-10) -> ModelSolution:
+def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolution:
     """Integrate the shooting IVP over [a, b] and return the trajectory.
 
     Singular left endpoints start from the quadratic series; a singular right
     endpoint is truncated by a relative 1e-9 margin (the drift pole sits on
     the boundary, while the solution itself stays smooth up to it).
-    ``rtol`` is the integrator's relative tolerance.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -512,82 +504,93 @@ def shoot(problem: ModelProblem, lam: float, a: float, b: float,
     span = b - a
     t0, v0, w0, a_exact, series = _start_state(problem, lam, a, span)
     b_eff = b - 1e-9 * span if problem.singular_right(b) else b
-    ts, vs, ws = _integrate(problem.drift(), lam, t0, v0, w0, b_eff,
-                            rtol=rtol, max_step=max_step)
+    ts, vs, ws = _integrate(problem.drift(), lam, t0, v0, w0, b_eff)
     if series:
         ts, vs, ws = [a_exact] + ts, [-1.0] + vs, [0.0] + ws
     return ModelSolution(a=a_exact, b=b, lam=lam,
                          ts=np.array(ts), vs=np.array(vs), vps=np.array(ws))
 
 
-def _phase_excess(problem: ModelProblem, lam: float, a: float, b: float,
-                  rtol: float) -> float:
-    """Theta(b) - pi for the scaled Pruefer phase Theta = atan2(v'/sqrt(lam), -v)
-    of the shot, unwrapped over its steps from Theta(a) = 0.  Theta never
-    falls back through a multiple of pi/2 (Theta' = sqrt(lam) + T sin(2 Theta)/2)
-    and v'(b) = 0 where Theta(b) is one of pi: the excess is < 0 below
-    lambda_1 and > 0 above it.  A centered interval with an odd drift (c = 0)
-    has an odd first eigenfunction, so the excess is 2 Theta(0) - pi.  Steps
-    of at most 1/sqrt(lam) turn Theta by less than pi: where T keeps its
-    sign, such a turn crosses a quadrant that the drift term slows to sqrt(lam).
-    """
-    sq = math.sqrt(lam)
-    half = a == -b and problem.c == 0.0
-    sol = shoot(problem, lam, a, 0.0 if half else b, max_step=1.0 / sq, rtol=rtol)
-    turns = phase = 0.0  # whole turns of the unwrapped phase, in radians
-    for v, w in zip(sol.vs.tolist(), sol.vps.tolist()):
-        prev, phase = phase, math.atan2(w / sq, -v)
-        if abs(phase - prev) > math.pi:
-            turns += math.tau if phase < prev else -math.tau
-    theta = phase + turns
-    return (2.0 * theta if half else theta) - math.pi
+# ---------------------------------------------------------------------------
+# Galerkin eigenvalues
 
 
-def _secant(f, x0: float, f0: float, x1: float, xtol: float) -> float:
-    """Zero of f (< 0 below it, > 0 above) by secant steps from (x0, f0 = f(x0))
-    and x1 until a step is at most xtol * x or f is 0; a step leaving the
-    bracket that the signs show bisects it, or doubles x while it has no
-    upper end."""
-    if f0 == 0.0:
-        return x0
-    lo, hi = (x0, _INF) if f0 < 0.0 else (0.0, x0)
-    for _ in range(200):
-        f1 = f(x1)
-        if f1 == 0.0:  # a zero step would land on the bracket end and bisect
-            return x1
-        lo, hi = (max(lo, x1), hi) if f1 < 0.0 else (lo, min(hi, x1))
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else _INF
-        if not lo < x2 < hi:
-            x2 = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo
-        if abs(x2 - x1) <= xtol * x2:
-            return x2
-        x0, f0, x1 = x1, f1, x2
-    raise SolverError("eigenvalue secant did not converge")
+@lru_cache(maxsize=8)
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    """(x, w/W(x), top): the 2n-node Gauss-Jacobi rule for W = (1-x)^alpha
+    (1+x)^beta on (-1, 1), w up to a common factor, and top[j] = (p_(2n-2),
+    p_(2n-1))(x_j) for p_0 = 1, p_1, .. orthogonal for W, all of one norm.
+    Golub-Welsch: x are the eigenvalues of the Jacobi matrix of the
+    orthonormal recurrence and w its eigenvectors' squared first components,
+    1/sum_(k<2n) p_k(x)^2: positive terms, exact even for tiny weights."""
+    m = 2 * n
+    k = np.arange(1.0, m)
+    s = 2.0 * k + alpha + beta
+    diag = np.r_[(beta - alpha) / (alpha + beta + 2.0), (beta**2 - alpha**2) / (s * (s + 2.0))]
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    prev, cur, total = np.zeros(m), np.ones(m), np.ones(m)
+    for j in range(m - 1):
+        prev, cur = cur, ((x - diag[j]) * cur - (off[j - 1] if j else 0.0) * prev) / off[j]
+        total += cur * cur
+    out = (x, 1.0 / (total * (1.0 - x) ** alpha * (1.0 + x) ** beta), np.stack([prev, cur], 1))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-_RTOL_LAMBDA = 1e-10  # relative accuracy of lambda1_interval
+def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, n: int):
+    """(lam, tail, r): the Rayleigh-Ritz value over polynomials of degree
+    <= n on (a, b), the share of the Ritz vector's v' that its two highest
+    basis polynomials carry, and the density's top two coefficients on the
+    p_k of :func:`_gauss_jacobi` relative to its mean.
+
+    The Stieltjes procedure (Lanczos on diag(x) from sqrt(mu), mu = rho w/W)
+    gives Q[k] = sqrt(mu) pi_k for the pi_k orthonormal for mu, and its
+    recurrence differentiated gives dQ[k] = sqrt(mu) pi_k'; n + 1 steps over
+    2n nodes stay orthonormal to about 1e-15.  The Ritz vector is the first
+    eigenvector of the stiffness on the mean-free pi_1 .. pi_n; its quotient
+    is recomputed from sums of squares (the eigenvalue is only good to eps
+    times the largest one)."""
+    x, ratio, top = _gauss_jacobi(n, alpha, beta)
+    mu = ratio * invariant_density(problem, a + 0.5 * (b - a) * (x + 1.0))
+    Q, dQ = np.zeros((2, n + 1, 2 * n))
+    Q[0] = np.sqrt(mu / mu.sum())
+    off = 0.0
+    for k in range(n):  # at k = 0 the rows -1 are still zero
+        q = x * Q[k] - off * Q[k - 1]
+        diag = q @ Q[k]
+        q -= diag * Q[k]
+        new = math.sqrt(q @ q)
+        Q[k + 1] = q / new
+        dQ[k + 1] = ((x - diag) * dQ[k] + Q[k] - off * dQ[k - 1]) / new
+        off = new
+    D = dQ[1:]
+    y = np.linalg.eigh(D @ D.T)[1][:, 0]
+    v, dv, tail = y @ Q[1:], y @ D, y[-2:] @ D[-2:]
+    lam = (2.0 / (b - a)) ** 2 * float(dv @ dv) / float(v @ v)
+    return lam, math.sqrt((tail @ tail) / (dv @ dv)), np.max(np.abs(mu @ top)) / mu.sum()
 
 
 def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
-    """First nonzero Neumann eigenvalue of L on (a, b).
-
-    A secant on :func:`_phase_excess` from lam0 = max(pi^2/d^2, N K/(N-1)
-    for K > 0) and lam0 (pi/Theta(lam0))^2, exact on the flat chart, on
-    shots at rtol 1e-6 down to steps of 1e-7, then at the default tolerance
-    from (x, x (1 + 1e-6)) down to _RTOL_LAMBDA/2.  Only a singular left end
-    is shot from: a singular right end alone is reflected (every drift with
-    a pole is odd).
-    """
+    """First nonzero Neumann eigenvalue of L on (a, b): the quotient of
+    :func:`_ritz` on the rule with exponent N - 1 at a singular end (rho
+    vanishes there like the distance to that power) and 0 at a regular one.
+    n doubles from 24 until the two highest basis polynomials carry at most
+    1e-7 of v' (the quotient's error goes like its square) and the density's
+    p_(2n-2), p_(2n-1) coefficients, which bound the rule's error on degree
+    2n integrands, are below 1e-12 of its mean; SolverError past 384."""
     problem.validate_interval(a, b)
-    if problem.singular_right(b) and not problem.singular_left(a):
-        a, b = -b, -a
-    lam0 = max(math.pi**2 / (b - a) ** 2,
-               model_threshold(max(problem.K, 0.0), problem.N))
-    loose = partial(_phase_excess, problem, a=a, b=b, rtol=1e-6)
-    f0 = loose(lam0)
-    x = _secant(loose, lam0, f0, lam0 * (math.pi / (f0 + math.pi)) ** 2, 1e-7)
-    tight = partial(_phase_excess, problem, a=a, b=b, rtol=1e-10)
-    return _secant(tight, x, tight(x), x * (1.0 + 1e-6), 0.5 * _RTOL_LAMBDA)
+    beta = problem.N - 1.0 if problem.singular_left(a) else 0.0
+    alpha = problem.N - 1.0 if problem.singular_right(b) else 0.0
+    if problem.singular == "edges":  # a singular end is the pole itself
+        a, b = -problem.half_width if beta else a, problem.half_width if alpha else b
+    for n in (24, 48, 96, 192, 384):
+        lam, tail, r = _ritz(problem, a, b, alpha, beta, n)
+        if tail <= 1e-7 and r <= 1e-12:
+            return lam
+    raise SolverError(f"Galerkin eigenvalue on [{a}, {b}] did not settle by degree 384")
 
 
 def lambda1_model(K: float, N: float, d: float) -> float:
@@ -1168,7 +1171,8 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     Three-point interior discretization of v'' - T v' with second-order
     one-sided Neumann rows, boundary unknowns eliminated, and the resulting
     tridiagonal matrix symmetrized by a diagonal similarity.  Fully
-    independent of the shooting path.  Endpoints must be regular.
+    independent of the Galerkin quotient and of the shots.  Endpoints must
+    be regular.
 
     The matrix is positive semidefinite (its lowest eigenvalue is 0 up to
     rounding), so shifted by sigma = (pi/(b - a))^2 it is positive definite:
@@ -1191,13 +1195,9 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     T = problem.drift(np)(ts)
 
     # rows of -(v'' - T v') on interior nodes 1..n-2
-    lower = -(1.0 / h**2 + T / (2.0 * h))
-    upper = -(1.0 / h**2 - T / (2.0 * h))
-    diag = np.full(n_nodes, 2.0 / h**2)
-
-    d = diag[1:-1].copy()
-    lo = lower[1:-1].copy()  # coefficient on v_{i-1}
-    up = upper[1:-1].copy()  # coefficient on v_{i+1}
+    d = np.full(n_nodes - 2, 2.0 / h**2)
+    lo = -(1.0 / h**2 + T[1:-1] / (2.0 * h))  # coefficient on v_{i-1}
+    up = -(1.0 / h**2 - T[1:-1] / (2.0 * h))  # coefficient on v_{i+1}
     # eliminate v_0 = (4 v_1 - v_2)/3 and v_{n-1} = (4 v_{n-2} - v_{n-3})/3
     d[0] += (4.0 / 3.0) * lo[0]
     up[0] -= (1.0 / 3.0) * lo[0]

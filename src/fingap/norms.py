@@ -59,6 +59,7 @@ __all__ = [
     "legendre_inverse",
     "is_reversible",
     "from_config",
+    "whole_number",
 ]
 
 
@@ -322,6 +323,14 @@ def dual_norm_numeric(norm: NormSpec, xi) -> float:
                           seed=12345, tol=1e-14)
 
 
+def whole_number(value, key: str) -> int:
+    """An int, or an integral float such as JSON's 8.0, read as an int."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"config {key!r} must be a whole number, got {value!r}")
+
+
 def from_config(cfg: dict) -> NormSpec:
     """Rebuild a NormSpec from a config record (accepts flat or nested A).
     A missing key is a ValueError that names it.  ``two_slope_1d`` (keys
@@ -333,7 +342,7 @@ def from_config(cfg: dict) -> NormSpec:
         return block[key]
 
     family = need(cfg, "family")
-    dim = int(need(cfg, "dim"))
+    dim = whole_number(need(cfg, "dim"), "dim")
     params = cfg.get("params", cfg)
     if family == "euclidean":
         return euclidean_norm(dim)

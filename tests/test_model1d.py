@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import j0, jn_zeros, spherical_jn
 
@@ -178,19 +178,33 @@ class TestShoot:
             shoot(ModelProblem(0.0, 3.0, "flat"), -1.0, 0.0, 1.0)
 
     def test_invariant_measure_orthogonality(self):
-        # int (v'' - T v') dmu = 0 for Neumann solutions; along the shot
+        # int (v'' - T v') dmu = 0 for Neumann solutions; along the
         # trajectory v'' - T v' equals -lam v exactly
         for p in [ModelProblem(0.0, 3.0, "flat"), ModelProblem(1.0, 2.0, "tan"),
                   ModelProblem(1.0, INF, "linear")]:
             a, b = (-1.2, 1.2)
             lam = lambda1_interval(p, a, b)
-            sol = shoot(p, lam, a, b, max_step=(b - a) / 4000)
-            mu = invariant_density(p, sol.ts)
-            drift = np.array([coeff_T(p, t) for t in sol.ts])
-            vpp = drift * sol.vps - lam * sol.vs
-            resid = abs(np.trapezoid((vpp - drift * sol.vps) * mu, sol.ts))
-            scale = np.trapezoid(np.abs(vpp) * mu, sol.ts)
+            T = p.drift()
+            sol = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - lam * y[0]), (a, b),
+                            (-1.0, 0.0), method="DOP853", max_step=(b - a) / 4000,
+                            rtol=1e-10, atol=1e-12)
+            ts, (vs, vps) = sol.t, sol.y
+            mu = invariant_density(p, ts)
+            drift = np.array([coeff_T(p, t) for t in ts])
+            vpp = drift * vps - lam * vs
+            resid = abs(np.trapezoid((vpp - drift * vps) * mu, ts))
+            scale = np.trapezoid(np.abs(vpp) * mu, ts)
             assert resid <= 1e-6 * scale
+
+
+def _shot_midpoint(K, N, d, lam):
+    """v(0) for the shot v(-d/2) = 1, v'(-d/2) = 0 on the centered interval
+    of length d, by scipy's DOP853 at rtol 2.3e-14.  The first eigenfunction
+    is odd, so v(0) > 0 below lambda_1 and < 0 just above it."""
+    T = centered_model(K, N).drift()
+    sol = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - lam * y[0]), (-d / 2, 0.0),
+                    (1.0, 0.0), method="DOP853", rtol=2.3e-14, atol=1e-20)
+    return sol.y[0, -1]
 
 
 class TestLambda1:
@@ -212,7 +226,7 @@ class TestLambda1:
         for N in (2.0, 3.0, 10.0, INF):
             for d in (0.5, 1.0, 2.0):
                 lam = lambda1_model(0.0, N, d)
-                assert lam == pytest.approx(math.pi**2 / d**2, rel=1e-8)
+                assert lam == pytest.approx(math.pi**2 / d**2, rel=1e-13)
 
     def test_model_lichnerowicz_endpoint(self):
         assert lambda1_model(1.0, 2.0, math.pi) == pytest.approx(2.0, abs=1e-6)
@@ -258,8 +272,7 @@ class TestLambda1:
             assert vals[0] == pytest.approx(0.0, abs=1e-6 * vals[1])
             assert lam == pytest.approx(vals[1], rel=1e-6)
 
-    # a centered point on every chart; the root-find took 11-16 shots and
-    # 990-1504 RK steps on each of these before it read the shot's phase
+    # a centered point on every chart
     WORK_POINTS = [(-1.0, 3.0, 2.0), (-3.0, 5.0, 1.0), (-2.0, INF, 2.5),
                    (0.0, 4.0, 1.0), (0.0, INF, 0.5), (1.0, 3.0, 2.0),
                    (3.0, INF, 2.0), (0.5, 2.0, 4.0),
@@ -267,33 +280,32 @@ class TestLambda1:
 
     @pytest.mark.parametrize("K, N, d", WORK_POINTS)
     def test_work_bound(self, monkeypatch, K, N, d):
-        # they take 5-10 shots and 34-155 steps now; with a 5th-order
-        # method they took 173-633
-        steps = []
-        integrate = model1d._integrate
+        # at most one doubling of the Galerkin degree from 24
+        degrees = []
+        ritz = model1d._ritz
 
-        def counting(*args, **kwargs):
-            out = integrate(*args, **kwargs)
-            steps.append(len(out[0]))
-            return out
+        def counting(problem, a, b, alpha, beta, n):
+            degrees.append(n)
+            return ritz(problem, a, b, alpha, beta, n)
 
-        monkeypatch.setattr(model1d, "_integrate", counting)
+        monkeypatch.setattr(model1d, "_ritz", counting)
         lambda1_model(K, N, d)
-        assert len(steps) <= 12
-        assert sum(steps) <= 250
+        assert len(degrees) <= 2, degrees
 
-    def test_secant_stops_on_an_exact_zero(self):
-        # a shot that lands on lambda_1 to rounding reads a phase excess of
-        # exactly 0; taken for "above", it sent the secant back to bisect
-        # from [0, x], and some model-sweep points took 10-26 tight shots
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 2.0
-
-        assert model1d._secant(f, 1.0, -1.0, 2.0, 1e-12) == 2.0
-        assert calls == [2.0]
+    # lambda_1 is within rel of lambda1_model where the shot's v(0) changes
+    # sign across lambda1_model (1 -+ rel).  The first four are small
+    # eigenvalues, which a Pruefer-phase secant read 6.7e-8, 1.5e-6, 1.6e-4
+    # and 2.5e-7 high; on (5, inf, 10) rho spans 27 decades, where a
+    # polynomial basis not orthonormal for rho loses digits
+    @pytest.mark.parametrize("K, N, d, rel", [
+        (-4.0, 5.0, 8.0, 1e-10), (-4.0, 5.0, 10.0, 1e-8), (-20.0, INF, 3.0, 1e-8),
+        (-30.0, INF, 2.0, 1e-8), (5.0, INF, 10.0, 1e-8)])
+    def test_pinned_points_against_a_shot(self, K, N, d, rel):
+        lam = lambda1_model(K, N, d)
+        assert _shot_midpoint(K, N, d, lam * (1.0 - rel)) > 0.0
+        assert _shot_midpoint(K, N, d, lam * (1.0 + rel)) < 0.0
+        if (K, N, d) == (-4.0, 5.0, 8.0):
+            assert lam == pytest.approx(1.0774582207451494e-05, rel=rel)
 
     @pytest.mark.parametrize("K", [0.5, 3.0])
     @pytest.mark.parametrize("frac", [0.87, 0.9, 0.93, 0.95])
@@ -448,23 +460,16 @@ class TestFit:
 
 
 def _count_probes(monkeypatch):
-    """(chart, drift constant, start) of every later _first_max call, and
-    the finite max_step of every later _integrate call."""
-    shots, capped = [], []
-    first_max, integrate = model1d._first_max, model1d._integrate
+    """(chart, drift constant, start) of every later _first_max call."""
+    shots = []
+    first_max = model1d._first_max
 
     def counting_first_max(problem, lam, a, *args, **kwargs):
         shots.append((problem.chart, problem.c, a))
         return first_max(problem, lam, a, *args, **kwargs)
 
-    def counting_integrate(*args, **kwargs):
-        if math.isfinite(kwargs.get("max_step", INF)):
-            capped.append(kwargs["max_step"])
-        return integrate(*args, **kwargs)
-
     monkeypatch.setattr(model1d, "_first_max", counting_first_max)
-    monkeypatch.setattr(model1d, "_integrate", counting_integrate)
-    return shots, capped
+    return shots
 
 
 class TestFitBranches:
@@ -560,14 +565,12 @@ class TestFitBranches:
     ])
     def test_only_accepted_fit_sampled_densely(self, monkeypatch, K, N, lam, k):
         # the accepted fit (and model_solution, for m) is sampled from its
-        # own shot's steps: no capped-step run, and no (chart, parameter)
-        # shot twice, since the fit keeps its closest probe's steps and
-        # takes m from model_solution and each branch's first probe as a
-        # bracket end
-        shots, capped = _count_probes(monkeypatch)
+        # own shot's steps: no (chart, parameter) is shot twice, since the
+        # fit keeps its closest probe's steps and takes m from
+        # model_solution and each branch's first probe as a bracket end
+        shots = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
-        assert not capped
         assert len(set(shots)) == len(shots), shots
 
     def test_diverging_probes_count_as_large_maxima(self):
@@ -628,17 +631,16 @@ class TestFitWork:
     ])
     def test_probes_per_fit(self, monkeypatch, K, N, above, k):
         lam = model1d.model_threshold(K, N) + above
-        shots, capped = _count_probes(monkeypatch)
+        shots = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
         assert len(shots) <= 16
-        assert not capped
 
     def test_power_walk_starts_at_asymptote(self, monkeypatch):
         # 1 - M(a) falls like c/a on the power chart; a walk from
         # a = 0.3/sqrt(lam) took 17 shots to reach a k this close to 1
         K, N, lam, k = 0.0, 3.0, 9.743419838555312, 1.0 - 1.46e-8
-        shots, _ = _count_probes(monkeypatch)
+        shots = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert model1d._fits(fit.max_value, k)
         assert len(shots) <= 5
@@ -691,18 +693,15 @@ class TestQuinticRoots:
 
 
 def _capped_reference(problem, sol, start):
-    """v and v' at sol.ts[start:] from a re-integration of sol from that
-    sample on, at the default tolerance with steps capped at (b - a)/2000.
-    Its steps are read at the samples by cubic Hermite interpolation, whose
-    h^4 error is far below the tolerance checked."""
-    ts, vs, ws = model1d._integrate(problem.drift(), sol.lam, sol.ts[start],
-                                    sol.vs[start], sol.vps[start], sol.ts[-1],
-                                    max_step=(sol.b - sol.a) / 2000)
-    ts, vs, ws = np.array(ts), np.array(vs), np.array(ws)
-    wps = problem.drift(np)(ts) * ws - sol.lam * vs
-    at = sol.ts[start:]
-    return (CubicHermiteSpline(ts, vs, ws)(at),
-            CubicHermiteSpline(ts, ws, wps)(at))
+    """v and v' at sol.ts[start:] from scipy's DOP853 run from that sample
+    on, at the integrator's default tolerance with steps capped at
+    (b - a)/2000, read at the samples by its own continuous extension."""
+    T = problem.drift()
+    ref = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - sol.lam * y[0]),
+                    (sol.ts[start], sol.ts[-1]), (sol.vs[start], sol.vps[start]),
+                    method="DOP853", t_eval=sol.ts[start:], max_step=(sol.b - sol.a) / 2000,
+                    rtol=1e-10, atol=1e-12)
+    return ref.y
 
 
 class TestFitSampling:

@@ -482,6 +482,15 @@ class TestValidationAndConfig:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("dim", [2.5, np.nan, True, "2"])
+    def test_config_dim_must_be_whole(self, dim):
+        # 2.5 must not be read as a 2-D norm, nor True as a 1-D one
+        with pytest.raises(ValueError, match="'dim'"):
+            from_config({"family": "euclidean", "dim": dim})
+
+    def test_config_integral_float_dim(self):
+        assert from_config({"family": "euclidean", "dim": 2.0}).dim == 2
+
     def test_config_matrix_row_major(self):
         cfg = {"family": "quadratic", "dim": 2, "params": {"A": [2.0, 0.5, 0.5, 1.0]}}
         assert np.array_equal(from_config(cfg).A, [[2.0, 0.5], [0.5, 1.0]])
