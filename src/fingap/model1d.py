@@ -22,7 +22,12 @@ beat the centered one.
 Eigenvalues are Rayleigh-Ritz quotients int rho v'^2 / int rho (v - mean)^2,
 rho = exp(-int T), over polynomials orthonormal for rho on a Gauss-Jacobi
 rule (:func:`lambda1_interval`): upper bounds on lambda_1 up to quadrature
-error, with no digits lost where rho spans many orders of magnitude.  A
+error, with no digits lost where rho spans many orders of magnitude.  The
+basis values and their derivatives come from one Stieltjes update per
+degree, applied to both as a row pair.  lambda_1(K, N, d) has two closed
+forms, pi^2/d^2 at K = 0 (density 1) and NK/(N-1) at the Myers length; on
+a Gaussian interval (K > 0, N = inf) the quotient is taken on
+|t| <= sqrt(80/K), past which rho is below e^-40 of its peak.  A
 strictly independent finite-difference Sturm-Liouville oracle
 (:func:`sturm_liouville_oracle`) cross-validates them.
 
@@ -547,28 +552,32 @@ def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, 
     p_k of :func:`_gauss_jacobi` relative to its mean.
 
     The Stieltjes procedure (Lanczos on diag(x) from sqrt(mu), mu = rho w/W)
-    gives Q[k] = sqrt(mu) pi_k for the pi_k orthonormal for mu, and its
-    recurrence differentiated gives dQ[k] = sqrt(mu) pi_k'; n + 1 steps over
-    2n nodes stay orthonormal to about 1e-15.  The Ritz vector is the first
-    eigenvector of the stiffness on the mean-free pi_1 .. pi_n; its quotient
-    is recomputed from sums of squares (the eigenvalue is only good to eps
+    gives Q_k = sqrt(mu) pi_k for the pi_k orthonormal for mu, and its
+    recurrence differentiated gives Q_k' = sqrt(mu) pi_k'.  S[k] holds the
+    pair (Q_k, Q_k') as two rows, so one update per degree advances both:
+    T = x S_k - b_(k-1) S_(k-1), a_k = T[0] . S_k[0], T -= a_k S_k,
+    T[1] += S_k[0], S_(k+1) = T / |T[0]|.  n + 1 steps over 2n nodes stay
+    orthonormal to about 1e-15.  The Ritz vector is the first eigenvector
+    of the stiffness on the mean-free pi_1 .. pi_n; its quotient is
+    recomputed from sums of squares (the eigenvalue is only good to eps
     times the largest one)."""
     x, ratio, top = _gauss_jacobi(n, alpha, beta)
     mu = ratio * invariant_density(problem, a + 0.5 * (b - a) * (x + 1.0))
-    Q, dQ = np.zeros((2, n + 1, 2 * n))
-    Q[0] = np.sqrt(mu / mu.sum())
-    off = 0.0
-    for k in range(n):  # at k = 0 the rows -1 are still zero
-        q = x * Q[k] - off * Q[k - 1]
-        diag = q @ Q[k]
-        q -= diag * Q[k]
-        new = math.sqrt(q @ q)
-        Q[k + 1] = q / new
-        dQ[k + 1] = ((x - diag) * dQ[k] + Q[k] - off * dQ[k - 1]) / new
-        off = new
-    D = dQ[1:]
+    S = np.zeros((n + 1, 2, 2 * n))
+    S[0, 0] = np.sqrt(mu / mu.sum())
+    prev, cur, off = 0.0, S[0], 0.0  # S_(-1) = 0
+    for k in range(1, n + 1):  # ndarray.dot costs about half of @ on a row
+        T = x * cur - off * prev
+        diag = T[0].dot(cur[0])
+        T -= diag * cur
+        T[1] += cur[0]
+        off = math.sqrt(T[0].dot(T[0]))
+        T /= off
+        S[k] = T
+        prev, cur = cur, T
+    Q, D = S[1:, 0], S[1:, 1]
     y = np.linalg.eigh(D @ D.T)[1][:, 0]
-    v, dv, tail = y @ Q[1:], y @ D, y[-2:] @ D[-2:]
+    v, dv, tail = y @ Q, y @ D, y[-2:] @ D[-2:]
     lam = (2.0 / (b - a)) ** 2 * float(dv @ dv) / float(v @ v)
     return lam, math.sqrt((tail @ tail) / (dv @ dv)), np.max(np.abs(mu @ top)) / mu.sum()
 
@@ -596,19 +605,30 @@ def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
 def lambda1_model(K: float, N: float, d: float) -> float:
     """Sharp model eigenvalue lambda_1(K, N, d) on a centered length-d interval.
 
-    For K > 0 and finite N the length is capped at pi*sqrt((N-1)/K); at the
-    cap the chart degenerates and the value is the analytic limit NK/(N-1).
+    Two values are closed forms.  For K = 0 the density is 1 (flat and
+    constant charts) and the value is pi^2/d^2.  For K > 0 and finite N the
+    length is capped at pi*sqrt((N-1)/K); at the cap the chart degenerates
+    and the value is the analytic limit NK/(N-1).  Every other value is the
+    quotient of :func:`lambda1_interval`; for K > 0 and N = inf it is taken
+    on |t| <= sqrt(80/K) where d/2 is longer, since rho = exp(-K t^2/2) is
+    below e^-40 of its peak past that cut and underflows at most nodes of
+    a longer interval.
     """
-    if d <= 0:
+    if not d > 0:  # NaN too
         raise ValueError("d must be positive")
     prob = centered_model(K, N)
+    if K == 0.0:
+        return math.pi**2 / d**2
+    half = d / 2.0
     if K > 0 and math.isfinite(N):
         L = myers_length(K, N)
         if d > L * (1.0 + 1e-9):
             raise ValueError(f"d={d} exceeds the maximal length {L}")
         if d >= L * (1.0 - 1e-12):
             return K * N / (N - 1.0)
-    return lambda1_interval(prob, -d / 2.0, d / 2.0)
+    elif K > 0:
+        half = min(half, math.sqrt(80.0 / K))
+    return lambda1_interval(prob, -half, half)
 
 
 # ---------------------------------------------------------------------------

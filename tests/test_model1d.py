@@ -197,6 +197,98 @@ class TestShoot:
             assert resid <= 1e-6 * scale
 
 
+# lambda1_model at the quotient with one recurrence for the basis values
+# and a second for their derivatives, on a grid drawn with default_rng(27):
+# every centered chart, eight tan lengths within 1e-6..1e-3 of the Myers
+# length, and 15 points whose degree reached 48 or 96
+FROZEN_MODEL = [
+    (-4.26198, 1.5, 2.08874, 1.3019467595511787),
+    (-0.946883, 2.0, 2.14447, 1.755055337381356),
+    (-5.60447, 3.0, 4.8011, 0.007275888005037891),
+    (-0.30761, 5.0, 1.43392, 4.64865477981818),
+    (-1.9354, 10.0, 5.67747, 0.007313465124437435),
+    (-2.56976, 20.0, 1.33635, 4.346539490577866),
+    (-5.19723, 1.5, 5.4703, 0.03759037498877856),
+    (-1.98505, 2.0, 2.32463, 1.169442131599987),
+    (-4.58293, 3.0, 1.82955, 1.4618528703618416),
+    (-4.78918, 5.0, 2.86979, 0.16916546412040245),
+    (-19.5003, INF, 2.51416, 1.695951374222409e-05),
+    (-1.1222, INF, 1.57618, 3.4371485122312806),
+    (-23.1687, INF, 1.64938, 0.025746778671125004),
+    (-3.56143, INF, 3.5936, 0.02777938515660357),
+    (-29.1096, INF, 0.327221, 78.36119311251935),
+    (-13.2115, INF, 1.37078, 1.1135080360196081),
+    (-27.0234, INF, 0.385314, 53.84869088585099),
+    (-25.6872, INF, 0.77297, 6.791805053182516),
+    (-2.90921, INF, 2.01892, 1.2430633019972623),
+    (-9.00021, INF, 2.37015, 0.04184016293937922),
+    (0.281522, INF, 5.96967, 0.4404561484533235),
+    (2.5678, INF, 2.5295, 3.158402130280234),
+    (2.04071, INF, 3.3922, 2.2414673348083363),
+    (5.07668, INF, 2.54563, 5.248665243931813),
+    (3.82943, INF, 0.791136, 17.75838220493983),
+    (1.05663, INF, 0.611134, 26.957442399684254),
+    (3.9647, INF, 2.79539, 4.131194697714636),
+    (0.366859, INF, 2.83389, 1.4211959615648482),
+    (5.45672, INF, 2.0834, 5.981095077612831),
+    (0.797299, INF, 3.39426, 1.31442798475711),
+    (0.0, 1.0, 3.96738, 0.6270355240796536),
+    (0.0, 2.0, 1.75099, 3.2190847730043726),
+    (0.0, 3.0, 2.83026, 1.2321031795577575),
+    (0.0, 10.0, 1.38004, 5.182226567414793),
+    (0.0, 2.0, 1.98309, 2.5096600434772647),
+    (0.0, 5.0, 0.495196, 40.24810983240921),
+    (0.0, INF, 2.56115, 1.5046299972217594),
+    (0.0, INF, 3.02895, 1.0757603588130433),
+    (0.0, INF, 1.82754, 2.9550576833048656),
+    (0.0, INF, 0.799809, 15.428623164807657),
+    (2.58423, 1.5, 1.08563549742, 10.150336113750969),
+    (2.33573, 2.0, 1.3698742758, 6.753471579339413),
+    (2.96351, 3.0, 0.96824215587, 12.154266505524577),
+    (2.73738, 5.0, 2.27368494542, 3.829276113012956),
+    (2.38374, 10.0, 3.65696418413, 2.6759121054620536),
+    (2.86031, 20.0, 3.01740819814, 3.1607382810228732),
+    (3.74681, 1.5, 0.675695750739, 23.811193510291435),
+    (3.0172, 2.0, 1.55100554919, 6.480458510153461),
+    (0.370819, 3.0, 6.92682923168, 0.5566972742993203),
+    (0.280648, 5.0, 8.32440300354, 0.36229050329862217),
+    (1.27404, 10.0, 5.97301107922, 1.4163649102439702),
+    (3.92273, 20.0, 2.41019606194, 4.4496331280941055),
+    (3.99188, 1.5, 0.889852338041, 15.252818801494533),
+    (1.67979, 2.0, 2.08194875715, 3.603219080504658),
+    (1.04203, 3.0, 2.56929355817, 2.157273826627369),
+    (1.97177, 5.0, 1.71216012683, 4.502641353778976),
+    (3.89798, 2.0, 1.59099187184095, 7.79596059002794),
+    (3.58303, 3.0, 2.34709166020515, 5.374545000000381),
+    (3.02676, 5.0, 3.61135697498808, 3.7834500000000006),
+    (3.26334, 10.0, 5.21700805603258, 3.625933333333334),
+    (1.3351, 2.0, 2.71888453326264, 2.67020000025604),
+    (0.991656, 3.0, 4.46117987035421, 1.487484000004955),
+    (0.428326, 5.0, 9.60004139978256, 0.5354075000000001),
+    (1.07655, 10.0, 9.08330517526065, 1.1961666666666668),
+]
+# lambda1_interval there on coth, power and tan intervals, half of them
+# with a singular end (a Gauss-Jacobi exponent N - 1)
+FROZEN_INTERVAL = [
+    (-2.76188, 1.5, 'coth', -2.51034, 0.0, 2.086222771333048),
+    (-0.358715, 2.0, 'coth', 0.637442, 2.490192, 3.2448640130802118),
+    (-1.58628, 3.0, 'coth', 0.0, 2.46749, 3.721304867553807),
+    (-2.47825, 5.0, 'coth', -1.22071, -0.901287, 103.50289507280831),
+    (-3.58949, 10.0, 'coth', 0.0, 1.27868, 52.061624995237544),
+    (-2.87684, 20.0, 'coth', 0.11117, 2.2911799999999998, 49.02423310722916),
+    (0.0, 2.0, 'power', -0.381882, 0.0, 100.67600520498647),
+    (0.0, 3.0, 'power', 0.292581, 1.670241, 7.681597158200989),
+    (0.0, 5.0, 'power', 0.0, 1.50306, 14.70326589238921),
+    (0.0, 10.0, 'power', -1.5880049999999999, -0.142485, 30.510014401954216),
+    (0.0, 20.0, 'power', 0.0, 2.19171, 43.621541658842524),
+    (0.0, 1.5, 'power', 0.965282, 3.5465020000000003, 1.5520708170735689),
+    (3.93724, 2.0, 'tan', -0.7916330780378035, -0.695559696054, 1590.665442240872),
+    (3.48942, 3.0, 'tan', -0.438598182553, 0.594604588416, 11.27183725427086),
+    (2.31642, 5.0, 'tan', -2.064149837432375, -1.52668856691, 113.85220596366747),
+    (2.2996, 10.0, 'tan', -2.4314476085, 1.55376375412, 2.6236644166602905),
+]
+
+
 def _shot_midpoint(K, N, d, lam):
     """v(0) for the shot v(-d/2) = 1, v'(-d/2) = 0 on the centered interval
     of length d, by scipy's DOP853 at rtol 2.3e-14.  The first eigenfunction
@@ -223,10 +315,20 @@ class TestLambda1:
         assert lam >= math.pi**2
 
     def test_model_flat_values(self):
-        for N in (2.0, 3.0, 10.0, INF):
+        for N in (1.0, 2.0, 3.0, 10.0, INF):
             for d in (0.5, 1.0, 2.0):
-                lam = lambda1_model(0.0, N, d)
-                assert lam == pytest.approx(math.pi**2 / d**2, rel=1e-13)
+                assert lambda1_model(0.0, N, d) == math.pi**2 / d**2
+        with pytest.raises(ValueError, match="d must be positive"):
+            lambda1_model(0.0, 2.0, math.nan)
+
+    @pytest.mark.parametrize("p", [
+        ModelProblem(0.0, 1.0, "flat"), ModelProblem(0.0, 2.0, "flat"),
+        ModelProblem(0.0, 10.0, "flat"), ModelProblem(0.0, INF, "constant", 0.0)])
+    @pytest.mark.parametrize("a, b", [(-0.5, 0.5), (0.3, 1.7), (-2.6, -0.1)])
+    def test_flat_interval_quotient(self, p, a, b):
+        # lambda1_model answers K = 0 in closed form, so the quotient on a
+        # density-1 chart is checked here
+        assert lambda1_interval(p, a, b) == pytest.approx(math.pi**2 / (b - a)**2, rel=1e-13)
 
     def test_model_lichnerowicz_endpoint(self):
         assert lambda1_model(1.0, 2.0, math.pi) == pytest.approx(2.0, abs=1e-6)
@@ -246,6 +348,22 @@ class TestLambda1:
 
     def test_model_gaussian_large_interval(self):
         assert lambda1_model(1.0, INF, 10.0) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("K, d", [(1.0, math.sqrt(8000.0)), (200.0, 10.0),
+                                      (1000.0, 10.0)])
+    def test_model_gaussian_underflow(self, K, d):
+        # rho = exp(-K t^2 / 2) underflows at most nodes of [-d/2, d/2];
+        # lambda_1 is within e^-40 of K, the full line's value
+        assert lambda1_model(K, INF, d) == pytest.approx(K, rel=1e-14)
+
+    def test_frozen_model_values(self):
+        got = [lambda1_model(K, N, d) for K, N, d, _ in FROZEN_MODEL]
+        assert got == pytest.approx([row[-1] for row in FROZEN_MODEL], rel=1e-14)
+
+    def test_frozen_interval_values(self):
+        got = [lambda1_interval(ModelProblem(K, N, chart), a, b)
+               for K, N, chart, a, b, _ in FROZEN_INTERVAL]
+        assert got == pytest.approx([row[-1] for row in FROZEN_INTERVAL], rel=1e-14)
 
     def test_model_negative_curvature_vs_oracle(self):
         lam = lambda1_model(-1.0, 3.0, 2.0)
@@ -280,7 +398,8 @@ class TestLambda1:
 
     @pytest.mark.parametrize("K, N, d", WORK_POINTS)
     def test_work_bound(self, monkeypatch, K, N, d):
-        # at most one doubling of the Galerkin degree from 24
+        # at most one doubling of the Galerkin degree from 24; none at all
+        # for K = 0, whose value is pi^2/d^2
         degrees = []
         ritz = model1d._ritz
 
@@ -290,7 +409,7 @@ class TestLambda1:
 
         monkeypatch.setattr(model1d, "_ritz", counting)
         lambda1_model(K, N, d)
-        assert len(degrees) <= 2, degrees
+        assert len(degrees) <= (0 if K == 0.0 else 2), degrees
 
     # lambda_1 is within rel of lambda1_model where the shot's v(0) changes
     # sign across lambda1_model (1 -+ rel).  The first four are small
