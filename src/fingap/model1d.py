@@ -24,7 +24,11 @@ rho = exp(-int T), over polynomials orthonormal for rho on a Gauss-Jacobi
 rule (:func:`lambda1_interval`): upper bounds on lambda_1 up to quadrature
 error, with no digits lost where rho spans many orders of magnitude.  The
 basis values and their derivatives come from one Stieltjes update per
-degree, applied to both as a row pair.  lambda_1(K, N, d) has two closed
+degree, applied to both as a row pair.  On a centered interval with an
+even density (tan, tanh, linear and flat charts: every quotient of
+lambda_1(K, N, d)) the first eigenfunction is odd, and the quotient runs
+over the odd polynomials x q(x^2) alone, from a recurrence of half the
+length in x^2 on the positive nodes.  lambda_1(K, N, d) has two closed
 forms, pi^2/d^2 at K = 0 (density 1) and NK/(N-1) at the Myers length; on
 a Gaussian interval (K > 0, N = inf) the quotient is taken on
 |t| <= sqrt(80/K), past which rho is below e^-40 of its peak.  A
@@ -545,41 +549,81 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     return out
 
 
+def _stieltjes(x, mu, m):
+    """S[k] = (Q_k, Q_k') for k < m as two rows, Q_k = sqrt(mu) pi_k and
+    Q_k' = sqrt(mu) pi_k' for the pi_k orthonormal for mu on the nodes x.
+
+    The Stieltjes procedure (Lanczos on diag(x) from sqrt(mu)) with its
+    recurrence differentiated, one update per degree for both rows:
+    T = x S_k - b_(k-1) S_(k-1), a_k = T[0] . S_k[0], T -= a_k S_k,
+    T[1] += S_k[0], S_(k+1) = T / |T[0]|."""
+    S = np.zeros((m, 2, x.size))
+    S[0, 0] = np.sqrt(mu / mu.sum())
+    prev, cur, off = 0.0, S[0], 0.0  # S_(-1) = 0
+    for T in S[1:]:  # in place; ndarray.dot costs about half of @ on a row
+        np.multiply(x, cur, out=T)
+        T -= off * prev
+        T0, T1, c0 = T[0], T[1], cur[0]
+        T -= T0.dot(c0) * cur
+        T1 += c0
+        off = math.sqrt(T0.dot(T0))
+        T /= off
+        prev, cur = cur, T
+    return S
+
+
+# charts whose density is even in t: on a centered interval the Ritz
+# vector of :func:`_ritz` is odd
+_EVEN_CHARTS = ("tan", "tanh", "linear", "flat")
+
+
 def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, n: int):
     """(lam, tail, r): the Rayleigh-Ritz value over polynomials of degree
     <= n on (a, b), the share of the Ritz vector's v' that its two highest
     basis polynomials carry, and the density's top two coefficients on the
     p_k of :func:`_gauss_jacobi` relative to its mean.
 
-    The Stieltjes procedure (Lanczos on diag(x) from sqrt(mu), mu = rho w/W)
-    gives Q_k = sqrt(mu) pi_k for the pi_k orthonormal for mu, and its
-    recurrence differentiated gives Q_k' = sqrt(mu) pi_k'.  S[k] holds the
-    pair (Q_k, Q_k') as two rows, so one update per degree advances both:
-    T = x S_k - b_(k-1) S_(k-1), a_k = T[0] . S_k[0], T -= a_k S_k,
-    T[1] += S_k[0], S_(k+1) = T / |T[0]|.  n + 1 steps over 2n nodes stay
-    orthonormal to about 1e-15.  The Ritz vector is the first eigenvector
-    of the stiffness on the mean-free pi_1 .. pi_n; its quotient is
-    recomputed from sums of squares (the eigenvalue is only good to eps
-    times the largest one)."""
+    With mu = rho w/W on the rule's 2n nodes, :func:`_stieltjes` gives the
+    mean-free pi_1 .. pi_n orthonormal for mu and their derivatives in n
+    steps, which stay orthonormal to about 1e-15.  The Ritz vector is the
+    first eigenvector of the stiffness on them; its quotient is recomputed
+    from sums of squares (the eigenvalue is only good to eps times the
+    largest one).
+
+    On a centered interval with an even density and a symmetric rule
+    (every quotient of :func:`lambda1_model`) the first eigenfunction is
+    odd, and the pi_k of odd degree are x q_j(x^2) with the q_j orthonormal
+    for x^2 mu in y = x^2.  There the recurrence runs in y on the n
+    positive nodes for n/2 - 1 steps, and the rows sqrt(mu) p_j = Q_j and
+    sqrt(mu) p_j' = (Q_j + 2 y Q_j')/sqrt(y) span the odd degrees below n:
+    half the degrees on half the nodes.  The top even coefficient is zero,
+    so the top odd polynomial carries the tail, and the density's
+    p_(2n-1) coefficient vanishes by symmetry.  The Ritz vector is the last
+    left singular vector of the p_j' rows, good to eps times their largest
+    singular value rather than its square: on long intervals with K < 0,
+    where lambda_1 is below 1e-9 of the largest stiffness eigenvalue, an
+    eigenvector of their Gram matrix left the tail at rounding noise near
+    1e-7."""
     x, ratio, top = _gauss_jacobi(n, alpha, beta)
-    mu = ratio * invariant_density(problem, a + 0.5 * (b - a) * (x + 1.0))
-    S = np.zeros((n + 1, 2, 2 * n))
-    S[0, 0] = np.sqrt(mu / mu.sum())
-    prev, cur, off = 0.0, S[0], 0.0  # S_(-1) = 0
-    for k in range(1, n + 1):  # ndarray.dot costs about half of @ on a row
-        T = x * cur - off * prev
-        diag = T[0].dot(cur[0])
-        T -= diag * cur
-        T[1] += cur[0]
-        off = math.sqrt(T[0].dot(T[0]))
-        T /= off
-        S[k] = T
-        prev, cur = cur, T
-    Q, D = S[1:, 0], S[1:, 1]
-    y = np.linalg.eigh(D @ D.T)[1][:, 0]
-    v, dv, tail = y @ Q, y @ D, y[-2:] @ D[-2:]
-    lam = (2.0 / (b - a)) ** 2 * float(dv @ dv) / float(v @ v)
-    return lam, math.sqrt((tail @ tail) / (dv @ dv)), np.max(np.abs(mu @ top)) / mu.sum()
+    density = _CHARTS[problem.chart].density  # the nodes lie inside (a, b)
+    if a == -b and alpha == beta and problem.chart in _EVEN_CHARTS:
+        x, top = x[n:], top[n:, :1]
+        mu = ratio[n:] * density(problem, b * x)
+        y = x * x
+        S = _stieltjes(y, y * mu, n // 2)
+        Q, D = S[:, 0], (S[:, 0] + 2.0 * y * S[:, 1]) / x
+        c = np.linalg.svd(D, full_matrices=False)[0][:, -1]
+        tail = c[-1] * D[-1]
+    else:
+        mu = ratio * density(problem, a + 0.5 * (b - a) * (x + 1.0))
+        S = _stieltjes(x, mu, n + 1)
+        Q, D = S[1:, 0], S[1:, 1]
+        c = np.linalg.eigh(D @ D.T)[1][:, 0]
+        tail = c[-2:] @ D[-2:]
+    v, dv = c @ Q, c @ D
+    dd = float(dv @ dv)
+    lam = (2.0 / (b - a)) ** 2 * dd / float(v @ v)
+    return lam, math.sqrt(float(tail @ tail) / dd), np.abs(mu @ top).max() / mu.sum()
 
 
 def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
@@ -589,7 +633,10 @@ def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
     n doubles from 24 until the two highest basis polynomials carry at most
     1e-7 of v' (the quotient's error goes like its square) and the density's
     p_(2n-2), p_(2n-1) coefficients, which bound the rule's error on degree
-    2n integrands, are below 1e-12 of its mean; SolverError past 384."""
+    2n integrands, are below 1e-12 of its mean; SolverError past 384.  On
+    a centered interval of an even density (both ends singular or neither)
+    the quotient, the tail and the coefficients are those of the odd
+    polynomials alone."""
     problem.validate_interval(a, b)
     beta = problem.N - 1.0 if problem.singular_left(a) else 0.0
     alpha = problem.N - 1.0 if problem.singular_right(b) else 0.0

@@ -288,6 +288,30 @@ FROZEN_INTERVAL = [
     (2.2996, 10.0, 'tan', -2.4314476085, 1.55376375412, 2.6236644166602905),
 ]
 
+# lambda1_interval on centered intervals (K, N, chart, half-length) as the
+# quotient over every degree reads it: the tan chart with both ends
+# singular (a Gauss-Jacobi exponent N - 1 at each; half-length None, the
+# whole chart), and tanh and linear intervals whose degree reaches 96 or
+# 192.  The three rows marked * hold a 32-digit evaluation of the same
+# Galerkin problem instead, which that quotient read 1.0e-13, -1.4e-14 and
+# 1.8e-14 off
+FROZEN_CENTERED = [
+    (0.7, 1.2, "tan", None, 4.200000000000001),
+    (3.0, 1.5, "tan", None, 9.000000000000002),
+    (1.3, 2.0, "tan", None, 2.6),
+    (0.4, 2.5, "tan", None, 0.666666666666667),
+    (2.2, 5.0, "tan", None, 2.7499999999999987),
+    (5.0, 10.0, "tan", None, 5.555555555555557),
+    (-1.0, 1.5, "tanh", 4.0, 0.04455294247614338),  # n = 96
+    (-5.0, 1.5, "tanh", 4.0, 0.0049330813124698536),  # 192
+    (-20.0, 3.0, "tanh", 4.0, 8.245406717214417e-10),  # 192 *
+    (-5.0, 10.0, "tanh", 4.0, 1.2852748561637398e-08),  # 96
+    (-50.0, 3.0, "tanh", 2.0, 4.1223075507586617e-07),  # 192 *
+    (-50.0, INF, "linear", 1.0, 3.835856599455988e-09),  # 96 *
+    (5.0, INF, "linear", 6.0, 4.999999999999996),  # 96
+    (30.0, INF, "linear", 4.0, 30.000000000000064),  # 192
+]
+
 
 def _shot_midpoint(K, N, d, lam):
     """v(0) for the shot v(-d/2) = 1, v'(-d/2) = 0 on the centered interval
@@ -364,6 +388,53 @@ class TestLambda1:
         got = [lambda1_interval(ModelProblem(K, N, chart), a, b)
                for K, N, chart, a, b, _ in FROZEN_INTERVAL]
         assert got == pytest.approx([row[-1] for row in FROZEN_INTERVAL], rel=1e-14)
+
+    def test_frozen_centered_values(self):
+        got = []
+        for K, N, chart, h, _ in FROZEN_CENTERED:
+            p = ModelProblem(K, N, chart)
+            h = p.half_width if h is None else h
+            got.append(lambda1_interval(p, -h, h))
+        assert got == pytest.approx([row[-1] for row in FROZEN_CENTERED], rel=1e-14)
+
+    # centered intervals whose degree stops at 24, 48, 96, 192 and 384
+    ODD_POINTS = [(2.0, 10.0, "tan", None), (1.0, 3.0, "tan", 1.2), (4.0, 2.0, "tan", 0.7),
+                  (-3.0, 2.0, "tanh", 2.0), (-1.0, 1.5, "tanh", 4.0),
+                  (-5.0, 1.5, "tanh", 4.0), (-50.0, 1.5, "tanh", 2.0),
+                  (2.0, INF, "linear", 1.5), (-2.0, INF, "linear", 3.0),
+                  (5.0, INF, "linear", 6.0), (20.0, INF, "linear", 5.0),
+                  (30.0, INF, "linear", 6.0)]
+
+    @pytest.mark.parametrize("K, N, chart, h", ODD_POINTS)
+    def test_odd_quotient_matches_full(self, monkeypatch, K, N, chart, h):
+        # the quotient over odd polynomials against the one over every
+        # degree (no chart counted even): the same value, the same stop
+        # decision at every degree, and the same tail where it is above
+        # rounding noise and the degree resolves v (on a wide Gaussian the
+        # stiffness of 24 or 48 full degrees is not even positive)
+        p = ModelProblem(K, N, chart)
+        h = p.half_width if h is None else h
+        ritz = model1d._ritz
+
+        def run():
+            tails = []
+
+            def recording(problem, a, b, alpha, beta, n):
+                out = ritz(problem, a, b, alpha, beta, n)
+                tails.append((n, out[1]))
+                return out
+
+            monkeypatch.setattr(model1d, "_ritz", recording)
+            return lambda1_interval(p, -h, h), tails
+
+        odd, odd_tails = run()
+        monkeypatch.setattr(model1d, "_EVEN_CHARTS", ())
+        full, full_tails = run()
+        assert [n for n, _ in odd_tails] == [n for n, _ in full_tails]
+        assert odd == pytest.approx(full, rel=1e-14)
+        for (_, t_odd), (_, t_full) in zip(odd_tails, full_tails):
+            if 1e-8 < t_full < 1e-2:
+                assert t_odd == pytest.approx(t_full, rel=1e-3)
 
     def test_model_negative_curvature_vs_oracle(self):
         lam = lambda1_model(-1.0, 3.0, 2.0)
