@@ -2,11 +2,13 @@
 
 A DomainSpec pairs a convex shape (centered interval, box, or ball) with a
 Minkowski norm and a smooth weight; build_domain rasterizes it to a tensor
-lattice: the nodes of per-axis coordinates, a radius-2 neighbor stencil, and
-boundary flags (a node at either end of an axis).  A ball is its box's
-lattice under a node map that sends the box boundary onto the sphere.  The
-lattice owns its P1 mesh (``DiscreteDomain.mesh``, built on first use),
-whose lumped masses are the one node measure.
+lattice: the nodes of per-axis coordinates, numbered row-major on their
+integer index box, and boundary flags (a node at either end of an axis).
+Every neighbour is found by index arithmetic on that box, so nothing else
+is stored.  A ball is its box's lattice under a node map that sends the box
+boundary onto the sphere.  The lattice owns its P1 mesh
+(``DiscreteDomain.mesh``, built on first use), whose lumped masses are the
+one node measure.
 
 Geodesics of a Minkowski norm in flat space are straight lines, so on these
 convex shapes the distance from x to y is F(y - x); for a non-reversible
@@ -14,8 +16,8 @@ norm it depends on the order, and a diameter is a maximum over ordered
 pairs.  :func:`analytic_diameter` is the continuum shape's exact value (max
 F-length of a straight segment); :func:`diameter`, the maximum over the
 lattice's node pairs, is a cross-check that never exceeds it.
-``DiscreteDomain.edge_graph`` weighs each stencil edge by F of its own
-displacement, for shortest-path checks on the lattice graph.
+``DiscreteDomain.edge_graph`` weighs each edge of the radius-2 stencil by F
+of its own displacement, for shortest-path checks on the lattice graph.
 
 Curvature certificates record a pair (K, N) with Ric_N >= K.  In a
 Minkowski space straight lines are geodesics and the Lebesgue measure has
@@ -109,15 +111,15 @@ class DomainSpec:
 
 @dataclass(eq=False)
 class DiscreteDomain:
-    """Lattice nodes, a symmetric radius-2 stencil, boundary flags and the
-    lattice's P1 mesh.
+    """Lattice nodes, boundary flags, spacing and the lattice's P1 mesh.
 
-    ``neighbor_idx`` is (n, slots), the node at each stencil offset
+    ``idx`` is each node's integer index on the lattice box, from 0 per
+    axis, and node i is the row-major number of ``idx[i]`` on that box, so
+    a neighbour is found by index arithmetic (:func:`_offset_nodes`).
+    ``neighbor_idx`` (built on first use, for the graph distances only) is
+    (n, slots), the node at each radius-2 stencil offset
     (:func:`_stencil_offsets`) or -1 where there is none; ``neighbor_mask``
-    is ``neighbor_idx >= 0``.  ``idx`` is each node's integer index on the
-    lattice box, from 0 per axis.
-    The radius-2 stencil serves the graph distances; the mesh reads its Kuhn
-    simplices off the max-norm-1 slots.
+    is ``neighbor_idx >= 0``.
     Box axis k has spacing h_k = L_k / round(L_k r), which is 1/r when L_k r
     is a whole number; a ball's ``spacing`` is that of its box [-R, R]^dim,
     2R / round(2R c_d r) (:func:`build_domain`).  ``h`` is the largest h_k.
@@ -128,7 +130,6 @@ class DiscreteDomain:
 
     spec: DomainSpec
     nodes: np.ndarray
-    neighbor_idx: np.ndarray
     boundary: np.ndarray
     idx: np.ndarray
     spacing: np.ndarray
@@ -144,6 +145,10 @@ class DiscreteDomain:
     @property
     def h(self) -> float:
         return float(self.spacing.max())
+
+    @functools.cached_property
+    def neighbor_idx(self) -> np.ndarray:
+        return _offset_nodes(self.idx, _stencil_offsets(self.dim))
 
     @property
     def neighbor_mask(self) -> np.ndarray:
@@ -187,33 +192,22 @@ def _stencil_offsets(dim: int) -> np.ndarray:
     )
 
 
-@functools.cache
-def _slot_of(dim: int) -> np.ndarray:
-    """The stencil slot of each offset o at index o + 2, -1 at the origin."""
-    offsets = _stencil_offsets(dim)
-    slot_of = np.full((5,) * dim, -1)
-    slot_of[tuple((offsets + 2).T)] = np.arange(offsets.shape[0])
-    return slot_of
+def _strides(top: np.ndarray) -> np.ndarray:
+    """Row-major strides of the index box whose far corner is top."""
+    return np.cumprod(np.r_[1, top[:0:-1] + 1])[::-1]
 
 
-def _lattice_grid(idx: np.ndarray) -> np.ndarray:
-    """Node numbers on the bounding box of the lattice indices, padded by the
-    stencil radius 2 and -1 off the nodes: node i sits at idx[i] + 2."""
-    pos = idx + 2
-    grid = np.full(tuple(pos.max(axis=0) + 3), -1, dtype=np.int64)
-    grid[tuple(pos.T)] = np.arange(pos.shape[0])
-    return grid
-
-
-def _stencil_neighbors(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(n, slots) node numbers of idx + each stencil offset, -1 off the nodes."""
-    strides = np.array(grid.strides) // grid.itemsize
-    offsets = _stencil_offsets(idx.shape[1])
-    return grid.ravel()[((idx + 2) @ strides)[:, None] + offsets @ strides]
+def _offset_nodes(idx: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n, len(offsets)) node numbers of idx + each offset on the row-major
+    index box whose far corner is idx[-1], and -1 off the box."""
+    top = idx[-1]
+    stride = _strides(top)
+    on = ((idx[:, None] >= -offsets) & (idx[:, None] <= top - offsets)).all(axis=2)
+    return np.where(on, (idx @ stride)[:, None] + offsets @ stride, -1)
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
-    """Rasterize the spec to a lattice with its stencil and boundary flags.
+    """Rasterize the spec to a lattice with its boundary flags.
 
     A ball of radius R is the box [-R, R]^dim at resolution c_d r, where
     c_d^dim = |B^dim| / 2^dim keeps about |B^dim| (R r)^dim nodes, and each
@@ -231,7 +225,6 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
     return DiscreteDomain(
         spec=spec,
         nodes=nodes,
-        neighbor_idx=_stencil_neighbors(_lattice_grid(idx), idx),
         boundary=((idx == 0) | (idx == idx.max(axis=0))).any(axis=1),
         idx=idx,
         spacing=(1.0 / r) * np.array(stretch),
@@ -244,13 +237,13 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
 
 @dataclass(frozen=True)
 class MeshOperator:
-    """P1 element gradients D, element measures mu, lumped masses m and the
-    mu-weighted element-to-node mean of a lattice (see :func:`_build_mesh`)."""
+    """P1 element gradients D, element measures mu and lumped masses m of a
+    lattice, and each element's vertices v_0..v_dim (see :func:`_build_mesh`)."""
 
     D: csr_matrix
     mu: np.ndarray
     m: np.ndarray
-    node_mean: csr_matrix
+    verts: np.ndarray
     dim: int
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
@@ -258,16 +251,19 @@ class MeshOperator:
         return (self.D @ u).reshape(-1, self.dim)
 
 
-def _kuhn_slots(dim: int) -> np.ndarray:
-    """Stencil slots of v_1..v_dim for every reflected Kuhn simplex at a node."""
+@functools.cache
+def _kuhn_offsets(dim: int) -> np.ndarray:
+    """(types, dim+1, dim) index offsets of v_0..v_dim for every reflected
+    Kuhn simplex at a node, v_0 at the origin."""
     out = []
     for perm in itertools.permutations(range(dim)):
         for signs in itertools.product((1, -1), repeat=dim - 1):
-            s, v = (1,) + signs, [0] * dim
+            s, v, path = (1,) + signs, [0] * dim, [[0] * dim]
             for k in perm:
                 v[k] += s[k]
-                out.append(list(v))
-    return _slot_of(dim)[tuple((np.array(out) + 2).T)].reshape(-1, dim)
+                path.append(list(v))
+            out.append(path)
+    return np.array(out, dtype=np.int64)
 
 
 def _inverse_and_det(E: np.ndarray):
@@ -305,21 +301,22 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     the node lies.  D ((n_el*dim) x n, dim+1 nonzeros per row) maps u to the
     element gradients, so one energy and gradient evaluation is
     E = mu . F*(Du)^2 and grad E = D^T (2 mu l(Du)), with l the inverse
-    Legendre map.  The element geometry is closed-form: each edge matrix is
-    inverted by its adjugate (cross products in 3-D), and D and the node
-    mean are written straight into CSR.
+    Legendre map.  A simplex type's vertices lie at fixed index offsets
+    (:func:`_kuhn_offsets`), so the base nodes whose simplex fits in the
+    index box are those within per-axis bounds, and its vertices are
+    numbered by the box's strides; elements run by base node, then by type.
+    The element geometry is closed-form: each edge matrix is inverted by its
+    adjugate (cross products in 3-D), and D is written straight into CSR.
     """
     from scipy.sparse import csr_matrix
 
     n, dim, spec, x = domain.n_nodes, domain.dim, domain.spec, domain.nodes
 
-    rest = domain.neighbor_idx[:, _kuhn_slots(dim)].reshape(-1, dim)  # v_1..v_dim
-    v0 = np.repeat(np.arange(n), rest.shape[0] // n)
-    keep = (rest >= 0).all(axis=1)
-    verts = np.column_stack([v0[keep], rest[keep]])  # (n_el, dim+1)
-    count = np.bincount(verts.ravel(), minlength=n)
-    if count.min() == 0:
-        raise ValueError("some lattice node lies in no simplex")
+    idx, off = domain.idx, _kuhn_offsets(dim)
+    top = idx[-1]
+    fits = (idx[:, None] >= -off.min(axis=1)) & (idx[:, None] <= top - off.max(axis=1))
+    base, kind = np.nonzero(fits.all(axis=2))  # node i is idx[i]'s row-major number
+    verts = base[:, None] + (off @ _strides(top))[kind]  # (n_el, dim+1)
 
     # u(v_k) - u(v_0) = E_k . grad u, so grad u = E^{-1} (u(v_k) - u(v_0))
     Einv, det = _inverse_and_det(x[verts[:, 1:]] - x[verts[:, :1]])
@@ -332,14 +329,7 @@ def _build_mesh(domain: DiscreteDomain) -> MeshOperator:
     w = spec.weight_at(x)
     mu = vol * w[verts].mean(axis=1)
     m = w * np.bincount(verts.ravel(), np.repeat(vol / k, k), n)
-    # row i of node_mean: the elements around node i, in element order,
-    # weighted by mu and divided by their sum
-    el = np.argsort(verts.ravel(), kind="stable") // k
-    start = np.concatenate([[0], np.cumsum(count)])
-    mu_el = mu[el]
-    data = mu_el / np.repeat(np.add.reduceat(mu_el, start[:-1]), count)
-    node_mean = csr_matrix((data, el, start), shape=(n, n_el))
-    return MeshOperator(D=D, mu=mu, m=m, node_mean=node_mean, dim=dim)
+    return MeshOperator(D=D, mu=mu, m=m, verts=verts, dim=dim)
 
 
 def diameter(domain: DiscreteDomain, norm: NormSpec) -> float:

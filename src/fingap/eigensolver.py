@@ -74,11 +74,14 @@ class EigenResult:
 
 def discrete_gradient(domain: DiscreteDomain, u) -> np.ndarray:
     """Nodal differential, shape (n, dim): the mu-weighted mean of the
-    element gradients around each node.  Exact for affine u; zero for
-    constant u.
+    element gradients around each node, summed over the mesh's vertex table.
+    Exact for affine u; zero for constant u.
     """
-    op = domain.mesh
-    return op.node_mean @ op.gradient(np.asarray(u, dtype=float))
+    op, n = domain.mesh, domain.n_nodes
+    at, k = op.verts.ravel(), op.verts.shape[1]
+    G = op.mu[:, None] * op.gradient(np.asarray(u, dtype=float))
+    total = np.column_stack([np.bincount(at, np.repeat(g, k), n) for g in G.T])
+    return total / np.bincount(at, np.repeat(op.mu, k), n)[:, None]
 
 
 def _variance(m: np.ndarray, u: np.ndarray) -> float:

@@ -586,9 +586,11 @@ def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, 
     With mu = rho w/W on the rule's 2n nodes, :func:`_stieltjes` gives the
     mean-free pi_1 .. pi_n orthonormal for mu and their derivatives in n
     steps, which stay orthonormal to about 1e-15.  The Ritz vector is the
-    first eigenvector of the stiffness on them; its quotient is recomputed
-    from sums of squares (the eigenvalue is only good to eps times the
-    largest one).
+    first eigenvector of the stiffness on them, taken as the last left
+    singular vector of the rows sqrt(mu) pi_k': good to eps times their
+    largest singular value rather than its square, where an eigenvector of
+    their Gram matrix D D^T is not.  Its quotient is recomputed from sums of
+    squares (the eigenvalue is only good to eps times the largest one).
 
     On a centered interval with an even density and a symmetric rule
     (every quotient of :func:`lambda1_model`) the first eigenfunction is
@@ -598,11 +600,9 @@ def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, 
     sqrt(mu) p_j' = (Q_j + 2 y Q_j')/sqrt(y) span the odd degrees below n:
     half the degrees on half the nodes.  The top even coefficient is zero,
     so the top odd polynomial carries the tail, and the density's
-    p_(2n-1) coefficient vanishes by symmetry.  The Ritz vector is the last
-    left singular vector of the p_j' rows, good to eps times their largest
-    singular value rather than its square: on long intervals with K < 0,
-    where lambda_1 is below 1e-9 of the largest stiffness eigenvalue, an
-    eigenvector of their Gram matrix left the tail at rounding noise near
+    p_(2n-1) coefficient vanishes by symmetry.  On long intervals with
+    K < 0, where lambda_1 is below 1e-9 of the largest stiffness eigenvalue,
+    an eigenvector of the Gram matrix left the tail at rounding noise near
     1e-7."""
     x, ratio, top = _gauss_jacobi(n, alpha, beta)
     density = _CHARTS[problem.chart].density  # the nodes lie inside (a, b)
@@ -612,14 +612,14 @@ def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, 
         y = x * x
         S = _stieltjes(y, y * mu, n // 2)
         Q, D = S[:, 0], (S[:, 0] + 2.0 * y * S[:, 1]) / x
-        c = np.linalg.svd(D, full_matrices=False)[0][:, -1]
-        tail = c[-1] * D[-1]
+        top_rows = 1
     else:
         mu = ratio * density(problem, a + 0.5 * (b - a) * (x + 1.0))
         S = _stieltjes(x, mu, n + 1)
         Q, D = S[1:, 0], S[1:, 1]
-        c = np.linalg.eigh(D @ D.T)[1][:, 0]
-        tail = c[-2:] @ D[-2:]
+        top_rows = 2
+    c = np.linalg.svd(D, full_matrices=False)[0][:, -1]
+    tail = c[-top_rows:] @ D[-top_rows:]
     v, dv = c @ Q, c @ D
     dd = float(dv @ dv)
     lam = (2.0 / (b - a)) ** 2 * dd / float(v @ v)

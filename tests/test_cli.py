@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fingap.cli import main
+from fingap.harness import golden_cases
 
 
 @pytest.fixture
@@ -89,6 +90,18 @@ def test_suite(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert (out_dir / "bounds.csv").exists()
     assert (out_dir / "case-s1.csv").exists()
+
+
+def test_suite_exits_1_on_a_violation(tmp_path):
+    # the golden box beside a twin whose certificate K = 12 is false
+    box = next(c for c in golden_cases() if c["id"] == "box-euclid")
+    false = dict(box, id="box-euclid-false", certificate={"K": 12.0, "N": "inf"})
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"cases": [box, false]}))
+    out_dir = tmp_path / "out"
+    assert main(["suite", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert (out_dir / "case-box-euclid.csv").exists()
+    assert (out_dir / "case-box-euclid-false.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["geom", "solve"])

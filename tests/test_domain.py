@@ -180,12 +180,11 @@ class TestBuild:
         box_spec(norm=euclidean_norm(3), lengths=(1.0, 1.0, 1.0), res=8),
     ], ids=["interval", "box", "ball", "box3d"])
     def test_stencil_neighbors_flat_index(self, spec):
-        # the flat take on the padded grid is the per-axis tuple index
-        idx = build_domain(spec).idx
-        grid = domain_mod._lattice_grid(idx)
-        offsets = domain_mod._stencil_offsets(spec.dim)
-        want = grid[tuple(np.moveaxis(idx[:, None, :] + 2 + offsets, -1, 0))]
-        got = domain_mod._stencil_neighbors(grid, idx)
+        # index arithmetic on the row-major index box finds the neighbours
+        # that the reference builder's dict lookup finds
+        d = build_domain(spec)
+        want = reference_build(spec)["neighbor_idx"]
+        got = domain_mod._offset_nodes(d.idx, domain_mod._stencil_offsets(spec.dim))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 

@@ -127,9 +127,11 @@ class TestDiscreteGradient:
         assert d.mesh is d.mesh
 
 
-def coo_reference(d):
-    """D, mu, m and node_mean written the long way: each element's inverse and
-    determinant from LAPACK, every operator assembled from COO triplets."""
+def coo_reference(d, u):
+    """D, mu, m, the element vertices and the nodal gradient of u written the
+    long way: each element's inverse and determinant from LAPACK, every
+    operator assembled from COO triplets, and the mu-weighted element mean
+    as a sparse matrix."""
     from scipy.sparse import coo_matrix, diags
 
     x = d.nodes
@@ -148,7 +150,8 @@ def coo_reference(d):
     incidence = coo_matrix((np.repeat(mu, k), (verts.ravel(),
                             np.repeat(np.arange(n_el), k))), shape=(n, n_el)).tocsr()
     node_mean = diags(1.0 / np.asarray(incidence.sum(axis=1)).ravel()) @ incidence
-    return {"D": D.toarray(), "mu": mu, "m": m, "node_mean": node_mean.toarray()}
+    return {"D": D.toarray(), "mu": mu, "m": m, "verts": verts,
+            "gradient": node_mean @ (D @ u).reshape(-1, dim)}
 
 
 class TestMeshAssembly:
@@ -162,16 +165,17 @@ class TestMeshAssembly:
     ], ids=["box", "ball-gauss", "box3d"])
     def test_matches_coo_reference(self, spec):
         # the closed-form geometry and the in-place CSR give the operators
-        # of the LAPACK and COO assembly up to rounding
+        # of the LAPACK and COO assembly up to rounding, the elements in the
+        # same order, and the nodal gradient the mu-weighted mean of theirs
         d = build_domain(spec)
         op = d.mesh
-        got = {"D": op.D.toarray(), "mu": op.mu, "m": op.m,
-               "node_mean": op.node_mean.toarray()}
-        for name, want in coo_reference(d).items():
+        u = np.random.default_rng(1).standard_normal(d.n_nodes)
+        got = {"D": op.D.toarray(), "mu": op.mu, "m": op.m, "verts": op.verts,
+               "gradient": discrete_gradient(d, u)}
+        for name, want in coo_reference(d, u).items():
             assert got[name].shape == want.shape, name
             err = np.max(np.abs(got[name] - want))
             assert err <= 1e-13 * np.max(np.abs(want)), name
-        assert op.node_mean.has_sorted_indices  # each row in element order
 
 
 class TestRayleighQuotient:

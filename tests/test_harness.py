@@ -116,6 +116,17 @@ class TestVerifyBound:
         assert rep.margin > 0.0
         assert rep.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("case", [
+        box_case(),
+        dict(box_case(ident="ball"), domain={"shape": "ball", "radius": 0.5}),
+    ], ids=["box", "ball"])
+    def test_run_leaves_stencil_unbuilt(self, case):
+        # a run builds the mesh but never the graph stencil: the mesh finds
+        # its simplices by index arithmetic
+        dom = run_case(case).domain
+        assert "mesh" in dom.__dict__
+        assert "neighbor_idx" not in dom.__dict__
+
     def test_user_certificate_passthrough(self):
         case = box_case()
         case["certificate"] = {"K": -1.0, "N": 4.0}
@@ -401,6 +412,61 @@ class TestSuite:
         assert len(set(ids)) == len(ids)
         kinds = {c["domain"]["shape"] for c in cases}
         assert kinds == {"interval", "box", "ball"}
+
+
+def false_golden(case_id, K, ident=None):
+    """A golden case under the certificate (K, inf), false when K exceeds
+    the space's curvature; its bound is then false by a known amount."""
+    case = next(c for c in golden_cases() if c["id"] == case_id)
+    return dict(case, id=ident or case_id, certificate={"K": K, "N": "inf"})
+
+
+class TestNegativeControls:
+    """A certificate that overstates K makes the model bound false; the
+    checker must read violated, and the suite must exit 1."""
+
+    def test_box_overstated_K_violated(self):
+        # lambda = 9.867; K = 12 lifts the bound to 13.112
+        rep = run_case(false_golden("box-euclid", 12.0)).report
+        assert rep.verdict == "violated"
+        assert rep.bound == pytest.approx(13.112, abs=1e-3)
+        assert rep.margin == pytest.approx(-3.245, abs=1e-3)
+        assert rep.discretization_tolerance == pytest.approx(1.35e-2, rel=1e-2)
+
+    def test_box_false_bound_below_lambda_holds(self):
+        # Ric_inf >= 1 is false on a flat box too, but its bound 5.45 lies
+        # below lambda, so no check of lambda can see it
+        rep = run_case(false_golden("box-euclid", 1.0)).report
+        assert rep.verdict == "holds"
+
+    @pytest.mark.parametrize("K, verdict, margin", [
+        (3e-4, "holds_within_tol", -2.0e-4),
+        (1e-3, "violated", -5.5e-4),
+    ])
+    def test_sharp_detection_threshold(self, K, verdict, margin):
+        # the K = 0 bound is this case's eigenvalue, so K lifts it above the
+        # truth by its own amount; the bar 2|lam_fine - lam_coarse| = 3.04e-4
+        # misses the bound K = 3e-4 gives and catches K = 1e-3's.  A sharper
+        # error bar should move this bracket down.
+        rep = run_case(false_golden("sharp-1d-twoslope-asym", K)).report
+        assert rep.discretization_tolerance == pytest.approx(3.04e-4, rel=1e-2)
+        assert rep.margin == pytest.approx(margin, rel=2e-2)
+        assert rep.verdict == verdict
+
+    def test_suite_with_a_violation_exits_1(self, tmp_path):
+        box = next(c for c in golden_cases() if c["id"] == "box-euclid")
+        cfg = {"cases": [box, false_golden("box-euclid", 12.0, ident="box-euclid-false")]}
+        out = tmp_path / "out"
+        result = run_suite(cfg, out_dir=str(out))
+        assert result.exit_code == 1
+        verdicts = {s["id"]: s["bound_report"]["verdict"] for s in result.summaries}
+        assert verdicts == {"box-euclid": "holds", "box-euclid-false": "violated"}
+        assert json.loads((out / "summary.json").read_text())["n_violated"] == 1
+        with open(out / "bounds.csv") as f:
+            rows = {r["id"]: r["verdict"] for r in csv.DictReader(f)}
+        assert rows == verdicts
+        assert (out / "case-box-euclid.csv").exists()
+        assert (out / "case-box-euclid-false.csv").exists()
 
 
 class TestPoincareRestatement:

@@ -382,12 +382,12 @@ class TestLambda1:
 
     def test_frozen_model_values(self):
         got = [lambda1_model(K, N, d) for K, N, d, _ in FROZEN_MODEL]
-        assert got == pytest.approx([row[-1] for row in FROZEN_MODEL], rel=1e-14)
+        assert got == pytest.approx([row[-1] for row in FROZEN_MODEL], rel=1e-14, abs=0)
 
     def test_frozen_interval_values(self):
         got = [lambda1_interval(ModelProblem(K, N, chart), a, b)
                for K, N, chart, a, b, _ in FROZEN_INTERVAL]
-        assert got == pytest.approx([row[-1] for row in FROZEN_INTERVAL], rel=1e-14)
+        assert got == pytest.approx([row[-1] for row in FROZEN_INTERVAL], rel=1e-14, abs=0)
 
     def test_frozen_centered_values(self):
         got = []
@@ -395,7 +395,7 @@ class TestLambda1:
             p = ModelProblem(K, N, chart)
             h = p.half_width if h is None else h
             got.append(lambda1_interval(p, -h, h))
-        assert got == pytest.approx([row[-1] for row in FROZEN_CENTERED], rel=1e-14)
+        assert got == pytest.approx([row[-1] for row in FROZEN_CENTERED], rel=1e-14, abs=0)
 
     # centered intervals whose degree stops at 24, 48, 96, 192 and 384
     ODD_POINTS = [(2.0, 10.0, "tan", None), (1.0, 3.0, "tan", 1.2), (4.0, 2.0, "tan", 0.7),
@@ -403,7 +403,12 @@ class TestLambda1:
                   (-5.0, 1.5, "tanh", 4.0), (-50.0, 1.5, "tanh", 2.0),
                   (2.0, INF, "linear", 1.5), (-2.0, INF, "linear", 3.0),
                   (5.0, INF, "linear", 6.0), (20.0, INF, "linear", 5.0),
-                  (30.0, INF, "linear", 6.0)]
+                  (30.0, INF, "linear", 6.0), (-20.0, 3.0, "tanh", 4.0)]
+    # lambda_1(-20, 3, 8) = 8.2e-10: the full quotient is 1.7e-14 off the
+    # odd one with the Ritz vector a singular vector, and 1.0e-13 off with
+    # it an eigenvector of the Gram matrix; its tails of about 5e-8 at
+    # degree 192 are rounding noise.  (value rel, tail floor) per point
+    ODD_TOL = {(-20.0, 3.0, "tanh", 4.0): (5e-14, 1e-7)}
 
     @pytest.mark.parametrize("K, N, chart, h", ODD_POINTS)
     def test_odd_quotient_matches_full(self, monkeypatch, K, N, chart, h):
@@ -431,9 +436,10 @@ class TestLambda1:
         monkeypatch.setattr(model1d, "_EVEN_CHARTS", ())
         full, full_tails = run()
         assert [n for n, _ in odd_tails] == [n for n, _ in full_tails]
-        assert odd == pytest.approx(full, rel=1e-14)
+        rel, floor = self.ODD_TOL.get((K, N, chart, h), (1e-14, 1e-8))
+        assert odd == pytest.approx(full, rel=rel, abs=0)
         for (_, t_odd), (_, t_full) in zip(odd_tails, full_tails):
-            if 1e-8 < t_full < 1e-2:
+            if floor < t_full < 1e-2:
                 assert t_odd == pytest.approx(t_full, rel=1e-3)
 
     def test_model_negative_curvature_vs_oracle(self):
