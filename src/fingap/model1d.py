@@ -36,17 +36,19 @@ strictly independent finite-difference Sturm-Liouville oracle
 (:func:`sturm_liouville_oracle`) cross-validates them.
 
 Model solutions are shots of v'' = T v' - lambda v from v(a) = -1,
-v'(a) = 0 by the Prince-Dormand 8(5,3) pair (DOP853), started at singular
-chart endpoints (tan at +-pi/(2a), coth/power at 0) from the series
-v = -1 + lambda/(2N) (t-a)^2 that the balance v''(a) = lambda/N gives.
+v'(a) = 0 by Taylor steps of order 20.  The identity T' = K + T^2/(N-1)
+gives the Taylor coefficients of T, and with them those of v and v',
+exactly (Jorba and Zou, Experimental Mathematics 14, 2005); a shot from a
+singular chart end (tan at +-pi/(2a), coth/power at 0) starts at the pole
+itself from the Frobenius series of the solution regular there.
 Interval fitting walks a one-parameter family of shots (the start a on the
 tan, power, coth, tanh and linear charts, the drift c on the constant
 chart) until the first maximum v(b) crosses the target, then narrows that
 step by Illinois regula falsi (4-14 shots per model-sweep fit,
-model_solution's included; a median of 18 steps per shot).  Each shot
-integrates once and stops after the step where v' falls through 0;
-DOP853's own 7th-order continuous extension of its steps gives b, v(b)
-and, for the closest probe only, the 2001 samples of the fitted solution.
+model_solution's included; a median of 3 steps per shot, 6 at most).
+Each shot integrates once and stops after the step where v' falls
+through 0; that step's polynomials give b, v(b) and, for the closest
+probe only, the 2001 samples of the fitted solution.
 No parameter is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
@@ -61,6 +63,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice, takewhile
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,8 +99,8 @@ class _Diverged(SolverError):
 # ---------------------------------------------------------------------------
 # chart table
 
-# Drift builders take xp = math (a scalar closure for the integrator, which
-# calls it 12 times per step, so the constants are bound once) or xp = np.
+# Drift builders take xp = math (a scalar closure, so the constants are
+# bound once: the integrator calls it once per step) or xp = np.
 
 
 def _tan(p, xp):
@@ -277,182 +280,111 @@ def invariant_density(problem: ModelProblem, t):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Prince-Dormand 8(5,3) (DOP853), specialized to the 2-state
-# shooting system; coefficients from Hairer, Norsett & Wanner, Solving
-# Ordinary Differential Equations I, section II.10
+# Taylor steps from the Riccati identity T' = K + T^2/(N-1)
+
+# series order of a step; its two top coefficients set the step size
+_ORDER = 20
 
 
-def _stages(T, lam, t, v, w, h, k1v, k1w):
-    """The 12 stages of the DOP853 step of length h from (t, v, w) for
-    v' = w, w' = T(t) w - lam v, whose first stage (k1v, k1w) is the
-    derivative at the start: (kv, kw, T(t + h)), with kv and kw the tuples of
-    the stages' v' and w'.  Plain arithmetic, so the arguments may be scalars
-    with a ``math`` drift or arrays over steps with a numpy one."""
-    k2v = w + h * (0.05260015195876773 * k1w)
-    k2w = (T(t + 0.05260015195876773 * h) * k2v
-           - lam * (v + h * (0.05260015195876773 * k1v)))
-    k3v = w + h * (0.0197250569845379 * k1w + 0.0591751709536137 * k2w)
-    k3w = (T(t + 0.0789002279381516 * h) * k3v
-           - lam * (v + h * (0.0197250569845379 * k1v + 0.0591751709536137 * k2v)))
-    k4v = w + h * (0.02958758547680685 * k1w + 0.08876275643042054 * k3w)
-    k4w = (T(t + 0.1183503419072274 * h) * k4v
-           - lam * (v + h * (0.02958758547680685 * k1v + 0.08876275643042054 * k3v)))
-    k5v = w + h * (0.2413651341592667 * k1w - 0.8845494793282861 * k3w
-                   + 0.924834003261792 * k4w)
-    k5w = (T(t + 0.2816496580927726 * h) * k5v
-           - lam * (v + h * (0.2413651341592667 * k1v - 0.8845494793282861 * k3v
-                             + 0.924834003261792 * k4v)))
-    k6v = w + h * (0.037037037037037035 * k1w + 0.17082860872947386 * k4w
-                   + 0.12546768756682242 * k5w)
-    k6w = (T(t + 0.3333333333333333 * h) * k6v
-           - lam * (v + h * (0.037037037037037035 * k1v + 0.17082860872947386 * k4v
-                             + 0.12546768756682242 * k5v)))
-    k7v = w + h * (0.037109375 * k1w + 0.17025221101954405 * k4w
-                   + 0.06021653898045596 * k5w - 0.017578125 * k6w)
-    k7w = (T(t + 0.25 * h) * k7v
-           - lam * (v + h * (0.037109375 * k1v + 0.17025221101954405 * k4v
-                             + 0.06021653898045596 * k5v - 0.017578125 * k6v)))
-    k8v = w + h * (0.03709200011850479 * k1w + 0.17038392571223998 * k4w
-                   + 0.10726203044637328 * k5w - 0.015319437748624402 * k6w
-                   + 0.008273789163814023 * k7w)
-    k8w = (T(t + 0.3076923076923077 * h) * k8v
-           - lam * (v + h * (0.03709200011850479 * k1v + 0.17038392571223998 * k4v
-                             + 0.10726203044637328 * k5v - 0.015319437748624402 * k6v
-                             + 0.008273789163814023 * k7v)))
-    k9v = w + h * (0.6241109587160757 * k1w - 3.3608926294469414 * k4w
-                   - 0.868219346841726 * k5w + 27.59209969944671 * k6w
-                   + 20.154067550477894 * k7w - 43.48988418106996 * k8w)
-    k9w = (T(t + 0.6512820512820513 * h) * k9v
-           - lam * (v + h * (0.6241109587160757 * k1v - 3.3608926294469414 * k4v
-                             - 0.868219346841726 * k5v + 27.59209969944671 * k6v
-                             + 20.154067550477894 * k7v - 43.48988418106996 * k8v)))
-    k10v = w + h * (0.47766253643826434 * k1w - 2.4881146199716677 * k4w
-                    - 0.590290826836843 * k5w + 21.230051448181193 * k6w
-                    + 15.279233632882423 * k7w - 33.28821096898486 * k8w
-                    - 0.020331201708508627 * k9w)
-    k10w = (T(t + 0.6 * h) * k10v
-            - lam * (v + h * (0.47766253643826434 * k1v - 2.4881146199716677 * k4v
-                              - 0.590290826836843 * k5v + 21.230051448181193 * k6v
-                              + 15.279233632882423 * k7v - 33.28821096898486 * k8v
-                              - 0.020331201708508627 * k9v)))
-    k11v = w + h * (-0.9371424300859873 * k1w + 5.186372428844064 * k4w
-                    + 1.0914373489967295 * k5w - 8.149787010746927 * k6w
-                    - 18.52006565999696 * k7w + 22.739487099350505 * k8w
-                    + 2.4936055526796523 * k9w - 3.0467644718982196 * k10w)
-    k11w = (T(t + 0.8571428571428571 * h) * k11v
-            - lam * (v + h * (-0.9371424300859873 * k1v + 5.186372428844064 * k4v
-                              + 1.0914373489967295 * k5v - 8.149787010746927 * k6v
-                              - 18.52006565999696 * k7v + 22.739487099350505 * k8v
-                              + 2.4936055526796523 * k9v - 3.0467644718982196 * k10v)))
-    k12v = w + h * (2.273310147516538 * k1w - 10.53449546673725 * k4w
-                    - 2.0008720582248625 * k5w - 17.9589318631188 * k6w
-                    + 27.94888452941996 * k7w - 2.8589982771350235 * k8w
-                    - 8.87285693353063 * k9w + 12.360567175794303 * k10w
-                    + 0.6433927460157636 * k11w)
-    T_end = T(t + h)  # the drift at t + h serves k12 and the next step's k1
-    k12w = T_end * k12v - lam * (
-        v + h * (2.273310147516538 * k1v - 10.53449546673725 * k4v
-                 - 2.0008720582248625 * k5v - 17.9589318631188 * k6v
-                 + 27.94888452941996 * k7v - 2.8589982771350235 * k8v
-                 - 8.87285693353063 * k9v + 12.360567175794303 * k10v
-                 + 0.6433927460157636 * k11v))
-    return ((k1v, k2v, k3v, k4v, k5v, k6v, k7v, k8v, k9v, k10v, k11v, k12v),
-            (k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T_end)
+def _series(T0, K, q, lam, v0, w0):
+    """Taylor coefficients (v_n), (w_n), n <= _ORDER, at a regular point of
+    v' = w, w' = T w - lam v, where T = T0 there: T' = K + q T^2 gives
+    T_(n+1) = (K [n = 0] + q sum_(i<=n) T_i T_(n-i))/(n+1), then
+    v_(n+1) = w_n/(n+1) and w_(n+1) = (sum_(i<=n) T_i w_(n-i) - lam v_n)/(n+1).
+    With q = 0 the drift series stops at T_1 = K."""
+    Tc, vc, wc = [T0, K + q * T0 * T0], [v0], [w0]
+    for n in range(_ORDER):
+        wc.append((sum(map(mul, Tc, wc[::-1])) - lam * vc[n]) / (n + 1))
+        vc.append(wc[n] / (n + 1))
+        if q:
+            Tc.append(q * sum(map(mul, Tc, Tc[::-1])) / (n + 2))
+    return vc, wc
 
 
-def _integrate(Tfun, lam, t0, v0, w0, t_end, rtol=1e-10, atol=1e-12, until=None):
-    """Integrate v' = w, w' = T(t) w - lam v from t0 to t_end.
+def _pole_series(K, q, N, lam, v0):
+    """Taylor coefficients (v_n), (w_n), n <= _ORDER, in s = t - pole of the
+    solution regular at a drift pole, v = v0 + O(s^2) (the Frobenius series).
+    There T = -(N-1)/s + sum R_n s^n with R_0 = 0 and (n+2) R_n =
+    K [n = 1] + q sum_(i+j=n-1) R_i R_j (R_1 = K/3: tan at its edges, coth
+    at 0), and v'' = T v' - lam v gives v_1 = 0 and
+    (n+2)(n+N) v_(n+2) = sum_(m<=n) R_m w_(n-m) - lam v_n, w_j = (j+1) v_(j+1)."""
+    R, vc, wc = [0.0], [v0, 0.0], [0.0]
+    for n in range(_ORDER):
+        if n:
+            R.append(((K if n == 1 else 0.0) + q * sum(map(mul, R, R[::-1]))) / (n + 2))
+        vc.append((sum(map(mul, R, wc[::-1])) - lam * vc[n]) / ((n + 2) * (n + N)))
+        wc.append((n + 2) * vc[n + 2])
+    return vc[:_ORDER + 1], wc
 
-    Returns (ts, vs, ws) as float lists of accepted steps, starting at t0.
-    With ``until`` the run ends right after the first accepted step for which
-    ``until(t, v, w, w_prev)`` is true (see :func:`_downcross`).
-    DOP853 in scalar Python arithmetic: the 12 stages of :func:`_stages`,
-    the derivative at the end reused as the next step's first stage, and
-    the err5/err3 error estimate (step factor err^(-1/8)).  About 12
-    microseconds per step; a fit probe at ``_PROBE_TOL`` takes a median of 18.
-    The first step is at most a sixteenth of the span and 0.4/sqrt(lam + 1),
-    about a sixteenth of the solution's wavelength 2 pi/sqrt(lam).
+
+def _poly(c, s):
+    """sum c_n s^n by Horner, with the coefficients c from the top degree
+    down: any iterable, of scalars or of arrays (gathered one at a time)."""
+    c = iter(c)
+    acc = next(c)
+    for cn in c:
+        acc = acc * s + cn
+    return acc
+
+
+def _integrate(problem: ModelProblem, lam, t0, v0, w0, t_end, tol=1e-10, until=None):
+    """Integrate v' = w, w' = T(t) w - lam v from t0 to t_end by Taylor steps.
+
+    Returns (ts, vs, ws, steps): the step ends as float lists, starting at
+    t0, and for each step its coefficient lists (cv, cw) in s = t - ts[i],
+    lowest degree first (:func:`_series`): its dense output.  At a singular
+    left end of the chart (:meth:`ModelProblem.singular_left`) the run
+    starts at the pole itself from the regular solution's series
+    (:func:`_pole_series`, which takes w0 = 0).  With ``until`` the run
+    ends right after the first step for which ``until(t, v, w, w_prev)`` is
+    true (see :func:`_downcross`).
+    A step is h = 0.7 min (tol max(1, |v|, |w|)/|c_e|)^(1/e) over the
+    coefficients c_e of v and w of degree e = _ORDER and _ORDER - 1, clipped
+    to the span left.  SolverError on step underflow, a non-finite state or
+    2,000,000 steps; _Diverged once |v| passes 1e12.
     """
+    # q = 1/(N-1) of T' = K + q T^2: 0 for N = inf, and on the flat chart,
+    # where T = 0 and N may be 1
+    q = 0.0 if problem.chart == "flat" else 1.0 / (problem.N - 1.0)
+    T, K = problem.drift(), problem.K
+    pole = problem.singular_left(t0)
+    if pole and problem.singular == "edges":
+        t0 = -problem.half_width
     t, v, w = float(t0), float(v0), float(w0)
-    ts, vs, ws = [t], [v], [w]
-    if t_end <= t:
-        return ts, vs, ws
-    f1v = w
-    f1w = Tfun(t) * w - lam * v
-    h = min((t_end - t0) / 16.0, 0.4 / math.sqrt(lam + 1.0))
-    nsteps = 0
-    nreject = 0
+    ts, vs, ws, steps = [t], [v], [w], []
     while t < t_end:
         # done once the remaining gap is at the floating-point resolution
         remaining = t_end - t
         if remaining <= 1e-13 * max(1.0, abs(t), abs(t_end)):
             break
-        nsteps += 1
-        if nsteps > 2_000_000:
+        if len(steps) >= 2_000_000:
             raise SolverError("integration exceeded step budget")
-        h = min(h, remaining)
+        if pole:
+            cv, cw = _pole_series(K, q, problem.N, lam, v)
+            pole = False
+        else:
+            cv, cw = _series(T(t), K, q, lam, v, w)
+        h = remaining
+        scale = tol * max(1.0, abs(v), abs(w))
+        for e in (_ORDER, _ORDER - 1):
+            for c in (cv[e], cw[e]):
+                if c:
+                    h = min(h, 0.7 * (scale / abs(c)) ** (1.0 / e))
         if h <= 4.45e-16 * abs(t):  # t + h == t: cannot advance
             raise SolverError("step size underflow")
-
-        (k1v, _, _, _, _, k6v, k7v, k8v, k9v, k10v, k11v, k12v), \
-            (k1w, _, _, _, _, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T_end = \
-            _stages(Tfun, lam, t, v, w, h, f1v, f1w)
-        dv = (0.054293734116568765 * k1v + 4.450312892752409 * k6v
-              + 1.8915178993145003 * k7v - 5.801203960010585 * k8v
-              + 0.3111643669578199 * k9v - 0.1521609496625161 * k10v
-              + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v)
-        dw = (0.054293734116568765 * k1w + 4.450312892752409 * k6w
-              + 1.8915178993145003 * k7w - 5.801203960010585 * k8w
-              + 0.3111643669578199 * k9w - 0.1521609496625161 * k10w
-              + 0.20136540080403034 * k11w + 0.04471061572777259 * k12w)
-        y8v = v + h * dv
-        y8w = w + h * dw
-        # differences to the embedded 5th- and 3rd-order results, which
-        # err5^2 / sqrt(err5^2 + err3^2/100) turns into an estimate of the
-        # 8th-order step's error
-        e5v = (0.01312004499419488 * k1v - 1.2251564463762044 * k6v
-               - 0.4957589496572502 * k7v + 1.6643771824549864 * k8v
-               - 0.35032884874997366 * k9v + 0.3341791187130175 * k10v
-               + 0.08192320648511571 * k11v - 0.022355307863886294 * k12v)
-        e5w = (0.01312004499419488 * k1w - 1.2251564463762044 * k6w
-               - 0.4957589496572502 * k7w + 1.6643771824549864 * k8w
-               - 0.35032884874997366 * k9w + 0.3341791187130175 * k10w
-               + 0.08192320648511571 * k11w - 0.022355307863886294 * k12w)
-        e3v = dv - (0.2440944881889764 * k1v + 0.7338466882816118 * k9v
-                    + 0.022058823529411766 * k12v)
-        e3w = dw - (0.2440944881889764 * k1w + 0.7338466882816118 * k9w
-                    + 0.022058823529411766 * k12w)
-        scv = atol + rtol * max(abs(v), abs(y8v))
-        scw = atol + rtol * max(abs(w), abs(y8w))
-        err5 = (e5v / scv) ** 2 + (e5w / scw) ** 2
-        err3 = (e3v / scv) ** 2 + (e3w / scw) ** 2
-        err = 0.0 if err5 == 0.0 else h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
-
-        if not (math.isfinite(y8v) and math.isfinite(y8w) and math.isfinite(err)):
-            nreject += 1
-            if nreject > 200:
-                raise SolverError("integration produced non-finite state")
-            h *= 0.2
-            continue
-
-        if err <= 1.0:
-            w_prev = w
-            t += h
-            v, w = y8v, y8w
-            f1v, f1w = w, T_end * w - lam * v
-            ts.append(t)
-            vs.append(v)
-            ws.append(w)
-            if until is not None and until(t, v, w, w_prev):
-                break
-            if abs(v) > 1e12:
-                raise _Diverged("trajectory diverged")
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
-            h *= fac
-        else:
-            nreject += 1
-            h *= max(0.2, 0.9 * err ** -0.125)
-    return ts, vs, ws
+        w_prev = w
+        t, v, w = t + h, _poly(reversed(cv), h), _poly(reversed(cw), h)
+        if not (math.isfinite(v) and math.isfinite(w)):
+            raise SolverError("integration produced non-finite state")
+        ts.append(t)
+        vs.append(v)
+        ws.append(w)
+        steps.append((cv, cw))
+        if until is not None and until(t, v, w, w_prev):
+            break
+        if abs(v) > 1e12:
+            raise _Diverged("trajectory diverged")
+    return ts, vs, ws, steps
 
 
 # ---------------------------------------------------------------------------
@@ -487,36 +419,20 @@ class ModelSolution:
         return np.interp(y, vs[mask], vps[mask])
 
 
-def _start_state(problem: ModelProblem, lam: float, a: float, span: float):
-    """Initial data for the shot; series start at singular endpoints."""
-    if problem.singular_left(a):
-        if problem.singular == "edges":
-            a = -problem.half_width
-        eps = 1e-6 * min(span, 1.0 / (problem.alpha + 1.0 / span))
-        t0 = a + eps
-        v0 = -1.0 + lam / (2.0 * problem.N) * eps * eps
-        w0 = lam / problem.N * eps
-        return t0, v0, w0, a, True
-    return a, -1.0, 0.0, a, False
-
-
 def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolution:
-    """Integrate the shooting IVP over [a, b] and return the trajectory.
+    """Integrate the shooting IVP over [a, b] and return the step ends.
 
-    Singular left endpoints start from the quadratic series; a singular right
-    endpoint is truncated by a relative 1e-9 margin (the drift pole sits on
-    the boundary, while the solution itself stays smooth up to it).
+    A singular left endpoint starts at the drift pole from the series of the
+    solution regular there; a singular right endpoint is truncated by a
+    relative 1e-9 margin (the drift pole sits on the boundary, while the
+    solution itself stays smooth up to it).
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     problem.validate_interval(a, b)
-    span = b - a
-    t0, v0, w0, a_exact, series = _start_state(problem, lam, a, span)
-    b_eff = b - 1e-9 * span if problem.singular_right(b) else b
-    ts, vs, ws = _integrate(problem.drift(), lam, t0, v0, w0, b_eff)
-    if series:
-        ts, vs, ws = [a_exact] + ts, [-1.0] + vs, [0.0] + ws
-    return ModelSolution(a=a_exact, b=b, lam=lam,
+    b_eff = b - 1e-9 * (b - a) if problem.singular_right(b) else b
+    ts, vs, ws, _ = _integrate(problem, lam, a, -1.0, 0.0, b_eff)
+    return ModelSolution(a=ts[0], b=b, lam=lam,
                          ts=np.array(ts), vs=np.array(vs), vps=np.array(ws))
 
 
@@ -699,8 +615,9 @@ def _out_of_reach(drift, sign, lam, t, v, w, w_prev) -> bool:
     v keeps its sign: on the tan chart v' > 0 up to the pole, on the linear
     chart v < 0, where v' cannot fall through 0 (there v'' = -lam v > 0).
     r > r_- is r > T/2 or r^2 - T r + lam < 0, times v^2.  Without this a
-    failing probe runs, ever stiffer, into the pole until its step size
-    underflows, or to the 64 pi/sqrt(lam) horizon.
+    failing probe runs into the pole, its steps shrinking with the distance
+    (about 155 steps to the 1e-12 cap, against 12-14 with it), or to the
+    64 pi/sqrt(lam) horizon (about 4600 steps, against 3-5).
     """
     if _downcross(t, v, w, w_prev):
         return True
@@ -709,10 +626,11 @@ def _out_of_reach(drift, sign, lam, t, v, w, w_prev) -> bool:
             and (v * w > 0.5 * T * v * v or w * w - T * v * w + lam * v * v < 0.0))
 
 
-# Shots of the fit run at this tolerance: a probe's v(b) must be far below
-# the fit tolerance _FIT_TOL off the true maximum.  At the default tolerance
-# it can be 1.7e-7 off (K=3, N=inf, lam=3.2, k=3).
-_PROBE_TOL = {"rtol": 1e-12, "atol": 1e-14}
+# Shots of the fit run at this step tolerance: a probe's v(b) must be far
+# below the fit tolerance _FIT_TOL off the true maximum.  Against shots at
+# 1e-16, v(b) was at most 2.3e-14 off over the charts (M = 13.5 from a = -3,
+# K = -1, N = inf, lam = 0.3).
+_PROBE_TOL = 1e-12
 _FIT_TOL = 1e-8
 _DENSE_SAMPLES = 2000
 
@@ -753,159 +671,59 @@ def _illinois(f, ends: list, xtol: float, done=lambda: False) -> list:
     return ends
 
 
-def _extension(T, lam, t, h, v0, w0, v1, w1):
-    """Coefficients (Fv, Fw) of DOP853's 7th-order continuous extension of
-    the accepted step of length h from (t, v0, w0) to (v1, w1), for
-    :func:`_dense`.  It re-forms the step's stages (:func:`_stages`, the
-    integrator's own arithmetic) and evaluates 3 more.  Scalars with a
-    ``math`` drift T, or arrays over steps with a numpy one."""
-    k1w = T(t) * w0 - lam * v0
-    (k1v, _, _, _, _, k6v, k7v, k8v, k9v, k10v, k11v, k12v), \
-        (_, _, _, _, _, k6w, k7w, k8w, k9w, k10w, k11w, k12w), T1 = \
-        _stages(T, lam, t, v0, w0, h, w0, k1w)
-    k13v, k13w = w1, T1 * w1 - lam * v1
-    k14v = w0 + h * (0.056167502283047954 * k1w + 0.25350021021662483 * k7w
-                     - 0.2462390374708025 * k8w - 0.12419142326381637 * k9w
-                     + 0.15329179827876568 * k10w + 0.00820105229563469 * k11w
-                     + 0.007567897660545699 * k12w - 0.008298 * k13w)
-    k14w = (T(t + 0.1 * h) * k14v
-            - lam * (v0 + h * (0.056167502283047954 * k1v + 0.25350021021662483 * k7v
-                               - 0.2462390374708025 * k8v - 0.12419142326381637 * k9v
-                               + 0.15329179827876568 * k10v + 0.00820105229563469 * k11v
-                               + 0.007567897660545699 * k12v - 0.008298 * k13v)))
-    k15v = w0 + h * (0.03183464816350214 * k1w + 0.028300909672366776 * k6w
-                     + 0.053541988307438566 * k7w - 0.05492374857139099 * k8w
-                     - 0.00010834732869724932 * k11w + 0.0003825710908356584 * k12w
-                     - 0.00034046500868740456 * k13w + 0.1413124436746325 * k14w)
-    k15w = (T(t + 0.2 * h) * k15v
-            - lam * (v0 + h * (0.03183464816350214 * k1v + 0.028300909672366776 * k6v
-                               + 0.053541988307438566 * k7v - 0.05492374857139099 * k8v
-                               - 0.00010834732869724932 * k11v
-                               + 0.0003825710908356584 * k12v
-                               - 0.00034046500868740456 * k13v
-                               + 0.1413124436746325 * k14v)))
-    k16v = w0 + h * (-0.42889630158379194 * k1w - 4.697621415361164 * k6w
-                     + 7.683421196062599 * k7w + 4.06898981839711 * k8w
-                     + 0.3567271874552811 * k9w - 0.0013990241651590145 * k13w
-                     + 2.9475147891527724 * k14w - 9.15095847217987 * k15w)
-    k16w = (T(t + 0.7777777777777778 * h) * k16v
-            - lam * (v0 + h * (-0.42889630158379194 * k1v - 4.697621415361164 * k6v
-                               + 7.683421196062599 * k7v + 4.06898981839711 * k8v
-                               + 0.3567271874552811 * k9v - 0.0013990241651590145 * k13v
-                               + 2.9475147891527724 * k14v - 9.15095847217987 * k15v)))
-    coeffs = []
-    for y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 in (
-            (v0, v1, k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v),
-            (w0, w1, k1w, k6w, k7w, k8w, k9w, k10w, k11w, k12w, k13w, k14w, k15w,
-             k16w)):
-        dy = y1 - y0
-        coeffs.append((
-            dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1),
-            h * (-8.428938276109013 * k1 + 0.5667149535193777 * k6
-                 - 3.0689499459498917 * k7 + 2.38466765651207 * k8
-                 + 2.117034582445028 * k9 - 0.871391583777973 * k10
-                 + 2.2404374302607883 * k11 + 0.6315787787694688 * k12
-                 - 0.08899033645133331 * k13 + 18.148505520854727 * k14
-                 - 9.194632392478356 * k15 - 4.436036387594894 * k16),
-            h * (10.427508642579134 * k1 + 242.28349177525817 * k6
-                 + 165.20045171727028 * k7 - 374.5467547226902 * k8
-                 - 22.113666853125306 * k9 + 7.733432668472264 * k10
-                 - 30.674084731089398 * k11 - 9.332130526430229 * k12
-                 + 15.697238121770845 * k13 - 31.139403219565178 * k14
-                 - 9.35292435884448 * k15 + 35.81684148639408 * k16),
-            h * (19.985053242002433 * k1 - 387.0373087493518 * k6
-                 - 189.17813819516758 * k7 + 527.8081592054236 * k8
-                 - 11.57390253995963 * k9 + 6.8812326946963 * k10
-                 - 1.0006050966910838 * k11 + 0.7777137798053443 * k12
-                 - 2.778205752353508 * k13 - 60.19669523126412 * k14
-                 + 84.32040550667716 * k15 + 11.99229113618279 * k16),
-            h * (-25.69393346270375 * k1 - 154.18974869023643 * k6
-                 - 231.5293791760455 * k7 + 357.6391179106141 * k8
-                 + 93.40532418362432 * k9 - 37.45832313645163 * k10
-                 + 104.0996495089623 * k11 + 29.8402934266605 * k12
-                 - 43.53345659001114 * k13 + 96.32455395918828 * k14
-                 - 39.17726167561544 * k15 - 149.72683625798564 * k16)))
-    return tuple(coeffs)
-
-
-def _dense(x, y0, F):
-    """DOP853's continuous extension at x in [0, 1] of a step that starts at
-    y0, with F one component's coefficients from :func:`_extension`; scalars
-    or arrays."""
-    f0, f1, f2, f3, f4, f5, f6 = F
-    u = 1.0 - x
-    return y0 + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (f5 + x * f6))))))
-
-
 class _Shot(NamedTuple):
-    """A shot from a up to its first maximum top = v(b): its accepted steps,
-    the last of which holds b; after a series start ts[0] > a."""
+    """A shot from a up to its first maximum top = v(b): its step ends ts
+    and each step's coefficients (:func:`_integrate`); the last step holds b."""
 
-    problem: ModelProblem
     lam: float
     a: float
     b: float
     top: float
     ts: list
-    vs: list
-    ws: list
+    steps: list
 
 
 def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Shot:
     """Shoot from a at ``_PROBE_TOL`` up to the first interior zero b of v'.
 
     The integration ends with the step where v' falls through 0: b is the
-    root of that step's continuous extension of v' (:func:`_illinois` down
-    to a bracket 1e-15 wide in the step's unit interval, each evaluation a
-    scalar :func:`_dense`) and v(b) the value of its extension of v
-    (:func:`_extension` re-forms the step once), so a shot integrates once.
+    root of that step's polynomial for v' (:func:`_illinois` down to a
+    bracket 1e-15 of the step wide, each evaluation a scalar :func:`_poly`)
+    and v(b) the value of its polynomial for v, so a shot integrates once.
     On the linear chart with K < 0 and on the tan
     chart it ends as soon as the first maximum is out of reach
     (:func:`_out_of_reach`), and the shot fails.
     """
-    Tf = problem.drift()
-    span0 = min(math.pi / math.sqrt(lam), t_cap - a)
-    t0, v0, w0, a_exact, _ = _start_state(problem, lam, a, span0)
-    t_end = min(t_cap, t0 + 64.0 * math.pi / math.sqrt(lam))
+    t_end = min(t_cap, a + 64.0 * math.pi / math.sqrt(lam))
     until = _downcross
     if problem.chart == "linear" and problem.K < 0:
-        until = partial(_out_of_reach, Tf, -1.0, lam)
+        until = partial(_out_of_reach, problem.drift(), -1.0, lam)
     elif problem.chart == "tan":
-        until = partial(_out_of_reach, Tf, 1.0, lam)
-    ts, vs, ws = _integrate(Tf, lam, t0, v0, w0, t_end, until=until, **_PROBE_TOL)
+        until = partial(_out_of_reach, problem.drift(), 1.0, lam)
+    ts, _, ws, steps = _integrate(problem, lam, a, -1.0, 0.0, t_end, _PROBE_TOL, until)
     if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
         raise SolverError("no critical point of v' before the chart boundary "
                           "or horizon")
+    cv, cw = steps[-1]
     h = ts[-1] - ts[-2]
-    v0, w0 = vs[-2], ws[-2]
-    Fv, Fw = _extension(Tf, lam, ts[-2], h, v0, w0, vs[-1], ws[-1])
-    (x0, _), (x1, _) = _illinois(lambda x: _dense(x, w0, Fw),
-                                 [(0.0, w0), (1.0, ws[-1])], 1e-15)
-    x = 0.5 * (x0 + x1)
-    top = _dense(x, v0, Fv)
-    return _Shot(problem, lam, a_exact, ts[-2] + x * h, top, ts, vs, ws)
+    (s0, _), (s1, _) = _illinois(lambda s: _poly(reversed(cw), s),
+                                 [(0.0, ws[-2]), (h, ws[-1])], 1e-15 * h)
+    s = 0.5 * (s0 + s1)
+    return _Shot(lam, ts[0], ts[-2] + s, _poly(reversed(cv), s), ts, steps)
 
 
 def _solution(shot: _Shot, param: float = math.nan) -> ModelSolution:
-    """The shot at _DENSE_SAMPLES + 1 equispaced points of [ts[0], b], each
-    from the continuous extension of its step (:func:`_extension`, evaluated
-    for every step at once).  On a shot at ``_PROBE_TOL`` the step ends are
-    within about 1e-11 of the exact solution; inside a long step the
-    extension's own error can reach 5e-10 in v' (the linear-chart fit
-    K = 1, lam = 6, k = 1.1).  The first sample is the start state and the
-    last is (b, v(b)); a series start puts (a, -1, 0) in front."""
-    ts, vs, ws = np.array(shot.ts), np.array(shot.vs), np.array(shot.ws)
-    F = np.array(_extension(shot.problem.drift(np), shot.lam, ts[:-1], np.diff(ts),
-                            vs[:-1], ws[:-1], vs[1:], ws[1:]))
-    s = np.linspace(ts[0], shot.b, _DENSE_SAMPLES + 1)
+    """The shot at _DENSE_SAMPLES + 1 equispaced points of [a, b], each from
+    the polynomials of its step (:func:`_poly` on every sample at once, the
+    coefficients gathered one degree at a time: all at once they take
+    0.7 MB).  The first sample is the start state, (a, -1, 0) at a drift
+    pole too, and the last is (b, v(b))."""
+    ts, C = np.array(shot.ts), np.array(shot.steps).T[::-1]  # degree, v/v', step
+    s = np.linspace(shot.a, shot.b, _DENSE_SAMPLES + 1)
     j = np.minimum(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
-    x = (s - ts[j]) / (ts[j + 1] - ts[j])
-    dvs = _dense(x, vs[j], F[0][:, j])
-    dws = _dense(x, ws[j], F[1][:, j])
-    dvs[-1] = shot.top
-    if ts[0] > shot.a:
-        s, dvs, dws = np.r_[shot.a, s], np.r_[-1.0, dvs], np.r_[0.0, dws]
-    return ModelSolution(a=shot.a, b=shot.b, lam=shot.lam, ts=s, vs=dvs, vps=dws,
+    vs, vps = _poly((cn.take(j, axis=1) for cn in C), s - ts[j])
+    vs[-1] = shot.top
+    return ModelSolution(a=shot.a, b=shot.b, lam=shot.lam, ts=s, vs=vs, vps=vps,
                          fitted_param=param)
 
 

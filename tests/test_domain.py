@@ -112,9 +112,9 @@ class TestBuild:
         # L r = 100.5 or 103.5: round(L r) cells of width L / round(L r)
         d = build_domain(interval_spec(L=1.5, res=res))
         cells = d.n_nodes - 1
-        assert np.diff(d.nodes[:, 0]) == pytest.approx(1.5 / cells, rel=1e-12)
-        assert d.spacing == pytest.approx([1.5 / cells], rel=1e-12)
-        assert d.total_measure == pytest.approx(1.5, rel=1e-12)
+        assert np.diff(d.nodes[:, 0]) == pytest.approx(1.5 / cells, rel=1e-12, abs=0)
+        assert d.spacing == pytest.approx([1.5 / cells], rel=1e-12, abs=0)
+        assert d.total_measure == pytest.approx(1.5, rel=1e-12, abs=0)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -419,7 +419,7 @@ class TestCertificates:
             (two_slope_norm(2.0, 0.5), -1.0, -4.0),
         ]:
             cert = curvature_certificate(weighted_spec(norm, kappa))
-            assert cert.K == pytest.approx(K, rel=1e-12)
+            assert cert.K == pytest.approx(K, rel=1e-12, abs=0)
             assert math.isinf(cert.N)
             assert cert.provenance == "gaussian_weight"
         # both sphere maxima are exactly 1 for the Euclidean norm
@@ -455,7 +455,7 @@ class TestCertificates:
                               >= -1e-12 * np.abs(K * F2))
                 if kappa >= 0:
                     assert K * float(norm_eval(norm, far)) ** 2 == pytest.approx(
-                        kappa * float(far @ far), rel=1e-12)
+                        kappa * float(far @ far), rel=1e-12, abs=0)
 
     def test_user_passthrough(self):
         cert = CurvatureCertificate(K=-1.0, N=4.0, provenance="user")

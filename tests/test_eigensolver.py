@@ -104,7 +104,7 @@ class TestDiscreteGradient:
         z = rng.standard_normal(grads.shape)
         lhs = float(np.sum(z * grads))
         rhs = float((D.T @ z.ravel()) @ u)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_node_mean_weights(self):
         # the nodal gradient is the mu-weighted mean of the element
@@ -244,7 +244,7 @@ class TestEnergyAssembly:
                                 for mu, g in zip(mus, grads)))
                 var = float(m @ (u - float(m @ u) / float(m.sum())) ** 2)
                 assert rayleigh_quotient(d, spec.norm, u) * var == pytest.approx(
-                    raw, rel=1e-12), spec
+                    raw, rel=1e-12, abs=0), spec
 
     def test_one_norm_kernel_per_evaluation(self, monkeypatch):
         # the energy comes from the gradient's kernel, F*(Du)^2 = Du.l^{-1}(Du)
@@ -268,7 +268,7 @@ class TestEnergyAssembly:
             num, _ = _energy_and_grad(op, spec.norm, u)
             assert len(calls) == 1, spec
             ref = float(op.mu @ dual_norm_eval(spec.norm, op.gradient(u)) ** 2)
-            assert num == pytest.approx(ref, rel=1e-13), spec
+            assert num == pytest.approx(ref, rel=1e-13, abs=0), spec
 
     def test_mass_is_node_measure(self):
         # the reflection average makes the lumped P1 volumes the lattice's
@@ -322,7 +322,7 @@ class TestMinimize:
         res = minimize_rayleigh(d, spec.norm, seed=0)
         m = d.mesh.m
         assert abs(float(m @ res.u)) <= 1e-12 * float(m @ np.abs(res.u))
-        assert float(m @ res.u**2) == pytest.approx(1.0, rel=1e-12)
+        assert float(m @ res.u**2) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_monotone_descent(self):
         d, spec = interval_domain(40)

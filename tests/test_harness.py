@@ -488,3 +488,56 @@ class TestPoincareRestatement:
             for _ in range(50):
                 u = rng.standard_normal(dom.n_nodes)
                 assert rayleigh_quotient(dom, spec.norm, u) >= floor
+
+
+def _random_norm(rng):
+    """A quadratic or Randers norm on R^2: A has eigenvalues in [0.5, 2] along
+    a random rotation, and a Randers b has A^-1-length up to 0.5."""
+    angle = rng.uniform(0.0, math.pi)
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    A = R @ np.diag(rng.uniform(0.5, 2.0, 2)) @ R.T
+    if rng.random() < 0.5:
+        return {"family": "quadratic", "dim": 2, "params": {"A": A.ravel().tolist()}}
+    u = rng.standard_normal(2)
+    b = np.linalg.cholesky(A) @ (rng.uniform(0.0, 0.5) * u / np.linalg.norm(u))
+    return {"family": "randers", "dim": 2,
+            "params": {"A": A.ravel().tolist(), "b": b.tolist()}}
+
+
+def random_cases(seed=2011, per_kind=5):
+    """Seeded cases of four kinds: boxes with random quadratic and Randers
+    norms, thin 1 x 0.03-0.15 boxes (near the sharp 1-D case), balls with
+    random norms, and Gaussian 4 x 4 boxes with kappa in 0.2-2."""
+    rng = np.random.default_rng(seed)
+    lebesgue = {"kind": "lebesgue"}
+    cases = []
+    for i in range(per_kind):
+        cases += [
+            {"id": f"box-{i}", "weight": lebesgue, "resolutions": [10, 20],
+             "domain": {"shape": "box", "lengths": rng.uniform(0.6, 1.4, 2).tolist()},
+             "norm": _random_norm(rng)},
+            {"id": f"thin-{i}", "weight": lebesgue, "resolutions": [40, 80],
+             "domain": {"shape": "box", "lengths": [1.0, rng.uniform(0.03, 0.15)]},
+             "norm": {"family": "euclidean", "dim": 2}},
+            {"id": f"ball-{i}", "weight": lebesgue, "resolutions": [10, 20],
+             "domain": {"shape": "ball", "radius": rng.uniform(0.3, 0.7)},
+             "norm": _random_norm(rng)},
+            {"id": f"gauss-{i}", "resolutions": [4, 8],
+             "weight": {"kind": "gaussian", "kappa": rng.uniform(0.2, 2.0)},
+             "domain": {"shape": "box", "lengths": [4.0, 4.0]},
+             "norm": {"family": "euclidean", "dim": 2}},
+        ]
+    return cases
+
+
+class TestRandomCases:
+    # the smallest relative margin here is 3.0e-3 (thin-1: lambda 9.8683,
+    # bound 9.8388), and every gradient comparison reads fraction 1.0
+    @pytest.mark.parametrize("case", random_cases(), ids=lambda c: c["id"])
+    def test_random_case_holds(self, case):
+        result = run_case(case)
+        assert result.report.verdict == "holds"
+        gc = result.gradient_comparison
+        if not gc.inconclusive:
+            assert gc.fraction >= 0.99

@@ -315,17 +315,17 @@ class TestDualNorm:
         assert euclidean_norm(3).sphere_max == 1.0
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert quadratic_norm(A).sphere_max == pytest.approx(
-            np.sqrt(np.linalg.eigvalsh(A).max()), rel=1e-15)
+            np.sqrt(np.linalg.eigvalsh(A).max()), rel=1e-15, abs=0)
         assert two_slope_norm(2.0, 0.5).sphere_max == 2.0
         assert two_slope_norm(0.5, 2.0).sphere_max == 2.0
-        assert two_slope_norm(0.3, 1.7).sphere_max == pytest.approx(1.7, rel=1e-15)
+        assert two_slope_norm(0.3, 1.7).sphere_max == pytest.approx(1.7, rel=1e-15, abs=0)
 
     def test_sphere_max_randers(self):
         # A = I: the max of |u| + b.u on the unit sphere is 1 + |b| at u = b/|b|
         rng = np.random.default_rng(23)
         for b in ([0.2, 0.1], [0.5, 0.0], [0.3, 0.1, 0.1], [-0.2, 0.4, 0.1]):
             n = randers_norm(np.eye(len(b)), b)
-            assert n.sphere_max == pytest.approx(1.0 + np.linalg.norm(b), rel=1e-12)
+            assert n.sphere_max == pytest.approx(1.0 + np.linalg.norm(b), rel=1e-12, abs=0)
         # general A: no sampled direction beats it, and min F* on the sphere
         # is its reciprocal
         n = dual_family_norms()[-1]
@@ -352,7 +352,7 @@ class TestDualNorm:
         n = randers_norm(A, b)
         want = _sphere_search(lambda w: norm_eval(n, w) / np.linalg.norm(w, axis=-1),
                               n.dim, seed=4321, tol=1e-13)
-        assert n.sphere_max == pytest.approx(want, rel=1e-14)
+        assert n.sphere_max == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("A, b", [
         ([[1.0, 1e-3], [1e-3, 1.0001]], [1e-3, 0.0]),
@@ -373,7 +373,7 @@ class TestDualNorm:
         got = n.sphere_max
         want = _sphere_search(lambda w: norm_eval(n, w) / np.linalg.norm(w, axis=-1),
                               n.dim, seed=4321, tol=1e-13)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert len(calls) <= 50
 
 
