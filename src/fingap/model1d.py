@@ -35,21 +35,22 @@ a Gaussian interval (K > 0, N = inf) the quotient is taken on
 strictly independent finite-difference Sturm-Liouville oracle
 (:func:`sturm_liouville_oracle`) cross-validates them.
 
-Model solutions are shots of v'' = T v' - lambda v from v(a) = -1,
-v'(a) = 0 by Taylor steps of order 20.  The identity T' = K + T^2/(N-1)
-gives the Taylor coefficients of T, and with them those of v and v',
-exactly (Jorba and Zou, Experimental Mathematics 14, 2005); a shot from a
-singular chart end (tan at +-pi/(2a), coth/power at 0) starts at the pole
-itself from the Frobenius series of the solution regular there.
-Interval fitting walks a one-parameter family of shots (the start a on the
-tan, power, coth, tanh and linear charts, the drift c on the constant
-chart) until the first maximum v(b) crosses the target, then narrows that
-step by Illinois regula falsi (4-14 shots per model-sweep fit,
-model_solution's included; a median of 3 steps per shot, 6 at most).
+Model solutions are shots of v'' = T v' - lambda v from v(0) = -1,
+v'(0) = 0 by Taylor steps of order 20.  Every chart's drift solves the one
+Riccati equation T' = K + T^2/(N-1), so a shot is fixed by its start drift
+T(0) = tau, and tau = -inf starts at a drift pole (tan at +-pi/(2a),
+coth/power at 0) from the Frobenius series of the solution regular there.
+The identity gives the Taylor coefficients of T, and with them those of v
+and v', exactly (Jorba and Zou, Experimental Mathematics 14, 2005);
+between steps T follows its Moebius flow exactly.  The first maximum
+M(tau) rises with tau, so one Illinois regula falsi bracket in
+theta = atan(tau/sqrt(lambda)) fits every max k <= 1, and a k > 1 is the
+reflection of the fit for 1/k (6-10 shots per model-sweep fit,
+model_solution's included; a median of 4 steps per shot, 8 at most).
 Each shot integrates once and stops after the step where v' falls
 through 0; that step's polynomials give b, v(b) and, for the closest
 probe only, the 2001 samples of the fitted solution.
-No parameter is shot twice.
+No start drift is shot twice.
 
 Everything here is pure and deterministic; parameter sweeps parallelize
 trivially.  The module runs on numpy and the standard library alone (the
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice, takewhile
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -99,63 +99,40 @@ class _Diverged(SolverError):
 # ---------------------------------------------------------------------------
 # chart table
 
-# Drift builders take xp = math (a scalar closure, so the constants are
-# bound once: the integrator calls it once per step) or xp = np.
-
-
-def _tan(p, xp):
-    cc, al, tan = math.sqrt(p.K * (p.N - 1.0)), p.alpha, xp.tan
-    return lambda t: cc * tan(al * t)
-
-
-def _tanh(p, xp):
-    cc, al, tanh = -math.sqrt(-p.K * (p.N - 1.0)), p.alpha, xp.tanh
-    return lambda t: cc * tanh(al * t)
-
-
-def _coth(p, xp):
-    cc, al, tanh = -math.sqrt(-p.K * (p.N - 1.0)), p.alpha, xp.tanh
-    return lambda t: cc / tanh(al * t)
-
-
-def _power(p, xp):
-    cc = -(p.N - 1.0)
-    return lambda t: cc / t
-
-
-def _linear(p, xp):
-    K = p.K
-    return lambda t: K * t
-
-
-def _level(xp, value):
-    if xp is math:
-        return lambda t: value
-    return lambda t: np.full_like(t, value)
-
-
 class _Chart(NamedTuple):
     K_sign: int | None  # sign K must have; None: any
     finite_N: bool
     singular: str | None  # "edges" (t = +-pi/(2a)), "pole" (t = 0) or None
-    drift: Callable  # (problem, xp) -> T
+    drift: Callable  # (problem, t array) -> T
     density: Callable  # (problem, t array) -> exp(-int T)
 
 
+def _scale(p):
+    """sqrt(|K| (N-1)), the drift's scale on the trigonometric charts."""
+    return math.sqrt(abs(p.K) * (p.N - 1.0))
+
+
 _CHARTS = {
-    "tan": _Chart(1, True, "edges", _tan,
+    "tan": _Chart(1, True, "edges",
+                  lambda p, t: _scale(p) * np.tan(p.alpha * t),
                   lambda p, t: np.cos(p.alpha * t) ** (p.N - 1.0)),
-    "tanh": _Chart(-1, True, None, _tanh,
+    "tanh": _Chart(-1, True, None,
+                   lambda p, t: -_scale(p) * np.tanh(p.alpha * t),
                    lambda p, t: np.cosh(p.alpha * t) ** (p.N - 1.0)),
-    "coth": _Chart(-1, True, "pole", _coth,
+    "coth": _Chart(-1, True, "pole",
+                   lambda p, t: -_scale(p) / np.tanh(p.alpha * t),
                    lambda p, t: np.abs(np.sinh(p.alpha * t)) ** (p.N - 1.0)),
-    "power": _Chart(0, True, "pole", _power,
+    "power": _Chart(0, True, "pole",
+                    lambda p, t: -(p.N - 1.0) / t,
                     lambda p, t: np.abs(t) ** (p.N - 1.0)),
-    "flat": _Chart(0, True, None, lambda p, xp: _level(xp, 0.0),
+    "flat": _Chart(0, True, None,
+                   lambda p, t: np.zeros_like(t),
                    lambda p, t: np.ones_like(t)),
-    "linear": _Chart(None, False, None, _linear,
+    "linear": _Chart(None, False, None,
+                     lambda p, t: p.K * t,
                      lambda p, t: np.exp(-p.K * t * t / 2.0)),
-    "constant": _Chart(0, False, None, lambda p, xp: _level(xp, p.c),
+    "constant": _Chart(0, False, None,
+                       lambda p, t: np.full_like(t, p.c),
                        lambda p, t: np.exp(-p.c * t)),
 }
 
@@ -228,11 +205,6 @@ class ModelProblem:
             return b >= self.half_width * (1.0 - 1e-12)
         return self.singular == "pole" and b == 0.0
 
-    def drift(self, xp=math):
-        """T(t): a scalar callable for the integrator (``xp=math``) or an
-        elementwise one on arrays (``xp=np``)."""
-        return _CHARTS[self.chart].drift(self, xp)
-
 
 def myers_length(K: float, N: float) -> float:
     """Maximal interval length pi*sqrt((N-1)/K) for K > 0, finite N."""
@@ -262,10 +234,13 @@ def _check_domain(problem: ModelProblem, t) -> None:
         raise ValueError("t=0 is a pole of the drift")
 
 
-def coeff_T(problem: ModelProblem, t: float) -> float:
-    """Drift coefficient T(t); raises outside the chart domain."""
+def coeff_T(problem: ModelProblem, t):
+    """Drift coefficient T(t), a float for a scalar t and elementwise on
+    arrays; raises outside the chart domain."""
+    t = np.asarray(t, dtype=float)
     _check_domain(problem, t)
-    return problem.drift()(float(t))
+    T = _CHARTS[problem.chart].drift(problem, t)
+    return T if t.ndim else float(T)
 
 
 def invariant_density(problem: ModelProblem, t):
@@ -327,51 +302,84 @@ def _poly(c, s):
     return acc
 
 
-def _integrate(problem: ModelProblem, lam, t0, v0, w0, t_end, tol=1e-10, until=None):
-    """Integrate v' = w, w' = T(t) w - lam v from t0 to t_end by Taylor steps.
+def _cos_sin(qK: float, h: float):
+    """(c, s) at h: the solutions of y'' = -qK y with (y, y') = (1, 0) and
+    (0, 1) at 0."""
+    if qK > 0.0:
+        om = math.sqrt(qK)
+        return math.cos(om * h), math.sin(om * h) / om
+    if qK < 0.0:
+        om = math.sqrt(-qK)
+        return math.cosh(om * h), math.sinh(om * h) / om
+    return 1.0, h
+
+
+def _flow(K: float, q: float, T: float, h: float) -> float:
+    """The drift h after T along T' = K + q T^2: the Moebius map
+    (K s + T c)/(c - q T s) of :func:`_cos_sin`, and -c/(q s) from a pole
+    (T = -inf)."""
+    c, s = _cos_sin(q * K, h)
+    return -c / (q * s) if T == -_INF else (K * s + T * c) / (c - q * T * s)
+
+
+def _pole_ahead(K: float, q: float, tau: float) -> float:
+    """Distance from a start at T = tau to the drift's next pole, the first
+    zero of c - q tau s (:func:`_cos_sin`); inf if there is none."""
+    qK, x = q * K, q * tau
+    if qK > 0.0:
+        om = math.sqrt(qK)
+        return math.atan2(om, x) / om
+    if qK < 0.0:
+        om = math.sqrt(-qK)
+        return math.atanh(om / x) / om if x > om else _INF
+    return 1.0 / x if x > 0.0 else _INF
+
+
+def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
+    """Integrate v' = w, w' = T w - lam v from v(0) = -1, w(0) = 0 and
+    T(0) = tau up to t_end by Taylor steps; t_end must lie short of the
+    drift's pole ahead (:func:`_pole_ahead`).
 
     Returns (ts, vs, ws, steps): the step ends as float lists, starting at
-    t0, and for each step its coefficient lists (cv, cw) in s = t - ts[i],
-    lowest degree first (:func:`_series`): its dense output.  At a singular
-    left end of the chart (:meth:`ModelProblem.singular_left`) the run
-    starts at the pole itself from the regular solution's series
-    (:func:`_pole_series`, which takes w0 = 0).  With ``until`` the run
-    ends right after the first step for which ``until(t, v, w, w_prev)`` is
-    true (see :func:`_downcross`).
+    0, and for each step its coefficient lists (cv, cw) in s = t - ts[i],
+    lowest degree first (:func:`_series`): its dense output.  Between steps
+    T follows its Riccati equation T' = K + q T^2, q = 1/(N-1), exactly by
+    its Moebius flow (:func:`_flow`), not by T's own Taylor series, which
+    would need a step rule of its own: its radius is the distance back to
+    the last pole.  tau = -inf starts at a drift pole itself, from the
+    series of the solution regular there (:func:`_pole_series`).  With
+    ``until`` the run ends right after the first step for which
+    ``until(T, v, w, w_prev)`` is true (see :func:`_out_of_reach`).
     A step is h = 0.7 min (tol max(1, |v|, |w|)/|c_e|)^(1/e) over the
     coefficients c_e of v and w of degree e = _ORDER and _ORDER - 1, clipped
     to the span left.  SolverError on step underflow, a non-finite state or
     2,000,000 steps; _Diverged once |v| passes 1e12.
     """
-    # q = 1/(N-1) of T' = K + q T^2: 0 for N = inf, and on the flat chart,
-    # where T = 0 and N may be 1
-    q = 0.0 if problem.chart == "flat" else 1.0 / (problem.N - 1.0)
-    T, K = problem.drift(), problem.K
-    pole = problem.singular_left(t0)
-    if pole and problem.singular == "edges":
-        t0 = -problem.half_width
-    t, v, w = float(t0), float(v0), float(w0)
+    # N = 1 is admitted on the flat chart alone, where T = 0 whatever q is
+    q = 1.0 / (N - 1.0) if N > 1.0 else 0.0
+    t, v, w, T = 0.0, -1.0, 0.0, tau
     ts, vs, ws, steps = [t], [v], [w], []
     while t < t_end:
         # done once the remaining gap is at the floating-point resolution
         remaining = t_end - t
-        if remaining <= 1e-13 * max(1.0, abs(t), abs(t_end)):
+        if remaining <= 1e-13 * max(1.0, t_end):
             break
         if len(steps) >= 2_000_000:
             raise SolverError("integration exceeded step budget")
+        pole = T == -_INF
         if pole:
-            cv, cw = _pole_series(K, q, problem.N, lam, v)
-            pole = False
+            cv, cw = _pole_series(K, q, N, lam, v)
         else:
-            cv, cw = _series(T(t), K, q, lam, v, w)
+            cv, cw = _series(T, K, q, lam, v, w)
         h = remaining
         scale = tol * max(1.0, abs(v), abs(w))
         for e in (_ORDER, _ORDER - 1):
             for c in (cv[e], cw[e]):
                 if c:
                     h = min(h, 0.7 * (scale / abs(c)) ** (1.0 / e))
-        if h <= 4.45e-16 * abs(t):  # t + h == t: cannot advance
+        if h <= 4.45e-16 * t:  # t + h == t: cannot advance
             raise SolverError("step size underflow")
+        T = _flow(K, q, T, h)
         w_prev = w
         t, v, w = t + h, _poly(reversed(cv), h), _poly(reversed(cw), h)
         if not (math.isfinite(v) and math.isfinite(w)):
@@ -380,7 +388,7 @@ def _integrate(problem: ModelProblem, lam, t0, v0, w0, t_end, tol=1e-10, until=N
         vs.append(v)
         ws.append(w)
         steps.append((cv, cw))
-        if until is not None and until(t, v, w, w_prev):
+        if until is not None and until(T, v, w, w_prev):
             break
         if abs(v) > 1e12:
             raise _Diverged("trajectory diverged")
@@ -422,6 +430,7 @@ class ModelSolution:
 def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolution:
     """Integrate the shooting IVP over [a, b] and return the step ends.
 
+    The shot starts from the drift T(a) of the chart (:func:`_integrate`).
     A singular left endpoint starts at the drift pole from the series of the
     solution regular there; a singular right endpoint is truncated by a
     relative 1e-9 margin (the drift pole sits on the boundary, while the
@@ -431,9 +440,14 @@ def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolutio
         raise ValueError("lambda must be positive")
     problem.validate_interval(a, b)
     b_eff = b - 1e-9 * (b - a) if problem.singular_right(b) else b
-    ts, vs, ws, _ = _integrate(problem, lam, a, -1.0, 0.0, b_eff)
-    return ModelSolution(a=ts[0], b=b, lam=lam,
-                         ts=np.array(ts), vs=np.array(vs), vps=np.array(ws))
+    if problem.singular_left(a):
+        tau = -_INF
+        a = -problem.half_width if problem.singular == "edges" else a
+    else:
+        tau = coeff_T(problem, a)
+    ts, vs, ws, _ = _integrate(problem.K, problem.N, lam, tau, b_eff - a)
+    return ModelSolution(a=a, b=b, lam=lam,
+                         ts=a + np.array(ts), vs=np.array(vs), vps=np.array(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -598,31 +612,24 @@ def lambda1_model(K: float, N: float, d: float) -> float:
 # first-maximum solutions and interval fitting
 
 
-def _downcross(t, v, w, w_prev) -> bool:
-    """w passed from positive to <= 0: the first interior maximum of v.
-    Stopping there keeps shots away from drift poles past it."""
-    return w_prev > 0.0 and w <= 0.0
+def _out_of_reach(K, q, lam, T, v, w, w_prev) -> bool:
+    """w passed from positive to <= 0 (the first interior maximum of v), or
+    the first maximum is out of reach.  That needs |T| to grow,
+    T (K + q T^2) > 0, and v to have the sign of T.
 
-
-def _out_of_reach(drift, sign, lam, t, v, w, w_prev) -> bool:
-    """:func:`_downcross`, or the first maximum is out of reach: on the tan
-    chart before the drift pole (``sign`` +1), on the linear chart with
-    K < 0 for good (``sign`` -1).  Those are the sides where |T| grows.
-
-    While v != 0, r = v'/v obeys r' = -(r^2 - T r + lam).  Once sign T > 0
-    and T^2 > 4 lam, the lower root r_- of r^2 - T r + lam only decreases as
-    |T| grows, and r cannot fall below it.  So with sign v > 0 and r > r_-,
-    v keeps its sign: on the tan chart v' > 0 up to the pole, on the linear
-    chart v < 0, where v' cannot fall through 0 (there v'' = -lam v > 0).
-    r > r_- is r > T/2 or r^2 - T r + lam < 0, times v^2.  Without this a
-    failing probe runs into the pole, its steps shrinking with the distance
-    (about 155 steps to the 1e-12 cap, against 12-14 with it), or to the
-    64 pi/sqrt(lam) horizon (about 4600 steps, against 3-5).
+    While v != 0, r = v'/v obeys r' = -(r^2 - T r + lam).  Once |T| grows
+    and T^2 > 4 lam, the lower root r_- of r^2 - T r + lam only decreases,
+    and r cannot fall below it.  So with T v > 0 and r > r_-, v keeps its
+    sign: with T > 0, v' > 0 up to the pole ahead; with T < 0, v < 0, where
+    v' cannot fall through 0 (there v'' = -lam v > 0).  r > r_- is r > T/2
+    or r^2 - T r + lam < 0, times v^2.  Without this a failing probe runs
+    into the pole, its steps shrinking with the distance (about 155 steps
+    to the 1e-12 cap, against 12-14 with it), or to the 64 pi/sqrt(lam)
+    horizon (about 4600 steps, against 3-5).
     """
-    if _downcross(t, v, w, w_prev):
+    if w_prev > 0.0 >= w:
         return True
-    T = drift(t)
-    return (sign * T > 0.0 and sign * v > 0.0 and T * T > 4.0 * lam
+    return (T * (K + q * T * T) > 0.0 and T * v > 0.0 and T * T > 4.0 * lam
             and (v * w > 0.5 * T * v * v or w * w - T * v * w + lam * v * v < 0.0))
 
 
@@ -672,70 +679,61 @@ def _illinois(f, ends: list, xtol: float, done=lambda: False) -> list:
 
 
 class _Shot(NamedTuple):
-    """A shot from a up to its first maximum top = v(b): its step ends ts
-    and each step's coefficients (:func:`_integrate`); the last step holds b."""
+    """A shot from t = 0 up to its first maximum top = v(b): its step ends
+    ts and each step's coefficients (:func:`_integrate`); the last step
+    holds b.  A shot with no first maximum has b = nan."""
 
     lam: float
-    a: float
     b: float
     top: float
     ts: list
     steps: list
 
 
-def _first_max(problem: ModelProblem, lam: float, a: float, t_cap: float) -> _Shot:
-    """Shoot from a at ``_PROBE_TOL`` up to the first interior zero b of v'.
+def _first_max(K: float, N: float, lam: float, tau: float) -> _Shot:
+    """Shoot the family member T(0) = tau at ``_PROBE_TOL`` up to the first
+    interior zero b of v'.
 
     The integration ends with the step where v' falls through 0: b is the
     root of that step's polynomial for v' (:func:`_illinois` down to a
     bracket 1e-15 of the step wide, each evaluation a scalar :func:`_poly`)
     and v(b) the value of its polynomial for v, so a shot integrates once.
-    On the linear chart with K < 0 and on the tan
-    chart it ends as soon as the first maximum is out of reach
-    (:func:`_out_of_reach`), and the shot fails.
+    The shot ends at the 64 pi/sqrt(lam) horizon or a relative 1e-12 short
+    of the drift's pole ahead, whichever is nearer, or once its first
+    maximum is out of reach (:func:`_out_of_reach`).  One that finds no
+    first maximum reads top = +inf if v > 0 at its end or its v diverges,
+    and 0 if v < 0.
     """
-    t_end = min(t_cap, a + 64.0 * math.pi / math.sqrt(lam))
-    until = _downcross
-    if problem.chart == "linear" and problem.K < 0:
-        until = partial(_out_of_reach, problem.drift(), -1.0, lam)
-    elif problem.chart == "tan":
-        until = partial(_out_of_reach, problem.drift(), 1.0, lam)
-    ts, _, ws, steps = _integrate(problem, lam, a, -1.0, 0.0, t_end, _PROBE_TOL, until)
+    q = 1.0 / (N - 1.0)
+    t_end = min(64.0 * math.pi / math.sqrt(lam), _pole_ahead(K, q, tau) * (1.0 - 1e-12))
+    try:
+        ts, vs, ws, steps = _integrate(K, N, lam, tau, t_end, _PROBE_TOL,
+                                       partial(_out_of_reach, K, q, lam))
+    except _Diverged:
+        return _Shot(lam, math.nan, _INF, [], [])
     if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
-        raise SolverError("no critical point of v' before the chart boundary "
-                          "or horizon")
+        return _Shot(lam, math.nan, _INF if vs[-1] > 0.0 else 0.0, ts, steps)
     cv, cw = steps[-1]
     h = ts[-1] - ts[-2]
     (s0, _), (s1, _) = _illinois(lambda s: _poly(reversed(cw), s),
                                  [(0.0, ws[-2]), (h, ws[-1])], 1e-15 * h)
     s = 0.5 * (s0 + s1)
-    return _Shot(lam, ts[0], ts[-2] + s, _poly(reversed(cv), s), ts, steps)
+    return _Shot(lam, ts[-2] + s, _poly(reversed(cv), s), ts, steps)
 
 
-def _solution(shot: _Shot, param: float = math.nan) -> ModelSolution:
-    """The shot at _DENSE_SAMPLES + 1 equispaced points of [a, b], each from
+def _solution(shot: _Shot, tau: float) -> ModelSolution:
+    """The shot at _DENSE_SAMPLES + 1 equispaced points of [0, b], each from
     the polynomials of its step (:func:`_poly` on every sample at once, the
     coefficients gathered one degree at a time: all at once they take
-    0.7 MB).  The first sample is the start state, (a, -1, 0) at a drift
+    0.7 MB).  The first sample is the start state (0, -1, 0), at a drift
     pole too, and the last is (b, v(b))."""
     ts, C = np.array(shot.ts), np.array(shot.steps).T[::-1]  # degree, v/v', step
-    s = np.linspace(shot.a, shot.b, _DENSE_SAMPLES + 1)
+    s = np.linspace(0.0, shot.b, _DENSE_SAMPLES + 1)
     j = np.minimum(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
     vs, vps = _poly((cn.take(j, axis=1) for cn in C), s - ts[j])
     vs[-1] = shot.top
-    return ModelSolution(a=shot.a, b=shot.b, lam=shot.lam, ts=s, vs=vs, vps=vps,
-                         fitted_param=param)
-
-
-def _half_wave(a: float, omega: float, lam: float,
-               param: float = math.nan) -> ModelSolution:
-    """v = -cos(omega (t - a)) on [a, a + pi/omega] at _DENSE_SAMPLES + 1
-    equispaced points: the closed-form solution from min -1 to max 1
-    exactly.  It solves L v = -lam v for omega^2 = lam on the flat chart,
-    and for the threshold lam at the Myers length on the tan chart."""
-    x = np.linspace(0.0, math.pi, _DENSE_SAMPLES + 1)
-    return ModelSolution(a=a, b=a + math.pi / omega, lam=lam, ts=a + x / omega,
-                         vs=-np.cos(x), vps=omega * np.sin(x), fitted_param=param)
+    return ModelSolution(a=0.0, b=shot.b, lam=shot.lam, ts=s, vs=vs, vps=vps,
+                         fitted_param=tau)
 
 
 def model_threshold(K: float, N: float) -> float:
@@ -754,12 +752,13 @@ def model_threshold(K: float, N: float) -> float:
 
 @lru_cache(maxsize=1)
 def model_solution(K: float, N: float, lam: float) -> ModelSolution:
-    """Solution v with v(a) = -1, v'(a) = 0 from the chart endpoint, up to the
-    first zero b of v'.  Its maximum v(b) is the comparison bound m_{K,N}.
+    """Solution v with v(0) = -1, v'(0) = 0 from a drift pole, T(0) = -inf,
+    up to the first zero b of v'.  Its maximum v(b) is the comparison bound
+    m_{K,N}; ``fitted_param`` is -inf.
 
-    Requires finite N and lam >= :func:`model_threshold` (strictly above it
-    for K <= 0); at equality (K > 0) the solution is the analytic sine mode
-    with b at the chart boundary and m = 1.
+    Requires finite N > 1 and lam >= :func:`model_threshold` (strictly above
+    it for K <= 0); at equality (K > 0) the solution is the analytic sine
+    mode -cos(sqrt(K/(N-1)) t), whose b is the pole ahead, with m = 1.
 
     The last solution is kept and returned again for equal arguments (a
     lattice case needs it in the fit and in the maxima check), so its arrays
@@ -767,227 +766,117 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
-    prob = ModelProblem(K, N, "tan" if K > 0 else "power" if K == 0 else "coth")
+    if not N > 1.0:
+        raise ValueError("N must be > 1 (or inf)")
     thresh = model_threshold(K, N)
-    if K > 0:
-        half = myers_length(K, N) / 2.0
-        if lam < thresh * (1.0 - 1e-12):
-            raise ValueError(f"lambda={lam} below the threshold {thresh}")
-        if lam <= thresh * (1.0 + 1e-12):
-            sol = _half_wave(-half, math.sqrt(K / (N - 1.0)), thresh)
-        else:
-            sol = _solution(_first_max(prob, lam, -half, t_cap=half * (1.0 - 1e-12)))
+    if K > 0 and lam < thresh * (1.0 - 1e-12):
+        raise ValueError(f"lambda={lam} below the threshold {thresh}")
+    if K > 0 and lam <= thresh * (1.0 + 1e-12):
+        omega = math.sqrt(K / (N - 1.0))
+        x = np.linspace(0.0, math.pi, _DENSE_SAMPLES + 1)
+        sol = ModelSolution(a=0.0, b=math.pi / omega, lam=thresh, ts=x / omega,
+                            vs=-np.cos(x), vps=omega * np.sin(x), fitted_param=-_INF)
     elif lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
     else:
-        sol = _solution(_first_max(prob, lam, 0.0, t_cap=_INF))
+        shot = _first_max(K, N, lam, -_INF)
+        if math.isnan(shot.b):
+            raise SolverError("no first maximum before the pole ahead or the horizon")
+        sol = _solution(shot, -_INF)
     for x in (sol.ts, sol.vs, sol.vps):
         x.flags.writeable = False
     return sol
 
 
-def _reflect(sol: ModelSolution, kprime: float) -> ModelSolution:
-    """Map a solution with range [-1, k'] to one with range [-1, 1/k'].
+def _reflect(sol: ModelSolution, K: float, N: float) -> ModelSolution:
+    """Map a solution with range [-1, M] to one with range [-1, 1/M],
+    w(t) = -v(-t)/M, divided by its own last sample M = v(b), so that w
+    starts at -1 exactly.  Its ``fitted_param`` is its start drift -T(b).
 
-    Valid because every chart drift is odd, so w(t) = -v(-t)/k' solves the
-    same equation on the reflected interval.
+    Valid because -T(-t) solves the drift's Riccati equation too, so w
+    solves L w = -lam w with that drift on the reflected interval.
     """
+    top = sol.vs[-1]
     return ModelSolution(
         a=-sol.b, b=-sol.a, lam=sol.lam,
-        ts=-sol.ts[::-1], vs=-sol.vs[::-1] / kprime, vps=sol.vps[::-1] / kprime,
-        fitted_param=sol.fitted_param,
+        ts=-sol.ts[::-1], vs=-sol.vs[::-1] / top, vps=sol.vps[::-1] / top,
+        fitted_param=-_flow(K, 1.0 / (N - 1.0), sol.fitted_param, sol.b - sol.a),
     )
-
-
-def _walk(p, grow=lambda p: p * 2.0):
-    """p, grow(p), grow(grow(p)), ... without end."""
-    while True:
-        yield p
-        p = grow(p)
-
-
-def _fit_param(family, k: float, p0: float, offsets, rising: bool,
-               m: float | None = None) -> ModelSolution | None:
-    """The member p of a family of shots whose first maximum M(p) =
-    family(p).top fits k (:func:`_fits`), sampled from its own shot, or
-    None if ``offsets`` ends first.
-
-    M is monotone in p, rising if ``rising``.  M(p0) is ``m`` or is shot;
-    p then runs over p0 +- offsets, on the side where M moves toward k,
-    until M crosses k, and :func:`_illinois` on g = M - k narrows that
-    step.  A probe with no first maximum counts as M = +inf if M rises and
-    0 if it falls (on the linear and constant charts the maximum escapes to
-    infinity past a finite parameter, where M tends to that limit); one
-    whose v diverges counts as M = +inf.  Only the closest probe's shot is
-    kept.
-    If the bracket collapses first: ValueError naming the closest M if
-    probes failed (k is out of reach), else SolverError.
-    """
-    best = None  # (|g|, p, shot) of the closest probe
-    failed = False
-
-    def g(p):
-        nonlocal best, failed
-        try:
-            shot = family(p)
-        except SolverError as exc:
-            failed = True
-            return _INF if rising or isinstance(exc, _Diverged) else -_INF
-        g_p = shot.top - k
-        if best is None or abs(g_p) < best[0]:
-            best = (abs(g_p), p, shot)
-        return g_p
-
-    def done():
-        return best is not None and _fits(best[2].top, k)
-
-    g_prev = g(p0) if m is None else m - k
-    if done():
-        return _solution(best[2], best[1])
-    up, prev = g_prev < 0.0, p0
-    sign = 1.0 if up == rising else -1.0
-    for q in offsets:
-        p = p0 + sign * q
-        g_p = g(p)
-        if (g_p >= 0.0) if up else (g_p <= 0.0):
-            break
-        prev, g_prev = p, g_p
-    else:
-        return None
-
-    _illinois(g, [(prev, g_prev), (p, g_p)],
-              1e-15 * (1.0 + abs(prev) + abs(p)), done)
-    if done():
-        return _solution(best[2], best[1])
-    if failed and best is not None:
-        raise ValueError(f"k={k} is out of reach: probes next to it find no first "
-                         f"maximum, and the closest one reached is {best[2].top}")
-    raise SolverError(f"interval fit did not reach max = {k}")
-
-
-def _fit_from_zero(family, k: float, step: float, rising: bool,
-                   grow=lambda q: q * 2.0) -> ModelSolution:
-    """:func:`_fit_param` from the family member 0, shot first, out along
-    step, grow(step), ... (80 steps at most)."""
-    sol = _fit_param(family, k, 0.0, islice(_walk(step, grow), 80), rising)
-    if sol is None:
-        raise SolverError("interval fit failed to bracket")
-    return sol
-
-
-def _fit_below_finite(K: float, N: float, lam: float, k: float,
-                      m: float) -> ModelSolution:
-    """Fit an interval with min v = -1, max v = k for m <= k <= 1, finite N;
-    m is the first maximum of :func:`model_solution`, the family's member
-    at the singular chart end."""
-    if K > 0:
-        half = myers_length(K, N) / 2.0
-        tan = partial(_first_max, ModelProblem(K, N, "tan"), lam,
-                      t_cap=half * (1.0 - 1e-12))
-        # M(-half) = m <= k <= 1 < M(0), so one step brackets a: from a = 0
-        # the energy (v'^2 + lam v^2)/2 grows (its derivative is T v'^2 with
-        # T > 0), so v(b)^2 > v(0)^2 = 1
-        return _fit_param(tan, k, -half, [half], True, m)
-
-    if K == 0:
-        power = partial(_first_max, ModelProblem(K, N, "power"), lam, t_cap=_INF)
-        a_cap = 1e8
-        if k < 1.0:  # k = 1 is met only as a -> inf: straight to the tail
-            # 1 - M falls only like c/a, so a k near 1 lies far out: the walk
-            # starts one stride of 4 short of where that asymptote meets k
-            c = (N - 1.0) * math.pi / (2.0 * math.sqrt(lam))
-            start = max(0.3 / math.sqrt(lam), c / (4.0 * (1.0 - k)))
-            walk = takewhile(lambda p: p <= a_cap, _walk(start, lambda p: 4.0 * p))
-            sol = _fit_param(power, k, 0.0, walk, True, m)
-            if sol is not None:
-                return sol
-        # past a_cap, 1 - M(a) = c/a to first order: one shot at the a where
-        # that asymptote, fit at a_cap, meets k
-        shot = power(a_cap)
-        if not _fits(1.0, k):
-            a = a_cap * (1.0 - shot.top) / (1.0 - k)
-            tail = power(a)
-            if _fits(tail.top, k):
-                return _solution(tail, a)
-        # k this close to 1 is reached only in the a -> inf limit, the flat
-        # member with max 1: take whichever of it and a = 1e8 is closer
-        if abs(k - shot.top) <= 1.0 - k:
-            return _solution(shot, a_cap)
-        return _half_wave(0.0, math.sqrt(lam), lam, _INF)
-
-    # K < 0: the family spans the coth branch, then the tanh branch
-    scale = 1.0 / math.sqrt(-K / (N - 1.0))
-    coth = partial(_first_max, ModelProblem(K, N, "coth"), lam, t_cap=_INF)
-    a_big = 40.0 * scale
-    big = coth(a_big)
-    if k <= big.top:
-        walk = takewhile(lambda p: p <= a_big, _walk(0.3 * scale))
-        sol = _fit_param(coth, k, 0.0, walk, True, m)
-        return _solution(big, a_big) if sol is None else sol
-
-    # M decreases in a on the tanh branch
-    tanh = partial(_first_max, ModelProblem(K, N, "tanh"), lam, t_cap=_INF)
-    return _fit_from_zero(tanh, k, 0.3 * scale, rising=False)
-
-
-def _fit_infinite(K: float, lam: float, k: float) -> ModelSolution:
-    """Fit for N = inf: linear chart in a for K != 0, constant chart in c."""
-    if K != 0.0:
-        # M(a) rises with a when K > 0 and falls when K < 0; past a finite a*
-        # the first maximum escapes to infinity
-        linear = partial(_first_max, ModelProblem(K, _INF, "linear"), lam, t_cap=_INF)
-        scale = 1.0 / math.sqrt(abs(K))
-        return _fit_from_zero(linear, k, 0.3 * scale, rising=K > 0)
-
-    # K = 0, N = inf: sweep the constant drift c; max value is exp(c pi/(2 w)),
-    # and c stays below the overdamped 2 sqrt(lam)
-    def constant(c):
-        return _first_max(ModelProblem(0.0, _INF, "constant", c=c), lam, 0.0, _INF)
-
-    sq = math.sqrt(lam)
-    return _fit_from_zero(constant, k, 0.2 * sq, rising=True,
-                          grow=lambda q: min(q * 2.0, 0.5 * (q + 2.0 * sq)))
 
 
 def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolution:
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
     min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
 
-    For K = 0 and finite N, 1 - M(a) falls only like c/a, c = (N-1) pi/(2
-    sqrt(lam)), so the walk over a starts at max(0.3/sqrt(lam),
-    c/(4(1 - k))), one stride of 4 short of where that asymptote meets k,
-    and a k above M(1e8) is fit on that tail by one shot at
-    a = c'/(1 - k), c' = 1e8 (1 - M(1e8)).  A k within _FIT_TOL of 1, or
-    one that shot misses, gets the closer of the a = 1e8 member and the
-    flat member -cos(sqrt(lam) t) (the a -> inf end, max 1,
-    ``fitted_param`` inf); k = 1 goes there with no walk.
+    Every model solution is a shot from t = 0 with v = -1, v' = 0 and drift
+    T(0) = tau (:func:`_first_max`), and its first maximum M(tau) rises with
+    tau.  So for k <= 1, one :func:`_illinois` bracket on M - k in
+    theta = atan(tau/sqrt(lam)) in [-pi/2, pi/2) fits k, from M = m at
+    theta = -pi/2 (the pole start of :func:`model_solution` for finite N,
+    and 0 for N = inf) and M = +inf at pi/2; ``fitted_param`` is tau, the
+    returned solution's start drift.  A probe that finds no first maximum
+    counts as M = +inf or 0 (:func:`_first_max`), and a tau > 0 with
+    K + tau^2/(N-1) >= 0, whose M exceeds 1, as +inf unshot.  Each k > 1
+    is the reflection (:func:`_reflect`) of the fit for 1/k, stopped once
+    1/M fits k, so the fit's min is -1 exactly either way.
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
-    :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0;
-    on the linear chart with K > 0 the first maximum escapes to infinity past
-    a finite start, probes there fail, and a large k (e.g. 20 at K = 3,
-    lam = 3.2) raises ValueError naming the closest maximum reached.  Values
-    k > 1 are produced by reflecting the fit for 1/k (every drift is odd).
+    :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0,
+    and a k past the family's reach raises ValueError naming the closest
+    maximum reached.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     thresh = model_threshold(K, N)
     if lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
-    if not math.isfinite(N):
-        return _fit_infinite(K, lam, k)
+    kp = min(k, 1.0 / k)  # the max the bracket fits; k > 1 reflects that fit
 
-    ms = model_solution(K, N, lam)
-    m = ms.max_value
-    if not (m * (1.0 - 1e-9) <= k <= (1.0 + 1e-9) / m):
-        raise ValueError(f"k={k} outside the admissible range [{m}, {1/m}]")
-    if _fits(m, k):
-        return ms
-    if k > 1.0:
-        kp = 1.0 / k
-        base = ms if _fits(m, kp) else _fit_below_finite(K, N, lam, kp, m)
-        return _reflect(base, kp)
-    return _fit_below_finite(K, N, lam, k, m)
+    def reached(top):  # the max of the solution a shot with max top gives
+        return top if k <= 1.0 else 1.0 / top
+
+    low, sol = 0.0, None  # M at theta = -pi/2
+    if math.isfinite(N):
+        ms = model_solution(K, N, lam)
+        low = ms.max_value
+        if kp * (1.0 + 1e-9) < low:
+            raise ValueError(f"k={k} outside the admissible range [{low}, {1/low}]")
+        sol = ms if _fits(reached(low), k) else None
+
+    best = None  # (|g|, tau, shot) of the closest probe; only its shot is kept
+    failed = False
+    sq, q = math.sqrt(lam), 1.0 / (N - 1.0)
+
+    def g(theta):
+        nonlocal best, failed
+        tau = sq * math.tan(theta)
+        if tau > 0.0 and K + q * tau * tau >= 0.0:
+            # T stays >= tau > 0, so the energy (v'^2 + lam v^2)/2 grows (its
+            # derivative is T v'^2) and M > 1 >= kp.  Unshot: such a probe
+            # may run into the pole ahead, and with N < 2 v stays finite and
+            # can still be negative there, where it would read M = 0
+            return _INF
+        shot = _first_max(K, N, lam, tau)
+        if math.isnan(shot.b):
+            failed = True
+        elif best is None or abs(shot.top - kp) < best[0]:
+            best = (abs(shot.top - kp), tau, shot)
+        return shot.top - kp
+
+    def done():
+        return best is not None and _fits(reached(best[2].top), k)
+
+    if sol is None:
+        _illinois(g, [(-0.5 * math.pi, low - kp), (0.5 * math.pi, _INF)],
+                  1e-15 * math.pi, done)
+        if not done():
+            if failed and best is not None:
+                raise ValueError(f"k={k} is out of reach: probes next to it find no "
+                                 f"first maximum, and the closest one reached is "
+                                 f"{reached(best[2].top)}")
+            raise SolverError(f"interval fit did not reach max = {k}")
+        sol = _solution(best[2], best[1])
+    return sol if k <= 1.0 else _reflect(sol, K, N)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +966,7 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
         raise ValueError("oracle requires regular endpoints")
     ts = np.linspace(a, b, n_nodes)
     h = ts[1] - ts[0]
-    T = problem.drift(np)(ts)
+    T = coeff_T(problem, ts)
 
     # rows of -(v'' - T v') on interior nodes 1..n-2
     d = np.full(n_nodes - 2, 2.0 / h**2)

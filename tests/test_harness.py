@@ -206,16 +206,18 @@ class TestMaxima:
         shots = []
         first_max = model1d._first_max
 
-        def counting(problem, lam, a, *args, **kwargs):
-            shots.append((problem.chart, problem.c, lam, a))
-            return first_max(problem, lam, a, *args, **kwargs)
+        def counting(K, N, lam, tau):
+            shots.append((K, N, lam, tau))
+            return first_max(K, N, lam, tau)
 
         model1d.model_solution.cache_clear()
         monkeypatch.setattr(model1d, "_first_max", counting)
         result = run_case(box_case(res=(10, 20)))
         assert not result.maxima.inconclusive
         assert not result.gradient_comparison.inconclusive
-        assert shots.count(("power", 0.0, result.eigen.lam, 0.0)) == 1, shots
+        # model_solution's shot starts at the drift pole, tau = -inf
+        pole = (result.report.K, result.report.N, result.eigen.lam, -math.inf)
+        assert shots.count(pole) == 1, shots
         assert len(set(shots)) == len(shots), shots
 
     def test_infinite_N_inconclusive(self):
@@ -439,17 +441,27 @@ class TestNegativeControls:
         rep = run_case(false_golden("box-euclid", 1.0)).report
         assert rep.verdict == "holds"
 
-    @pytest.mark.parametrize("K, verdict, margin", [
-        (3e-4, "holds_within_tol", -2.0e-4),
-        (1e-3, "violated", -5.5e-4),
-    ])
-    def test_sharp_detection_threshold(self, K, verdict, margin):
-        # the K = 0 bound is this case's eigenvalue, so K lifts it above the
-        # truth by its own amount; the bar 2|lam_fine - lam_coarse| = 3.04e-4
-        # misses the bound K = 3e-4 gives and catches K = 1e-3's.  A sharper
-        # error bar should move this bracket down.
-        rep = run_case(false_golden("sharp-1d-twoslope-asym", K)).report
-        assert rep.discretization_tolerance == pytest.approx(3.04e-4, rel=1e-2)
+    # (sharp golden, its own K0, the lift dK, verdict, margin, bar): the
+    # ladder K0 + dK on every sharp golden
+    SHARP_LADDER = [
+        ("sharp-1d-twoslope-asym", 0.0, 3e-4, "holds_within_tol", -2.0e-4, 3.04e-4),
+        ("sharp-1d-twoslope-asym", 0.0, 1e-3, "violated", -5.5e-4, 3.04e-4),
+        ("sharp-1d-twoslope-sym", 0.0, 3e-4, "holds_within_tol", -2.01e-4, 3.04e-4),
+        ("sharp-1d-twoslope-sym", 0.0, 1e-3, "violated", -5.51e-4, 3.04e-4),
+        ("sharp-1d-gauss-twoslope-asym", 0.25, 3e-4, "holds_within_tol", -2.06e-4, 3.05e-4),
+        ("sharp-1d-gauss-twoslope-asym", 0.25, 1e-3, "violated", -5.67e-4, 3.05e-4),
+    ]
+
+    @pytest.mark.parametrize("case_id, K0, dK, verdict, margin, bar", SHARP_LADDER,
+                             ids=[f"{row[0].removeprefix('sharp-1d-')}-{row[2]:g}"
+                                  for row in SHARP_LADDER])
+    def test_sharp_detection_threshold(self, case_id, K0, dK, verdict, margin, bar):
+        # the K0 bound of a sharp golden is its eigenvalue, so K0 + dK lifts
+        # it above the truth by about dK; the bar 2|lam_fine - lam_coarse|
+        # misses the bound dK = 3e-4 gives and catches dK = 1e-3's on each.
+        # A sharper error bar should move this bracket down.
+        rep = run_case(false_golden(case_id, K0 + dK)).report
+        assert rep.discretization_tolerance == pytest.approx(bar, rel=1e-2)
         assert rep.margin == pytest.approx(margin, rel=2e-2)
         assert rep.verdict == verdict
 

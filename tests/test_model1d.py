@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,37 @@ def interior_points(p, rng, n):
     return rng.uniform(-3.0, 3.0, n)
 
 
+def scalar_drift(p):
+    """T(t) of chart p by the table's formula for scipy's right-hand sides,
+    one scalar t at a time, without coeff_T's domain check on each call."""
+    formula = model1d._CHARTS[p.chart].drift
+    return lambda t: float(formula(p, t))
+
+
+def chart_start(p, tau):
+    """The point a0 of chart p where T(a0) = tau, the chart's pole for
+    tau = -inf: a model solution with start drift tau, shifted by a0, is a
+    solution on p's coordinates."""
+    cc = math.sqrt(abs(p.K) * (p.N - 1.0)) if math.isfinite(p.N) else 0.0
+    return {"tan": lambda: math.atan(tau / cc) / p.alpha,
+            "tanh": lambda: -math.atanh(tau / cc) / p.alpha,
+            "coth": lambda: math.atanh(-cc / tau) / p.alpha,
+            "power": lambda: -(p.N - 1.0) / tau,
+            "linear": lambda: tau / p.K,
+            "constant": lambda: 0.0}[p.chart]()
+
+
+def riccati_shot(K, N, lam, t_span, y0, t_eval=None):
+    """(v, w, T) by scipy's DOP853 on v' = w, w' = T w - lam v,
+    T' = K + T^2/(N-1) from y0 = (v, w, T) at t_span[0]: a shot of the
+    model family independent of the Taylor steps."""
+    q = 0.0 if N == INF else 1.0 / (N - 1.0)
+    sol = solve_ivp(lambda t, y: (y[1], y[2] * y[1] - lam * y[0], K + q * y[2] * y[2]),
+                    t_span, y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval)
+    assert sol.success
+    return sol.y
+
+
 class TestDrift:
     def test_flat_zero(self):
         assert coeff_T(ModelProblem(0.0, 5.0, "flat"), 0.3) == 0.0
@@ -107,11 +139,23 @@ class TestDrift:
 
     @pytest.mark.parametrize("p", all_charts(), ids=lambda p: f"{p.chart}-{p.K}")
     def test_array_drift_matches_scalar(self, p):
+        # the table's one numpy formula per chart, on an array and on each
+        # point, against the drift written out with the math module
+        cc, al = math.sqrt(abs(p.K) * (p.N - 1.0)), p.alpha
+        forms = {"tan": lambda t: cc * math.tan(al * t),
+                 "tanh": lambda t: -cc * math.tanh(al * t),
+                 "coth": lambda t: -cc / math.tanh(al * t),
+                 "power": lambda t: -(p.N - 1.0) / t,
+                 "flat": lambda t: 0.0,
+                 "linear": lambda t: p.K * t,
+                 "constant": lambda t: p.c}
         ts = interior_points(p, np.random.default_rng(1), 200)
-        vec = p.drift(np)(ts)
-        scalar = np.array([p.drift()(float(t)) for t in ts])
+        vec = coeff_T(p, ts)
+        scalar = np.array([coeff_T(p, float(t)) for t in ts])
         assert vec.shape == ts.shape
-        np.testing.assert_array_max_ulp(vec, scalar, maxulp=4)
+        assert all(isinstance(x, float) for x in scalar.tolist())
+        np.testing.assert_array_max_ulp(vec, scalar, maxulp=0)
+        np.testing.assert_array_max_ulp(vec, [forms[p.chart](float(t)) for t in ts], maxulp=4)
 
 
 class TestInvariantDensity:
@@ -129,7 +173,7 @@ class TestInvariantDensity:
         p = ModelProblem(1.0, INF, "linear")
         for t in (0.5, 1.0, 2.0):
             s = np.linspace(0.0, t, 20001)
-            integral = np.trapezoid([coeff_T(p, x) for x in s], s)
+            integral = np.trapezoid(coeff_T(p, s), s)
             assert invariant_density(p, t) == pytest.approx(
                 math.exp(-integral), rel=1e-8
             )
@@ -144,7 +188,7 @@ class TestInvariantDensity:
             else:
                 t0, t1 = -0.8, 1.7
             s = np.linspace(t0, t1, 20001)
-            integral = np.trapezoid([coeff_T(p, x) for x in s], s)
+            integral = np.trapezoid(coeff_T(p, s), s)
             ratio = invariant_density(p, t1) / invariant_density(p, t0)
             assert ratio == pytest.approx(math.exp(-integral), rel=1e-7)
 
@@ -184,13 +228,13 @@ class TestShoot:
                   ModelProblem(1.0, INF, "linear")]:
             a, b = (-1.2, 1.2)
             lam = lambda1_interval(p, a, b)
-            T = p.drift()
+            T = scalar_drift(p)
             sol = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - lam * y[0]), (a, b),
                             (-1.0, 0.0), method="DOP853", max_step=(b - a) / 4000,
                             rtol=1e-10, atol=1e-12)
             ts, (vs, vps) = sol.t, sol.y
             mu = invariant_density(p, ts)
-            drift = np.array([coeff_T(p, t) for t in ts])
+            drift = coeff_T(p, ts)
             vpp = drift * vps - lam * vs
             resid = abs(np.trapezoid((vpp - drift * vps) * mu, ts))
             scale = np.trapezoid(np.abs(vpp) * mu, ts)
@@ -317,7 +361,8 @@ def _shot_midpoint(K, N, d, lam):
     """v(0) for the shot v(-d/2) = 1, v'(-d/2) = 0 on the centered interval
     of length d, by scipy's DOP853 at rtol 2.3e-14.  The first eigenfunction
     is odd, so v(0) > 0 below lambda_1 and < 0 just above it."""
-    T = centered_model(K, N).drift()
+    p = centered_model(K, N)
+    T = scalar_drift(p)
     sol = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - lam * y[0]), (-d / 2, 0.0),
                     (1.0, 0.0), method="DOP853", rtol=2.3e-14, atol=1e-20)
     return sol.y[0, -1]
@@ -552,8 +597,10 @@ class TestLambda1:
 
 class TestModelSolution:
     def test_sphere_threshold_sine(self):
+        # from the pole at t = 0 to the pole ahead at pi
         ms = model_solution(1.0, 2.0, 2.0)
-        assert ms.b == pytest.approx(math.pi / 2, abs=1e-12)
+        assert ms.a == 0.0
+        assert ms.b == pytest.approx(math.pi, abs=1e-12)
         assert ms.max_value == pytest.approx(1.0, abs=1e-12)
         assert ms.vs[0] == pytest.approx(-1.0)
 
@@ -612,7 +659,9 @@ class TestFit:
         lam = math.pi**2
         fit = fit_model_solution(0.0, 3.0, lam, 0.5)
         assert abs(fit.max_value - 0.5) <= 1e-8
-        re = shoot(ModelProblem(0.0, 3.0, "power"), lam, fit.a, fit.b)
+        p = ModelProblem(0.0, 3.0, "power")
+        a = chart_start(p, fit.fitted_param)
+        re = shoot(p, lam, a, a + fit.b - fit.a)
         assert abs(float(re.vs.max()) - 0.5) <= 1e-6
         assert abs(re.vps[-1]) <= 1e-6
 
@@ -628,8 +677,13 @@ class TestFit:
     def test_reflection_for_k_above_one(self):
         fit = fit_model_solution(0.0, 3.0, math.pi**2, 2.0)
         assert fit.max_value == pytest.approx(2.0, abs=1e-7)
-        assert fit.min_value == pytest.approx(-1.0, abs=1e-7)
-        re = shoot(ModelProblem(0.0, 3.0, "power"), math.pi**2, fit.a, fit.b)
+        assert fit.min_value == -1.0
+        # fitted_param is the reflected solution's own start drift, T > 0:
+        # on the power chart it starts left of the pole
+        p = ModelProblem(0.0, 3.0, "power")
+        a = chart_start(p, fit.fitted_param)
+        assert a < 0.0
+        re = shoot(p, math.pi**2, a, a + fit.b - fit.a)
         assert float(re.vs.max()) == pytest.approx(2.0, abs=1e-5)
 
     def test_k_out_of_range(self):
@@ -653,34 +707,45 @@ class TestFit:
         lam = math.pi**2
         fit = fit_model_solution(0.0, 3.0, lam, 0.6)
         p = ModelProblem(0.0, 3.0, "power")
-        assert lambda1_interval(p, fit.a, fit.b) == pytest.approx(lam, rel=1e-7)
+        a = chart_start(p, fit.fitted_param)
+        assert lambda1_interval(p, a, a + fit.b - fit.a) == pytest.approx(lam, rel=1e-7)
+
+
+def _downcross(T, v, w, w_prev):
+    """v' fell through 0: a stop at the first maximum and nowhere else."""
+    return w_prev > 0.0 >= w
 
 
 def _count_probes(monkeypatch):
-    """(chart, drift constant, start) of every later _first_max call."""
+    """(K, N, lam, start drift) of every later _first_max call."""
     shots = []
     first_max = model1d._first_max
 
-    def counting_first_max(problem, lam, a, *args, **kwargs):
-        shots.append((problem.chart, problem.c, a))
-        return first_max(problem, lam, a, *args, **kwargs)
+    def counting_first_max(K, N, lam, tau):
+        shots.append((K, N, lam, tau))
+        return first_max(K, N, lam, tau)
 
     monkeypatch.setattr(model1d, "_first_max", counting_first_max)
     return shots
 
 
 class TestFitBranches:
-    # each input takes a path through the fit that the cases above miss
+    # each input is a corner of the family that the cases above miss
     @pytest.mark.parametrize("K, N, lam, k, tol", [
-        (-4.0, 2.0, 20.0, 0.5, 1e-8),         # tanh branch, a walks upward
+        (-4.0, 2.0, 20.0, 0.5, 1e-8),         # K < 0, tau in the tanh range
         (0.5, INF, 0.7, 0.3, 1e-8),           # linear chart, failing probes
         (1.0, 2.0, 3.0, 0.7, 1e-8),           # tan chart, a failing probe
-        (0.0, 2.0, 0.2, 0.99999999, 1e-7),    # power chart, past a = 1e8
+        (0.0, 2.0, 0.2, 0.99999999, 1e-7),    # power chart, next to flat
         (0.0, 4.0, 0.5, 1.0 - 3.3e-8, 1e-8),  # the 1/a tail, 3.3e-8 off flat
         (0.0, 4.0, 0.5, 1.0 - 5e-9, 1e-8),    # power chart, flat member
         (0.0, INF, 10.0, 0.2, 1e-8),          # constant chart, c < 0
-        # with probes at the default tolerance this fit ends 1.7e-7 off k
+        # with probes at the default tolerance this fit ends 1.7e-7 off k;
+        # it is the reflection of the fit for 1/3
         (3.0, INF, 3.2, 3.0, 1e-8),
+        # K < 0 with N < 2: a probe past tau = sqrt(|K| (N-1)) runs into
+        # the pole ahead, where v can be negative (read M = 0)
+        (-1.0, 1.5, 2.0, 0.9, 1e-8),
+        (-3.0, 1.2, 5.0, 1.02, 1e-8),
     ])
     def test_fit_reaches_k(self, K, N, lam, k, tol):
         # tol is relative to max(1, k), as the fit's own tolerance
@@ -689,11 +754,24 @@ class TestFitBranches:
         assert fit.min_value == -1.0
 
     @pytest.mark.parametrize("K, lam", [(3.0, 3.2), (0.5, 0.7)])
-    def test_linear_fit_out_of_reach(self, K, lam):
-        # probes next to the start where the first maximum escapes to
-        # infinity fail, and the bisection collapses without landing on k
-        with pytest.raises(ValueError, match="out of reach"):
-            fit_model_solution(K, INF, lam, 20.0)
+    def test_linear_fit_reaches_large_k(self, K, lam):
+        # k = 20 is the reflection of the fit for 1/20.  A walk up the
+        # family toward 20 raised "out of reach" here: near tau = -3.832
+        # (K = 3) M climbs from 2.3 to 5.6 within 0.01, and probes past it
+        # find no first maximum
+        k = 20.0
+        fit = fit_model_solution(K, INF, lam, k)
+        assert abs(fit.max_value - k) <= 1e-8 * k
+        assert fit.min_value == -1.0
+        # the fit for 1/20 by scipy: from the reflected solution's end
+        # drift -T(b), v rises to its first maximum 1/20 at the length b - a
+        L = fit.b - fit.a
+        v, w, _ = riccati_shot(K, INF, lam, (0.0, L), (-1.0, 0.0, -(fit.fitted_param + K * L)),
+                               t_eval=fit.b - fit.ts[::-1])
+        assert np.all(w[1:-1] > 0.0)
+        assert abs(w[-1]) <= 1e-9
+        assert abs(v[-1] - 1.0 / k) <= 1e-9 / k
+        assert np.max(np.abs(fit.vs - (-v[::-1] / v[-1]))) <= 1e-8 * k
 
     @pytest.mark.parametrize("K, lam, k", [(-4.0, 0.2, 0.3), (-1.0, 0.5, 20.0)])
     def test_linear_negative_curvature(self, K, lam, k):
@@ -712,14 +790,11 @@ class TestFitBranches:
         # K = -1, lam = 0.5: a first maximum exists for a <= -1 only; the
         # escape test ends the other probes early and never a reachable one
         K, lam = -1.0, 0.5
-        problem = ModelProblem(K, INF, "linear")
-        T = problem.drift()
-        horizon = a + 64.0 * math.pi / math.sqrt(lam)
-        plain = model1d._integrate(problem, lam, a, -1.0, 0.0, horizon,
-                                   until=model1d._downcross)
-        early = model1d._integrate(
-            problem, lam, a, -1.0, 0.0, horizon,
-            until=lambda *s: model1d._out_of_reach(T, -1.0, lam, *s))
+        tau = K * a  # the drift at a on the linear chart
+        horizon = 64.0 * math.pi / math.sqrt(lam)
+        plain = model1d._integrate(K, INF, lam, tau, horizon, until=_downcross)
+        early = model1d._integrate(K, INF, lam, tau, horizon,
+                                   until=partial(model1d._out_of_reach, K, 0.0, lam))
         assert (plain[2][-1] <= 0.0) == reached
         if reached:
             assert early == plain
@@ -733,15 +808,13 @@ class TestFitBranches:
         # maximum exists for a <= -1 here; the pole stop ends the other
         # probes early and never a reachable one
         lam = 2.5
-        problem = ModelProblem(1.0, 2.0, "tan")
-        T = problem.drift()
-        cap = 0.5 * math.pi * (1.0 - 1e-12)
-        early = model1d._integrate(
-            problem, lam, a, -1.0, 0.0, cap,
-            until=lambda *s: model1d._out_of_reach(T, 1.0, lam, *s))
-        near = 0.5 * math.pi * (1.0 - 1e-6)
-        plain = model1d._integrate(problem, lam, a, -1.0, 0.0, cap if reached else near,
-                                   until=model1d._downcross)
+        tau = math.tan(a)  # the drift at a on the tan chart
+        cap = (0.5 * math.pi - a) * (1.0 - 1e-12)
+        early = model1d._integrate(1.0, 2.0, lam, tau, cap,
+                                   until=partial(model1d._out_of_reach, 1.0, 1.0, lam))
+        near = 0.5 * math.pi * (1.0 - 1e-6) - a
+        plain = model1d._integrate(1.0, 2.0, lam, tau, cap if reached else near,
+                                   until=_downcross)
         assert (plain[2][-1] <= 0.0) == reached
         if reached:
             assert early == plain
@@ -753,8 +826,10 @@ class TestFitBranches:
         lam = 20.0
         fit = fit_model_solution(-4.0, 2.0, lam, 0.5)
         p = ModelProblem(-4.0, 2.0, "tanh")
-        assert fit.a == fit.fitted_param
-        assert lambda1_interval(p, fit.a, fit.b) == pytest.approx(lam, rel=1e-7)
+        a = chart_start(p, fit.fitted_param)
+        assert fit.a == 0.0
+        assert coeff_T(p, a) == pytest.approx(fit.fitted_param, rel=1e-14)
+        assert lambda1_interval(p, a, a + fit.b - fit.a) == pytest.approx(lam, rel=1e-7)
 
     @pytest.mark.parametrize("K, N, lam, k", [
         (1.0, 3.0, 6.0, 0.9), (-1.0, 3.0, 4.0, 0.25), (-1.0, 3.0, 4.0, 0.95),
@@ -764,25 +839,25 @@ class TestFitBranches:
     ])
     def test_only_accepted_fit_sampled_densely(self, monkeypatch, K, N, lam, k):
         # the accepted fit (and model_solution, for m) is sampled from its
-        # own shot's steps: no (chart, parameter) is shot twice, since the
-        # fit keeps its closest probe's steps and takes m from
-        # model_solution and each branch's first probe as a bracket end
+        # own shot's steps: no start drift is shot twice, since the fit
+        # keeps its closest probe's steps and takes m from model_solution
         shots = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
         assert abs(fit.max_value - k) <= 1e-8
         assert len(set(shots)) == len(shots), shots
 
     def test_diverging_probes_count_as_large_maxima(self):
-        # on the linear chart with K < 0 a probe far out in a finds M above
-        # 1e12 and diverges; counted as M = 0 it sent the walk past k and the
-        # fit ended in "failed to bracket"
+        # on the linear chart with K < 0 a probe far out in a found M above
+        # 1e12 and diverged; counted as M = 0 it sent the walk past k and the
+        # fit ended in "failed to bracket".  k is now the reflection of the
+        # fit for 1e-4, next to where probes find no first maximum
         k = 1e4
         try:
             fit = fit_model_solution(-1.0, INF, 0.3, k)
         except ValueError as exc:
             assert "closest one reached" in str(exc)
         else:
-            assert abs(fit.max_value - k) <= 1e-8
+            assert abs(fit.max_value - k) <= 1e-8 * k
             assert fit.min_value == -1.0
 
     def test_fit_ends_within_tol_or_raises(self):
@@ -816,6 +891,46 @@ class TestFitBranches:
         assert sum(steps) <= 4000
 
 
+def _scipy_first_max(K, N, lam, tau):
+    """The first maximum M(tau) of the family member T(0) = tau by
+    :func:`riccati_shot`'s equations, ended by scipy's event on v' falling
+    through 0."""
+    q = 0.0 if N == INF else 1.0 / (N - 1.0)
+
+    def downcross(t, y):
+        return y[1]
+
+    downcross.terminal, downcross.direction = True, -1
+    sol = solve_ivp(lambda t, y: (y[1], y[2] * y[1] - lam * y[0], K + q * y[2] * y[2]),
+                    (0.0, 64.0 * math.pi / math.sqrt(lam)), (-1.0, 0.0, tau),
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=downcross)
+    assert sol.status == 1, (K, N, lam, tau)
+    return sol.y_events[0][0, 0]
+
+
+class TestFamily:
+    # (K, N, lam) and a span of start drifts tau on which every member has
+    # a first maximum: tan; K < 0 with finite N across the constant drift
+    # tau = -sqrt(|K| (N-1)) (coth below it, tanh above); K = 0 with finite
+    # N (power, the flat member tau = 0, then a pole ahead); linear with K
+    # of either sign; constant
+    FAMILIES = [(1.0, 3.0, 6.0, -8.0, 0.5), (-1.0, 3.0, 4.0, -3.0 * math.sqrt(2.0), 1.2),
+                (0.0, 2.0, 5.0, -10.0, 0.5), (1.0, INF, 6.0, -4.0, 2.0),
+                (-1.0, INF, 5.0, -1.5, 4.0), (0.0, INF, 10.0, -5.5, 5.5)]
+
+    @pytest.mark.parametrize("K, N, lam, lo, hi", FAMILIES)
+    def test_first_max_rises_with_start_drift(self, K, N, lam, lo, hi):
+        # M(tau) by scipy on (v, w, T), apart from the Taylor steps, rises
+        # on a seeded ladder of tau; the shots of the fit agree with it
+        taus = np.sort(np.random.default_rng(7).uniform(lo, hi, 10))
+        if K < 0 and math.isfinite(N):
+            taus = np.sort(np.r_[taus, -math.sqrt(-K * (N - 1.0))])
+        tops = np.array([_scipy_first_max(K, N, lam, t) for t in taus])
+        assert np.all(np.diff(tops) > 0.0), tops
+        shots = [model1d._first_max(K, N, lam, t).top for t in taus]
+        assert shots == pytest.approx(tops, rel=1e-8, abs=0)
+
+
 class TestFitWork:
     # the six model-sweep fit families, lam 4.5-5.5 above the threshold and
     # k in 0.85-1.15; each took 24-28 probes while the fit bisected, and
@@ -837,7 +952,9 @@ class TestFitWork:
 
     def test_power_walk_starts_at_asymptote(self, monkeypatch):
         # 1 - M(a) falls like c/a on the power chart; a walk from
-        # a = 0.3/sqrt(lam) took 17 shots to reach a k this close to 1
+        # a = 0.3/sqrt(lam) took 17 shots to reach a k this close to 1.  In
+        # the start drift tau = -(N-1)/a, 1 - M is linear next to the flat
+        # member tau = 0, the bracket's first probe
         K, N, lam, k = 0.0, 3.0, 9.743419838555312, 1.0 - 1.46e-8
         shots = _count_probes(monkeypatch)
         fit = fit_model_solution(K, N, lam, k)
@@ -845,8 +962,9 @@ class TestFitWork:
         assert len(shots) <= 5
 
     def test_model_sweep_steps(self, monkeypatch):
-        # the 160 shots of the model-sweep fits of seeds 1-3 take 620 Taylor
-        # steps, at most 6 a shot; DOP853 took 3150, and up to 64 a shot
+        # the 160 shots of the model-sweep fits of seeds 1-3 took 620 Taylor
+        # steps by the chart walks, at most 6 a shot; DOP853 took 3150, and
+        # up to 64 a shot
         steps = []
         integrate = model1d._integrate
 
@@ -865,11 +983,15 @@ class TestFitWork:
         assert max(steps) <= 8
         assert sum(steps) <= 700
 
-    def test_k_one_is_flat_member(self):
-        # c/(1 - k) has no value at k = 1: the fit goes straight to the tail
+    def test_k_one_is_flat_member(self, monkeypatch):
+        # k = 1 is the flat member tau = 0, v = -cos(sqrt(lam) t): the
+        # bracket's first probe, after model_solution
+        shots = _count_probes(monkeypatch)
         fit = fit_model_solution(0.0, 2.0, 5.0, 1.0)
-        assert fit.fitted_param == INF
-        assert fit.max_value == 1.0
+        assert fit.fitted_param == 0.0
+        assert abs(fit.max_value - 1.0) <= 1e-15
+        assert np.max(np.abs(fit.vs + np.cos(math.sqrt(5.0) * fit.ts))) <= 1e-13
+        assert len(shots) <= 2
 
 
 def _model_sweep_fits(seed):
@@ -919,9 +1041,13 @@ class TestQuinticRoots:
 def _capped_reference(problem, sol, start):
     """v and v' at sol.ts[start:] from scipy's DOP853 run from that sample
     on, at the integrator's default tolerance with steps capped at
-    (b - a)/2000, read at the samples by its own continuous extension."""
-    T = problem.drift()
-    ref = solve_ivp(lambda t, y: (y[1], T(t) * y[1] - sol.lam * y[0]),
+    (b - a)/2000, read at the samples by its own continuous extension.
+    The drift is the chart's own at the samples moved to the chart point
+    whose drift is the solution's start drift ``fitted_param``
+    (:func:`chart_start`)."""
+    shift = chart_start(problem, sol.fitted_param) - sol.a
+    T = scalar_drift(problem)
+    ref = solve_ivp(lambda t, y: (y[1], T(t + shift) * y[1] - sol.lam * y[0]),
                     (sol.ts[start], sol.ts[-1]), (sol.vs[start], sol.vps[start]),
                     method="DOP853", t_eval=sol.ts[start:], max_step=(sol.b - sol.a) / 2000,
                     rtol=1e-10, atol=1e-12)
@@ -940,7 +1066,7 @@ class TestFitSampling:
         ("power", 0.0, 3.0, math.pi**2, 0.6),
         ("power", 0.0, 3.0, math.pi**2, None),
         ("power", 0.0, 3.0, math.pi**2, 2.0),  # reflected from k = 0.5
-        ("linear", 1.0, INF, 6.0, 1.1),
+        ("linear", 1.0, INF, 6.0, 1.1),  # reflected from k = 1/1.1
         ("linear", -1.0, INF, 5.0, 0.9),
         ("constant", 0.0, INF, 10.0, 0.2),
     ])
@@ -962,11 +1088,9 @@ class TestFitSampling:
         if series:
             assert sol.vps[0] == 0.0
         assert sol.max_value == sol.vs[-1]
-        if k is not None and k > 1.0 and math.isfinite(N):
-            # the reflection of the fit for k' = 1/k starts at -M/k'
-            assert sol.vs[0] == pytest.approx(-1.0, abs=1e-8)
-        else:
-            assert sol.vs[0] == -1.0
+        # the reflection of the fit for 1/k is divided by that fit's own
+        # maximum, so it too starts at -1 exactly
+        assert sol.vs[0] == -1.0
 
     # the checks below compare with closed forms, not with the integrator
 
