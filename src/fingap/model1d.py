@@ -302,6 +302,11 @@ def _poly(c, s):
     return acc
 
 
+def _q(N: float) -> float:
+    """q = 1/(N-1) of T' = K + q T^2; 0 for N = inf and N = 1 (flat: T = 0)."""
+    return 1.0 / (N - 1.0) if N > 1.0 else 0.0
+
+
 def _cos_sin(qK: float, h: float):
     """(c, s) at h: the solutions of y'' = -qK y with (y, y') = (1, 0) and
     (0, 1) at 0."""
@@ -343,7 +348,7 @@ def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
     Returns (ts, vs, ws, steps): the step ends as float lists, starting at
     0, and for each step its coefficient lists (cv, cw) in s = t - ts[i],
     lowest degree first (:func:`_series`): its dense output.  Between steps
-    T follows its Riccati equation T' = K + q T^2, q = 1/(N-1), exactly by
+    T follows its Riccati equation T' = K + q T^2 (:func:`_q`) exactly by
     its Moebius flow (:func:`_flow`), not by T's own Taylor series, which
     would need a step rule of its own: its radius is the distance back to
     the last pole.  tau = -inf starts at a drift pole itself, from the
@@ -355,8 +360,7 @@ def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
     to the span left.  SolverError on step underflow, a non-finite state or
     2,000,000 steps; _Diverged once |v| passes 1e12.
     """
-    # N = 1 is admitted on the flat chart alone, where T = 0 whatever q is
-    q = 1.0 / (N - 1.0) if N > 1.0 else 0.0
+    q = _q(N)
     t, v, w, T = 0.0, -1.0, 0.0, tau
     ts, vs, ws, steps = [t], [v], [w], []
     while t < t_end:
@@ -701,18 +705,22 @@ def _first_max(K: float, N: float, lam: float, tau: float) -> _Shot:
     The shot ends at the 64 pi/sqrt(lam) horizon or a relative 1e-12 short
     of the drift's pole ahead, whichever is nearer, or once its first
     maximum is out of reach (:func:`_out_of_reach`).  One that finds no
-    first maximum reads top = +inf if v > 0 at its end or its v diverges,
-    and 0 if v < 0.
+    first maximum reads top = +inf if v > 0 at its end, its v diverges or
+    its span ends at the pole ahead, where T -> +inf (a first maximum there
+    would need v' to fall through 0 against a drift that only grows), and
+    0 if v < 0 at the end of a span up to the horizon.
     """
-    q = 1.0 / (N - 1.0)
-    t_end = min(64.0 * math.pi / math.sqrt(lam), _pole_ahead(K, q, tau) * (1.0 - 1e-12))
+    q = _q(N)
+    horizon = 64.0 * math.pi / math.sqrt(lam)
+    pole = _pole_ahead(K, q, tau) * (1.0 - 1e-12)
     try:
-        ts, vs, ws, steps = _integrate(K, N, lam, tau, t_end, _PROBE_TOL,
+        ts, vs, ws, steps = _integrate(K, N, lam, tau, min(horizon, pole), _PROBE_TOL,
                                        partial(_out_of_reach, K, q, lam))
     except _Diverged:
         return _Shot(lam, math.nan, _INF, [], [])
     if not (len(ts) > 1 and ws[-2] > 0.0 >= ws[-1]):
-        return _Shot(lam, math.nan, _INF if vs[-1] > 0.0 else 0.0, ts, steps)
+        return _Shot(lam, math.nan, _INF if vs[-1] > 0.0 or pole < horizon else 0.0,
+                     ts, steps)
     cv, cw = steps[-1]
     h = ts[-1] - ts[-2]
     (s0, _), (s1, _) = _illinois(lambda s: _poly(reversed(cw), s),
@@ -788,22 +796,6 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     return sol
 
 
-def _reflect(sol: ModelSolution, K: float, N: float) -> ModelSolution:
-    """Map a solution with range [-1, M] to one with range [-1, 1/M],
-    w(t) = -v(-t)/M, divided by its own last sample M = v(b), so that w
-    starts at -1 exactly.  Its ``fitted_param`` is its start drift -T(b).
-
-    Valid because -T(-t) solves the drift's Riccati equation too, so w
-    solves L w = -lam w with that drift on the reflected interval.
-    """
-    top = sol.vs[-1]
-    return ModelSolution(
-        a=-sol.b, b=-sol.a, lam=sol.lam,
-        ts=-sol.ts[::-1], vs=-sol.vs[::-1] / top, vps=sol.vps[::-1] / top,
-        fitted_param=-_flow(K, 1.0 / (N - 1.0), sol.fitted_param, sol.b - sol.a),
-    )
-
-
 def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolution:
     """Interval with first Neumann eigenvalue lam whose eigenfunction has
     min = -1 and max = k, to within _FIT_TOL = 1e-8 relative to max(1, k).
@@ -816,9 +808,17 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     and 0 for N = inf) and M = +inf at pi/2; ``fitted_param`` is tau, the
     returned solution's start drift.  A probe that finds no first maximum
     counts as M = +inf or 0 (:func:`_first_max`), and a tau > 0 with
-    K + tau^2/(N-1) >= 0, whose M exceeds 1, as +inf unshot.  Each k > 1
-    is the reflection (:func:`_reflect`) of the fit for 1/k, stopped once
-    1/M fits k, so the fit's min is -1 exactly either way.
+    K + tau^2/(N-1) >= 0, whose M exceeds 1, as +inf unshot.
+
+    Each k > 1 is the reflection w(t) = -v(L - t)/M of the fit v for 1/k
+    on [0, L], stopped once 1/M fits k: -T(L - t) solves the drift's
+    Riccati equation too, so w is the shot from its start drift -T(L), on
+    [0, L] with min -1 exactly like every fit.  Where w lands more than
+    1e-8 off k, the shots from the reflected start drifts of the last
+    bracket's two ends bracket k too, and an Illinois bracket over them
+    takes the closest of them if it is closer: where M is steep in tau,
+    their M can be resolved finer than 1/M (k = 1e4, K = -1, N = inf: 1/M
+    steps by 5e-8 per ulp of tau, their M by 5e-11).
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0,
@@ -844,39 +844,49 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
         sol = ms if _fits(reached(low), k) else None
 
     best = None  # (|g|, tau, shot) of the closest probe; only its shot is kept
-    failed = False
-    sq, q = math.sqrt(lam), 1.0 / (N - 1.0)
+    ends, b_of = [], {}  # b_of: tau -> b of each probe, nan where it failed
+    sq, q = math.sqrt(lam), _q(N)
 
-    def g(theta):
-        nonlocal best, failed
-        tau = sq * math.tan(theta)
-        if tau > 0.0 and K + q * tau * tau >= 0.0:
+    def g(target, tau):
+        nonlocal best
+        if target <= 1.0 and tau > 0.0 and K + q * tau * tau >= 0.0:
             # T stays >= tau > 0, so the energy (v'^2 + lam v^2)/2 grows (its
-            # derivative is T v'^2) and M > 1 >= kp.  Unshot: such a probe
-            # may run into the pole ahead, and with N < 2 v stays finite and
-            # can still be negative there, where it would read M = 0
+            # derivative is T v'^2) and M > 1 >= target: unshot
             return _INF
         shot = _first_max(K, N, lam, tau)
-        if math.isnan(shot.b):
-            failed = True
-        elif best is None or abs(shot.top - kp) < best[0]:
-            best = (abs(shot.top - kp), tau, shot)
-        return shot.top - kp
+        b_of[tau] = shot.b
+        if shot.b > 0.0 and (best is None or abs(shot.top - target) < best[0]):
+            best = (abs(shot.top - target), tau, shot)
+        return shot.top - target
 
     def done():
         return best is not None and _fits(reached(best[2].top), k)
 
     if sol is None:
-        _illinois(g, [(-0.5 * math.pi, low - kp), (0.5 * math.pi, _INF)],
-                  1e-15 * math.pi, done)
+        ends = _illinois(lambda theta: g(kp, sq * math.tan(theta)),
+                         [(-0.5 * math.pi, low - kp), (0.5 * math.pi, _INF)], 1e-15 * math.pi, done)
+        ends = [(sq * math.tan(th), gx) for th, gx in ends]
         if not done():
-            if failed and best is not None:
+            if best is not None and any(map(math.isnan, b_of.values())):
                 raise ValueError(f"k={k} is out of reach: probes next to it find no "
                                  f"first maximum, and the closest one reached is "
                                  f"{reached(best[2].top)}")
             raise SolverError(f"interval fit did not reach max = {k}")
         sol = _solution(best[2], best[1])
-    return sol if k <= 1.0 else _reflect(sol, K, N)
+    if k <= 1.0:
+        return sol
+    top, L = sol.vs[-1], sol.b  # the reflection of the fit for 1/k
+    sol = ModelSolution(a=0.0, b=L, lam=sol.lam, ts=L - sol.ts[::-1], vs=-sol.vs[::-1] / top,
+                        vps=sol.vps[::-1] / top, fitted_param=-_flow(K, q, sol.fitted_param, L))
+    if abs(sol.max_value - k) > _FIT_TOL and ends and all(b_of.get(t, 0.0) > 0.0
+                                                          for t, _ in ends):
+        ends = [(-_flow(K, q, t, b_of[t]), 1.0 / (gx + kp) - k) for t, gx in ends]
+        best = None
+        _illinois(partial(g, k), ends, 1e-15 * max(abs(t) for t, _ in ends),
+                  lambda: best is not None and best[0] <= _FIT_TOL)
+        if best is not None and best[0] < abs(sol.max_value - k):
+            sol = _solution(best[2], best[1])
+    return sol
 
 
 # ---------------------------------------------------------------------------

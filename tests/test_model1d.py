@@ -743,9 +743,12 @@ class TestFitBranches:
         # it is the reflection of the fit for 1/3
         (3.0, INF, 3.2, 3.0, 1e-8),
         # K < 0 with N < 2: a probe past tau = sqrt(|K| (N-1)) runs into
-        # the pole ahead, where v can be negative (read M = 0)
+        # the pole ahead, where v can be negative (it reads M = +inf)
         (-1.0, 1.5, 2.0, 0.9, 1e-8),
         (-3.0, 1.2, 5.0, 1.02, 1e-8),
+        # tan chart with N < 2: 4 of the 12 probes find no first maximum
+        (1.0, 1.2, 6.05, 0.997, 1e-8),
+        (1.0, 1.2, 6.05, 1.003, 1e-8),
     ])
     def test_fit_reaches_k(self, K, N, lam, k, tol):
         # tol is relative to max(1, k), as the fit's own tolerance
@@ -763,6 +766,7 @@ class TestFitBranches:
         fit = fit_model_solution(K, INF, lam, k)
         assert abs(fit.max_value - k) <= 1e-8 * k
         assert fit.min_value == -1.0
+        assert fit.a == fit.ts[0] == 0.0 and fit.ts[-1] == fit.b  # on [0, L] as every fit
         # the fit for 1/20 by scipy: from the reflected solution's end
         # drift -T(b), v rises to its first maximum 1/20 at the length b - a
         L = fit.b - fit.a
@@ -822,6 +826,21 @@ class TestFitBranches:
             assert early[2][-1] > 0.0
             assert len(early[0]) < len(plain[0])
 
+    @pytest.mark.parametrize("K, N, lam", [(-1.0, 1.5, 2.0), (0.0, 1.5, 2.0),
+                                            (0.0, 1.2, 5.0)])
+    def test_pole_ahead_probes_read_large_maxima(self, K, N, lam):
+        # with N < 2, v stays finite up to a drift pole ahead and can be
+        # negative there; such a probe has no first maximum and, as every
+        # probe past the fitted start drift, reads M = +inf
+        q, tau = 1.0 / (N - 1.0), 1.0
+        cap = model1d._pole_ahead(K, q, tau) * (1.0 - 1e-12)
+        ts, vs, ws, _ = model1d._integrate(K, N, lam, tau, cap, 1e-12,
+                                           partial(model1d._out_of_reach, K, q, lam))
+        assert ts[-1] == pytest.approx(cap, rel=1e-12)
+        assert vs[-1] < 0.0 and np.all(np.array(ws[1:]) > 0.0)
+        shot = model1d._first_max(K, N, lam, tau)
+        assert math.isnan(shot.b) and shot.top == INF
+
     def test_tanh_fit_eigenvalue_matches(self):
         lam = 20.0
         fit = fit_model_solution(-4.0, 2.0, lam, 0.5)
@@ -850,14 +869,16 @@ class TestFitBranches:
         # on the linear chart with K < 0 a probe far out in a found M above
         # 1e12 and diverged; counted as M = 0 it sent the walk past k and the
         # fit ended in "failed to bracket".  k is now the reflection of the
-        # fit for 1e-4, next to where probes find no first maximum
+        # fit for 1e-4, next to where probes find no first maximum: it lands
+        # 2.3e-6 off, and the bracket over the reflected start drifts within
+        # 1e-8
         k = 1e4
         try:
             fit = fit_model_solution(-1.0, INF, 0.3, k)
         except ValueError as exc:
             assert "closest one reached" in str(exc)
         else:
-            assert abs(fit.max_value - k) <= 1e-8 * k
+            assert abs(fit.max_value - k) <= 1e-8
             assert fit.min_value == -1.0
 
     def test_fit_ends_within_tol_or_raises(self):
