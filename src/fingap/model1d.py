@@ -507,7 +507,7 @@ def _stieltjes(x, mu, m):
 
 
 # charts whose density is even in t: on a centered interval the Ritz
-# vector of :func:`_ritz` is odd
+# vector of :func:`_ritz` is odd, and the oracle's matrix is persymmetric
 _EVEN_CHARTS = ("tan", "tanh", "linear", "flat")
 
 
@@ -892,91 +892,89 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
+# the oracle's shift as a share of (pi/(b - a))^2, the flat interval's
+# lambda_1: far above eps ||A||_1, so A + sigma I stays definite, and close
+# to the low end of the spectrum, so the wanted values converge first
+_ORACLE_SHIFT = 0.1
 
-def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int,
-                        sigma: float) -> np.ndarray:
+
+def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int, sigma: float,
+                        tol: float) -> np.ndarray:
     """The k lowest eigenvalues, sorted, of the symmetric tridiagonal matrix A
     with diagonal d and off-diagonal off, where A + sigma I is positive
-    definite.
+    definite, each within tol (up to rounding once the Krylov space is all
+    of R^n).
 
     Shift-invert Lanczos: A + sigma I is factored once (LAPACK ``dpttrf``),
-    and each step is one solve with it (``dpttrs``), from the start vector
-    cos(0), cos(1), ..., with full reorthogonalization in two Gram-Schmidt
-    passes.  A Ritz value theta of (A + sigma I)^{-1} with residual r and
-    distance gap to the nearest other Ritz value gives 1/theta - sigma within
-    min(r, r^2/gap)/theta^2 of an eigenvalue of A; the iteration stops once
-    that bound is at most eps ||A||_1 for the first k, the default absolute
-    tolerance of LAPACK's bisection (``dstebz``).  Raises SolverError if the
-    factorization finds A + sigma I not positive definite, or the bound is
-    not met within min(n, 200) steps.
+    and each step is one solve with it (``dpttrs``, in place), from the start
+    vector cos(0), cos(1), ..., with full reorthogonalization in two
+    Gram-Schmidt passes.  The Ritz values theta of (A + sigma I)^{-1} are the
+    eigenvalues of the Lanczos tridiagonal (``dstev``).  One with residual r
+    and distance gap to the nearest other Ritz value gives 1/theta - sigma
+    within min(r, r^2/gap)/theta^2 of an eigenvalue of A; the iteration
+    stops once that bound is at most tol for the k largest theta, which
+    takes k + 1 Ritz values: a lone one has no gap to bound it.  Raises
+    SolverError if the factorization finds A + sigma I not positive
+    definite, or the bound is not met within min(n, 200) steps.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs, dstev
 
     n = d.size
-    a_off = np.abs(off)
-    tol = np.finfo(float).eps * float(np.max(np.abs(d) + np.r_[a_off, 0.0]
-                                             + np.r_[0.0, a_off]))
     df, ef, info = dpttrf(d + sigma, off)
     if info != 0:
         raise SolverError(f"shifted oracle matrix is not positive definite "
                           f"(dpttrf info {info})")
     steps = min(n, 200)
-    Q = np.empty((steps + 1, n))  # Lanczos vectors; only used rows are touched
-    H = np.zeros((steps, steps))  # the Lanczos tridiagonal
+    alpha, beta = np.zeros(steps), np.zeros(steps)  # the Lanczos tridiagonal
+    Q = np.empty((min(steps, 31) + 1, n))  # Lanczos vectors, doubled when full
     q = np.cos(np.arange(n, dtype=float))
     Q[0] = q / np.linalg.norm(q)
     for j in range(steps):
-        w, _ = dpttrs(df, ef, Q[j])
+        if j + 1 == len(Q):
+            Q = np.concatenate((Q, np.empty_like(Q)))
+        w = Q[j + 1]
+        w[:] = Q[j]
+        dpttrs(df, ef, w, overwrite_b=1)
         basis = Q[:j + 1]
         for _ in range(2):
             c = basis @ w
             w -= c @ basis
-            H[j, j] += c[j]
-        beta = float(np.linalg.norm(w))
-        if j + 1 >= k:
-            theta, S = np.linalg.eigh(H[:j + 1, :j + 1])
-            theta, S = theta[::-1], S[:, ::-1]  # largest first
-            gaps = np.diff(-theta)
-            gap = np.minimum(np.r_[_INF, gaps], np.r_[gaps, _INF])[:k]
-            r = beta * np.abs(S[j, :k])
+            alpha[j] += c[j]
+        beta[j] = np.linalg.norm(w)
+        if j >= k or j + 1 == n:
+            theta, S, _ = dstev(alpha[:j + 1], beta[:max(j, 1)])
+            if j + 1 == n:  # the Krylov space is all of R^n
+                return np.sort(1.0 / theta[-k:] - sigma)
+            theta, s = theta[:-k - 2:-1], S[j, :-k - 2:-1]  # k + 1 largest first
+            g = theta[:-1] - theta[1:]
+            gap = g.copy()
+            gap[1:] = np.minimum(g[1:], g[:-1])
+            r = beta[j] * np.abs(s[:k])
             if np.all(np.minimum(r, r * r / gap) <= tol * theta[:k] ** 2):
                 return np.sort(1.0 / theta[:k] - sigma)
-        if beta == 0.0:  # an invariant subspace holding fewer than k
+        if beta[j] == 0.0:  # an invariant subspace holding fewer than k
             break
-        Q[j + 1] = w / beta
-        H[j, j + 1] = H[j + 1, j] = beta
+        w /= beta[j]
     raise SolverError(f"oracle Lanczos did not converge in {j + 1} steps")
 
 
-def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
-                           n_nodes: int = 4000, k: int = 5) -> np.ndarray:
-    """First k Neumann eigenvalues by finite differences.
+def _oracle_matrix(problem: ModelProblem, a: float, b: float,
+                   n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, off): the diagonal and the positive off-diagonal of the oracle's
+    symmetric tridiagonal matrix on the n_nodes - 2 interior unknowns of
+    :func:`sturm_liouville_oracle`.
 
-    Three-point interior discretization of v'' - T v' with second-order
-    one-sided Neumann rows, boundary unknowns eliminated, and the resulting
-    tridiagonal matrix symmetrized by a diagonal similarity.  Fully
-    independent of the Galerkin quotient and of the shots.  Endpoints must
-    be regular.
-
-    The matrix is positive semidefinite (its lowest eigenvalue is 0 up to
-    rounding), so shifted by sigma = (pi/(b - a))^2 it is positive definite:
-    :func:`_lowest_eigenvalues` runs shift-invert Lanczos on it, about 7-18
-    steps of one tridiagonal solve each, and stops once every one of the k
-    values is within eps ||A||_1 (the tolerance of LAPACK's bisection).
-
-    Rounding sets a floor of about eps/h^2 absolute (the matrix entries are
-    of order 1/h^2), which refining the grid raises: for
-    ``lambda1_model(-4, 5, 8)`` = 1.077458e-5 the oracle gives 1.077424e-5 /
-    1.077464e-5 / 1.077378e-5 at 8000 / 16000 / 32000 nodes (-3.2e-5 /
-    +5.6e-6 / -7.4e-5 relative), no closer on finer grids, so it cannot
-    referee an exponentially small eigenvalue.
-    """
-    problem.validate_interval(a, b)
-    if problem.singular_left(a) or problem.singular_right(b):
-        raise ValueError("oracle requires regular endpoints")
+    On a centered interval with an even density the drift is odd: it is
+    evaluated on the left half of the nodes and mirrored, with T = 0 at a
+    centre node, so the matrix is exactly persymmetric (d and off read the
+    same backwards)."""
     ts = np.linspace(a, b, n_nodes)
     h = ts[1] - ts[0]
-    T = coeff_T(problem, ts)
+    if a == -b and problem.chart in _EVEN_CHARTS:
+        left = coeff_T(problem, ts[:n_nodes // 2])
+        T = np.concatenate((left, np.zeros(n_nodes % 2), -left[::-1]))
+    else:
+        T = coeff_T(problem, ts)
 
     # rows of -(v'' - T v') on interior nodes 1..n-2
     d = np.full(n_nodes - 2, 2.0 / h**2)
@@ -991,4 +989,76 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     prod = up[:-1] * lo[1:]
     if np.any(prod <= 0):
         raise SolverError("oracle grid too coarse to symmetrize the drift")
-    return _lowest_eigenvalues(d, np.sqrt(prod), k, (math.pi / (b - a)) ** 2)
+    return d, np.sqrt(prod)
+
+
+def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
+                           n_nodes: int = 4000, k: int = 5) -> np.ndarray:
+    """First k Neumann eigenvalues by finite differences, 1 <= k <= n_nodes - 2.
+
+    Three-point interior discretization of v'' - T v' with second-order
+    one-sided Neumann rows, boundary unknowns eliminated, and the resulting
+    tridiagonal matrix A symmetrized by a diagonal similarity
+    (:func:`_oracle_matrix`).  Fully independent of the Galerkin quotient
+    and of the shots.  Endpoints must be regular.
+
+    Every row of the unsymmetrized matrix sums to zero and its off-diagonal
+    entries are negative, so (Gershgorin) A is positive semidefinite and its
+    lowest eigenvalue is 0, the constant mode's; shifted by
+    sigma = (pi/(b - a))^2/10 it is positive definite:
+    :func:`_lowest_eigenvalues` runs shift-invert Lanczos on it and stops
+    once every one of the k values is within eps ||A||_1 (the default
+    tolerance of LAPACK's bisection).
+
+    On a centered interval with an even density (``_EVEN_CHARTS``: every
+    model reference) A is persymmetric, J A J = A for the reversal J, and
+    splits into two tridiagonal blocks on the first half of the unknowns,
+    one for the eigenvectors with J x = x and one for J x = -x (Cantoni and
+    Butler, Linear Algebra Appl. 13, 1976).  The off-diagonals are positive,
+    so the constant mode alternates in sign and lies in the block of parity
+    (-1)^(n_nodes - 3); the j-th eigenvector of a tridiagonal matrix has j
+    sign changes, so the parities alternate, and the k lowest values are
+    the ceil(k/2) lowest of that block and the floor(k/2) lowest of the
+    other.  For k <= 2 the constant-mode block is not searched: its lowest
+    value is the constant mode's, 0.0.  Lanczos runs on each searched block
+    with the tolerance of the whole matrix, on half the unknowns: the model
+    references (4000 and 8000 nodes, k = 2) take 3-8 steps, 5 at the
+    median, each one solve of half the length.
+
+    Rounding sets a floor of about eps/h^2 absolute (the matrix entries are
+    of order 1/h^2), which refining the grid raises: for
+    ``lambda1_model(-4, 5, 8)`` = 1.077458e-5 the oracle gives 1.077436e-5 /
+    1.077409e-5 / 1.077415e-5 at 8000 / 16000 / 32000 nodes (-2.1e-5 /
+    -4.6e-5 / -4.0e-5 relative), no closer on finer grids, so it cannot
+    referee an exponentially small eigenvalue.
+    """
+    problem.validate_interval(a, b)
+    if problem.singular_left(a) or problem.singular_right(b):
+        raise ValueError("oracle requires regular endpoints")
+    if not 1 <= k <= n_nodes - 2:
+        raise ValueError(f"k = {k} is outside [1, n_nodes - 2] = [1, {n_nodes - 2}]")
+    d, off = _oracle_matrix(problem, a, b, n_nodes)
+    rows = np.abs(d)
+    rows[1:] += off
+    rows[:-1] += off
+    tol = np.finfo(float).eps * float(rows.max())  # eps ||A||_1
+    sigma = _ORACLE_SHIFT * (math.pi / (b - a)) ** 2
+    if not (a == -b and problem.chart in _EVEN_CHARTS):
+        return _lowest_eigenvalues(d, off, k, sigma, tol)
+
+    m, odd = divmod(d.size, 2)
+
+    def block(parity):  # A on the vectors with J x = parity x
+        if odd and parity > 0:  # the centre unknown, scaled by 1/sqrt(2)
+            return d[:m + 1], np.append(off[:m - 1], math.sqrt(2.0) * off[m - 1])
+        if odd:
+            return d[:m], off[:m - 1]
+        return np.append(d[:m - 1], d[m - 1] + parity * off[m - 1]), off[:m - 1]
+
+    const = 1 if odd else -1  # the constant mode's parity
+    low = (np.zeros(1) if k <= 2 else
+           _lowest_eigenvalues(*block(const), (k + 1) // 2, sigma, tol))
+    if k == 1:
+        return low
+    high = _lowest_eigenvalues(*block(-const), k // 2, sigma, tol)
+    return np.sort(np.concatenate((low, high)))

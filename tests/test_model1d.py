@@ -1159,43 +1159,92 @@ class TestOracle:
         (0.3, 1.7), (-0.5, 0.5), (0.5, 3.0), (-1.0, 2.0), (-1.0, 1.0)])]
     CASES.append((centered_model(-4.0, 5.0), -4.0, 4.0))
 
+    # the centered intervals with an even density, whose matrix the oracle
+    # folds: those above and criterion 3's (tan and tanh on (-1, 1) are in
+    # both)
+    FOLDED = [(p, a, b) for p, a, b in CASES
+              if a == -b and p.chart in model1d._EVEN_CHARTS]
+    FOLDED += [(ModelProblem(0.0, 2.0, "flat"), -0.5, 0.5),
+               (ModelProblem(1.0, INF, "linear"), -2.0, 2.0)]
+
+    @staticmethod
+    def norm1(d, off):
+        return np.max(np.abs(d) + np.r_[off, 0.0] + np.r_[0.0, off])
+
     @pytest.mark.parametrize("p, a, b", CASES, ids=[
         f"{p.chart}-K{p.K:g}-N{p.N:g}" for p, _, _ in CASES])
     def test_lanczos_matches_bisection(self, monkeypatch, p, a, b):
-        # the reference is LAPACK bisection on the matrix the oracle built;
-        # both are accurate to eps ||A||_1, its default tolerance
-        matrices, solves = [], []
-        lowest, dpttrs = model1d._lowest_eigenvalues, scipy.linalg.lapack.dpttrs
+        # the reference is LAPACK bisection on the full matrix the oracle
+        # builds; both are accurate to eps ||A||_1, its default tolerance.
+        # A folded oracle solves only with its half blocks
+        lengths, dpttrs = [], scipy.linalg.lapack.dpttrs
 
-        def recording(d, off, k, sigma):
-            matrices.append((d, off))
-            solves.append(0)
-            return lowest(d, off, k, sigma)
+        def counting(df, *args, **kwargs):
+            lengths.append(df.size)
+            return dpttrs(df, *args, **kwargs)
 
-        def counting(*args, **kwargs):
-            solves[-1] += 1
-            return dpttrs(*args, **kwargs)
-
-        monkeypatch.setattr(model1d, "_lowest_eigenvalues", recording)
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting)
-        for n in (400, 4000, 32000):
-            for k in (2, 3, 5):
+        folded = (p, a, b) in self.FOLDED
+        for n in (400, 4000, 4001, 32000):
+            d, off = model1d._oracle_matrix(p, a, b, n)
+            if folded:
+                assert np.array_equal(d, d[::-1]) and np.array_equal(off, off[::-1])
+            tol = np.finfo(float).eps * self.norm1(d, off)
+            for k in (1, 2, 3, 5):
+                lengths.clear()
                 vals = sturm_liouville_oracle(p, a, b, n_nodes=n, k=k)
-                d, off = matrices[-1]
                 ref = eigh_tridiagonal(d, off, eigvals_only=True, select="i",
                                        select_range=(0, k - 1))
-                a_off = np.abs(off)
-                norm1 = np.max(np.abs(d) + np.r_[a_off, 0.0] + np.r_[0.0, a_off])
                 assert vals.shape == (k,)
                 assert np.all(np.diff(vals) > 0)
-                assert np.max(np.abs(vals - ref)) <= 2.0 * np.finfo(float).eps * norm1
-                assert solves[-1] <= 30
+                assert np.max(np.abs(vals - ref)) <= 2.0 * tol
+                assert len(lengths) <= 30
+                if folded:  # half the n - 2 unknowns, rounded up
+                    assert max(lengths, default=0) <= (n - 1) // 2
+                    assert bool(lengths) == (k > 1)
+                else:
+                    assert set(lengths) == {n - 2}
+
+    @pytest.mark.parametrize("p, a, b", FOLDED, ids=[
+        f"{p.chart}-K{p.K:g}-N{p.N:g}-{b:g}" for p, _, b in FOLDED])
+    def test_fold_matches_full_path(self, p, a, b):
+        # the same persymmetric matrix, unfolded, through the full-matrix
+        # Lanczos with the oracle's shift and tolerance.  At k = 1 its stop
+        # rule must wait for a second Ritz value, whose gap bounds the first
+        for n in (400, 4000, 4001):
+            d, off = model1d._oracle_matrix(p, a, b, n)
+            tol = np.finfo(float).eps * self.norm1(d, off)
+            sigma = model1d._ORACLE_SHIFT * (math.pi / (b - a)) ** 2
+            for k in (1, 2, 3, 5):
+                full = model1d._lowest_eigenvalues(d, off, k, sigma, tol)
+                folded = sturm_liouville_oracle(p, a, b, n_nodes=n, k=k)
+                assert np.max(np.abs(folded - full)) <= 2.0 * tol
+
+    @pytest.mark.parametrize("k", [0, -1, 399])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match=f"k = {k} "):
+            sturm_liouville_oracle(centered_model(-1.0, 3.0), -1.0, 1.0,
+                                   n_nodes=400, k=k)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_k_up_to_all_unknowns(self, n):
+        # every eigenvalue of a small matrix, folded and not: the Krylov
+        # space fills R^n before k + 1 Ritz values exist.  Far above the
+        # shift, shift-invert keeps about eps (lambda + sigma)^2/sigma
+        for p, a, b in [(centered_model(-1.0, 3.0), -1.0, 1.0),
+                        (ModelProblem(2.0, INF, "linear"), 0.5, 3.0)]:
+            d, off = model1d._oracle_matrix(p, a, b, n)
+            ref = eigh_tridiagonal(d, off, eigvals_only=True)
+            for k in (n - 3, n - 2):
+                vals = sturm_liouville_oracle(p, a, b, n_nodes=n, k=k)
+                np.testing.assert_allclose(vals, ref[:k], rtol=1e-12, atol=1e-13)
 
     def test_shift_not_positive_definite(self):
         # tridiag(-1, 2, -1) has eigenvalues in (0, 4): shifted by -1 it is
         # indefinite
         with pytest.raises(model1d.SolverError, match="not positive definite"):
-            model1d._lowest_eigenvalues(np.full(50, 2.0), np.full(49, -1.0), 2, -1.0)
+            model1d._lowest_eigenvalues(np.full(50, 2.0), np.full(49, -1.0), 2, -1.0,
+                                        1e-15)
 
 
 class TestOffCenterIntervals:
