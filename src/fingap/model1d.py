@@ -1,52 +1,50 @@
 """1-D comparison operators L v = v'' - T(t) v' and their Neumann eigenvalues.
 
 The drift T depends on a curvature lower bound K and a dimension parameter
-N in (1, inf]; it satisfies T' = K + T^2/(N-1) on each chart.  One table,
-``_CHARTS``, holds every chart formula:
+N in (1, inf] and solves the Riccati equation T' = K + q T^2, q = 1/(N-1)
+(0 for N = inf), so a chart is fixed by its start drift tau = T(0) (Bakry
+and Qian, Adv. Math. 155, 2000).  ``_CHARTS`` holds each chart's K, N and tau:
 
-  chart     K    N       singular at      T(t)                       exp(-int T)
-  --------  ---  ------  ---------------  -------------------------  -----------------
-  tan       > 0  finite  t = +-pi/(2a)    sqrt(K(N-1)) tan(a t)      cos(a t)^(N-1)
-  tanh      < 0  finite  -                -sqrt(-K(N-1)) tanh(a t)   cosh(a t)^(N-1)
-  coth      < 0  finite  t = 0            -sqrt(-K(N-1)) coth(a t)   |sinh(a t)|^(N-1)
-  power     = 0  finite  t = 0            -(N-1)/t                   |t|^(N-1)
-  flat      = 0  finite  -                0                          1
-  linear    any  inf     -                K t                        exp(-K t^2/2)
-  constant  = 0  inf     -                c                          exp(-c t)
+  chart     K    N       tau
+  tan       > 0  finite  0
+  tanh      < 0  finite  0
+  coth      < 0  finite  -inf (a drift pole at t = 0)
+  power     = 0  finite  -inf
+  flat      = 0  finite  0 (N = 1 admitted too)
+  linear    any  inf     0
+  constant  = 0  inf     c
 
-with a = sqrt(|K|/(N-1)); the flat chart also admits N = 1.  The first
-nonzero Neumann eigenvalue of L on a centered interval of length d is the
-sharp spectral-gap lower bound lambda_1(K, N, d); off-center intervals never
-beat the centered one.
+With (c, s) the solutions of y'' = -qK y with (y, y') = (1, 0) and (0, 1)
+at 0, at the frequency a = sqrt(|K|/(N-1)) (:func:`_cos_sin`), and
+y = c - q tau s (|s| from a pole), T = -y'/(q y) = (K s + tau c)/y
+(:func:`_flow`), the invariant density exp(-int T) is y^(N-1)
+(exp(-tau t - K t^2/2) for N = inf), and the drift poles are the zeros of
+y (:func:`_pole_ahead`): t = +-pi/(2a) on tan, t = 0 on coth and power.
+The first nonzero Neumann eigenvalue of L on a centered interval of length
+d is the sharp spectral-gap lower bound lambda_1(K, N, d); off-center
+intervals never beat the centered one.
 
 Eigenvalues are Rayleigh-Ritz quotients int rho v'^2 / int rho (v - mean)^2,
 rho = exp(-int T), over polynomials orthonormal for rho on a Gauss-Jacobi
 rule (:func:`lambda1_interval`): upper bounds on lambda_1 up to quadrature
-error, with no digits lost where rho spans many orders of magnitude.  The
-basis values and their derivatives come from one Stieltjes update per
-degree, applied to both as a row pair.  On a centered interval with an
-even density (tan, tanh, linear and flat charts: every quotient of
-lambda_1(K, N, d)) the first eigenfunction is odd, and the quotient runs
-over the odd polynomials x q(x^2) alone, from a recurrence of half the
-length in x^2 on the positive nodes.  lambda_1(K, N, d) has two closed
-forms, pi^2/d^2 at K = 0 (density 1) and NK/(N-1) at the Myers length; on
-a Gaussian interval (K > 0, N = inf) the quotient is taken on
-|t| <= sqrt(80/K), past which rho is below e^-40 of its peak.  A
-strictly independent finite-difference Sturm-Liouville oracle
-(:func:`sturm_liouville_oracle`) cross-validates them.
+error, with no digits lost where rho spans many orders of magnitude.  On a
+centered interval with tau = 0 (every quotient of :func:`lambda1_model`)
+the flow from 0 is odd and rho even, and the quotient runs over the odd
+polynomials alone (:func:`_ritz`).  A strictly independent
+finite-difference Sturm-Liouville oracle (:func:`sturm_liouville_oracle`)
+cross-validates them.
 
 Model solutions are shots of v'' = T v' - lambda v from v(0) = -1,
-v'(0) = 0 by Taylor steps of order 20.  Every chart's drift solves the one
-Riccati equation T' = K + T^2/(N-1), so a shot is fixed by its start drift
-T(0) = tau, and tau = -inf starts at a drift pole (tan at +-pi/(2a),
-coth/power at 0) from the Frobenius series of the solution regular there.
-The identity gives the Taylor coefficients of T, and with them those of v
-and v', exactly (Jorba and Zou, Experimental Mathematics 14, 2005);
-between steps T follows its Moebius flow exactly.  The first maximum
-M(tau) rises with tau, so one Illinois regula falsi bracket in
-theta = atan(tau/sqrt(lambda)) fits every max k <= 1, and a k > 1 is the
-reflection of the fit for 1/k (6-10 shots per model-sweep fit,
-model_solution's included; a median of 4 steps per shot, 8 at most).
+v'(0) = 0 by Taylor steps of order 20, each fixed by its start drift
+T(0) = tau like a chart; tau = -inf starts at a drift pole from the
+Frobenius series of the solution regular there.  The Riccati equation
+gives the Taylor coefficients of T, and with them those of v and v',
+exactly (Jorba and Zou, Experimental Mathematics 14, 2005); between steps
+T follows its flow exactly.  The first maximum M(tau) rises with tau, so
+one Illinois regula falsi bracket in theta = atan(tau/sqrt(lambda)) fits
+every max k <= 1, and a k > 1 is the reflection of the fit for 1/k (the
+model-sweep fits of seeds 1-3 take 6-10 shots each, model_solution's
+included: 160 shots of 649 steps, a median of 4 a shot and 8 at most).
 Each shot integrates once and stops after the step where v' falls
 through 0; that step's polynomials give b, v(b) and, for the closest
 probe only, the 2001 samples of the fitted solution.
@@ -64,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,43 +95,66 @@ class _Diverged(SolverError):
 
 
 # ---------------------------------------------------------------------------
-# chart table
+# the Riccati family T' = K + q T^2 and its charts
+
+
+def _q(N: float) -> float:
+    """q = 1/(N-1) of T' = K + q T^2; 0 for N = inf and N = 1 (flat: T = 0)."""
+    return 1.0 / (N - 1.0) if N > 1.0 else 0.0
+
+
+def _omega(K: float, N: float) -> float:
+    """The frequency sqrt(|K|/(N-1)) of y'' = -qK y; 0 where qK = 0."""
+    return math.sqrt(abs(K) / (N - 1.0)) if K else 0.0
+
+
+def _cos_sin(K: float, N: float, h, xp=math):
+    """(c, s) at h: the solutions of y'' = -qK y with (y, y') = (1, 0) and
+    (0, 1) at 0, by the cos and sin of ``xp``: math on a float (the shots),
+    numpy on an array (the charts)."""
+    om = _omega(K, N)
+    if om == 0.0:
+        return 1.0, h
+    x = om * h
+    if K > 0.0:
+        return xp.cos(x), xp.sin(x) / om
+    return xp.cosh(x), xp.sinh(x) / om
+
+
+def _flow(K: float, N: float, tau: float, h, xp=math):
+    """The drift h after T = tau along T' = K + q T^2: the Moebius map
+    (K s + tau c)/(c - q tau s) of :func:`_cos_sin`, and -c/(q s) from a
+    pole (tau = -inf)."""
+    c, s = _cos_sin(K, N, h, xp)
+    q = _q(N)
+    return -c / (q * s) if tau == -_INF else (K * s + tau * c) / (c - q * tau * s)
+
+
+def _pole_ahead(K: float, N: float, tau: float) -> float:
+    """Distance from a start at T = tau to the drift's next pole, the first
+    zero of y = c - q tau s (:func:`_cos_sin`); inf if there is none."""
+    om, x = _omega(K, N), _q(N) * tau
+    if om == 0.0:
+        return 1.0 / x if x > 0.0 else _INF
+    if K > 0.0:
+        return math.atan2(om, x) / om
+    return math.atanh(om / x) / om if x > om else _INF
+
 
 class _Chart(NamedTuple):
     K_sign: int | None  # sign K must have; None: any
     finite_N: bool
-    singular: str | None  # "edges" (t = +-pi/(2a)), "pole" (t = 0) or None
-    drift: Callable  # (problem, t array) -> T
-    density: Callable  # (problem, t array) -> exp(-int T)
-
-
-def _scale(p):
-    """sqrt(|K| (N-1)), the drift's scale on the trigonometric charts."""
-    return math.sqrt(abs(p.K) * (p.N - 1.0))
+    tau: float | None  # start drift T(0); None: the problem's own c
 
 
 _CHARTS = {
-    "tan": _Chart(1, True, "edges",
-                  lambda p, t: _scale(p) * np.tan(p.alpha * t),
-                  lambda p, t: np.cos(p.alpha * t) ** (p.N - 1.0)),
-    "tanh": _Chart(-1, True, None,
-                   lambda p, t: -_scale(p) * np.tanh(p.alpha * t),
-                   lambda p, t: np.cosh(p.alpha * t) ** (p.N - 1.0)),
-    "coth": _Chart(-1, True, "pole",
-                   lambda p, t: -_scale(p) / np.tanh(p.alpha * t),
-                   lambda p, t: np.abs(np.sinh(p.alpha * t)) ** (p.N - 1.0)),
-    "power": _Chart(0, True, "pole",
-                    lambda p, t: -(p.N - 1.0) / t,
-                    lambda p, t: np.abs(t) ** (p.N - 1.0)),
-    "flat": _Chart(0, True, None,
-                   lambda p, t: np.zeros_like(t),
-                   lambda p, t: np.ones_like(t)),
-    "linear": _Chart(None, False, None,
-                     lambda p, t: p.K * t,
-                     lambda p, t: np.exp(-p.K * t * t / 2.0)),
-    "constant": _Chart(0, False, None,
-                       lambda p, t: np.full_like(t, p.c),
-                       lambda p, t: np.exp(-p.c * t)),
+    "tan": _Chart(1, True, 0.0),
+    "tanh": _Chart(-1, True, 0.0),
+    "coth": _Chart(-1, True, -_INF),
+    "power": _Chart(0, True, -_INF),
+    "flat": _Chart(0, True, 0.0),
+    "linear": _Chart(None, False, 0.0),
+    "constant": _Chart(0, False, None),
 }
 
 
@@ -152,65 +173,68 @@ class ModelProblem:
 
     def __post_init__(self):
         K, N, chart = self.K, self.N, self.chart
-        finite = math.isfinite(N)
+        if not math.isfinite(K):
+            raise ValueError(f"K must be finite, got {K}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
         # the flat chart has no N dependence, so N = 1 (a 1-D Lebesgue
         # certificate) is admissible there; every other chart needs N > 1
-        if finite and N <= 1.0 and not (chart == "flat" and N == 1.0):
+        if not (N > 1.0 or (chart == "flat" and N == 1.0)):
             raise ValueError("N must be > 1 (or inf)")
         if chart not in _CHARTS:
             raise ValueError(f"unknown chart {chart!r}")
         spec = _CHARTS[chart]
         sign_ok = {1: K > 0, -1: K < 0, 0: K == 0, None: True}[spec.K_sign]
-        if not (sign_ok and spec.finite_N == finite):
+        if not (sign_ok and spec.finite_N == math.isfinite(N)):
             raise ValueError(f"chart {chart!r} incompatible with K={K}, N={N}")
 
     @property
-    def singular(self) -> str | None:
-        """Where the drift is singular: "edges" (t = +-pi/(2a)), "pole" (t = 0)
-        or None."""
-        return _CHARTS[self.chart].singular
+    def _tau(self) -> float:
+        """The chart's start drift T(0)."""
+        tau = _CHARTS[self.chart].tau
+        return self.c if tau is None else tau
 
     @property
     def alpha(self) -> float:
         """Frequency scale sqrt(|K|/(N-1)) of the trigonometric charts (else 0)."""
-        return math.sqrt(abs(self.K) / (self.N - 1.0)) if self.K else 0.0
+        return _omega(self.K, self.N)
 
     @property
     def half_width(self) -> float:
-        """Half-length of the chart domain (tan chart only, else inf)."""
-        if self.singular == "edges":
-            return math.pi / (2.0 * self.alpha)
-        return _INF
+        """Half-length of the chart domain (tan chart only, else inf): the
+        distance from t = 0 to the drift pole ahead (:func:`_pole_ahead`).
+        Every chart's drift is odd or constant, so the pole behind is as
+        far, and a pole start adds one at t = 0."""
+        return _pole_ahead(self.K, self.N, self._tau)
+
+    def _pole_near(self, t: float) -> float | None:
+        """The drift pole within a relative 1e-12 of t (+-half_width, or 0
+        from a pole start), or None."""
+        h = self.half_width
+        if abs(t) >= h * (1.0 - 1e-12):
+            return math.copysign(h, t)
+        return 0.0 if t == 0.0 and self._tau == -_INF else None
 
     def validate_interval(self, a: float, b: float) -> None:
         """Check [a, b] lies in the closure of a single chart component."""
         if not a < b:
             raise ValueError("need a < b")
-        if self.singular == "edges":
-            h = self.half_width
-            tol = 1e-12 * h
-            if a < -h - tol or b > h + tol:
-                raise ValueError(f"interval [{a}, {b}] exceeds (+-{h})")
-        elif self.singular == "pole":
-            if not (a >= 0.0 or b <= 0.0):
-                raise ValueError("interval must not straddle the pole at t = 0")
+        h = self.half_width
+        if a < -h - 1e-12 * h or b > h + 1e-12 * h:
+            raise ValueError(f"interval [{a}, {b}] exceeds (+-{h})")
+        if self._tau == -_INF and a < 0.0 < b:
+            raise ValueError("interval must not straddle the pole at t = 0")
 
     def singular_left(self, a: float) -> bool:
-        if self.singular == "edges":
-            return a <= -self.half_width * (1.0 - 1e-12)
-        return self.singular == "pole" and a == 0.0
+        return self._pole_near(a) is not None
 
     def singular_right(self, b: float) -> bool:
-        if self.singular == "edges":
-            return b >= self.half_width * (1.0 - 1e-12)
-        return self.singular == "pole" and b == 0.0
+        return self._pole_near(b) is not None
 
 
 def myers_length(K: float, N: float) -> float:
-    """Maximal interval length pi*sqrt((N-1)/K) for K > 0, finite N."""
-    if K <= 0 or not math.isfinite(N):
-        return _INF
-    return math.pi * math.sqrt((N - 1.0) / K)
+    """Maximal interval length pi*sqrt((N-1)/K) for K > 0, finite N (the tan chart's)."""
+    return 2.0 * centered_model(K, N).half_width
 
 
 def centered_model(K: float, N: float) -> ModelProblem:
@@ -228,9 +252,10 @@ def centered_model(K: float, N: float) -> ModelProblem:
 
 def _check_domain(problem: ModelProblem, t) -> None:
     """Raise unless every t lies in the open chart domain."""
-    if problem.singular == "edges" and np.any(np.abs(t) >= problem.half_width):
-        raise ValueError(f"t outside the chart domain (+-{problem.half_width})")
-    if problem.singular == "pole" and np.any(t == 0.0):
+    h = problem.half_width
+    if h < _INF and np.any(np.abs(t) >= h):
+        raise ValueError(f"t outside the chart domain (+-{h})")
+    if problem._tau == -_INF and np.any(t == 0.0):
         raise ValueError("t=0 is a pole of the drift")
 
 
@@ -239,8 +264,17 @@ def coeff_T(problem: ModelProblem, t):
     arrays; raises outside the chart domain."""
     t = np.asarray(t, dtype=float)
     _check_domain(problem, t)
-    T = _CHARTS[problem.chart].drift(problem, t)
+    T = _flow(problem.K, problem.N, problem._tau, t, np)
     return T if t.ndim else float(T)
+
+
+def _density(problem: ModelProblem, t: np.ndarray):
+    """exp(-int_0^t T) up to a constant factor, without the domain check."""
+    K, N, tau = problem.K, problem.N, problem._tau
+    if not math.isfinite(N):
+        return np.exp(-(tau * t + K * t * t / 2.0))
+    c, s = _cos_sin(K, N, t, np)
+    return (np.abs(s) if tau == -_INF else c - _q(N) * tau * s) ** (N - 1.0)
 
 
 def invariant_density(problem: ModelProblem, t):
@@ -251,7 +285,7 @@ def invariant_density(problem: ModelProblem, t):
     """
     t = np.asarray(t, dtype=float)
     _check_domain(problem, t)
-    return _CHARTS[problem.chart].density(problem, t)
+    return _density(problem, t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +336,6 @@ def _poly(c, s):
     return acc
 
 
-def _q(N: float) -> float:
-    """q = 1/(N-1) of T' = K + q T^2; 0 for N = inf and N = 1 (flat: T = 0)."""
-    return 1.0 / (N - 1.0) if N > 1.0 else 0.0
-
-
-def _cos_sin(qK: float, h: float):
-    """(c, s) at h: the solutions of y'' = -qK y with (y, y') = (1, 0) and
-    (0, 1) at 0."""
-    if qK > 0.0:
-        om = math.sqrt(qK)
-        return math.cos(om * h), math.sin(om * h) / om
-    if qK < 0.0:
-        om = math.sqrt(-qK)
-        return math.cosh(om * h), math.sinh(om * h) / om
-    return 1.0, h
-
-
-def _flow(K: float, q: float, T: float, h: float) -> float:
-    """The drift h after T along T' = K + q T^2: the Moebius map
-    (K s + T c)/(c - q T s) of :func:`_cos_sin`, and -c/(q s) from a pole
-    (T = -inf)."""
-    c, s = _cos_sin(q * K, h)
-    return -c / (q * s) if T == -_INF else (K * s + T * c) / (c - q * T * s)
-
-
-def _pole_ahead(K: float, q: float, tau: float) -> float:
-    """Distance from a start at T = tau to the drift's next pole, the first
-    zero of c - q tau s (:func:`_cos_sin`); inf if there is none."""
-    qK, x = q * K, q * tau
-    if qK > 0.0:
-        om = math.sqrt(qK)
-        return math.atan2(om, x) / om
-    if qK < 0.0:
-        om = math.sqrt(-qK)
-        return math.atanh(om / x) / om if x > om else _INF
-    return 1.0 / x if x > 0.0 else _INF
-
-
 def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
     """Integrate v' = w, w' = T w - lam v from v(0) = -1, w(0) = 0 and
     T(0) = tau up to t_end by Taylor steps; t_end must lie short of the
@@ -370,8 +366,7 @@ def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
             break
         if len(steps) >= 2_000_000:
             raise SolverError("integration exceeded step budget")
-        pole = T == -_INF
-        if pole:
+        if T == -_INF:
             cv, cw = _pole_series(K, q, N, lam, v)
         else:
             cv, cw = _series(T, K, q, lam, v, w)
@@ -383,7 +378,7 @@ def _integrate(K, N, lam, tau, t_end, tol=1e-10, until=None):
                     h = min(h, 0.7 * (scale / abs(c)) ** (1.0 / e))
         if h <= 4.45e-16 * t:  # t + h == t: cannot advance
             raise SolverError("step size underflow")
-        T = _flow(K, q, T, h)
+        T = _flow(K, N, T, h)
         w_prev = w
         t, v, w = t + h, _poly(reversed(cv), h), _poly(reversed(cw), h)
         if not (math.isfinite(v) and math.isfinite(w)):
@@ -444,11 +439,8 @@ def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolutio
         raise ValueError("lambda must be positive")
     problem.validate_interval(a, b)
     b_eff = b - 1e-9 * (b - a) if problem.singular_right(b) else b
-    if problem.singular_left(a):
-        tau = -_INF
-        a = -problem.half_width if problem.singular == "edges" else a
-    else:
-        tau = coeff_T(problem, a)
+    pole = problem._pole_near(a)
+    a, tau = (a, coeff_T(problem, a)) if pole is None else (pole, -_INF)
     ts, vs, ws, _ = _integrate(problem.K, problem.N, lam, tau, b_eff - a)
     return ModelSolution(a=a, b=b, lam=lam,
                          ts=a + np.array(ts), vs=np.array(vs), vps=np.array(ws))
@@ -506,9 +498,11 @@ def _stieltjes(x, mu, m):
     return S
 
 
-# charts whose density is even in t: on a centered interval the Ritz
-# vector of :func:`_ritz` is odd, and the oracle's matrix is persymmetric
-_EVEN_CHARTS = ("tan", "tanh", "linear", "flat")
+def _symmetric(problem: ModelProblem, a: float, b: float) -> bool:
+    """[a, b] is centered and the chart's start drift is 0: the flow from 0
+    is odd and the density even, so the Ritz vector of :func:`_ritz` is odd
+    and the oracle's matrix persymmetric."""
+    return a == -b and problem._tau == 0.0
 
 
 def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, n: int):
@@ -526,29 +520,26 @@ def _ritz(problem: ModelProblem, a: float, b: float, alpha: float, beta: float, 
     their Gram matrix D D^T is not.  Its quotient is recomputed from sums of
     squares (the eigenvalue is only good to eps times the largest one).
 
-    On a centered interval with an even density and a symmetric rule
-    (every quotient of :func:`lambda1_model`) the first eigenfunction is
-    odd, and the pi_k of odd degree are x q_j(x^2) with the q_j orthonormal
-    for x^2 mu in y = x^2.  There the recurrence runs in y on the n
+    On a centered interval with an even density (:func:`_symmetric`) and a
+    symmetric rule (every quotient of :func:`lambda1_model`) the first
+    eigenfunction is odd, and the pi_k of odd degree are x q_j(x^2) with
+    the q_j orthonormal for x^2 mu in y = x^2.  There the recurrence runs in y on the n
     positive nodes for n/2 - 1 steps, and the rows sqrt(mu) p_j = Q_j and
     sqrt(mu) p_j' = (Q_j + 2 y Q_j')/sqrt(y) span the odd degrees below n:
     half the degrees on half the nodes.  The top even coefficient is zero,
     so the top odd polynomial carries the tail, and the density's
-    p_(2n-1) coefficient vanishes by symmetry.  On long intervals with
-    K < 0, where lambda_1 is below 1e-9 of the largest stiffness eigenvalue,
-    an eigenvector of the Gram matrix left the tail at rounding noise near
-    1e-7."""
+    p_(2n-1) coefficient vanishes by symmetry."""
     x, ratio, top = _gauss_jacobi(n, alpha, beta)
-    density = _CHARTS[problem.chart].density  # the nodes lie inside (a, b)
-    if a == -b and alpha == beta and problem.chart in _EVEN_CHARTS:
+    # the nodes lie inside (a, b), so rho skips the domain check
+    if alpha == beta and _symmetric(problem, a, b):
         x, top = x[n:], top[n:, :1]
-        mu = ratio[n:] * density(problem, b * x)
+        mu = ratio[n:] * _density(problem, b * x)
         y = x * x
         S = _stieltjes(y, y * mu, n // 2)
         Q, D = S[:, 0], (S[:, 0] + 2.0 * y * S[:, 1]) / x
         top_rows = 1
     else:
-        mu = ratio * density(problem, a + 0.5 * (b - a) * (x + 1.0))
+        mu = ratio * _density(problem, a + 0.5 * (b - a) * (x + 1.0))
         S = _stieltjes(x, mu, n + 1)
         Q, D = S[1:, 0], S[1:, 1]
         top_rows = 2
@@ -572,10 +563,9 @@ def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
     the quotient, the tail and the coefficients are those of the odd
     polynomials alone."""
     problem.validate_interval(a, b)
-    beta = problem.N - 1.0 if problem.singular_left(a) else 0.0
-    alpha = problem.N - 1.0 if problem.singular_right(b) else 0.0
-    if problem.singular == "edges":  # a singular end is the pole itself
-        a, b = -problem.half_width if beta else a, problem.half_width if alpha else b
+    pa, pb = problem._pole_near(a), problem._pole_near(b)  # a singular end is the pole
+    beta, a = (0.0, a) if pa is None else (problem.N - 1.0, pa)
+    alpha, b = (0.0, b) if pb is None else (problem.N - 1.0, pb)
     for n in (24, 48, 96, 192, 384):
         lam, tail, r = _ritz(problem, a, b, alpha, beta, n)
         if tail <= 1e-7 and r <= 1e-12:
@@ -595,19 +585,17 @@ def lambda1_model(K: float, N: float, d: float) -> float:
     below e^-40 of its peak past that cut and underflows at most nodes of
     a longer interval.
     """
-    if not d > 0:  # NaN too
-        raise ValueError("d must be positive")
+    if not 0.0 < d < _INF:  # NaN too
+        raise ValueError(f"d must be positive and finite, got {d}")
     prob = centered_model(K, N)
     if K == 0.0:
         return math.pi**2 / d**2
-    half = d / 2.0
-    if K > 0 and math.isfinite(N):
-        L = myers_length(K, N)
-        if d > L * (1.0 + 1e-9):
-            raise ValueError(f"d={d} exceeds the maximal length {L}")
-        if d >= L * (1.0 - 1e-12):
-            return K * N / (N - 1.0)
-    elif K > 0:
+    half, L = d / 2.0, 2.0 * prob.half_width  # L: the Myers length, or inf
+    if d > L * (1.0 + 1e-9):
+        raise ValueError(f"d={d} exceeds the maximal length {L}")
+    if d >= L * (1.0 - 1e-12):
+        return K * N / (N - 1.0)
+    if K > 0 and not math.isfinite(N):
         half = min(half, math.sqrt(80.0 / K))
     return lambda1_interval(prob, -half, half)
 
@@ -712,7 +700,7 @@ def _first_max(K: float, N: float, lam: float, tau: float) -> _Shot:
     """
     q = _q(N)
     horizon = 64.0 * math.pi / math.sqrt(lam)
-    pole = _pole_ahead(K, q, tau) * (1.0 - 1e-12)
+    pole = _pole_ahead(K, N, tau) * (1.0 - 1e-12)
     try:
         ts, vs, ws, steps = _integrate(K, N, lam, tau, min(horizon, pole), _PROBE_TOL,
                                        partial(_out_of_reach, K, q, lam))
@@ -751,6 +739,8 @@ def model_threshold(K: float, N: float) -> float:
     For K < 0 the bound is the bottom of the coth chart's oscillating range:
     T tends to -sqrt(|K|(N-1)), and at or below it v' has no zero.
     """
+    if not N > 1.0:  # NaN too
+        raise ValueError("N must be > 1 (or inf)")
     if not math.isfinite(N):
         return max(K, 0.0)
     if K > 0:
@@ -774,15 +764,13 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
-    if not N > 1.0:
-        raise ValueError("N must be > 1 (or inf)")
     thresh = model_threshold(K, N)
     if K > 0 and lam < thresh * (1.0 - 1e-12):
         raise ValueError(f"lambda={lam} below the threshold {thresh}")
     if K > 0 and lam <= thresh * (1.0 + 1e-12):
-        omega = math.sqrt(K / (N - 1.0))
+        omega = _omega(K, N)
         x = np.linspace(0.0, math.pi, _DENSE_SAMPLES + 1)
-        sol = ModelSolution(a=0.0, b=math.pi / omega, lam=thresh, ts=x / omega,
+        sol = ModelSolution(a=0.0, b=_pole_ahead(K, N, -_INF), lam=thresh, ts=x / omega,
                             vs=-np.cos(x), vps=omega * np.sin(x), fitted_param=-_INF)
     elif lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")
@@ -877,10 +865,10 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
         return sol
     top, L = sol.vs[-1], sol.b  # the reflection of the fit for 1/k
     sol = ModelSolution(a=0.0, b=L, lam=sol.lam, ts=L - sol.ts[::-1], vs=-sol.vs[::-1] / top,
-                        vps=sol.vps[::-1] / top, fitted_param=-_flow(K, q, sol.fitted_param, L))
+                        vps=sol.vps[::-1] / top, fitted_param=-_flow(K, N, sol.fitted_param, L))
     if abs(sol.max_value - k) > _FIT_TOL and ends and all(b_of.get(t, 0.0) > 0.0
                                                           for t, _ in ends):
-        ends = [(-_flow(K, q, t, b_of[t]), 1.0 / (gx + kp) - k) for t, gx in ends]
+        ends = [(-_flow(K, N, t, b_of[t]), 1.0 / (gx + kp) - k) for t, gx in ends]
         best = None
         _illinois(partial(g, k), ends, 1e-15 * max(abs(t) for t, _ in ends),
                   lambda: best is not None and best[0] <= _FIT_TOL)
@@ -896,6 +884,9 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
 # lambda_1: far above eps ||A||_1, so A + sigma I stays definite, and close
 # to the low end of the spectrum, so the wanted values converge first
 _ORACLE_SHIFT = 0.1
+# the most Lanczos steps a run takes: k values need k + 1 of them, unless
+# the run has at most this many unknowns and fills their space
+_LANCZOS_STEPS = 200
 
 
 def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int, sigma: float,
@@ -915,7 +906,7 @@ def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int, sigma: float,
     stops once that bound is at most tol for the k largest theta, which
     takes k + 1 Ritz values: a lone one has no gap to bound it.  Raises
     SolverError if the factorization finds A + sigma I not positive
-    definite, or the bound is not met within min(n, 200) steps.
+    definite, or the bound is not met within min(n, _LANCZOS_STEPS) steps.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs, dstev
 
@@ -924,7 +915,7 @@ def _lowest_eigenvalues(d: np.ndarray, off: np.ndarray, k: int, sigma: float,
     if info != 0:
         raise SolverError(f"shifted oracle matrix is not positive definite "
                           f"(dpttrf info {info})")
-    steps = min(n, 200)
+    steps = min(n, _LANCZOS_STEPS)
     alpha, beta = np.zeros(steps), np.zeros(steps)  # the Lanczos tridiagonal
     Q = np.empty((min(steps, 31) + 1, n))  # Lanczos vectors, doubled when full
     q = np.cos(np.arange(n, dtype=float))
@@ -964,13 +955,13 @@ def _oracle_matrix(problem: ModelProblem, a: float, b: float,
     symmetric tridiagonal matrix on the n_nodes - 2 interior unknowns of
     :func:`sturm_liouville_oracle`.
 
-    On a centered interval with an even density the drift is odd: it is
-    evaluated on the left half of the nodes and mirrored, with T = 0 at a
-    centre node, so the matrix is exactly persymmetric (d and off read the
-    same backwards)."""
+    On a centered interval of a chart with start drift 0 (:func:`_symmetric`)
+    the drift is odd: it is evaluated on the left half of the nodes and
+    mirrored, with T = 0 at a centre node, so the matrix is exactly
+    persymmetric (d and off read the same backwards)."""
     ts = np.linspace(a, b, n_nodes)
     h = ts[1] - ts[0]
-    if a == -b and problem.chart in _EVEN_CHARTS:
+    if _symmetric(problem, a, b):
         left = coeff_T(problem, ts[:n_nodes // 2])
         T = np.concatenate((left, np.zeros(n_nodes % 2), -left[::-1]))
     else:
@@ -1010,8 +1001,8 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     once every one of the k values is within eps ||A||_1 (the default
     tolerance of LAPACK's bisection).
 
-    On a centered interval with an even density (``_EVEN_CHARTS``: every
-    model reference) A is persymmetric, J A J = A for the reversal J, and
+    On a centered interval of a chart with start drift 0 (:func:`_symmetric`:
+    every model reference) A is persymmetric, J A J = A for the reversal J, and
     splits into two tridiagonal blocks on the first half of the unknowns,
     one for the eigenvectors with J x = x and one for J x = -x (Cantoni and
     Butler, Linear Algebra Appl. 13, 1976).  The off-diagonals are positive,
@@ -1023,7 +1014,9 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     value is the constant mode's, 0.0.  Lanczos runs on each searched block
     with the tolerance of the whole matrix, on half the unknowns: the model
     references (4000 and 8000 nodes, k = 2) take 3-8 steps, 5 at the
-    median, each one solve of half the length.
+    median, each one solve of half the length.  A run asked for
+    _LANCZOS_STEPS or more values on more unknowns than that cannot stop,
+    and such a k raises ValueError before any solve.
 
     Rounding sets a floor of about eps/h^2 absolute (the matrix entries are
     of order 1/h^2), which refining the grid raises: for
@@ -1037,13 +1030,19 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
         raise ValueError("oracle requires regular endpoints")
     if not 1 <= k <= n_nodes - 2:
         raise ValueError(f"k = {k} is outside [1, n_nodes - 2] = [1, {n_nodes - 2}]")
+    folded, n = _symmetric(problem, a, b), n_nodes - 2
+    # the largest run: ceil(k/2) values on the larger half when folded
+    want, size = ((k + 1) // 2, n - n // 2) if folded else (k, n)
+    if want >= _LANCZOS_STEPS and size > _LANCZOS_STEPS:
+        raise ValueError(f"k = {k} needs {want} values from one Lanczos run on {size} "
+                         f"unknowns, which its cap of {_LANCZOS_STEPS} steps cannot give")
     d, off = _oracle_matrix(problem, a, b, n_nodes)
     rows = np.abs(d)
     rows[1:] += off
     rows[:-1] += off
     tol = np.finfo(float).eps * float(rows.max())  # eps ||A||_1
     sigma = _ORACLE_SHIFT * (math.pi / (b - a)) ** 2
-    if not (a == -b and problem.chart in _EVEN_CHARTS):
+    if not folded:
         return _lowest_eigenvalues(d, off, k, sigma, tol)
 
     m, odd = divmod(d.size, 2)

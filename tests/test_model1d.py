@@ -61,10 +61,16 @@ def interior_points(p, rng, n):
 
 
 def scalar_drift(p):
-    """T(t) of chart p by the table's formula for scipy's right-hand sides,
-    one scalar t at a time, without coeff_T's domain check on each call."""
-    formula = model1d._CHARTS[p.chart].drift
-    return lambda t: float(formula(p, t))
+    """T(t) of chart p written out with the math module, for scipy's
+    right-hand sides and as the reference for coeff_T."""
+    cc, al = math.sqrt(abs(p.K) * (p.N - 1.0)), p.alpha
+    return {"tan": lambda t: cc * math.tan(al * t),
+            "tanh": lambda t: -cc * math.tanh(al * t),
+            "coth": lambda t: -cc / math.tanh(al * t),
+            "power": lambda t: -(p.N - 1.0) / t,
+            "flat": lambda t: 0.0,
+            "linear": lambda t: p.K * t,
+            "constant": lambda t: p.c}[p.chart]
 
 
 def chart_start(p, tau):
@@ -125,6 +131,10 @@ class TestDrift:
             ModelProblem(1.0, INF, "flat")
         with pytest.raises(ValueError):
             ModelProblem(1.0, 0.5, "tan")
+        # a non-finite start drift read an SVD failure in the quotient
+        for c in (math.nan, INF):
+            with pytest.raises(ValueError, match="c must be finite"):
+                ModelProblem(0.0, INF, "constant", c)
 
     def test_riccati_identity_100_points(self):
         # T' = K + T^2/(N-1) by central differences on every finite-N chart
@@ -139,23 +149,16 @@ class TestDrift:
 
     @pytest.mark.parametrize("p", all_charts(), ids=lambda p: f"{p.chart}-{p.K}")
     def test_array_drift_matches_scalar(self, p):
-        # the table's one numpy formula per chart, on an array and on each
-        # point, against the drift written out with the math module
-        cc, al = math.sqrt(abs(p.K) * (p.N - 1.0)), p.alpha
-        forms = {"tan": lambda t: cc * math.tan(al * t),
-                 "tanh": lambda t: -cc * math.tanh(al * t),
-                 "coth": lambda t: -cc / math.tanh(al * t),
-                 "power": lambda t: -(p.N - 1.0) / t,
-                 "flat": lambda t: 0.0,
-                 "linear": lambda t: p.K * t,
-                 "constant": lambda t: p.c}
+        # the one flow formula from the chart's start drift, on an array and
+        # on each point, against the drift written out with the math module
         ts = interior_points(p, np.random.default_rng(1), 200)
         vec = coeff_T(p, ts)
         scalar = np.array([coeff_T(p, float(t)) for t in ts])
         assert vec.shape == ts.shape
         assert all(isinstance(x, float) for x in scalar.tolist())
         np.testing.assert_array_max_ulp(vec, scalar, maxulp=0)
-        np.testing.assert_array_max_ulp(vec, [forms[p.chart](float(t)) for t in ts], maxulp=4)
+        form = scalar_drift(p)
+        np.testing.assert_array_max_ulp(vec, [form(float(t)) for t in ts], maxulp=4)
 
 
 class TestInvariantDensity:
@@ -416,6 +419,25 @@ class TestLambda1:
             model_solution(0.0, 1.0, 5.0)
         assert lambda1_model(0.0, 1.0, 1.0) == pytest.approx(math.pi**2, rel=1e-10)
 
+    @pytest.mark.parametrize("K, N, d, match", [
+        (0.0, math.nan, 1.0, "N must be > 1"), (0.0, -INF, 1.0, "N must be > 1"),
+        (0.0, 3.0, INF, "d must be positive"), (-INF, 3.0, 1.0, "K must be finite"),
+        (-1.0, INF, INF, "d must be positive")])
+    def test_impossible_parameters_rejected(self, K, N, d, match):
+        # these read pi^2, pi^2, 0.0, a RuntimeWarning and an SVD failure
+        with pytest.raises(ValueError, match=match):
+            lambda1_model(K, N, d)
+
+    @pytest.mark.parametrize("K", [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0])
+    @pytest.mark.parametrize("d", [0.3, 1.0, 1.5, 2.5, 3.0])
+    def test_gaussian_curvature_shift(self, K, d):
+        # v' of the first Neumann mode for drift K t is the Dirichlet ground
+        # state with eigenvalue lambda - K; e^(-K t^2/2) v' is then the
+        # Dirichlet ground state for drift -K t with eigenvalue lambda, whose
+        # Neumann value is lambda - K
+        assert lambda1_model(K, INF, d) == pytest.approx(lambda1_model(-K, INF, d) + K,
+                                                         rel=1e-13, abs=0)
+
     def test_model_gaussian_large_interval(self):
         assert lambda1_model(1.0, INF, 10.0) == pytest.approx(1.0, abs=1e-3)
 
@@ -479,7 +501,7 @@ class TestLambda1:
             return lambda1_interval(p, -h, h), tails
 
         odd, odd_tails = run()
-        monkeypatch.setattr(model1d, "_EVEN_CHARTS", ())
+        monkeypatch.setattr(model1d, "_symmetric", lambda problem, a, b: False)
         full, full_tails = run()
         assert [n for n, _ in odd_tails] == [n for n, _ in full_tails]
         rel, floor = self.ODD_TOL.get((K, N, chart, h), (1e-14, 1e-8))
@@ -513,11 +535,12 @@ class TestLambda1:
             assert vals[0] == pytest.approx(0.0, abs=1e-6 * vals[1])
             assert lam == pytest.approx(vals[1], rel=1e-6)
 
-    # a centered point on every chart
+    # a centered point on every chart, the last at 0.9 of the Myers length
+    # pi sqrt((N-1)/K)
     WORK_POINTS = [(-1.0, 3.0, 2.0), (-3.0, 5.0, 1.0), (-2.0, INF, 2.5),
                    (0.0, 4.0, 1.0), (0.0, INF, 0.5), (1.0, 3.0, 2.0),
                    (3.0, INF, 2.0), (0.5, 2.0, 4.0),
-                   (2.0, 10.0, 0.9 * myers_length(2.0, 10.0))]
+                   (2.0, 10.0, 0.9 * math.pi * math.sqrt(4.5))]
 
     @pytest.mark.parametrize("K, N, d", WORK_POINTS)
     def test_work_bound(self, monkeypatch, K, N, d):
@@ -637,6 +660,14 @@ class TestModelSolution:
             model_solution(-1.0, 3.0, 0.5)
         with pytest.raises(ValueError, match="threshold 1.0"):
             fit_model_solution(-4.0, 2.0, 0.5, 0.9)
+
+    @pytest.mark.parametrize("N", [1.0, 0.5, math.nan])
+    def test_threshold_needs_N_above_one(self, N):
+        # N = 1 divided by zero, and N = 0.5 read a threshold of -1.0
+        with pytest.raises(ValueError, match="N must be > 1"):
+            model1d.model_threshold(1.0, N)
+        with pytest.raises(ValueError, match="N must be > 1"):
+            fit_model_solution(1.0, N, 5.0, 1.0)
 
     def test_vprime_positive_interior(self):
         ms = model_solution(-1.0, 3.0, 4.0)
@@ -833,7 +864,7 @@ class TestFitBranches:
         # negative there; such a probe has no first maximum and, as every
         # probe past the fitted start drift, reads M = +inf
         q, tau = 1.0 / (N - 1.0), 1.0
-        cap = model1d._pole_ahead(K, q, tau) * (1.0 - 1e-12)
+        cap = model1d._pole_ahead(K, N, tau) * (1.0 - 1e-12)
         ts, vs, ws, _ = model1d._integrate(K, N, lam, tau, cap, 1e-12,
                                            partial(model1d._out_of_reach, K, q, lam))
         assert ts[-1] == pytest.approx(cap, rel=1e-12)
@@ -1163,7 +1194,7 @@ class TestOracle:
     # folds: those above and criterion 3's (tan and tanh on (-1, 1) are in
     # both)
     FOLDED = [(p, a, b) for p, a, b in CASES
-              if a == -b and p.chart in model1d._EVEN_CHARTS]
+              if model1d._symmetric(p, a, b)]
     FOLDED += [(ModelProblem(0.0, 2.0, "flat"), -0.5, 0.5),
                (ModelProblem(1.0, INF, "linear"), -2.0, 2.0)]
 
@@ -1238,6 +1269,18 @@ class TestOracle:
             for k in (n - 3, n - 2):
                 vals = sturm_liouville_oracle(p, a, b, n_nodes=n, k=k)
                 np.testing.assert_allclose(vals, ref[:k], rtol=1e-12, atol=1e-13)
+
+    def test_k_past_the_lanczos_cap(self):
+        # k + 1 Ritz values need k + 1 steps: one run of 201 values on 3998
+        # unknowns cannot stop (it raised after 200 steps and about 1 s),
+        # while the folded matrix splits them into runs of 101 and 100
+        p = ModelProblem(2.0, INF, "linear")
+        with pytest.raises(ValueError, match="k = 201 .* cap of 200 steps"):
+            sturm_liouville_oracle(p, 0.5, 3.0, n_nodes=4000, k=201)
+        vals = sturm_liouville_oracle(p, -1.5, 1.5, n_nodes=4000, k=201)
+        assert vals.shape == (201,) and np.all(np.diff(vals) > 0)
+        low = sturm_liouville_oracle(p, -1.5, 1.5, n_nodes=4000, k=5)
+        assert vals[:5] == pytest.approx(low, rel=1e-10, abs=1e-10)
 
     def test_shift_not_positive_definite(self):
         # tridiag(-1, 2, -1) has eigenvalues in (0, 4): shifted by -1 it is
