@@ -6,25 +6,34 @@ Subcommands:
   geom         node count, total measure, analytic and lattice diameters
   solve        discrete eigensolve for one case config
   verify       bound verification for one case config
-  suite        full verification suite from a config file
+  suite        the golden suite, or the suite of a config file
+
+verify and suite print one row per case and exit with the suite's status:
+0 when every case holds (within its tolerance), 1 when some case is
+violated, 2 when some case raised or is inconclusive.  model-table exits 2
+when a grid point's solve fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
 import sys
+import time
 
 from .domain import analytic_diameter, build_domain, diameter, domain_spec_from_config
 from .eigensolver import minimize_rayleigh
-from .harness import case_resolutions, run_suite, write_eigenfunction_csv
-from .model1d import lambda1_model
+from .harness import case_resolutions, golden_cases, run_suite, write_eigenfunction_csv
+from .model1d import SolverError, lambda1_model
+
+_DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
 
 
-def _load_case(path: str) -> dict:
+def _load_json(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
 
@@ -40,27 +49,28 @@ def cmd_model_eig(args) -> int:
 
 
 def cmd_model_table(args) -> int:
-    with open(args.config) as f:
-        grid = json.load(f)
+    grid = _load_json(args.config)
     Ks = [float(k) for k in grid["K"]]
     Ns = [float(n) for n in grid["N"]]
     ds = [float(d) for d in grid["d"]]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    w = csv.writer(out)
-    w.writerow(["K", "N", "d", "lambda"])
-    for K, N, d in itertools.product(Ks, Ns, ds):
-        try:
-            lam = repr(lambda1_model(K, N, d))
-        except ValueError:
-            lam = "NA"  # outside the admissible length range
-        w.writerow([repr(K), "inf" if math.isinf(N) else repr(N), repr(d), lam])
-    if args.out:
-        out.close()
-    return 0
+    failed = False
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        w = csv.writer(out)
+        w.writerow(["K", "N", "d", "lambda"])
+        for K, N, d in itertools.product(Ks, Ns, ds):
+            try:
+                lam = repr(lambda1_model(K, N, d))
+            except ValueError:
+                lam = "NA"  # outside the admissible length range
+            except SolverError:
+                lam, failed = "error", True
+            w.writerow([repr(K), "inf" if math.isinf(N) else repr(N), repr(d), lam])
+    return 2 if failed else 0
 
 
 def cmd_geom(args) -> int:
-    case = _load_case(args.spec)
+    case = _load_json(args.spec)
     spec = _finest_spec(case)
     dom = build_domain(spec)
     print(f"nodes: {dom.n_nodes}")
@@ -71,7 +81,7 @@ def cmd_geom(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = _load_case(args.spec)
+    case = _load_json(args.spec)
     spec = _finest_spec(case)
     dom = build_domain(spec)
     res = minimize_rayleigh(dom, spec.norm, seed=args.seed)
@@ -86,32 +96,87 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    case = _load_case(args.spec)
-    result = run_suite({"cases": [case]}, out_dir=args.out)
-    summary = result.summaries[0]
-    if summary.get("error") is not None:
-        print(f"error: {summary['error']}")
-        return 2
-    r = summary["bound_report"]
-    print(f"case {r['case_id']}: lambda={r['lambda_numeric']:.8g} "
-          f"d={r['diameter_used']:.6g} bound={r['bound']:.8g} "
-          f"margin={r['margin']:+.3e} verdict={r['verdict']}")
+def _closed_form(case: dict):
+    """The exact first Neumann eigenvalue of the case's continuum problem, or
+    None where there is none or lambda1_model cannot give it.
+
+    A case that separates by axis (a two-slope interval, a Euclidean or
+    diagonal quadratic box, Lebesgue or Gaussian) has
+    min_k lambda1_model(kappa, inf, L_k) / c_k, with kappa = 0 for the
+    Lebesgue weight: the eigenvalue of -u'' + kappa x u' on [-L_k/2, L_k/2]
+    over the weight F*(xi)^2 puts on axis k, c_k = A_kk for the box and
+    a_max^2 for the interval, whose monotone eigenfunction sees one slope.
+    The Euclidean disk of radius R has (j'_{1,1}/R)^2.
+    """
+    shape, norm = case["domain"], case["norm"]
+    family, params = norm["family"], norm.get("params", {})
+    weight = case.get("weight", {"kind": "lebesgue"})
+    if shape["shape"] == "ball":
+        if family == "euclidean" and norm["dim"] == 2 and weight["kind"] == "lebesgue":
+            return (_DISK_J11 / shape["radius"]) ** 2
+        return None
+    lengths = shape["lengths"] if shape["shape"] == "box" else [shape["length"]]
+    if family == "two_slope_1d":
+        c = [max(params["a_plus"], params["a_minus"]) ** 2]
+    elif family in ("euclidean", "quadratic"):
+        dim = norm["dim"]
+        A = params.get("A", [float(i == j) for i in range(dim) for j in range(dim)])
+        if any(A[i * dim + j] for i in range(dim) for j in range(dim) if i != j):
+            return None
+        c = [A[k * dim + k] for k in range(dim)]
+    else:
+        return None
+    kappa = weight["kappa"] if weight["kind"] == "gaussian" else 0.0
+    try:
+        return min(lambda1_model(kappa, math.inf, L) / c_k for L, c_k in zip(lengths, c))
+    except (ValueError, SolverError):
+        return None
+
+
+def _run_and_print(config: dict, out_dir: str) -> int:
+    """Run the suite and print each case's row: lambda, its relative error
+    against the closed form ("-" where there is none), the gradient
+    comparison's fraction of nodes within tolerance and its core gap ("-"
+    where the comparison is inconclusive), bound, margin and verdict, then
+    the descent's iterations, evaluations and convergence at every
+    resolution; the last line is the suite's wall time."""
+    t0 = time.perf_counter()
+    result = run_suite(config, out_dir=out_dir)
+    wall = time.perf_counter() - t0
+    cases = {}  # a case whose id repeats an earlier one's is an error row
+    for c in config.get("cases", []):
+        cases.setdefault(str(c.get("id", "case")), c)
+    print(f"{'case':28s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
+          f"{'core gap':>10s} {'bound':>10s} {'margin':>11s} verdict")
+    for s in result.summaries:
+        if s.get("error") is not None:
+            print(f"{s['id']:28s} ERROR: {s['error']}")
+            continue
+        r = s["bound_report"]
+        lam, ref = r["lambda_numeric"], _closed_form(cases[r["case_id"]])
+        err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
+        g = s["gradient_comparison"]
+        frac, gap = "-", "-"
+        if not g["inconclusive"]:
+            frac = f"{g['fraction']:.6f}"
+            gap = "-" if g["max_gap_core"] is None else f"{g['max_gap_core']:.3e}"
+        print(f"{r['case_id']:28s} {lam:10.6f} {err:>10s} {frac:>8s} {gap:>10s} "
+              f"{r['bound']:10.6f} {r['margin']:+11.3e} {r['verdict']}")
+        solves = zip(r["lambda_by_resolution"], r["iterations"], r["evaluations"],
+                     r["converged"])
+        print(" " * 28 + "  ".join(f"r={res} it={it} ev={ev} converged={conv}"
+                                   for (res, _), it, ev, conv in solves))
+    print(f"suite wall time {wall:.2f} s; outputs in {out_dir}")
     return result.exit_code
+
+
+def cmd_verify(args) -> int:
+    return _run_and_print({"cases": [_load_json(args.spec)]}, args.out)
 
 
 def cmd_suite(args) -> int:
-    result = run_suite(args.config, out_dir=args.out)
-    for s in result.summaries:
-        if s.get("error") is not None:
-            print(f"{s['id']}: ERROR {s['error']}")
-            continue
-        r = s["bound_report"]
-        print(f"{r['case_id']}: lambda={r['lambda_numeric']:.8g} "
-              f"bound={r['bound']:.8g} margin={r['margin']:+.3e} "
-              f"-> {r['verdict']}")
-    print(f"summary written to {result.out_dir}")
-    return result.exit_code
+    config = {"cases": golden_cases()} if args.config is None else _load_json(args.config)
+    return _run_and_print(config, args.out)
 
 
 def main(argv=None) -> int:
@@ -148,7 +213,8 @@ def main(argv=None) -> int:
     pv.set_defaults(fn=cmd_verify)
 
     pu = sub.add_parser("suite", help="run a verification suite")
-    pu.add_argument("--config", required=True, help="suite config JSON")
+    pu.add_argument("--config", default=None,
+                    help="suite config JSON (default: the golden suite)")
     pu.add_argument("--out", required=True, help="output directory")
     pu.set_defaults(fn=cmd_suite)
 

@@ -26,8 +26,9 @@ pointwise comparison u is additionally shrunk by (1 - 1e-6) so its range
 stays strictly inside the model's.
 
 Suites run their cases one after another, never abort on a single case,
-and write a deterministic summary.json plus per-case CSV dumps; the exit
-status is nonzero iff some case is violated.
+and write a deterministic summary.json plus per-case CSV dumps.  The exit
+status is 0 when every case reads holds or holds_within_tol, 1 when some
+case is violated, and 2 otherwise: some case raised or is inconclusive.
 """
 
 from __future__ import annotations
@@ -186,6 +187,10 @@ def run_case(case: dict) -> CaseResult:
     # worked out once
     base = domain_spec_from_config(dict(case, resolution=res_list[0]))
     cert = _case_certificate(case, base)
+    # neither depends on the resolution, and a certificate no space of this
+    # diameter can have fails here, before any descent
+    d_used = analytic_diameter(base)
+    bound = lambda1_model(cert.K, cert.N, d_used)
     for r in res_list:
         spec = replace(base, resolution=r)
         dom = build_domain(spec)
@@ -195,8 +200,6 @@ def run_case(case: dict) -> CaseResult:
 
     lam_num = lams[-1]
     tol_disc = max(2.0 * abs(lams[-1] - lams[-2]), 1e-8)
-    d_used = analytic_diameter(spec)
-    bound = lambda1_model(cert.K, cert.N, d_used)
     margin = lam_num - bound
     # an unfinished descent only overstates lambda: it can still show a
     # violation, but never that the bound holds
@@ -331,7 +334,8 @@ def lichnerowicz_check(cert: CurvatureCertificate, lam_numeric: float,
 
 
 def golden_cases() -> list[dict]:
-    """The verification suite: sharp 1-D cases, boxes, weighted boxes, balls."""
+    """The verification suite: sharp 1-D cases, boxes (one 3-D), weighted
+    boxes, balls."""
     base = [
         {
             "id": "sharp-1d-twoslope-sym",
@@ -416,6 +420,13 @@ def golden_cases() -> list[dict]:
             "resolutions": [8, 16],
         },
         {
+            "id": "box3d-euclid",
+            "domain": {"shape": "box", "lengths": [1.0, 1.0, 1.0]},
+            "norm": {"family": "euclidean", "dim": 3},
+            "weight": {"kind": "lebesgue"},
+            "resolutions": [8, 16],
+        },
+        {
             "id": "ball-euclid",
             "domain": {"shape": "ball", "radius": 0.5},
             "norm": {"family": "euclidean", "dim": 2},
@@ -481,32 +492,32 @@ def _pipeline(case: dict, seen: set):
 class SuiteResult:
     summaries: list
     exit_code: int
-    out_dir: str
 
 
-def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
+def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     """Run the config's cases in order; write summary.json, bounds.csv and
-    per-case eigenfunction dumps.  Exit code 1 iff some verdict is violated.
-    ``jobs`` must be 1; it is accepted because perfbench's worker passes it.
+    per-case eigenfunction dumps.  The exit code is 0 when every case reads
+    holds or holds_within_tol, 1 when some case is violated, and 2 when
+    none is but some case raised or is inconclusive: a case that decides
+    nothing does not pass.  ``jobs`` must be 1; it is accepted because
+    perfbench's worker passes it.
     """
     if jobs != 1:
         raise ValueError("run_suite runs its cases in order; jobs must be 1")
-    if isinstance(config, (str, os.PathLike)):
-        with open(config) as f:
-            config = json.load(f)
     cases = config.get("cases", [])
     os.makedirs(out_dir, exist_ok=True)
 
     seen = set()
     results = sorted((_pipeline(case, seen) for case in cases), key=lambda t: str(t[0]))
-    summaries = []
-    violated = 0
+    summaries, verdicts = [], []  # an error row's verdict is "error"
     for case_id, summary, dump in results:
         summaries.append(summary)
-        if summary.get("error") is None:
-            if summary["bound_report"]["verdict"] == "violated":
-                violated += 1
-            write_eigenfunction_csv(os.path.join(out_dir, f"case-{case_id}.csv"), *dump)
+        if summary.get("error") is not None:
+            verdicts.append("error")
+            continue
+        verdicts.append(summary["bound_report"]["verdict"])
+        write_eigenfunction_csv(os.path.join(out_dir, f"case-{case_id}.csv"), *dump)
+    violated = verdicts.count("violated")
 
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump({"cases": summaries, "n_violated": violated},
@@ -527,6 +538,10 @@ def run_suite(config, out_dir: str, jobs: int = 1) -> SuiteResult:
                         repr(r["bound"]), repr(r["margin"]),
                         repr(r["discretization_tolerance"]), r["verdict"]])
 
-    return SuiteResult(summaries=summaries,
-                       exit_code=1 if violated else 0,
-                       out_dir=out_dir)
+    if violated:
+        exit_code = 1
+    elif set(verdicts) <= {"holds", "holds_within_tol"}:
+        exit_code = 0
+    else:
+        exit_code = 2
+    return SuiteResult(summaries=summaries, exit_code=exit_code)

@@ -748,6 +748,13 @@ def model_threshold(K: float, N: float) -> float:
     return abs(K) * (N - 1.0) / 4.0
 
 
+def _check_fit_args(K: float, lam: float) -> None:
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K}")
+    if math.isnan(lam):
+        raise ValueError(f"lam must be a number, got {lam}")
+
+
 @lru_cache(maxsize=1)
 def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     """Solution v with v(0) = -1, v'(0) = 0 from a drift pole, T(0) = -inf,
@@ -762,6 +769,7 @@ def model_solution(K: float, N: float, lam: float) -> ModelSolution:
     lattice case needs it in the fit and in the maxima check), so its arrays
     are read-only.
     """
+    _check_fit_args(K, lam)
     if not math.isfinite(N):
         raise ValueError("model_solution requires finite N")
     thresh = model_threshold(K, N)
@@ -813,8 +821,9 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     and a k past the family's reach raises ValueError naming the closest
     maximum reached.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _check_fit_args(K, lam)
+    if not k > 0:  # NaN too
+        raise ValueError(f"k must be positive, got {k}")
     thresh = model_threshold(K, N)
     if lam <= thresh:
         raise ValueError(f"lambda={lam} must exceed the threshold {thresh}")

@@ -7,6 +7,7 @@ import pytest
 
 from fingap.cli import main
 from fingap.harness import golden_cases
+from fingap.model1d import SolverError, lambda1_model
 
 
 @pytest.fixture
@@ -68,7 +69,14 @@ def test_solve_and_dump(case_file, tmp_path, capsys):
 def test_verify(case_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["verify", "--spec", case_file, "--out", str(out_dir)]) == 0
-    assert "verdict=holds" in capsys.readouterr().out
+    header, row, solves, wall = capsys.readouterr().out.splitlines()
+    assert row.split()[0] == "cli-interval"
+    assert abs(float(row.split()[2])) < 1e-3  # relative error against pi^2
+    # the interval is sharp: its bound is pi^2, and the descent's lambda sits
+    # within the error bar below it
+    assert row.split()[-1] == "holds_within_tol"
+    assert [w.split("=")[0] for w in solves.split()] == ["r", "it", "ev", "converged"] * 2
+    assert wall.startswith("suite wall time")
     assert (out_dir / "summary.json").exists()
 
 
@@ -102,6 +110,70 @@ def test_suite_exits_1_on_a_violation(tmp_path):
     assert main(["suite", "--config", str(cfg), "--out", str(out_dir)]) == 1
     assert (out_dir / "case-box-euclid.csv").exists()
     assert (out_dir / "case-box-euclid-false.csv").exists()
+
+
+def bad_norm_case(ident):
+    """A case that raises: its Randers drift has b^T A^{-1} b >= 1."""
+    return {
+        "id": ident,
+        "domain": {"shape": "box", "lengths": [1.0, 1.0]},
+        "norm": {"family": "randers", "dim": 2,
+                 "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}},
+        "resolutions": [5, 10],
+    }
+
+
+def test_golden_suite_fails_on_error(tmp_path, monkeypatch, capsys):
+    # with no --config, fingap suite runs golden_cases()
+    good = next(c for c in golden_cases() if c["id"] == "sharp-1d-twoslope-sym")
+    for cases, code in (([good], 0), ([bad_norm_case("bad"), good], 2)):
+        monkeypatch.setattr("fingap.cli.golden_cases", lambda: cases)
+        assert main(["suite", "--out", str(tmp_path / "out")]) == code
+    out = capsys.readouterr().out
+    assert "bad                          ERROR: " in out
+    # the twoslope interval's closed form is pi^2/4
+    row = next(line for line in out.splitlines() if line.startswith("sharp-1d"))
+    assert abs(float(row.split()[2])) < 1e-4
+
+
+@pytest.mark.parametrize("with_violation, max_iter, code", [
+    (False, None, 2), (True, None, 1), (False, 3, 2),
+], ids=["errored", "violated-and-errored", "inconclusive"])
+def test_suite_exit_status(tmp_path, monkeypatch, with_violation, max_iter, code):
+    # a violation outranks an error; a descent capped at 3 iterations does
+    # not converge, so its case is inconclusive
+    from fingap import eigensolver
+
+    box = next(c for c in golden_cases() if c["id"] == "box-euclid")
+    box = dict(box, resolutions=[10, 20])
+    if max_iter is None:
+        cases = [bad_norm_case("bad"), box]
+    else:
+        monkeypatch.setattr(eigensolver, "_MAX_ITER", max_iter)
+        cases = [box]
+    if with_violation:
+        cases[1] = dict(box, certificate={"K": 12.0, "N": "inf"})
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"cases": cases}))
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+
+
+def test_model_table_finishes_after_a_failed_solve(tmp_path, monkeypatch):
+    # a SolverError reads "error", the table goes on, and the exit is 2
+    def model(K, N, d):
+        if (K, d) == (-30.0, 3.0):
+            raise SolverError("did not settle")
+        return lambda1_model(K, N, d)
+
+    monkeypatch.setattr("fingap.cli.lambda1_model", model)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"K": [-30, 1], "N": ["inf"], "d": [1, 3]}))
+    out = tmp_path / "table.csv"
+    assert main(["model-table", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert len(lines) == 5
+    assert lines[2] == "-30.0,inf,3.0,error"
+    assert lines[4] == f"1.0,inf,3.0,{lambda1_model(1.0, math.inf, 3.0)!r}"
 
 
 @pytest.mark.parametrize("command", ["geom", "solve"])

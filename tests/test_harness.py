@@ -49,6 +49,35 @@ def box_case(res=(10, 20), ident="box"):
     }
 
 
+def bad_norm_case(ident="bad-norm"):
+    """A case that raises: its Randers drift has b^T A^{-1} b >= 1."""
+    return {
+        "id": ident,
+        "domain": {"shape": "box", "lengths": [1.0, 1.0]},
+        "norm": {"family": "randers", "dim": 2,
+                 "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}},
+        "weight": {"kind": "gaussian", "kappa": 1.0},
+        "resolutions": [5, 10],
+    }
+
+
+def false_box(ident="false"):
+    """A box under the false certificate K = 12: its bound 13.1 lies far
+    above lambda = 9.87, so it reads violated."""
+    return dict(box_case(ident=ident), certificate={"K": 12.0, "N": "inf"})
+
+
+# (cases, descent iteration cap or None, exit status): the rows of the
+# suite's exit rule; TestNegativeControls has "some case violated"
+SUITE_EXITS = [
+    pytest.param([sharp_case(res=(25, 50), ident="good")], None, 0, id="holds"),
+    pytest.param([bad_norm_case(), false_box()], None, 1, id="violated-and-errored"),
+    pytest.param([bad_norm_case(), box_case()], None, 2, id="errored"),
+    # a descent capped at 3 iterations does not converge
+    pytest.param([box_case()], 3, 2, id="inconclusive"),
+]
+
+
 class TestVerifyBound:
     def test_sharp_two_slope(self):
         rep = run_case(sharp_case()).report
@@ -267,40 +296,34 @@ class TestSuite:
         assert data["cases"] == []
 
     def test_error_isolation(self, tmp_path):
-        bad = {
-            "id": "bad-norm",
-            "domain": {"shape": "box", "lengths": [1.0, 1.0]},
-            "norm": {"family": "randers", "dim": 2,  # b^T A^{-1} b >= 1
-                     "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}},
-            "weight": {"kind": "gaussian", "kappa": 1.0},
-            "resolutions": [5, 10],
-        }
         good = sharp_case(res=(25, 50), ident="good")
-        result = run_suite({"cases": [bad, good]}, out_dir=str(tmp_path / "out"))
+        result = run_suite({"cases": [bad_norm_case(), good]}, out_dir=str(tmp_path / "out"))
         by_id = {s["id"]: s for s in result.summaries}
         assert by_id["bad-norm"]["error"] is not None
         assert by_id["good"]["error"] is None
-        assert result.exit_code == 0  # errors are not violations
+        assert result.exit_code == 2  # a case that raised decides nothing
 
-    def test_golden_script_fails_on_error(self, tmp_path, monkeypatch):
-        # unlike run_suite, the golden suite's script fails on a case that errors
-        import importlib.util
-        import sys
+    @pytest.mark.parametrize("cases, max_iter, code", SUITE_EXITS)
+    def test_exit_status(self, tmp_path, monkeypatch, cases, max_iter, code):
+        from fingap import eigensolver
 
-        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                            "run_golden_suite.py")
-        loader = importlib.util.spec_from_file_location("run_golden_suite", path)
-        script = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(script)
-        bad = dict(box_case(res=(5, 10), ident="bad"),
-                   norm={"family": "randers", "dim": 2,
-                         "params": {"A": [1, 0, 0, 1], "b": [1.2, 0.0]}})
-        good = sharp_case(res=(25, 50), ident="good")
-        monkeypatch.setattr(sys, "argv", ["run_golden_suite.py", "--out",
-                                          str(tmp_path / "out")])
-        for cases, code in (([good], 0), ([bad, good], 1)):
-            monkeypatch.setattr(script, "golden_cases", lambda: cases)
-            assert script.main() == code
+        if max_iter is not None:
+            monkeypatch.setattr(eigensolver, "_MAX_ITER", max_iter)
+        assert run_suite({"cases": cases}, out_dir=str(tmp_path / "out")).exit_code == code
+
+    def test_impossible_bound_fails_before_the_descents(self, tmp_path, monkeypatch):
+        # d = sqrt(2) exceeds the Myers length pi/sqrt(K/(N-1)) = 0.314
+        from fingap import harness
+
+        calls = []
+        solve = harness.minimize_rayleigh
+        monkeypatch.setattr(harness, "minimize_rayleigh",
+                            lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+        case = dict(box_case(), certificate={"K": 100.0, "N": 2.0})
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert "exceeds the maximal length" in result.summaries[0]["error"]
+        assert calls == []
+        assert result.exit_code == 2
 
     @pytest.mark.parametrize("block, key", [
         ("domain", "norm"), ("certificate", "K"), ("certificate", "N"),
@@ -369,7 +392,7 @@ class TestSuite:
         assert [c["id"] for c in summary["cases"]] == ["dup", "dup"]
         assert summary["cases"][0]["error"] is None
         assert summary["cases"][1]["error"] == "case id 'dup' repeats an earlier case's id"
-        assert result.exit_code == 0
+        assert result.exit_code == 2
         run_suite({"cases": [first]}, out_dir=str(tmp_path / "alone"))
         assert sorted(p.name for p in out.glob("case-*.csv")) == ["case-dup.csv"]
         assert ((out / "case-dup.csv").read_bytes()

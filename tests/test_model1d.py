@@ -669,6 +669,19 @@ class TestModelSolution:
         with pytest.raises(ValueError, match="N must be > 1"):
             fit_model_solution(1.0, N, 5.0, 1.0)
 
+    @pytest.mark.parametrize("fn, args, match", [
+        (model_solution, (math.nan, 3.0, 6.0), "K must be finite, got nan"),
+        (model_solution, (-INF, 3.0, 6.0), "K must be finite, got -inf"),
+        (model_solution, (1.0, 3.0, math.nan), "lam must be a number, got nan"),
+        (fit_model_solution, (math.nan, 3.0, 6.0, 0.9), "K must be finite, got nan"),
+        (fit_model_solution, (1.0, 3.0, math.nan, 0.9), "lam must be a number, got nan"),
+        (fit_model_solution, (1.0, 3.0, 6.0, math.nan), "k must be positive, got nan"),
+    ], ids=["solution-K", "solution-K-inf", "solution-lam", "fit-K", "fit-lam", "fit-k"])
+    def test_nan_arguments_named(self, fn, args, match):
+        # each raised SolverError, or probed for 0.13 s first (k = NaN)
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
     def test_vprime_positive_interior(self):
         ms = model_solution(-1.0, 3.0, 4.0)
         assert np.all(ms.vps[1:-1] > 0)
