@@ -25,9 +25,13 @@ import math
 import sys
 import time
 
-from .domain import analytic_diameter, build_domain, diameter, domain_spec_from_config
+import numpy as np
+
+from .domain import (DomainSpec, analytic_diameter, build_domain, diameter,
+                     domain_spec_from_config)
 from .eigensolver import minimize_rayleigh
-from .harness import case_resolutions, golden_cases, run_suite, write_eigenfunction_csv
+from .harness import (case_name, case_resolutions, golden_cases, run_suite,
+                      write_eigenfunction_csv)
 from .model1d import SolverError, lambda1_model
 
 _DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
@@ -96,39 +100,37 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _closed_form(case: dict):
+def _closed_form(spec: DomainSpec):
     """The exact first Neumann eigenvalue of the case's continuum problem, or
     None where there is none or lambda1_model cannot give it.
 
-    A case that separates by axis (a two-slope interval, a Euclidean or
-    diagonal quadratic box, Lebesgue or Gaussian) has
+    A case that separates by axis (a 1-D norm, or a Euclidean or diagonal
+    quadratic box; Lebesgue or Gaussian) has
     min_k lambda1_model(kappa, inf, L_k) / c_k, with kappa = 0 for the
     Lebesgue weight: the eigenvalue of -u'' + kappa x u' on [-L_k/2, L_k/2]
     over the weight F*(xi)^2 puts on axis k, c_k = A_kk for the box and
-    a_max^2 for the interval, whose monotone eigenfunction sees one slope.
+    (sqrt(A) + |b|)^2, the larger slope squared, for F(v) = sqrt(A)|v| + bv
+    on an interval, whose monotone eigenfunction sees one slope.
     The Euclidean disk of radius R has (j'_{1,1}/R)^2.
     """
-    shape, norm = case["domain"], case["norm"]
-    family, params = norm["family"], norm.get("params", {})
-    weight = case.get("weight", {"kind": "lebesgue"})
-    if shape["shape"] == "ball":
-        if family == "euclidean" and norm["dim"] == 2 and weight["kind"] == "lebesgue":
-            return (_DISK_J11 / shape["radius"]) ** 2
+    norm = spec.norm
+    if spec.shape == "ball":
+        if norm.A is None and norm.dim == 2 and spec.weight == "lebesgue":
+            return (_DISK_J11 / spec.radius) ** 2
         return None
-    lengths = shape["lengths"] if shape["shape"] == "box" else [shape["length"]]
-    if family == "two_slope_1d":
-        c = [max(params["a_plus"], params["a_minus"]) ** 2]
-    elif family in ("euclidean", "quadratic"):
-        dim = norm["dim"]
-        A = params.get("A", [float(i == j) for i in range(dim) for j in range(dim)])
-        if any(A[i * dim + j] for i in range(dim) for j in range(dim) if i != j):
+    A = np.eye(norm.dim) if norm.A is None else norm.A
+    if norm.b is None:
+        if np.any(A != np.diag(np.diag(A))):
             return None
-        c = [A[k * dim + k] for k in range(dim)]
+        c = np.diag(A)
+    elif norm.dim == 1:
+        c = [(math.sqrt(A[0, 0]) + abs(norm.b[0])) ** 2]
     else:
         return None
-    kappa = weight["kappa"] if weight["kind"] == "gaussian" else 0.0
+    kappa = spec.kappa if spec.weight == "gaussian" else 0.0
     try:
-        return min(lambda1_model(kappa, math.inf, L) / c_k for L, c_k in zip(lengths, c))
+        return min(lambda1_model(kappa, math.inf, L) / c_k
+                   for L, c_k in zip(spec.lengths, c))
     except (ValueError, SolverError):
         return None
 
@@ -137,23 +139,23 @@ def _run_and_print(config: dict, out_dir: str) -> int:
     """Run the suite and print each case's row: lambda, its relative error
     against the closed form ("-" where there is none), the gradient
     comparison's fraction of nodes within tolerance and its core gap ("-"
-    where the comparison is inconclusive), bound, margin and verdict, then
-    the descent's iterations, evaluations and convergence at every
-    resolution; the last line is the suite's wall time."""
+    where the comparison is inconclusive), diameter, bound, margin and
+    verdict, then the descent's iterations, evaluations and convergence at
+    every resolution; the last line is the suite's wall time."""
     t0 = time.perf_counter()
     result = run_suite(config, out_dir=out_dir)
     wall = time.perf_counter() - t0
-    cases = {}  # a case whose id repeats an earlier one's is an error row
-    for c in config.get("cases", []):
-        cases.setdefault(str(c.get("id", "case")), c)
+    cases = config.get("cases", [])
     print(f"{'case':28s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
-          f"{'core gap':>10s} {'bound':>10s} {'margin':>11s} verdict")
+          f"{'core gap':>10s} {'d':>8s} {'bound':>10s} {'margin':>11s} verdict")
     for s in result.summaries:
         if s.get("error") is not None:
             print(f"{s['id']:28s} ERROR: {s['error']}")
             continue
         r = s["bound_report"]
-        lam, ref = r["lambda_numeric"], _closed_form(cases[r["case_id"]])
+        # of the cases sharing an id, the first ran and the rest are errors
+        case = next(c for c in cases if case_name(c) == r["case_id"])
+        lam, ref = r["lambda_numeric"], _closed_form(_finest_spec(case))
         err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
         g = s["gradient_comparison"]
         frac, gap = "-", "-"
@@ -161,7 +163,8 @@ def _run_and_print(config: dict, out_dir: str) -> int:
             frac = f"{g['fraction']:.6f}"
             gap = "-" if g["max_gap_core"] is None else f"{g['max_gap_core']:.3e}"
         print(f"{r['case_id']:28s} {lam:10.6f} {err:>10s} {frac:>8s} {gap:>10s} "
-              f"{r['bound']:10.6f} {r['margin']:+11.3e} {r['verdict']}")
+              f"{r['diameter_used']:8.4f} {r['bound']:10.6f} {r['margin']:+11.3e} "
+              f"{r['verdict']}")
         solves = zip(r["lambda_by_resolution"], r["iterations"], r["evaluations"],
                      r["converged"])
         print(" " * 28 + "  ".join(f"r={res} it={it} ev={ev} converged={conv}"

@@ -175,9 +175,14 @@ def _normalized_u(eigen: EigenResult, reversible: bool):
     return u, float(u.max())
 
 
+def case_name(case: dict) -> str:
+    """A case's id as a string, "case" when it has none."""
+    return str(case.get("id", "case"))
+
+
 def run_case(case: dict) -> CaseResult:
     """Solve, bound, and compare one case at its listed resolutions."""
-    case_id = str(case.get("id", "case"))
+    case_id = case_name(case)
     seed = int(case.get("seed", 0))
     res_list = case_resolutions(case)
 
@@ -473,8 +478,7 @@ def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None
 def _pipeline(case: dict, seen: set):
     """Run one case; its id names its CSV dump, so an id that repeats one in
     ``seen`` or is not a plain file name is the case's error."""
-    case_id = case.get("id", "case")
-    name = str(case_id)
+    name = case_name(case)
     try:
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise ValueError(f"case id {name!r} is not a plain file name")
@@ -483,9 +487,9 @@ def _pipeline(case: dict, seen: set):
         seen.add(name)
         result = run_case(case)
         summary = _case_summary(result)
-        return case_id, summary, (result.domain.nodes, result.eigen.u)
+        return name, summary, (result.domain.nodes, result.eigen.u)
     except Exception as exc:  # per-case isolation: record, do not abort
-        return case_id, {"id": name, "error": str(exc)}, None
+        return name, {"id": name, "error": str(exc)}, None
 
 
 @dataclass
@@ -508,7 +512,7 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     os.makedirs(out_dir, exist_ok=True)
 
     seen = set()
-    results = sorted((_pipeline(case, seen) for case in cases), key=lambda t: str(t[0]))
+    results = sorted((_pipeline(case, seen) for case in cases), key=lambda t: t[0])
     summaries, verdicts = [], []  # an error row's verdict is "error"
     for case_id, summary, dump in results:
         summaries.append(summary)

@@ -75,9 +75,30 @@ def test_verify(case_file, tmp_path, capsys):
     # the interval is sharp: its bound is pi^2, and the descent's lambda sits
     # within the error bar below it
     assert row.split()[-1] == "holds_within_tol"
+    assert float(row.split()[5]) == 1.0  # the diameter used
     assert [w.split("=")[0] for w in solves.split()] == ["r", "it", "ev", "converged"] * 2
     assert wall.startswith("suite wall time")
     assert (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("case, ref", [
+    ({"shape": "interval", "length": 1.0,
+      "norm": {"family": "two_slope_1d", "dim": 1, "a_plus": 2.0, "a_minus": 0.5}},
+     math.pi**2 / 4),
+    ({"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+      "norm": {"family": "quadratic", "dim": 2, "A": [[1.0, 0.0], [0.0, 4.0]]}},
+     math.pi**2 / 4),
+], ids=["flat-shape-and-norm", "nested-A"])
+def test_verify_closed_form_reads_the_parsed_case(tmp_path, capsys, case, ref):
+    # the config reader takes shape keys without a domain block, norm
+    # params without a params block and A as rows; the closed form reads
+    # what it built
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(dict(case, id="c", resolutions=[20, 40])))
+    assert main(["verify", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    lam, err = float(row[1]), float(row[2])
+    assert err == pytest.approx((lam - ref) / ref, rel=1e-2, abs=1e-6)
 
 
 def test_suite(tmp_path, capsys):
