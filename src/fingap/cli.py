@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from .domain import (DomainSpec, analytic_diameter, build_domain, diameter,
-                     domain_spec_from_config)
+                     domain_spec_from_config, whole_number)
 from .eigensolver import minimize_rayleigh
 from .harness import (case_name, case_resolutions, golden_cases, run_suite,
                       write_eigenfunction_csv)
@@ -52,11 +52,30 @@ def cmd_model_eig(args) -> int:
     return 0
 
 
+def _grid_axis(grid: dict, key: str, admissible, rule: str) -> list[float]:
+    """The model-table grid's list under ``key``, each entry read by float()
+    (so N may be the string "inf") and checked against ``admissible``."""
+    values = grid.get(key) if isinstance(grid, dict) else None
+    if not isinstance(values, list):
+        raise ValueError(f"model-table config {key!r} must be a list, got {values!r}")
+    out = []
+    for v in values:
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not admissible(x):
+            raise ValueError(f"model-table config {key!r} entry {v!r} is not {rule}")
+        out.append(x)
+    return out
+
+
 def cmd_model_table(args) -> int:
     grid = _load_json(args.config)
-    Ks = [float(k) for k in grid["K"]]
-    Ns = [float(n) for n in grid["N"]]
-    ds = [float(d) for d in grid["d"]]
+    Ks = _grid_axis(grid, "K", math.isfinite, "a finite number")
+    Ns = _grid_axis(grid, "N", lambda N: N > 1.0, "a number > 1 or inf")
+    ds = _grid_axis(grid, "d", lambda d: 0.0 < d < math.inf,
+                    "a positive finite number")
     failed = False
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
@@ -64,12 +83,12 @@ def cmd_model_table(args) -> int:
         w.writerow(["K", "N", "d", "lambda"])
         for K, N, d in itertools.product(Ks, Ns, ds):
             try:
-                lam = repr(lambda1_model(K, N, d))
+                lam = lambda1_model(K, N, d)
             except ValueError:
-                lam = "NA"  # outside the admissible length range
+                lam = "NA"  # past the admissible length: the grid is valid
             except SolverError:
                 lam, failed = "error", True
-            w.writerow([repr(K), "inf" if math.isinf(N) else repr(N), repr(d), lam])
+            w.writerow([K, N, d, lam])
     return 2 if failed else 0
 
 
@@ -86,9 +105,10 @@ def cmd_geom(args) -> int:
 
 def cmd_solve(args) -> int:
     case = _load_json(args.spec)
+    seed = whole_number(case.get("seed", 0), "seed")  # run_case's rule
     spec = _finest_spec(case)
     dom = build_domain(spec)
-    res = minimize_rayleigh(dom, spec.norm, seed=args.seed)
+    res = minimize_rayleigh(dom, spec.norm, seed=seed)
     print(f"lambda = {res.lam:.12g}")
     print(f"residual = {res.residual:.3e}")
     print(f"iterations = {res.iterations}")
@@ -143,9 +163,12 @@ def _run_and_print(config: dict, out_dir: str) -> int:
     verdict, then the descent's iterations, evaluations and convergence at
     every resolution; the last line is the suite's wall time."""
     t0 = time.perf_counter()
-    result = run_suite(config, out_dir=out_dir)
+    try:
+        result = run_suite(config, out_dir=out_dir)
+    except ValueError as exc:  # the config itself is bad: no case ran
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - t0
-    cases = config.get("cases", [])
     print(f"{'case':28s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
           f"{'core gap':>10s} {'d':>8s} {'bound':>10s} {'margin':>11s} verdict")
     for s in result.summaries:
@@ -154,7 +177,7 @@ def _run_and_print(config: dict, out_dir: str) -> int:
             continue
         r = s["bound_report"]
         # of the cases sharing an id, the first ran and the rest are errors
-        case = next(c for c in cases if case_name(c) == r["case_id"])
+        case = next(c for c in config["cases"] if case_name(c) == r["case_id"])
         lam, ref = r["lambda_numeric"], _closed_form(_finest_spec(case))
         err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
         g = s["gradient_comparison"]
@@ -206,7 +229,6 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("solve", help="discrete eigensolve")
     ps.add_argument("--spec", required=True, help="case config JSON")
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--dump-u", default=None, help="write eigenfunction CSV")
     ps.set_defaults(fn=cmd_solve)
 

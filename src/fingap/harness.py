@@ -183,7 +183,7 @@ def case_name(case: dict) -> str:
 def run_case(case: dict) -> CaseResult:
     """Solve, bound, and compare one case at its listed resolutions."""
     case_id = case_name(case)
-    seed = int(case.get("seed", 0))
+    seed = whole_number(case.get("seed", 0), "seed")
     res_list = case_resolutions(case)
 
     solves = []
@@ -503,12 +503,15 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     per-case eigenfunction dumps.  The exit code is 0 when every case reads
     holds or holds_within_tol, 1 when some case is violated, and 2 when
     none is but some case raised or is inconclusive: a case that decides
-    nothing does not pass.  ``jobs`` must be 1; it is accepted because
-    perfbench's worker passes it.
+    nothing does not pass.  A config whose ``cases`` is missing or is not
+    a list is a ValueError, raised before any case runs.  ``jobs`` must be
+    1; it is accepted because perfbench's worker passes it.
     """
     if jobs != 1:
         raise ValueError("run_suite runs its cases in order; jobs must be 1")
-    cases = config.get("cases", [])
+    cases = config.get("cases") if isinstance(config, dict) else None
+    if not isinstance(cases, list):
+        raise ValueError(f"suite config 'cases' must be a list, got {cases!r}")
     os.makedirs(out_dir, exist_ok=True)
 
     seen = set()
@@ -537,10 +540,9 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
                 w.writerow([s["id"], "error", "", "", "", "", "", "", s["error"]])
                 continue
             r = s["bound_report"]
-            w.writerow([r["case_id"], repr(r["lambda_numeric"]),
-                        repr(r["diameter_used"]), repr(r["K"]), repr(r["N"]),
-                        repr(r["bound"]), repr(r["margin"]),
-                        repr(r["discretization_tolerance"]), r["verdict"]])
+            w.writerow([r["case_id"], r["lambda_numeric"], r["diameter_used"], r["K"],
+                        r["N"], r["bound"], r["margin"],
+                        r["discretization_tolerance"], r["verdict"]])
 
     if violated:
         exit_code = 1

@@ -594,7 +594,7 @@ def lambda1_model(K: float, N: float, d: float) -> float:
     if d > L * (1.0 + 1e-9):
         raise ValueError(f"d={d} exceeds the maximal length {L}")
     if d >= L * (1.0 - 1e-12):
-        return K * N / (N - 1.0)
+        return model_threshold(K, N)
     if K > 0 and not math.isfinite(N):
         half = min(half, math.sqrt(80.0 / K))
     return lambda1_interval(prob, -half, half)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -35,16 +36,55 @@ def test_model_eig_inf(capsys):
     assert "1.00" in capsys.readouterr().out
 
 
+# the curvature sweep: d = 1.5 lies past the Myers length pi sqrt((N-1)/K)
+# = 1.11 only at K = 4, N = 1.5; N = inf runs the q = 0 member and N = 1.5
+# a tan chart with N < 2
+SWEEP = {"K": [-4, -2, -1, -0.5, 0, 0.5, 1, 2, 4], "N": [3, "inf", 1.5], "d": [1.5]}
+
+
+def _model_table(tmp_path, grid):
+    cfg, out = tmp_path / "grid.json", tmp_path / "table.csv"
+    cfg.write_text(json.dumps(grid))
+    code = main(["model-table", "--config", str(cfg), "--out", str(out)])
+    return code, out.read_text().strip().splitlines()
+
+
 def test_model_table(tmp_path, capsys):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps({"K": [0.0, 1.0], "N": [2, "inf"], "d": [1.0, 4.0]}))
-    out = tmp_path / "table.csv"
-    assert main(["model-table", "--config", str(cfg), "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
+    code, lines = _model_table(tmp_path, {"K": [0.0, 1.0], "N": [2, "inf"],
+                                          "d": [1.0, 4.0]})
+    assert code == 0
     assert lines[0] == "K,N,d,lambda"
     assert len(lines) == 9
     # K=1, N=2, d=4 exceeds the admissible length -> NA
     assert any(line.startswith("1.0,2.0,4.0,NA") for line in lines)
+
+    # the sharp bound is nondecreasing in K: a model with Ric_N = K' >= K
+    # is itself a space with Ric_N >= K
+    code, lines = _model_table(tmp_path, SWEEP)
+    assert code == 0
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 27
+    assert [r for r in rows if r[3] == "NA"] == [["4.0", "1.5", "1.5", "NA"]]
+    for N in ("3.0", "inf", "1.5"):
+        lams = [float(r[3]) for r in rows if r[1] == N and r[3] != "NA"]
+        assert len(lams) == (8 if N == "1.5" else 9)
+        assert lams == sorted(lams)
+
+
+@pytest.mark.parametrize("grid, error", [
+    ({"K": ["nan", 0], "N": ["inf"], "d": [1]}, "'K' entry 'nan' is not a finite number"),
+    ({"K": [0], "N": ["-inf"], "d": [1]}, "'N' entry '-inf' is not a number > 1 or inf"),
+    ({"K": [0], "N": [1], "d": [1]}, "'N' entry 1 is not a number > 1 or inf"),
+    ({"K": [0], "N": [2], "d": [0]}, "'d' entry 0 is not a positive finite number"),
+    ({"K": [0], "N": [2], "d": 1}, "'d' must be a list, got 1"),
+    ({"K": [0], "N": [2]}, "'d' must be a list, got None"),
+    ([[0], [2], [1]], "'K' must be a list, got None"),
+], ids=["K-nan", "N-minus-inf", "N-one", "d-zero", "d-bare", "d-missing", "not-an-object"])
+def test_model_table_rejects_a_bad_grid(tmp_path, grid, error):
+    # before any solve: NA means only "past the admissible length"
+    with pytest.raises(ValueError, match=f"model-table config {re.escape(error)}"):
+        _model_table(tmp_path, grid)
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_geom(case_file, capsys):
@@ -56,14 +96,21 @@ def test_geom(case_file, capsys):
 
 
 def test_solve_and_dump(case_file, tmp_path, capsys):
+    # solve reads the case's seed, so its descent is verify's finest one
+    spec = tmp_path / "seeded.json"
+    spec.write_text(json.dumps(dict(json.loads((tmp_path / "case.json").read_text()),
+                                    seed=1)))
     dump = tmp_path / "u.csv"
-    assert main(["solve", "--spec", case_file, "--seed", "1",
-                 "--dump-u", str(dump)]) == 0
+    assert main(["solve", "--spec", str(spec), "--dump-u", str(dump)]) == 0
     out = capsys.readouterr().out
     lam = float(out.splitlines()[0].split("=")[1])
     assert abs(lam - math.pi**2) <= 0.01 * math.pi**2
     header = dump.read_text().splitlines()[0]
     assert header == "x1,u"
+    main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    residual = summary["cases"][0]["bound_report"]["residual"][-1]
+    assert out.splitlines()[1] == f"residual = {residual:.3e}"
 
 
 def test_verify(case_file, tmp_path, capsys):
@@ -177,6 +224,19 @@ def test_suite_exit_status(tmp_path, monkeypatch, with_violation, max_iter, code
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({"cases": cases}))
     assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+
+
+def test_suite_config_without_cases_rejected(tmp_path, capsys):
+    # a typo for "cases" is a config error; an empty list given on purpose
+    # still passes
+    cfg = tmp_path / "suite.json"
+    for config, code in (({"case": []}, 2), ([], 2), ({"cases": {}}, 2),
+                         ({"cases": []}, 0)):
+        cfg.write_text(json.dumps(config))
+        assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "error: suite config 'cases' must be a list, got None" in err
+    assert "error: suite config 'cases' must be a list, got {}" in err
 
 
 def test_model_table_finishes_after_a_failed_solve(tmp_path, monkeypatch):

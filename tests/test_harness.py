@@ -368,6 +368,14 @@ class TestSuite:
         result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
         assert result.summaries[0]["error"] == error
 
+    @pytest.mark.parametrize("seed", [1.7, True], ids=["fraction", "bool"])
+    def test_seed_not_whole_named(self, tmp_path, seed):
+        # the resolutions' rule: 1.7 is not truncated to 1, nor true read as 1
+        case = dict(box_case(ident="bad-seed"), seed=seed)
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert (result.summaries[0]["error"]
+                == f"config 'seed' must be a whole number, got {seed!r}")
+
     def test_outputs_and_determinism(self, tmp_path):
         cfg = {"cases": [sharp_case(res=(25, 50)), box_case(res=(8, 16))]}
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -376,7 +384,11 @@ class TestSuite:
         s1 = open(os.path.join(out1, "summary.json"), "rb").read()
         s2 = open(os.path.join(out2, "summary.json"), "rb").read()
         assert s1 == s2
-        assert os.path.exists(os.path.join(out1, "bounds.csv"))
+        # N = inf reads inf, as in the model table, not 'inf'
+        with open(os.path.join(out1, "bounds.csv")) as f:
+            rows = {r["id"]: r for r in csv.DictReader(f)}
+        assert rows["sharp"]["N"] == "inf"
+        assert rows["box"]["N"] == "2.0"
         assert os.path.exists(os.path.join(out1, "case-sharp.csv"))
         dump = np.loadtxt(os.path.join(out1, "case-box.csv"),
                           delimiter=",", skiprows=1)
