@@ -8,10 +8,11 @@ Subcommands:
   verify       bound verification for one case config
   suite        the golden suite, or the suite of a config file
 
-verify and suite print one row per case and exit with the suite's status:
-0 when every case holds (within its tolerance), 1 when some case is
-violated, 2 when some case raised or is inconclusive.  model-table exits 2
-when a grid point's solve fails.
+verify and suite print one row per case.  Every command exits 0 when it ran
+and every case holds (within its tolerance), 1 when some case is violated,
+and 2 when nothing is decided: a case raised or is inconclusive, a solve
+failed, or the input (a file, grid, or case as harness.read_case reads it)
+is bad, which prints one "error:" line to stderr.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import time
 
 import numpy as np
 
-from .domain import (DomainSpec, analytic_diameter, build_domain, diameter,
-                     domain_spec_from_config, whole_number)
+from .domain import DomainSpec, analytic_diameter, build_domain, diameter
 from .eigensolver import minimize_rayleigh
-from .harness import (case_name, case_resolutions, golden_cases, run_suite,
+from .harness import (case_name, golden_cases, read_case, run_suite,
                       write_eigenfunction_csv)
 from .model1d import SolverError, lambda1_model
+from .norms import real_number
 
 _DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
 
@@ -42,10 +43,6 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
-def _finest_spec(case: dict):
-    return domain_spec_from_config(dict(case, resolution=case_resolutions(case)[-1]))
-
-
 def cmd_model_eig(args) -> int:
     lam = lambda1_model(args.K, args.N, args.d)
     print(f"lambda1(K={args.K}, N={args.N}, d={args.d}) = {lam:.12g}")
@@ -53,16 +50,17 @@ def cmd_model_eig(args) -> int:
 
 
 def _grid_axis(grid: dict, key: str, admissible, rule: str) -> list[float]:
-    """The model-table grid's list under ``key``, each entry read by float()
-    (so N may be the string "inf") and checked against ``admissible``."""
+    """The model-table grid's list under ``key``, each entry read by
+    real_number (so N may be the string "inf") and checked against
+    ``admissible``."""
     values = grid.get(key) if isinstance(grid, dict) else None
     if not isinstance(values, list):
         raise ValueError(f"model-table config {key!r} must be a list, got {values!r}")
     out = []
     for v in values:
         try:
-            x = float(v)
-        except (TypeError, ValueError):
+            x = real_number(v, key)
+        except ValueError:
             x = math.nan
         if not admissible(x):
             raise ValueError(f"model-table config {key!r} entry {v!r} is not {rule}")
@@ -93,8 +91,7 @@ def cmd_model_table(args) -> int:
 
 
 def cmd_geom(args) -> int:
-    case = _load_json(args.spec)
-    spec = _finest_spec(case)
+    spec = read_case(_load_json(args.spec)).spec
     dom = build_domain(spec)
     print(f"nodes: {dom.n_nodes}")
     print(f"total measure: {dom.total_measure:.12g}")
@@ -104,11 +101,9 @@ def cmd_geom(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = _load_json(args.spec)
-    seed = whole_number(case.get("seed", 0), "seed")  # run_case's rule
-    spec = _finest_spec(case)
-    dom = build_domain(spec)
-    res = minimize_rayleigh(dom, spec.norm, seed=seed)
+    case = read_case(_load_json(args.spec))
+    dom = build_domain(case.spec)
+    res = minimize_rayleigh(dom, case.spec.norm, seed=case.seed)
     print(f"lambda = {res.lam:.12g}")
     print(f"residual = {res.residual:.3e}")
     print(f"iterations = {res.iterations}")
@@ -163,11 +158,7 @@ def _run_and_print(config: dict, out_dir: str) -> int:
     verdict, then the descent's iterations, evaluations and convergence at
     every resolution; the last line is the suite's wall time."""
     t0 = time.perf_counter()
-    try:
-        result = run_suite(config, out_dir=out_dir)
-    except ValueError as exc:  # the config itself is bad: no case ran
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_suite(config, out_dir=out_dir)
     wall = time.perf_counter() - t0
     print(f"{'case':28s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
           f"{'core gap':>10s} {'d':>8s} {'bound':>10s} {'margin':>11s} verdict")
@@ -178,7 +169,7 @@ def _run_and_print(config: dict, out_dir: str) -> int:
         r = s["bound_report"]
         # of the cases sharing an id, the first ran and the rest are errors
         case = next(c for c in config["cases"] if case_name(c) == r["case_id"])
-        lam, ref = r["lambda_numeric"], _closed_form(_finest_spec(case))
+        lam, ref = r["lambda_numeric"], _closed_form(read_case(case).spec)
         err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
         g = s["gradient_comparison"]
         frac, gap = "-", "-"
@@ -244,7 +235,11 @@ def main(argv=None) -> int:
     pu.set_defaults(fn=cmd_suite)
 
     args = p.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, SolverError) as exc:  # a bad input: nothing decided
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .norms import NormSpec, from_config as norm_from_config, norm_eval, whole_number
+from .norms import (NormSpec, from_config as norm_from_config, need, norm_eval,
+                    real_number, whole_number)
 
 __all__ = [
     "DomainSpec",
@@ -397,26 +398,28 @@ def curvature_certificate(spec: DomainSpec) -> CurvatureCertificate:
 
 def domain_spec_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from a config block {shape/domain, norm, weight,
-    resolution}; a missing norm, resolution, weight kind or Gaussian kappa
-    is a ValueError that names it, and a missing or bad size fails in
-    DomainSpec's own checks."""
-    for key in ("norm", "resolution"):
-        if key not in cfg:
-            raise ValueError(f"domain config has no {key!r}")
+    resolution}.  A missing norm, resolution, shape, weight kind or Gaussian
+    kappa, a block that is not an object, or a size or kappa that is not a
+    number (``lengths`` is a list of them) is a ValueError that names it; a
+    missing or bad size fails in DomainSpec's own checks."""
+    norm_cfg = need(cfg, "norm", "domain")
+    resolution = whole_number(need(cfg, "resolution", "domain"), "resolution")
     shape_cfg = cfg.get("domain", cfg)
-    shape = shape_cfg.get("shape")
+    shape = need(shape_cfg, "shape", "domain")
     weight_cfg = cfg.get("weight", {"kind": "lebesgue"})
-    if "kind" not in weight_cfg:
-        raise ValueError("weight config has no 'kind'")
-    if weight_cfg["kind"] == "gaussian" and "kappa" not in weight_cfg:
-        raise ValueError("weight config has no 'kappa'")
+    kind = need(weight_cfg, "kind", "weight")
+    kappa = (need(weight_cfg, "kappa", "weight") if kind == "gaussian"
+             else weight_cfg.get("kappa", 0.0))
     if shape == "interval":
-        lengths = [shape_cfg["length"]] if "length" in shape_cfg else []
+        lengths = ([real_number(shape_cfg["length"], "length")]
+                   if "length" in shape_cfg else [])
     else:
         lengths = shape_cfg.get("lengths", [])
-    return DomainSpec(shape=shape, norm=norm_from_config(cfg["norm"]),
-                      lengths=tuple(float(L) for L in lengths),
-                      radius=float(shape_cfg.get("radius", 0.0)),
-                      weight=weight_cfg["kind"],
-                      kappa=float(weight_cfg.get("kappa", 0.0)),
-                      resolution=whole_number(cfg["resolution"], "resolution"))
+        if not isinstance(lengths, (list, tuple)):  # a string would read as digits
+            raise ValueError(f"config 'lengths' must be a list, got {lengths!r}")
+        lengths = [real_number(L, "lengths") for L in lengths]
+    return DomainSpec(shape=shape, norm=norm_from_config(norm_cfg),
+                      lengths=tuple(lengths),
+                      radius=real_number(shape_cfg.get("radius", 0.0), "radius"),
+                      weight=kind, kappa=real_number(kappa, "kappa"),
+                      resolution=resolution)

@@ -38,7 +38,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .domain import (
     whole_number,
 )
 from .eigensolver import EigenResult, discrete_gradient, minimize_rayleigh
-from .norms import dual_norm_eval, is_reversible
+from .norms import dual_norm_eval, is_reversible, need, real_number
 from .model1d import (
     SolverError,
     fit_model_solution,
@@ -70,7 +70,8 @@ __all__ = [
     "check_gradient_comparison",
     "check_maxima",
     "lichnerowicz_check",
-    "case_resolutions",
+    "Case",
+    "read_case",
     "run_case",
     "run_suite",
     "write_eigenfunction_csv",
@@ -128,44 +129,6 @@ class CaseResult:
     domain: DiscreteDomain
 
 
-def _case_certificate(case: dict, spec: DomainSpec) -> CurvatureCertificate:
-    cfg = case.get("certificate")
-    if cfg is None:
-        return curvature_certificate(spec)
-    for key in ("K", "N"):
-        if key not in cfg:
-            raise ValueError(f"certificate config has no {key!r}")
-    # float() reads "inf"/"infinity" in any case, so N may be a string
-    K, N = float(cfg["K"]), float(cfg["N"])
-    if not math.isfinite(K):
-        raise ValueError(f"certificate K = {cfg['K']!r} is not finite")
-    if not N >= spec.dim:  # NaN too: Ric_N >= K needs N >= dim
-        raise ValueError(f"certificate N = {cfg['N']!r} is not a number >= "
-                         f"the dimension {spec.dim}, as Ric_N needs")
-    return CurvatureCertificate(K=K, N=N, provenance="user")
-
-
-def case_resolutions(case: dict) -> list[int]:
-    """Distinct resolutions, ascending.  A one-entry list gets a half-size
-    coarse companion; the error bar needs two distinct lattices.  Each entry
-    is read by :func:`~fingap.domain.whole_number`."""
-    given = case.get("resolutions", [])
-    if not isinstance(given, (list, tuple)):
-        raise ValueError(f"case {case.get('id')}: resolutions must be a list, "
-                         f"got {given!r}")
-    given = [whole_number(r, "resolutions") for r in given]
-    if not given:
-        raise ValueError(f"case {case.get('id')}: no resolutions given")
-    if len(given) == 1:
-        given.append(max(4, given[0] // 2))
-    res = sorted(set(given))
-    if len(res) < 2:
-        raise ValueError(
-            f"case {case.get('id')}: resolutions {case['resolutions']} give "
-            f"one distinct lattice; the error bar needs two (the floor is 4)")
-    return res
-
-
 def _normalized_u(eigen: EigenResult, reversible: bool):
     """Scale (and for reversible norms possibly flip) so min u = -1."""
     u = eigen.u.copy()
@@ -176,28 +139,68 @@ def _normalized_u(eigen: EigenResult, reversible: bool):
 
 
 def case_name(case: dict) -> str:
-    """A case's id as a string, "case" when it has none."""
+    """A case's id as a string, "case" when it has none; a case that is not
+    an object is a ValueError."""
+    if not isinstance(case, dict):
+        raise ValueError(f"case config must be an object, got {case!r}")
     return str(case.get("id", "case"))
+
+
+class Case(NamedTuple):
+    """A case config as :func:`read_case` reads it."""
+    id: str
+    spec: DomainSpec  # at the finest resolution
+    resolutions: list
+    seed: int
+    certificate: CurvatureCertificate
+
+
+def read_case(case: dict) -> Case:
+    """The one reader of a case config.  Resolutions come distinct and
+    ascending, a lone one with a half-size companion (the error bar needs
+    two lattices); each, and the seed (default 0), is a whole number.  The
+    certificate (default: the spec's curvature_certificate) needs a finite K
+    and N >= dim.  Anything else is a ValueError naming the key or value."""
+    name = case_name(case)
+    given = case.get("resolutions", [])
+    if not isinstance(given, (list, tuple)):
+        raise ValueError(f"case {name}: resolutions must be a list, got {given!r}")
+    given = [whole_number(r, "resolutions") for r in given]
+    if not given:
+        raise ValueError(f"case {name}: no resolutions given")
+    if len(given) == 1:
+        given.append(max(4, given[0] // 2))
+    res = sorted(set(given))
+    if len(res) < 2:
+        raise ValueError(
+            f"case {name}: resolutions {case['resolutions']} give one distinct "
+            f"lattice; the error bar needs two (the floor is 4)")
+    seed = whole_number(case.get("seed", 0), "seed")
+    # built at the coarsest resolution, so DomainSpec checks every one
+    spec = replace(domain_spec_from_config(dict(case, resolution=res[0])),
+                   resolution=res[-1])
+    cfg = case.get("certificate")
+    if cfg is None:
+        return Case(name, spec, res, seed, curvature_certificate(spec))
+    K, N = (real_number(need(cfg, key, "certificate"), key) for key in ("K", "N"))
+    if not math.isfinite(K):
+        raise ValueError(f"certificate K = {cfg['K']!r} is not finite")
+    if not N >= spec.dim:  # NaN too: Ric_N >= K needs N >= dim
+        raise ValueError(f"certificate N = {cfg['N']!r} is not a number >= "
+                         f"the dimension {spec.dim}, as Ric_N needs")
+    return Case(name, spec, res, seed, CurvatureCertificate(K=K, N=N, provenance="user"))
 
 
 def run_case(case: dict) -> CaseResult:
     """Solve, bound, and compare one case at its listed resolutions."""
-    case_id = case_name(case)
-    seed = whole_number(case.get("seed", 0), "seed")
-    res_list = case_resolutions(case)
-
+    case_id, base, res_list, seed, cert = read_case(case)
     solves = []
-    dom = None
-    # one NormSpec for every resolution, so its dual and sphere maximum are
-    # worked out once
-    base = domain_spec_from_config(dict(case, resolution=res_list[0]))
-    cert = _case_certificate(case, base)
     # neither depends on the resolution, and a certificate no space of this
     # diameter can have fails here, before any descent
     d_used = analytic_diameter(base)
     bound = lambda1_model(cert.K, cert.N, d_used)
     for r in res_list:
-        spec = replace(base, resolution=r)
+        spec = replace(base, resolution=r)  # base's NormSpec, with its cached dual
         dom = build_domain(spec)
         solves.append(minimize_rayleigh(dom, spec.norm, seed=seed))
     eigen = solves[-1]
@@ -475,10 +478,9 @@ def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _pipeline(case: dict, seen: set):
-    """Run one case; its id names its CSV dump, so an id that repeats one in
-    ``seen`` or is not a plain file name is the case's error."""
-    name = case_name(case)
+def _pipeline(case: dict, name: str, seen: set):
+    """Run one case; its id ``name`` names its CSV dump, so an id that
+    repeats one in ``seen`` or is not a plain file name is the case's error."""
     try:
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise ValueError(f"case id {name!r} is not a plain file name")
@@ -504,18 +506,20 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     holds or holds_within_tol, 1 when some case is violated, and 2 when
     none is but some case raised or is inconclusive: a case that decides
     nothing does not pass.  A config whose ``cases`` is missing or is not
-    a list is a ValueError, raised before any case runs.  ``jobs`` must be
-    1; it is accepted because perfbench's worker passes it.
+    a list of objects is a ValueError, raised before any case runs.
+    ``jobs`` must be 1; it is accepted because perfbench's worker passes it.
     """
     if jobs != 1:
         raise ValueError("run_suite runs its cases in order; jobs must be 1")
     cases = config.get("cases") if isinstance(config, dict) else None
     if not isinstance(cases, list):
         raise ValueError(f"suite config 'cases' must be a list, got {cases!r}")
+    names = [case_name(case) for case in cases]  # refuses a non-object entry
     os.makedirs(out_dir, exist_ok=True)
 
     seen = set()
-    results = sorted((_pipeline(case, seen) for case in cases), key=lambda t: t[0])
+    results = sorted((_pipeline(case, name, seen) for case, name in zip(cases, names)),
+                     key=lambda t: t[0])
     summaries, verdicts = [], []  # an error row's verdict is "error"
     for case_id, summary, dump in results:
         summaries.append(summary)

@@ -59,6 +59,8 @@ __all__ = [
     "legendre_inverse",
     "is_reversible",
     "from_config",
+    "need",
+    "real_number",
     "whole_number",
 ]
 
@@ -331,26 +333,40 @@ def whole_number(value, key: str) -> int:
     raise ValueError(f"config {key!r} must be a whole number, got {value!r}")
 
 
+def real_number(value, key: str) -> float:
+    """What float() reads, so the string "inf" too, except a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"config {key!r} must be a number, got {value!r}")
+
+
+def need(block: dict, key: str, what: str):
+    """``block[key]`` of the config block named ``what``; a block that is not
+    an object, or has no ``key``, is a ValueError that names it."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{what} config must be an object, got {block!r}")
+    if key not in block:
+        raise ValueError(f"{what} config has no {key!r}")
+    return block[key]
+
+
 def from_config(cfg: dict) -> NormSpec:
     """Rebuild a NormSpec from a config record (accepts flat or nested A).
     A missing key is a ValueError that names it.  ``two_slope_1d`` (keys
     ``a_plus``, ``a_minus``, dim 1) builds :func:`two_slope_norm`."""
-
-    def need(block: dict, key: str, what: str = "norm"):
-        if key not in block:
-            raise ValueError(f"{what} config has no {key!r}")
-        return block[key]
-
-    family = need(cfg, "family")
-    dim = whole_number(need(cfg, "dim"), "dim")
+    family = need(cfg, "family", "norm")
+    dim = whole_number(need(cfg, "dim", "norm"), "dim")
     params = cfg.get("params", cfg)
     if family == "euclidean":
         return euclidean_norm(dim)
     if family == "two_slope_1d":
         if dim != 1:
             raise ValueError(f"two_slope_1d config has 'dim' {dim}; the family is 1-D")
-        return two_slope_norm(need(params, "a_plus", family),
-                              need(params, "a_minus", family))
+        return two_slope_norm(*(real_number(need(params, key, family), key)
+                                for key in ("a_plus", "a_minus")))
     if family not in ("quadratic", "randers"):
         raise ValueError(f"unknown norm family {family!r}")
     A = np.asarray(need(params, "A", family), dtype=float)

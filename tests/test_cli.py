@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 
 import pytest
 
@@ -79,12 +78,16 @@ def test_model_table(tmp_path, capsys):
     ({"K": [0], "N": [2], "d": 1}, "'d' must be a list, got 1"),
     ({"K": [0], "N": [2]}, "'d' must be a list, got None"),
     ([[0], [2], [1]], "'K' must be a list, got None"),
-], ids=["K-nan", "N-minus-inf", "N-one", "d-zero", "d-bare", "d-missing", "not-an-object"])
-def test_model_table_rejects_a_bad_grid(tmp_path, grid, error):
+    ({"K": [True], "N": [2], "d": [1]}, "'K' entry True is not a finite number"),
+], ids=["K-nan", "N-minus-inf", "N-one", "d-zero", "d-bare", "d-missing", "not-an-object",
+        "K-bool"])
+def test_model_table_rejects_a_bad_grid(tmp_path, capsys, grid, error):
     # before any solve: NA means only "past the admissible length"
-    with pytest.raises(ValueError, match=f"model-table config {re.escape(error)}"):
-        _model_table(tmp_path, grid)
-    assert not (tmp_path / "table.csv").exists()
+    cfg, out = tmp_path / "grid.json", tmp_path / "table.csv"
+    cfg.write_text(json.dumps(grid))
+    assert main(["model-table", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: model-table config {error}\n"
+    assert not out.exists()
 
 
 def test_geom(case_file, capsys):
@@ -258,7 +261,7 @@ def test_model_table_finishes_after_a_failed_solve(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["geom", "solve"])
-def test_empty_resolutions_rejected(tmp_path, command):
+def test_empty_resolutions_rejected(tmp_path, capsys, command):
     # an empty list and a missing key alike: the CLI reads the suite's rule
     case = {
         "id": "e",
@@ -269,5 +272,47 @@ def test_empty_resolutions_rejected(tmp_path, command):
     path = tmp_path / "case.json"
     for cfg in (dict(case, resolutions=[]), case):
         path.write_text(json.dumps(cfg))
-        with pytest.raises(ValueError, match="case e: no resolutions given"):
-            main([command, "--spec", str(path)])
+        assert main([command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == "error: case e: no resolutions given\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["model-eig", "--K", "0", "--N", "2", "--d", "0"], "d must be positive"),
+    (["model-eig", "--K", "-30", "--N", "inf", "--d", "3"], "did not settle"),
+    (["model-table", "--config", "{bad}"], "Expecting property name"),
+    (["geom", "--spec", "{box3}"], "norm dimension must match box dimension"),
+    (["solve", "--spec", "{box3}"], "norm dimension must match box dimension"),
+    (["verify", "--spec", "{missing}", "--out", "{out}"], "No such file or directory"),
+    (["suite", "--config", "{bad}", "--out", "{out}"], "Expecting property name"),
+    (["suite", "--config", "{ones}", "--out", "{out}"],
+     "case config must be an object, got 1"),
+], ids=["model-eig-d", "model-eig-solver", "model-table", "geom", "solve", "verify",
+        "suite-json", "suite-entry"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, error):
+    # 0 holds, 1 violated, 2 nothing decided: a bad input reads 2 from every
+    # command, as one error line and no traceback
+    files = {"bad": "{", "ones": json.dumps({"cases": [1]}),
+             "box3": json.dumps({"domain": {"shape": "box", "lengths": [1.0, 1.0]},
+                                 "norm": {"family": "euclidean", "dim": 3},
+                                 "resolutions": [5, 10]})}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = {name: str(tmp_path / f"{name}.json") for name in [*files, "missing"]}
+    argv = [a.format(out=str(tmp_path / "out"), **paths) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and error in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_geom_reads_the_certificate_verify_reads(tmp_path, capsys):
+    # one case reader: a certificate without N is an error to both
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"id": "c", "domain": {"shape": "interval", "length": 1.0},
+                                "norm": {"family": "euclidean", "dim": 1},
+                                "certificate": {"K": 0}, "resolutions": [5, 10]}))
+    assert main(["geom", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == "error: certificate config has no 'N'\n"
+    assert main(["verify", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "c                            ERROR: certificate config has no 'N'" in (
+        capsys.readouterr().out)

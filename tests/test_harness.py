@@ -12,11 +12,11 @@ from fingap import model1d
 from fingap.domain import CurvatureCertificate, DomainSpec, build_domain
 from fingap.eigensolver import EigenResult
 from fingap.harness import (
-    case_resolutions,
     check_gradient_comparison,
     check_maxima,
     golden_cases,
     lichnerowicz_check,
+    read_case,
     run_case,
     run_suite,
     write_eigenfunction_csv,
@@ -124,7 +124,7 @@ class TestVerifyBound:
 
     def test_integral_float_resolutions_accepted(self):
         # JSON may write a whole number as 8.0
-        got = case_resolutions({"id": "floats", "resolutions": [16.0, 8.0]})
+        got = read_case(box_case(res=(16.0, 8.0))).resolutions
         assert got == [8, 16]
         assert all(type(r) is int for r in got)
 
@@ -335,6 +335,56 @@ class TestSuite:
         del (case if block == "domain" else case[block])[key]
         result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
         assert result.summaries[0]["error"] == f"{block} config has no '{key}'"
+
+    @pytest.mark.parametrize("block, key, bad", [
+        ("domain", "domain", "box"), ("norm", "norm", "euclidean"),
+        ("quadratic", "norm", {"family": "quadratic", "dim": 2, "params": "A"}),
+        ("weight", "weight", "kind"), ("certificate", "certificate", [0.0, 2.0]),
+    ], ids=["domain", "norm", "params", "weight", "certificate"])
+    def test_block_not_an_object_named(self, tmp_path, block, key, bad):
+        # a norm's params block is named by its family, as its missing keys are
+        case = dict(box_case(), **{key: bad})
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        shown = bad["params"] if block == "quadratic" else bad
+        assert (result.summaries[0]["error"]
+                == f"{block} config must be an object, got {shown!r}")
+
+    @pytest.mark.parametrize("block, key, value, error", [
+        ("certificate", "N", "foo", "config 'N' must be a number, got 'foo'"),
+        ("certificate", "N", None, "config 'N' must be a number, got None"),
+        ("certificate", "K", True, "config 'K' must be a number, got True"),
+        ("weight", "kappa", "big", "config 'kappa' must be a number, got 'big'"),
+        ("domain", "lengths", ["1", "x"], "config 'lengths' must be a number, got 'x'"),
+        ("domain", "lengths", "12", "config 'lengths' must be a list, got '12'"),
+        ("domain", "radius", [0.5], "config 'radius' must be a number, got [0.5]"),
+    ], ids=["N-string", "N-null", "K-bool", "kappa", "lengths", "lengths-string", "radius"])
+    def test_number_not_a_number_named(self, tmp_path, block, key, value, error):
+        # one reader for every number: what float() reads, except a bool; a
+        # string of lengths is not read digit by digit
+        case = dict(box_case(ident="bad-number"), certificate={"K": 0.0, "N": 2.0},
+                    weight={"kind": "gaussian", "kappa": 1.0})
+        if key == "radius":
+            case["domain"] = {"shape": "ball"}
+        case[block] = dict(case[block], **{key: value})
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert result.summaries[0]["error"] == error
+
+    def test_unnamed_case_named_case(self, tmp_path):
+        # a case without an id is "case" in its row and in its errors
+        case = box_case(res=())
+        del case["id"]
+        result = run_suite({"cases": [case]}, out_dir=str(tmp_path / "out"))
+        assert result.summaries == [{"id": "case",
+                                     "error": "case case: no resolutions given"}]
+
+    def test_entry_not_an_object_rejected(self, tmp_path, monkeypatch):
+        # the whole config is refused before any case runs
+        from fingap import harness
+
+        monkeypatch.setattr(harness, "run_case", lambda case: pytest.fail("a case ran"))
+        with pytest.raises(ValueError, match=r"^case config must be an object, got 1$"):
+            run_suite({"cases": [box_case(), 1]}, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("K, N, error", [
         ("nan", 2.0, "certificate K = 'nan' is not finite"),

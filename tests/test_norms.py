@@ -488,6 +488,13 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError, match="'dim'"):
             from_config({"family": "euclidean", "dim": dim})
 
+    @pytest.mark.parametrize("a_plus", [True, "steep", None], ids=["bool", "string", "null"])
+    def test_config_slope_not_a_number_named(self, a_plus):
+        # true is not read as the slope 1
+        with pytest.raises(ValueError, match=r"^config 'a_plus' must be a number, got "):
+            from_config({"family": "two_slope_1d", "dim": 1, "a_plus": a_plus,
+                         "a_minus": 1.0})
+
     def test_config_integral_float_dim(self):
         assert from_config({"family": "euclidean", "dim": 2.0}).dim == 2
 
