@@ -30,9 +30,8 @@ import numpy as np
 
 from .domain import DomainSpec, analytic_diameter, build_domain, diameter
 from .eigensolver import minimize_rayleigh
-from .harness import (case_name, golden_cases, read_case, run_suite,
-                      write_eigenfunction_csv)
-from .model1d import SolverError, lambda1_model
+from .harness import golden_cases, read_case, run_suite, write_eigenfunction_csv
+from .model1d import SolverError, check_model, lambda1_model
 from .norms import real_number
 
 _DISK_J11 = 1.8411837813  # first zero of J_1', the Neumann disk eigenvalue
@@ -49,41 +48,32 @@ def cmd_model_eig(args) -> int:
     return 0
 
 
-def _grid_axis(grid: dict, key: str, admissible, rule: str) -> list[float]:
-    """The model-table grid's list under ``key``, each entry read by
-    real_number (so N may be the string "inf") and checked against
-    ``admissible``."""
+def _grid_axis(grid: dict, key: str) -> list[float]:
+    """The grid's list under ``key``, each entry read by real_number ("inf" too)."""
     values = grid.get(key) if isinstance(grid, dict) else None
     if not isinstance(values, list):
         raise ValueError(f"model-table config {key!r} must be a list, got {values!r}")
-    out = []
-    for v in values:
-        try:
-            x = real_number(v, key)
-        except ValueError:
-            x = math.nan
-        if not admissible(x):
-            raise ValueError(f"model-table config {key!r} entry {v!r} is not {rule}")
-        out.append(x)
-    return out
+    return [real_number(v, key) for v in values]
 
 
 def cmd_model_table(args) -> int:
     grid = _load_json(args.config)
-    Ks = _grid_axis(grid, "K", math.isfinite, "a finite number")
-    Ns = _grid_axis(grid, "N", lambda N: N > 1.0, "a number > 1 or inf")
-    ds = _grid_axis(grid, "d", lambda d: 0.0 < d < math.inf,
-                    "a positive finite number")
+    points = list(itertools.product(*(_grid_axis(grid, key) for key in "KNd")))
+    for K, N, d in points:  # model1d's rule, before any solve
+        try:
+            check_model(K, N, d)
+        except ValueError as exc:
+            raise ValueError(f"model-table point K={K}, N={N}, d={d}: {exc}") from None
     failed = False
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         w = csv.writer(out)
         w.writerow(["K", "N", "d", "lambda"])
-        for K, N, d in itertools.product(Ks, Ns, ds):
+        for K, N, d in points:
             try:
                 lam = lambda1_model(K, N, d)
             except ValueError:
-                lam = "NA"  # past the admissible length: the grid is valid
+                lam = "NA"  # past the maximal length: the point is valid
             except SolverError:
                 lam, failed = "error", True
             w.writerow([K, N, d, lam])
@@ -134,14 +124,9 @@ def _closed_form(spec: DomainSpec):
             return (_DISK_J11 / spec.radius) ** 2
         return None
     A = np.eye(norm.dim) if norm.A is None else norm.A
-    if norm.b is None:
-        if np.any(A != np.diag(np.diag(A))):
-            return None
-        c = np.diag(A)
-    elif norm.dim == 1:
-        c = [(math.sqrt(A[0, 0]) + abs(norm.b[0])) ** 2]
-    else:
+    if norm.b is not None and norm.dim > 1 or np.any(A != np.diag(np.diag(A))):
         return None
+    c = np.diag(A) if norm.b is None else [(math.sqrt(A[0, 0]) + abs(norm.b[0])) ** 2]
     kappa = spec.kappa if spec.weight == "gaussian" else 0.0
     try:
         return min(lambda1_model(kappa, math.inf, L) / c_k
@@ -162,14 +147,12 @@ def _run_and_print(config: dict, out_dir: str) -> int:
     wall = time.perf_counter() - t0
     print(f"{'case':28s} {'lambda':>10s} {'rel err':>10s} {'fraction':>8s} "
           f"{'core gap':>10s} {'d':>8s} {'bound':>10s} {'margin':>11s} verdict")
-    for s in result.summaries:
+    for s, spec in zip(result.summaries, result.specs):
         if s.get("error") is not None:
             print(f"{s['id']:28s} ERROR: {s['error']}")
             continue
         r = s["bound_report"]
-        # of the cases sharing an id, the first ran and the rest are errors
-        case = next(c for c in config["cases"] if case_name(c) == r["case_id"])
-        lam, ref = r["lambda_numeric"], _closed_form(read_case(case).spec)
+        lam, ref = r["lambda_numeric"], _closed_form(spec)
         err = "-" if ref is None else f"{(lam - ref) / ref:+.2e}"
         g = s["gradient_comparison"]
         frac, gap = "-", "-"

@@ -344,7 +344,7 @@ def lichnerowicz_check(cert: CurvatureCertificate, lam_numeric: float,
 def golden_cases() -> list[dict]:
     """The verification suite: sharp 1-D cases, boxes (one 3-D), weighted
     boxes, balls."""
-    base = [
+    return [
         {
             "id": "sharp-1d-twoslope-sym",
             "domain": {"shape": "interval", "length": 1.0},
@@ -450,7 +450,6 @@ def golden_cases() -> list[dict]:
             "resolutions": [20, 40],
         },
     ]
-    return base
 
 
 def _case_summary(result: CaseResult) -> dict:
@@ -488,26 +487,28 @@ def _pipeline(case: dict, name: str, seen: set):
             raise ValueError(f"case id {name!r} repeats an earlier case's id")
         seen.add(name)
         result = run_case(case)
-        summary = _case_summary(result)
-        return name, summary, (result.domain.nodes, result.eigen.u)
+        dom = result.domain
+        return name, _case_summary(result), (dom.nodes, result.eigen.u), dom.spec
     except Exception as exc:  # per-case isolation: record, do not abort
-        return name, {"id": name, "error": str(exc)}, None
+        return name, {"id": name, "error": str(exc)}, None, None
 
 
 @dataclass
 class SuiteResult:
     summaries: list
+    specs: list  # each case's finest DomainSpec, None where it raised
     exit_code: int
 
 
 def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     """Run the config's cases in order; write summary.json, bounds.csv and
-    per-case eigenfunction dumps.  The exit code is 0 when every case reads
-    holds or holds_within_tol, 1 when some case is violated, and 2 when
-    none is but some case raised or is inconclusive: a case that decides
-    nothing does not pass.  A config whose ``cases`` is missing or is not
-    a list of objects is a ValueError, raised before any case runs.
-    ``jobs`` must be 1; it is accepted because perfbench's worker passes it.
+    per-case eigenfunction dumps; return each case's summary beside its
+    finest DomainSpec.  The exit code is 0 when every case reads holds or
+    holds_within_tol, 1 when some case is violated, and 2 when none is but
+    some case raised or is inconclusive: a case that decides nothing does
+    not pass.  A config whose ``cases`` is missing or is not a list of
+    objects is a ValueError, raised before any case runs.  ``jobs`` must
+    be 1; it is accepted because perfbench's worker passes it.
     """
     if jobs != 1:
         raise ValueError("run_suite runs its cases in order; jobs must be 1")
@@ -520,9 +521,10 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     seen = set()
     results = sorted((_pipeline(case, name, seen) for case, name in zip(cases, names)),
                      key=lambda t: t[0])
-    summaries, verdicts = [], []  # an error row's verdict is "error"
-    for case_id, summary, dump in results:
+    summaries, specs, verdicts = [], [], []  # an error row's verdict is "error"
+    for case_id, summary, dump, spec in results:
         summaries.append(summary)
+        specs.append(spec)
         if summary.get("error") is not None:
             verdicts.append("error")
             continue
@@ -554,4 +556,4 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
         exit_code = 0
     else:
         exit_code = 2
-    return SuiteResult(summaries=summaries, exit_code=exit_code)
+    return SuiteResult(summaries=summaries, specs=specs, exit_code=exit_code)

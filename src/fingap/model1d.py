@@ -71,6 +71,7 @@ __all__ = [
     "ModelProblem",
     "ModelSolution",
     "centered_model",
+    "check_model",
     "myers_length",
     "coeff_T",
     "invariant_density",
@@ -248,6 +249,15 @@ def centered_model(K: float, N: float) -> ModelProblem:
     if K < 0:
         return ModelProblem(K, N, "tanh")
     return ModelProblem(K, N, "flat")
+
+
+def check_model(K: float, N: float, d: float) -> ModelProblem:
+    """The chart of lambda_1(K, N, d), without a solve: :func:`centered_model`
+    judges (K, N), then d must be positive and finite; the Myers cap is lambda1_model's."""
+    prob = centered_model(K, N)
+    if not 0.0 < d < _INF:  # NaN too
+        raise ValueError(f"d must be positive and finite, got {d}")
+    return prob
 
 
 def _check_domain(problem: ModelProblem, t) -> None:
@@ -585,9 +595,7 @@ def lambda1_model(K: float, N: float, d: float) -> float:
     below e^-40 of its peak past that cut and underflows at most nodes of
     a longer interval.
     """
-    if not 0.0 < d < _INF:  # NaN too
-        raise ValueError(f"d must be positive and finite, got {d}")
-    prob = centered_model(K, N)
+    prob = check_model(K, N, d)
     if K == 0.0:
         return math.pi**2 / d**2
     half, L = d / 2.0, 2.0 * prob.half_width  # L: the Myers length, or inf

@@ -343,6 +343,13 @@ def real_number(value, key: str) -> float:
     raise ValueError(f"config {key!r} must be a number, got {value!r}")
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """A (nested) list as an array of what real_number reads in each entry."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return np.array([_numbers(v, key) for v in value])
+    return real_number(value, key)
+
+
 def need(block: dict, key: str, what: str):
     """``block[key]`` of the config block named ``what``; a block that is not
     an object, or has no ``key``, is a ValueError that names it."""
@@ -369,13 +376,13 @@ def from_config(cfg: dict) -> NormSpec:
                                 for key in ("a_plus", "a_minus")))
     if family not in ("quadratic", "randers"):
         raise ValueError(f"unknown norm family {family!r}")
-    A = np.asarray(need(params, "A", family), dtype=float)
+    A = np.asarray(_numbers(need(params, "A", family), "A"), dtype=float)
     if A.size != dim * dim:
         raise ValueError(f"{family} config 'A' has {A.size} entries; "
                          f"'dim' {dim} needs {dim * dim}")
     b = None
     if family == "randers":
-        b = np.asarray(need(params, "b", family), dtype=float)
+        b = np.asarray(_numbers(need(params, "b", family), "b"), dtype=float)
         if b.shape != (dim,):
             raise ValueError(f"randers config 'b' has {b.size} entries; "
                              f"'dim' {dim} needs {dim}")

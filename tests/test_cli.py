@@ -1,5 +1,6 @@
 """CLI smoke tests driven through main()."""
 
+import itertools
 import json
 import math
 
@@ -42,10 +43,11 @@ SWEEP = {"K": [-4, -2, -1, -0.5, 0, 0.5, 1, 2, 4], "N": [3, "inf", 1.5], "d": [1
 
 
 def _model_table(tmp_path, grid):
+    """model-table's exit code and CSV lines, None where it wrote none."""
     cfg, out = tmp_path / "grid.json", tmp_path / "table.csv"
     cfg.write_text(json.dumps(grid))
     code = main(["model-table", "--config", str(cfg), "--out", str(out)])
-    return code, out.read_text().strip().splitlines()
+    return code, out.read_text().strip().splitlines() if out.exists() else None
 
 
 def test_model_table(tmp_path, capsys):
@@ -71,23 +73,53 @@ def test_model_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid, error", [
-    ({"K": ["nan", 0], "N": ["inf"], "d": [1]}, "'K' entry 'nan' is not a finite number"),
-    ({"K": [0], "N": ["-inf"], "d": [1]}, "'N' entry '-inf' is not a number > 1 or inf"),
-    ({"K": [0], "N": [1], "d": [1]}, "'N' entry 1 is not a number > 1 or inf"),
-    ({"K": [0], "N": [2], "d": [0]}, "'d' entry 0 is not a positive finite number"),
-    ({"K": [0], "N": [2], "d": 1}, "'d' must be a list, got 1"),
-    ({"K": [0], "N": [2]}, "'d' must be a list, got None"),
-    ([[0], [2], [1]], "'K' must be a list, got None"),
-    ({"K": [True], "N": [2], "d": [1]}, "'K' entry True is not a finite number"),
+    ({"K": ["nan", 0], "N": ["inf"], "d": [1]},
+     "model-table point K=nan, N=inf, d=1.0: K must be finite, got nan"),
+    ({"K": [0], "N": ["-inf"], "d": [1]},
+     "model-table point K=0.0, N=-inf, d=1.0: N must be > 1 (or inf)"),
+    ({"K": [0, 1], "N": [1], "d": [1]},
+     "model-table point K=1.0, N=1.0, d=1.0: N must be > 1 (or inf)"),
+    ({"K": [0], "N": [2], "d": [1, 0]},
+     "model-table point K=0.0, N=2.0, d=0.0: d must be positive and finite, got 0.0"),
+    ({"K": [0], "N": [2], "d": 1}, "model-table config 'd' must be a list, got 1"),
+    ({"K": [0], "N": [2]}, "model-table config 'd' must be a list, got None"),
+    ([[0], [2], [1]], "model-table config 'K' must be a list, got None"),
+    ({"K": [True], "N": [2], "d": [1]}, "config 'K' must be a number, got True"),
 ], ids=["K-nan", "N-minus-inf", "N-one", "d-zero", "d-bare", "d-missing", "not-an-object",
         "K-bool"])
 def test_model_table_rejects_a_bad_grid(tmp_path, capsys, grid, error):
-    # before any solve: NA means only "past the admissible length"
+    # model1d judges each point before any solve, so NA means only "past
+    # the maximal length"; N = 1 is a bad point unless K = 0
     cfg, out = tmp_path / "grid.json", tmp_path / "table.csv"
     cfg.write_text(json.dumps(grid))
     assert main(["model-table", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: model-table config {error}\n"
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
+
+
+# K in {-1, 0, 1} x N in {1, 1.5, 3, inf} x d in {0.5, 2, 10}
+MODEL_POINTS = list(itertools.product([-1.0, 0.0, 1.0], [1.0, 1.5, 3.0, math.inf],
+                                      [0.5, 2.0, 10.0]))
+
+
+@pytest.mark.parametrize("K, N, d", MODEL_POINTS)
+def test_model_table_asks_what_model_eig_asks(tmp_path, capsys, K, N, d):
+    # one point alone: the table's lambda is model-eig's to its 12 digits,
+    # NA where d is past the maximal length, and a point model1d refuses
+    # is a bad input to both
+    eig = main(["model-eig", "--K", str(K), "--N", str(N), "--d", str(d)])
+    printed, err = capsys.readouterr()
+    code, lines = _model_table(tmp_path, {"K": [K], "N": [N], "d": [d]})
+    if (K, N, d) in ((1.0, 1.5, 10.0), (1.0, 3.0, 10.0)):
+        assert (eig, code, lines[1]) == (2, 0, f"{K},{N},{d},NA")
+        assert "exceeds the maximal length" in err
+    elif N == 1.0 and K != 0.0:
+        assert (eig, code, lines) == (2, 2, None)
+        reason = err.removeprefix("error: ")
+        assert capsys.readouterr().err == f"error: model-table point K={K}, N={N}, d={d}: {reason}"
+    else:
+        assert (eig, code, len(lines)) == (0, 0, 2)
+        assert printed.split(" = ")[1] == f"{float(lines[1].split(',')[3]):.12g}\n"
 
 
 def test_geom(case_file, capsys):
@@ -149,6 +181,27 @@ def test_verify_closed_form_reads_the_parsed_case(tmp_path, capsys, case, ref):
     row = capsys.readouterr().out.splitlines()[1].split()
     lam, err = float(row[1]), float(row[2])
     assert err == pytest.approx((lam - ref) / ref, rel=1e-2, abs=1e-6)
+
+
+def test_suite_rows_without_a_closed_form(tmp_path, capsys):
+    # the disk's error is against (j'_{1,1}/R)^2; a Randers ball, a
+    # non-diagonal quadratic box and a 2-D Randers box have no closed form
+    disk, box = {"shape": "ball", "radius": 0.5}, {"shape": "box", "lengths": [1.0, 1.0]}
+    randers = {"family": "randers", "dim": 2, "A": [1.0, 0.0, 0.0, 1.0], "b": [0.2, 0.1]}
+    cases = {"disk": (disk, {"family": "euclidean", "dim": 2}),
+             "randers-ball": (disk, randers),
+             "skew-box": (box, {"family": "quadratic", "dim": 2, "A": [2.0, 0.5, 0.5, 1.0]}),
+             "randers-box": (box, randers)}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"cases": [
+        {"id": i, "domain": domain, "norm": norm, "resolutions": [5, 10]}
+        for i, (domain, norm) in cases.items()]}))
+    main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rows = {row[0]: row for row in map(str.split, capsys.readouterr().out.splitlines())
+            if row[0] in cases}
+    lam, ref = float(rows["disk"][1]), (1.8411837813 / 0.5) ** 2
+    assert rows["disk"][2] == f"{(lam - ref) / ref:+.2e}"
+    assert [rows[i][2] for i in ("randers-ball", "skew-box", "randers-box")] == ["-"] * 3
 
 
 def test_suite(tmp_path, capsys):

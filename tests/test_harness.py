@@ -22,7 +22,7 @@ from fingap.harness import (
     write_eigenfunction_csv,
 )
 from fingap.model1d import lambda1_model
-from fingap.norms import euclidean_norm
+from fingap.norms import euclidean_norm, randers_norm
 
 PI2 = math.pi**2
 
@@ -219,6 +219,22 @@ class TestGradientComparison:
                     check_maxima(cert, fake, spec)):
             assert rep.inconclusive
             assert rep.reason == "eigenvalue at or below model threshold"
+
+    @pytest.mark.parametrize("norm, k", [
+        (euclidean_norm(2), 0.1),  # reversible: u is flipped, so max 10 reads 0.1
+        (randers_norm(np.eye(2), [0.3, 0.0]), 10.0),
+    ], ids=["below", "above"])
+    def test_fit_failure_inconclusive(self, norm, k):
+        # at (K, N, lambda) = (1, 3, 6) a fit reaches k in [0.288, 3.47] only
+        spec = DomainSpec(shape="box", norm=norm, lengths=(1.0, 1.0), resolution=8)
+        dom = build_domain(spec)
+        cert = CurvatureCertificate(K=1.0, N=3.0, provenance="user")
+        fake = EigenResult(lam=6.0, u=np.linspace(-1.0, 10.0, dom.n_nodes),
+                           residual=0.0, iterations=0, converged=True)
+        rep = check_gradient_comparison(dom, spec, cert, fake)
+        assert rep.inconclusive
+        assert rep.reason.startswith(
+            f"model fit failed: k={k} outside the admissible range [0.288")
 
 
 class TestMaxima:

@@ -925,6 +925,14 @@ class TestFitBranches:
             assert abs(fit.max_value - k) <= 1e-8
             assert fit.min_value == -1.0
 
+    def test_fit_out_of_reach_raises(self):
+        # the linear family's first maximum stops short of 1e9: the probes
+        # next to it find none, and the error names the closest one reached
+        with pytest.raises(ValueError, match=r"^k=1000000000.0 is out of reach: probes "
+                           r"next to it find no first maximum, and the closest one "
+                           r"reached is 99999"):
+            fit_model_solution(-1.0, INF, 0.3, 1e9)
+
     def test_fit_ends_within_tol_or_raises(self):
         # M is so steep in a here that probes 1.3e-14 apart differ by 1e-7;
         # the fit once settled for a probe 3.7e-8 below k, and with an

@@ -495,6 +495,22 @@ class TestValidationAndConfig:
             from_config({"family": "two_slope_1d", "dim": 1, "a_plus": a_plus,
                          "a_minus": 1.0})
 
+    @pytest.mark.parametrize("params, message", [
+        ({"A": [True, 0, 0, True]}, "'A' must be a number, got True"),
+        ({"A": [[1.0, 0.0], [0.0, False]]}, "'A' must be a number, got False"),
+        ({"A": "abcd"}, "'A' must be a number, got 'abcd'"),
+        ({"A": [[1.0, 0.0], [0.0, "x"]]}, "'A' must be a number, got 'x'"),
+        ({"A": [1.0, None, 0.0, 1.0]}, "'A' must be a number, got None"),
+        ({"A": [1.0, 0.0, 0.0, 1.0], "b": [False, 0.1]}, "'b' must be a number, got False"),
+        ({"A": [1.0, 0.0, 0.0, 1.0], "b": ["x", 0.1]}, "'b' must be a number, got 'x'"),
+    ], ids=["A-true", "A-nested-false", "A-string", "A-nested-string", "A-null",
+            "b-false", "b-string"])
+    def test_config_matrix_entry_not_a_number_named(self, params, message):
+        # A and b are read entry by entry, by the one number rule
+        family = "randers" if "b" in params else "quadratic"
+        with pytest.raises(ValueError, match=f"^config {message}$"):
+            from_config({"family": family, "dim": 2, "params": params})
+
     def test_config_integral_float_dim(self):
         assert from_config({"family": "euclidean", "dim": 2.0}).dim == 2
 
