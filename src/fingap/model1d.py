@@ -41,10 +41,10 @@ Frobenius series of the solution regular there.  The Riccati equation
 gives the Taylor coefficients of T, and with them those of v and v',
 exactly (Jorba and Zou, Experimental Mathematics 14, 2005); between steps
 T follows its flow exactly.  The first maximum M(tau) rises with tau, so
-one Illinois regula falsi bracket in theta = atan(tau/sqrt(lambda)) fits
+one Illinois regula falsi bracket on ln(M/k) in atan(tau/sqrt(lambda)) fits
 every max k <= 1, and a k > 1 is the reflection of the fit for 1/k (the
-model-sweep fits of seeds 1-3 take 6-10 shots each, model_solution's
-included: 160 shots of 649 steps, a median of 4 a shot and 8 at most).
+model-sweep fits of seeds 1-3 take 7-10 shots each, model_solution's
+included: 159 shots of 633 steps, a median of 4 a shot and 6 at most).
 Each shot integrates once and stops after the step where v' falls
 through 0; that step's polynomials give b, v(b) and, for the closest
 probe only, the 2001 samples of the fitted solution.
@@ -208,29 +208,19 @@ class ModelProblem:
         far, and a pole start adds one at t = 0."""
         return _pole_ahead(self.K, self.N, self._tau)
 
-    def _pole_near(self, t: float) -> float | None:
-        """The drift pole within a relative 1e-12 of t (+-half_width, or 0
-        from a pole start), or None."""
-        h = self.half_width
-        if abs(t) >= h * (1.0 - 1e-12):
-            return math.copysign(h, t)
-        return 0.0 if t == 0.0 and self._tau == -_INF else None
-
-    def validate_interval(self, a: float, b: float) -> None:
-        """Check [a, b] lies in the closure of a single chart component."""
+    def validate_interval(self, a: float, b: float) -> tuple[float | None, float | None]:
+        """Check [a, b] lies in the closure of a single chart component and
+        return the drift pole at each end, or None where the end is regular:
+        +-half_width within a relative 1e-12, or 0 from a pole start."""
         if not a < b:
             raise ValueError("need a < b")
-        h = self.half_width
+        h, from_pole = self.half_width, self._tau == -_INF
         if a < -h - 1e-12 * h or b > h + 1e-12 * h:
             raise ValueError(f"interval [{a}, {b}] exceeds (+-{h})")
-        if self._tau == -_INF and a < 0.0 < b:
+        if from_pole and a < 0.0 < b:
             raise ValueError("interval must not straddle the pole at t = 0")
-
-    def singular_left(self, a: float) -> bool:
-        return self._pole_near(a) is not None
-
-    def singular_right(self, b: float) -> bool:
-        return self._pole_near(b) is not None
+        return tuple(math.copysign(h, t) if abs(t) >= h * (1.0 - 1e-12) else
+                     0.0 if t == 0.0 and from_pole else None for t in (a, b))
 
 
 def myers_length(K: float, N: float) -> float:
@@ -447,10 +437,9 @@ def shoot(problem: ModelProblem, lam: float, a: float, b: float) -> ModelSolutio
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    problem.validate_interval(a, b)
-    b_eff = b - 1e-9 * (b - a) if problem.singular_right(b) else b
-    pole = problem._pole_near(a)
-    a, tau = (a, coeff_T(problem, a)) if pole is None else (pole, -_INF)
+    pa, pb = problem.validate_interval(a, b)
+    b_eff = b if pb is None else b - 1e-9 * (b - a)
+    a, tau = (a, coeff_T(problem, a)) if pa is None else (pa, -_INF)
     ts, vs, ws, _ = _integrate(problem.K, problem.N, lam, tau, b_eff - a)
     return ModelSolution(a=a, b=b, lam=lam,
                          ts=a + np.array(ts), vs=np.array(vs), vps=np.array(ws))
@@ -572,8 +561,7 @@ def lambda1_interval(problem: ModelProblem, a: float, b: float) -> float:
     a centered interval of an even density (both ends singular or neither)
     the quotient, the tail and the coefficients are those of the odd
     polynomials alone."""
-    problem.validate_interval(a, b)
-    pa, pb = problem._pole_near(a), problem._pole_near(b)  # a singular end is the pole
+    pa, pb = problem.validate_interval(a, b)  # a singular end is the pole
     beta, a = (0.0, a) if pa is None else (problem.N - 1.0, pa)
     alpha, b = (0.0, b) if pb is None else (problem.N - 1.0, pb)
     for n in (24, 48, 96, 192, 384):
@@ -806,7 +794,7 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
 
     Every model solution is a shot from t = 0 with v = -1, v' = 0 and drift
     T(0) = tau (:func:`_first_max`), and its first maximum M(tau) rises with
-    tau.  So for k <= 1, one :func:`_illinois` bracket on M - k in
+    tau.  So for k <= 1, one :func:`_illinois` bracket on ln(M/k) in
     theta = atan(tau/sqrt(lam)) in [-pi/2, pi/2) fits k, from M = m at
     theta = -pi/2 (the pole start of :func:`model_solution` for finite N,
     and 0 for N = inf) and M = +inf at pi/2; ``fitted_param`` is tau, the
@@ -814,15 +802,15 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     counts as M = +inf or 0 (:func:`_first_max`), and a tau > 0 with
     K + tau^2/(N-1) >= 0, whose M exceeds 1, as +inf unshot.
 
-    Each k > 1 is the reflection w(t) = -v(L - t)/M of the fit v for 1/k
-    on [0, L], stopped once 1/M fits k: -T(L - t) solves the drift's
-    Riccati equation too, so w is the shot from its start drift -T(L), on
-    [0, L] with min -1 exactly like every fit.  Where w lands more than
-    1e-8 off k, the shots from the reflected start drifts of the last
-    bracket's two ends bracket k too, and an Illinois bracket over them
-    takes the closest of them if it is closer: where M is steep in tau,
-    their M can be resolved finer than 1/M (k = 1e4, K = -1, N = inf: 1/M
-    steps by 5e-8 per ulp of tau, their M by 5e-11).
+    Each k > 1 is the reflection w(t) = -v(L - t)/M of the fit v for 1/k on
+    [0, L], stopped once 1/M fits k: -T(L - t) solves the drift's Riccati
+    equation too, so w is the shot from its start drift -T(L), on [0, L]
+    with min -1 exactly like every fit.  Where w lands more than 1e-8 off k,
+    the shots from the reflected start drifts of the last bracket's two ends
+    bracket k too, at its negated values (M reflects to 1/M), and an
+    Illinois bracket over them takes the closest if closer: where M is steep
+    in tau, their M can be resolved finer than 1/M (k = 1e4, K = -1,
+    N = inf: 1/M steps by 5e-8 per ulp of tau, their M by 5e-11).
 
     For finite N the admissible range is k in [m, 1/m] with m the maximum of
     :func:`model_solution`.  For N = inf every k > 0 is reached when K = 0,
@@ -840,6 +828,9 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
     def reached(top):  # the max of the solution a shot with max top gives
         return top if k <= 1.0 else 1.0 / top
 
+    def ln_ratio(top, target):  # the bracket value ln(M/target); M = 0 reads -inf
+        return math.log(top / target) if top > 0.0 else -_INF
+
     low, sol = 0.0, None  # M at theta = -pi/2
     if math.isfinite(N):
         ms = model_solution(K, N, lam)
@@ -848,7 +839,7 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
             raise ValueError(f"k={k} outside the admissible range [{low}, {1/low}]")
         sol = ms if _fits(reached(low), k) else None
 
-    best = None  # (|g|, tau, shot) of the closest probe; only its shot is kept
+    best = None  # (|M - target|, tau, shot) of the closest probe; only its shot is kept
     ends, b_of = [], {}  # b_of: tau -> b of each probe, nan where it failed
     sq, q = math.sqrt(lam), _q(N)
 
@@ -862,14 +853,15 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
         b_of[tau] = shot.b
         if shot.b > 0.0 and (best is None or abs(shot.top - target) < best[0]):
             best = (abs(shot.top - target), tau, shot)
-        return shot.top - target
+        return ln_ratio(shot.top, target)
 
     def done():
         return best is not None and _fits(reached(best[2].top), k)
 
     if sol is None:
         ends = _illinois(lambda theta: g(kp, sq * math.tan(theta)),
-                         [(-0.5 * math.pi, low - kp), (0.5 * math.pi, _INF)], 1e-15 * math.pi, done)
+                         [(-0.5 * math.pi, ln_ratio(low, kp)), (0.5 * math.pi, _INF)],
+                         1e-15 * math.pi, done)
         ends = [(sq * math.tan(th), gx) for th, gx in ends]
         if not done():
             if best is not None and any(map(math.isnan, b_of.values())):
@@ -885,7 +877,8 @@ def fit_model_solution(K: float, N: float, lam: float, k: float) -> ModelSolutio
                         vps=sol.vps[::-1] / top, fitted_param=-_flow(K, N, sol.fitted_param, L))
     if abs(sol.max_value - k) > _FIT_TOL and ends and all(b_of.get(t, 0.0) > 0.0
                                                           for t, _ in ends):
-        ends = [(-_flow(K, N, t, b_of[t]), 1.0 / (gx + kp) - k) for t, gx in ends]
+        # a reflected shot's max is 1/M, so its value ln(1/(M k)) is -ln(M/kp)
+        ends = [(-_flow(K, N, t, b_of[t]), -gx) for t, gx in ends]
         best = None
         _illinois(partial(g, k), ends, 1e-15 * max(abs(t) for t, _ in ends),
                   lambda: best is not None and best[0] <= _FIT_TOL)
@@ -1042,8 +1035,7 @@ def sturm_liouville_oracle(problem: ModelProblem, a: float, b: float,
     -4.6e-5 / -4.0e-5 relative), no closer on finer grids, so it cannot
     referee an exponentially small eigenvalue.
     """
-    problem.validate_interval(a, b)
-    if problem.singular_left(a) or problem.singular_right(b):
+    if problem.validate_interval(a, b) != (None, None):
         raise ValueError("oracle requires regular endpoints")
     if not 1 <= k <= n_nodes - 2:
         raise ValueError(f"k = {k} is outside [1, n_nodes - 2] = [1, {n_nodes - 2}]")

@@ -345,9 +345,13 @@ def real_number(value, key: str) -> float:
 
 def _numbers(value, key: str) -> np.ndarray:
     """A (nested) list as an array of what real_number reads in each entry."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return np.array([_numbers(v, key) for v in value])
-    return real_number(value, key)
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return real_number(value, key)
+    rows = [_numbers(v, key) for v in value]
+    if len({np.shape(r) for r in rows}) > 1:
+        raise ValueError(f"config {key!r} must be a list of numbers or of lists of one "
+                         f"length, got {value!r}")
+    return np.array(rows)
 
 
 def need(block: dict, key: str, what: str):
@@ -382,8 +386,11 @@ def from_config(cfg: dict) -> NormSpec:
                          f"'dim' {dim} needs {dim * dim}")
     b = None
     if family == "randers":
-        b = np.asarray(_numbers(need(params, "b", family), "b"), dtype=float)
-        if b.shape != (dim,):
+        raw = need(params, "b", family)
+        b = np.asarray(_numbers(raw, "b"), dtype=float)
+        if b.ndim != 1:
+            raise ValueError(f"randers config 'b' must be a flat list of numbers, got {raw!r}")
+        if b.size != dim:
             raise ValueError(f"randers config 'b' has {b.size} entries; "
                              f"'dim' {dim} needs {dim}")
     return NormSpec(dim=dim, A=A.reshape(dim, dim), b=b)

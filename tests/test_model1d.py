@@ -244,6 +244,58 @@ class TestShoot:
             assert resid <= 1e-6 * scale
 
 
+# the three functions that take an interval, each reading it by
+# ModelProblem.validate_interval
+INTERVAL_READERS = {
+    "shoot": lambda p, a, b: shoot(p, 2.0, a, b),
+    "lambda1_interval": lambda1_interval,
+    "oracle": lambda p, a, b: sturm_liouville_oracle(p, a, b, n_nodes=200, k=2),
+}
+TAN_EDGE = 0.5 * math.pi  # the pole of ModelProblem(1.0, 2.0, "tan")
+
+
+class TestIntervalReader:
+    @pytest.mark.parametrize("p, a, b, poles", [
+        (ModelProblem(0.0, 3.0, "flat"), -1.0, 1.0, (None, None)),
+        (ModelProblem(1.0, 2.0, "tan"), -TAN_EDGE, TAN_EDGE, (-TAN_EDGE, TAN_EDGE)),
+        # an end within a relative 1e-12 past the pole is the pole
+        (ModelProblem(1.0, 2.0, "tan"), 0.0, TAN_EDGE * (1.0 + 5e-13), (None, TAN_EDGE)),
+        (ModelProblem(0.0, 2.5, "power"), -1.0, 0.0, (None, 0.0)),
+        (ModelProblem(-1.0, 3.0, "coth"), 0.0, 2.0, (0.0, None)),
+        (ModelProblem(2.0, INF, "linear"), -3.0, 3.0, (None, None)),
+    ], ids=["flat", "tan-both", "tan-edge", "power", "coth", "linear"])
+    def test_returns_end_poles(self, p, a, b, poles):
+        assert p.validate_interval(a, b) == poles
+
+    @pytest.mark.parametrize("p, a, b, message", [
+        (ModelProblem(0.0, 3.0, "flat"), 1.0, 1.0, "need a < b"),
+        (ModelProblem(0.0, 3.0, "flat"), 1.0, 0.5, "need a < b"),
+        (ModelProblem(0.0, 3.0, "flat"), 0.0, math.nan, "need a < b"),
+        (ModelProblem(1.0, 2.0, "tan"), 0.0, TAN_EDGE * (1.0 + 2e-12), "exceeds"),
+        (ModelProblem(1.0, 2.0, "tan"), -TAN_EDGE * (1.0 + 2e-12), 0.0, "exceeds"),
+        (ModelProblem(-1.0, 3.0, "coth"), -1.0, 1.0, "straddle the pole at t = 0"),
+        (ModelProblem(0.0, 2.5, "power"), -0.5, 0.5, "straddle the pole at t = 0"),
+    ], ids=["equal", "reversed", "nan", "past-right", "past-left", "coth-straddle",
+            "power-straddle"])
+    @pytest.mark.parametrize("reader", INTERVAL_READERS)
+    def test_refusals(self, reader, p, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            INTERVAL_READERS[reader](p, a, b)
+
+    @pytest.mark.parametrize("p, a, b", [
+        (ModelProblem(1.0, 2.0, "tan"), -TAN_EDGE, 0.5),
+        (ModelProblem(1.0, 2.0, "tan"), -0.5, TAN_EDGE * (1.0 + 5e-13)),
+        (ModelProblem(0.0, 2.5, "power"), 0.0, 1.0),
+        (ModelProblem(-1.0, 3.0, "coth"), -1.0, 0.0),
+    ], ids=["tan-left", "tan-right", "power", "coth"])
+    def test_oracle_refuses_singular_end(self, p, a, b):
+        # the shot and the quotient take such an end; the oracle's
+        # three-point rows need T at every node, and T is infinite there
+        with pytest.raises(ValueError, match="oracle requires regular endpoints"):
+            sturm_liouville_oracle(p, a, b, n_nodes=200, k=2)
+        assert lambda1_interval(p, a, b) > 0.0
+
+
 # lambda1_model at the quotient with one recurrence for the basis values
 # and a second for their derivatives, on a grid drawn with default_rng(27):
 # every centered chart, eight tan lengths within 1e-6..1e-3 of the Myers
@@ -914,7 +966,7 @@ class TestFitBranches:
         # 1e12 and diverged; counted as M = 0 it sent the walk past k and the
         # fit ended in "failed to bracket".  k is now the reflection of the
         # fit for 1e-4, next to where probes find no first maximum: it lands
-        # 2.3e-6 off, and the bracket over the reflected start drifts within
+        # 1.3e-7 off, and the bracket over the reflected start drifts within
         # 1e-8
         k = 1e4
         try:
@@ -932,6 +984,32 @@ class TestFitBranches:
                            r"next to it find no first maximum, and the closest one "
                            r"reached is 99999"):
             fit_model_solution(-1.0, INF, 0.3, 1e9)
+
+    @pytest.mark.parametrize("k, closest", [(1e-8, r"0\.01285594"), (1e8, r"77\.78501")])
+    def test_far_k_out_of_reach_in_seconds(self, k, closest):
+        # a bracket on M - k read -1e-8 at theta = -pi/2, next to the root,
+        # and false position jumped to tau = -2.19e9, a shot that ran 47-55 s
+        # into the step budget and raised SolverError.  ln(M/k) reads -inf
+        # there and for the probes with no first maximum, so the bracket
+        # bisects up to where the family stops and names its closest maximum
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^k={k} is out of reach: .* the closest "
+                           f"one reached is {closest}"):
+            fit_model_solution(1.0, INF, 1.01, k)
+        assert time.perf_counter() - t0 < 10.0
+
+    @pytest.mark.parametrize("k, tol", [(1e-6, 1e-8), (1e-4, 1e-8), (1e4, 1e-8),
+                                        (1e6, 1e-8 * 1e6)])
+    def test_extreme_k_probe_budget(self, monkeypatch, k, tol):
+        # a bracket on M - k took 63 / 40 / 41 / 69 probes here, since far
+        # from k its values are near-flat in M; ln(M/k) takes 26 / 22 / 25 /
+        # 33.  tol is each k's own in the tests above: absolute 1e-8 at
+        # k = 1e4 (the second bracket's), relative 1e-8 at k = 1e6
+        shots = _count_probes(monkeypatch)
+        fit = fit_model_solution(-1.0, INF, 0.3, k)
+        assert len(shots) <= 36
+        assert abs(fit.max_value - k) <= tol
+        assert fit.min_value == -1.0
 
     def test_fit_ends_within_tol_or_raises(self):
         # M is so steep in a here that probes 1.3e-14 apart differ by 1e-7;

@@ -511,6 +511,22 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError, match=f"^config {message}$"):
             from_config({"family": family, "dim": 2, "params": params})
 
+    @pytest.mark.parametrize("params, message", [
+        ({"A": [[1, 0], [0]], "b": [0.3, 0.0]},
+         r"config 'A' must be a list of numbers or of lists of one length, "
+         r"got \[\[1, 0\], \[0\]\]"),
+        ({"A": [1.0, 0.0, 0.0, 1.0], "b": [0.3, [0.0]]},
+         r"config 'b' must be a list of numbers or of lists of one length, "
+         r"got \[0.3, \[0.0\]\]"),
+        ({"A": [1.0, 0.0, 0.0, 1.0], "b": [[0.3], [0.0]]},
+         r"randers config 'b' must be a flat list of numbers, got \[\[0.3\], \[0.0\]\]"),
+    ], ids=["A-ragged", "b-ragged", "b-nested"])
+    def test_config_matrix_shape_named(self, params, message):
+        # the ragged lists gave numpy's "inhomogeneous shape" text, and the
+        # nested b read "has 2 entries; 'dim' 2 needs 2"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_config({"family": "randers", "dim": 2, "params": params})
+
     def test_config_integral_float_dim(self):
         assert from_config({"family": "euclidean", "dim": 2.0}).dim == 2
 
