@@ -477,9 +477,11 @@ def write_eigenfunction_csv(path: str, nodes: np.ndarray, u: np.ndarray) -> None
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _pipeline(case: dict, name: str, seen: set):
-    """Run one case; its id ``name`` names its CSV dump, so an id that
-    repeats one in ``seen`` or is not a plain file name is the case's error."""
+def _pipeline(case: dict, name: str, seen: set, out_dir: str):
+    """Run one case and write its CSV dump to ``out_dir``; its id ``name``
+    names the dump, so an id that repeats one in ``seen`` or is not a plain
+    file name is the case's error, and so is a dump that cannot be written
+    (an id too long for a file name, or holding a NUL byte)."""
     try:
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise ValueError(f"case id {name!r} is not a plain file name")
@@ -488,9 +490,11 @@ def _pipeline(case: dict, name: str, seen: set):
         seen.add(name)
         result = run_case(case)
         dom = result.domain
-        return name, _case_summary(result), (dom.nodes, result.eigen.u), dom.spec
+        write_eigenfunction_csv(os.path.join(out_dir, f"case-{name}.csv"),
+                                dom.nodes, result.eigen.u)
+        return name, _case_summary(result), dom.spec
     except Exception as exc:  # per-case isolation: record, do not abort
-        return name, {"id": name, "error": str(exc)}, None, None
+        return name, {"id": name, "error": str(exc)}, None
 
 
 @dataclass
@@ -519,17 +523,13 @@ def run_suite(config: dict, out_dir: str, jobs: int = 1) -> SuiteResult:
     os.makedirs(out_dir, exist_ok=True)
 
     seen = set()
-    results = sorted((_pipeline(case, name, seen) for case, name in zip(cases, names)),
+    results = sorted((_pipeline(case, name, seen, out_dir) for case, name in zip(cases, names)),
                      key=lambda t: t[0])
-    summaries, specs, verdicts = [], [], []  # an error row's verdict is "error"
-    for case_id, summary, dump, spec in results:
-        summaries.append(summary)
-        specs.append(spec)
-        if summary.get("error") is not None:
-            verdicts.append("error")
-            continue
-        verdicts.append(summary["bound_report"]["verdict"])
-        write_eigenfunction_csv(os.path.join(out_dir, f"case-{case_id}.csv"), *dump)
+    summaries = [summary for _, summary, _ in results]
+    specs = [spec for _, _, spec in results]
+    # an error row's verdict is "error"
+    verdicts = ["error" if s.get("error") is not None else s["bound_report"]["verdict"]
+                for s in summaries]
     violated = verdicts.count("violated")
 
     with open(os.path.join(out_dir, "summary.json"), "w") as f:

@@ -14,15 +14,16 @@ and Qian, Adv. Math. 155, 2000).  ``_CHARTS`` holds each chart's K, N and tau:
   linear    any  inf     0
   constant  = 0  inf     c
 
-With (c, s) the solutions of y'' = -qK y with (y, y') = (1, 0) and (0, 1)
-at 0, at the frequency a = sqrt(|K|/(N-1)) (:func:`_cos_sin`), and
-y = c - q tau s (|s| from a pole), T = -y'/(q y) = (K s + tau c)/y
-(:func:`_flow`), the invariant density exp(-int T) is y^(N-1)
-(exp(-tau t - K t^2/2) for N = inf), and the drift poles are the zeros of
-y (:func:`_pole_ahead`): t = +-pi/(2a) on tan, t = 0 on coth and power.
-The first nonzero Neumann eigenvalue of L on a centered interval of length
-d is the sharp spectral-gap lower bound lambda_1(K, N, d); off-center
-intervals never beat the centered one.
+With c and s the solutions of y'' = -qK y with (y, y') = (1, 0) and (0, 1)
+at 0 (cos and sin/a, cosh and sinh/a of a t, or 1 and t, at the frequency
+a = sqrt(|K|/(N-1))) and y = c - q tau s (|s| from a pole), T = -y'/(q y)
+is the Moebius map (K r + tau)/(1 - q tau r) of r = s/c (:func:`_flow`),
+the invariant density exp(-int T) is y^(N-1), c or |s| alone on every
+finite-N chart (:func:`_density`; exp(-tau t - K t^2/2) for N = inf), and
+the drift poles are the zeros of y (:func:`_pole_ahead`): t = +-pi/(2a)
+on tan, t = 0 on coth and power.  The first nonzero Neumann eigenvalue of
+L on a centered interval of length d is the sharp spectral-gap lower
+bound lambda_1(K, N, d); off-center intervals never beat the centered one.
 
 Eigenvalues are Rayleigh-Ritz quotients int rho v'^2 / int rho (v - mean)^2,
 rho = exp(-int T), over polynomials orthonormal for rho on a Gauss-Jacobi
@@ -109,31 +110,21 @@ def _omega(K: float, N: float) -> float:
     return math.sqrt(abs(K) / (N - 1.0)) if K else 0.0
 
 
-def _cos_sin(K: float, N: float, h, xp=math):
-    """(c, s) at h: the solutions of y'' = -qK y with (y, y') = (1, 0) and
-    (0, 1) at 0, by the cos and sin of ``xp``: math on a float (the shots),
-    numpy on an array (the charts)."""
-    om = _omega(K, N)
-    if om == 0.0:
-        return 1.0, h
-    x = om * h
-    if K > 0.0:
-        return xp.cos(x), xp.sin(x) / om
-    return xp.cosh(x), xp.sinh(x) / om
-
-
 def _flow(K: float, N: float, tau: float, h, xp=math):
     """The drift h after T = tau along T' = K + q T^2: the Moebius map
-    (K s + tau c)/(c - q tau s) of :func:`_cos_sin`, and -c/(q s) from a
-    pole (tau = -inf)."""
-    c, s = _cos_sin(K, N, h, xp)
-    q = _q(N)
-    return -c / (q * s) if tau == -_INF else (K * s + tau * c) / (c - q * tau * s)
+    (K r + tau)/(1 - q tau r) in r = s/c, and -1/(q r) from a pole
+    (tau = -inf).  r is tan(a h)/a, tanh(a h)/a or h at the frequency a
+    (:func:`_omega`), by the tan or tanh of ``xp``: math on a float (the
+    shots), numpy on an array (the charts)."""
+    om, q = _omega(K, N), _q(N)
+    r = h if om == 0.0 else (xp.tan if K > 0.0 else xp.tanh)(om * h) / om
+    return -1.0 / (q * r) if tau == -_INF else (K * r + tau) / (1.0 - q * tau * r)
 
 
 def _pole_ahead(K: float, N: float, tau: float) -> float:
     """Distance from a start at T = tau to the drift's next pole, the first
-    zero of y = c - q tau s (:func:`_cos_sin`); inf if there is none."""
+    zero of y = c - q tau s, where r = s/c of :func:`_flow` reaches
+    1/(q tau); inf if there is none."""
     om, x = _omega(K, N), _q(N) * tau
     if om == 0.0:
         return 1.0 / x if x > 0.0 else _INF
@@ -269,12 +260,20 @@ def coeff_T(problem: ModelProblem, t):
 
 
 def _density(problem: ModelProblem, t: np.ndarray):
-    """exp(-int_0^t T) up to a constant factor, without the domain check."""
-    K, N, tau = problem.K, problem.N, problem._tau
-    if not math.isfinite(N):
-        return np.exp(-(tau * t + K * t * t / 2.0))
-    c, s = _cos_sin(K, N, t, np)
-    return (np.abs(s) if tau == -_INF else c - _q(N) * tau * s) ** (N - 1.0)
+    """exp(-int_0^t T) up to a constant factor, without the domain check:
+    y^(N-1) with y the one member its chart starts from, c at tau = 0 and
+    |s| from a pole; SolverError where that passes a double."""
+    K, N, tau, om = problem.K, problem.N, problem._tau, problem.alpha
+    with np.errstate(over="raise"):
+        try:
+            if not math.isfinite(N):
+                return np.exp(-(tau * t + K * t * t / 2.0))
+            if tau == 0.0:
+                return (np.cos if K > 0.0 else np.cosh)(om * t) ** (N - 1.0)
+            return np.abs(t if om == 0.0 else np.sinh(om * t) / om) ** (N - 1.0)
+        except FloatingPointError:
+            raise SolverError(f"the density overflows a double at |t| = "
+                              f"{np.abs(t).max()}") from None
 
 
 def invariant_density(problem: ModelProblem, t):

@@ -313,6 +313,20 @@ def test_model_table_finishes_after_a_failed_solve(tmp_path, monkeypatch):
     assert lines[4] == f"1.0,inf,3.0,{lambda1_model(1.0, math.inf, 3.0)!r}"
 
 
+# K < 0 with N near 1: cosh(a d/2) passes a double, so the density
+# cannot be formed; d is below no maximal length, so the point is no NA
+OVERFLOW_POINT = (-0.14842903521691636, 1.0041877451005612, 243.07542550046708)
+
+
+def test_model_table_density_overflow_is_an_error(tmp_path, capsys):
+    # the quotient's LinAlgError (a ValueError) read NA, and the table exited 0
+    K, N, d = OVERFLOW_POINT
+    code, lines = _model_table(tmp_path, {"K": [K], "N": [N], "d": [d]})
+    assert code == 2
+    assert lines == ["K,N,d,lambda", f"{K!r},{N!r},{d!r},error"]
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("command", ["geom", "solve"])
 def test_empty_resolutions_rejected(tmp_path, capsys, command):
     # an empty list and a missing key alike: the CLI reads the suite's rule
@@ -339,8 +353,10 @@ def test_empty_resolutions_rejected(tmp_path, capsys, command):
     (["suite", "--config", "{bad}", "--out", "{out}"], "Expecting property name"),
     (["suite", "--config", "{ones}", "--out", "{out}"],
      "case config must be an object, got 1"),
+    (["model-eig", *(f"--{k}={v!r}" for k, v in zip("KNd", OVERFLOW_POINT))],
+     "the density overflows a double at |t| = 121.388"),
 ], ids=["model-eig-d", "model-eig-solver", "model-table", "geom", "solve", "verify",
-        "suite-json", "suite-entry"])
+        "suite-json", "suite-entry", "model-eig-overflow"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, error):
     # 0 holds, 1 violated, 2 nothing decided: a bad input reads 2 from every
     # command, as one error line and no traceback

@@ -270,6 +270,28 @@ class TestEnergyAssembly:
             ref = float(op.mu @ dual_norm_eval(spec.norm, op.gradient(u)) ** 2)
             assert num == pytest.approx(ref, rel=1e-13, abs=0), spec
 
+    # every golden lattice of a quadratic norm (Euclidean or quadratic, no
+    # drift b), at each of its resolutions
+    QUADRATIC_LATTICES = [dict(c, resolution=r) for c in golden_cases()
+                          if c["norm"]["family"] in ("euclidean", "quadratic")
+                          for r in c["resolutions"]]
+
+    @pytest.mark.parametrize("cfg", QUADRATIC_LATTICES,
+                             ids=[f"{c['id']}-r{c['resolution']}" for c in QUADRATIC_LATTICES])
+    def test_quadratic_energy_is_the_stiffness_form(self, cfg):
+        # F*(xi)^2 = xi.B xi, so the element energy and gradient are u.S u
+        # and 2 S u of the assembled S the preconditioner factors: on random
+        # u, within 1.1e-15 (energy) and 2.7e-15 (gradient, 3-D) relative
+        spec = domain_spec_from_config(cfg)
+        op = build_domain(spec).mesh
+        S = eigensolver._stiffness(op, spec.norm)
+        rng = np.random.default_rng(3)
+        for u in rng.standard_normal((2, op.m.size)):
+            E, g = _energy_and_grad(op, spec.norm, u)
+            Su = S @ u
+            assert E == pytest.approx(float(u @ Su), rel=1e-13, abs=0)
+            assert np.abs(g - 2.0 * Su).max() <= 1e-13 * np.abs(2.0 * Su).max()
+
     def test_mass_is_node_measure(self):
         # the reflection average makes the lumped P1 volumes the lattice's
         # cell measures, on faces and corners too; one Kuhn orientation

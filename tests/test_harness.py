@@ -489,6 +489,26 @@ class TestSuite:
         assert sorted(p.name for p in out.iterdir()) == ["bounds.csv", "case-box.csv",
                                                          "summary.json"]
 
+    @pytest.mark.parametrize("ident, error", [("x" * 300, "File name too long"),
+                                              ("a\0b", "embedded null byte")],
+                             ids=["too-long", "nul-byte"])
+    def test_id_the_dump_cannot_take_is_an_error(self, tmp_path, ident, error):
+        # a plain name that no file can carry fails its own case at the
+        # dump, after the solve: the other case keeps its verdict and both
+        # tables are written
+        out = tmp_path / "out"
+        result = run_suite({"cases": [sharp_case(res=(25, 50), ident=ident),
+                                      box_case(res=(5, 10))]}, out_dir=str(out))
+        assert result.exit_code == 2
+        by_id = {c["id"]: c for c in json.loads((out / "summary.json").read_text())["cases"]}
+        assert error in by_id[ident]["error"]
+        assert by_id["box"]["bound_report"]["verdict"] == "holds"
+        with open(out / "bounds.csv", newline="") as f:
+            rows = {r["id"]: r["verdict"] for r in csv.DictReader(f)}
+        assert rows["box"] == "holds" and error in rows[ident]
+        assert sorted(p.name for p in out.iterdir()) == ["bounds.csv", "case-box.csv",
+                                                         "summary.json"]
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_eigenfunction_csv_bytes(self, tmp_path, dim):
         # the same bytes as the csv module's writer, -0.0 and the extremes
@@ -580,6 +600,43 @@ class TestNegativeControls:
         assert rows == verdicts
         assert (out / "case-box-euclid.csv").exists()
         assert (out / "case-box-euclid-false.csv").exists()
+
+
+def thin_box(ident, lengths, res, norm=None, weight=None):
+    return {"id": ident, "domain": {"shape": "box", "lengths": lengths},
+            "norm": norm or {"family": "euclidean", "dim": len(lengths)},
+            "weight": weight or {"kind": "lebesgue"}, "resolutions": list(res)}
+
+
+# Near-sharp thin boxes, kept out of golden_cases(): a box L x eps has the
+# first eigenfunction of its long axis, so lambda is that axis's 1-D value
+# while the bound reads d = sqrt(L^2 + eps^2) (Payne and Weinberger, Arch.
+# Rational Mech. Anal. 5, 1960): the exact margin is the 1-D value minus
+# the bound.  Each pairs a case with its 1-D value: pi^2/L^2, the Gaussian
+# interval's lambda1_model(kappa, inf, L), and pi^2/(L (1 + |b|))^2 for the
+# Randers norm, whose slope along b is 1 + |b|.
+NEAR_SHARP = [
+    (thin_box("thin-euclid", [2.0, 0.1], (40, 80)), PI2 / 4),
+    (thin_box("thinner-euclid", [2.0, 0.05], (80, 160)), PI2 / 4),
+    (thin_box("thin-gauss", [2.0, 0.1], (40, 80), weight={"kind": "gaussian", "kappa": 1.0}),
+     lambda1_model(1.0, math.inf, 2.0)),
+    (thin_box("thin-randers", [2.0, 0.1], (40, 80),
+              norm={"family": "randers", "dim": 2,
+                    "params": {"A": [1.0, 0.0, 0.0, 1.0], "b": [0.3, 0.0]}}),
+     PI2 / (4 * 1.3**2)),
+    (thin_box("thin-euclid-3d", [2.0, 0.1, 0.1], (40, 80)), PI2 / 4),
+]
+
+
+class TestNearSharp:
+    @pytest.mark.parametrize("case, exact", NEAR_SHARP, ids=[c["id"] for c, _ in NEAR_SHARP])
+    def test_margin_lands_on_the_exact_margin(self, case, exact):
+        # each holds, by a margin within its bar of the exact one: about
+        # +6e-3 (2 x 0.05: +1.5e-3, Randers +2.8e-3, 3-D +1.2e-2), off it by
+        # 2e-5 to 8e-5 against bars of 1.2e-4 to 5e-4
+        rep = run_case(case).report
+        assert rep.verdict == "holds"
+        assert abs(rep.margin - (exact - rep.bound)) <= rep.discretization_tolerance
 
 
 class TestPoincareRestatement:

@@ -2,7 +2,9 @@
 
 import importlib.util
 import math
+import random
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -737,6 +739,67 @@ class TestModelSolution:
     def test_vprime_positive_interior(self):
         ms = model_solution(-1.0, 3.0, 4.0)
         assert np.all(ms.vps[1:-1] > 0)
+
+
+def scan_points(n):
+    """The first n (K, N, lam, d) of a seeded scan of K < 0 with N near 1,
+    where the drift from a long step passes cosh and sinh's range: lam
+    above the threshold by a factor 1 + 1e-8 .. 11, d from 3 to 1000."""
+    rng = random.Random(7)
+    for _ in range(n):
+        K = -10 ** rng.uniform(-3, 0.5)
+        N = 1 + 10 ** rng.uniform(-2.5, -1)
+        lam = model1d.model_threshold(K, N) * (1 + 10 ** rng.uniform(-8, 1))
+        yield K, N, lam, 10 ** rng.uniform(0.5, 3)
+
+
+def answers_or_refuses(call, *args):
+    """Run call(*args): a ValueError or SolverError passes, while any other
+    exception, and any warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except (ValueError, model1d.SolverError):
+            pass
+
+
+class TestErrorContract:
+    """lambda1_model, model_solution and fit_model_solution raise only
+    ValueError (bad input, past the Myers length) or SolverError (the
+    method failed); model-table's NA rule and the harness rely on it."""
+
+    def test_seeded_scan(self):
+        # the first 20 of 400 scan points (all 400 take three minutes of
+        # CPU, most of it in fits): at them model_solution raised
+        # OverflowError 3 times from the drift's cosh, and lambda1_model
+        # warned once of the density's cosh overflowing
+        for K, N, lam, d in scan_points(20):
+            answers_or_refuses(model_solution, K, N, lam)
+            answers_or_refuses(lambda1_model, K, N, d)
+
+    @pytest.mark.parametrize("K, N, lam", [
+        (-0.31274463125783136, 1.0241862333736544, 0.0018910417894395706),
+        (-0.007150522664343401, 1.0229951139166167, 4.112868280125769e-05),
+    ])
+    def test_long_negative_drift(self, K, N, lam):
+        # model_solution, and the fit's probes after it, raised OverflowError
+        answers_or_refuses(model_solution, K, N, lam)
+        answers_or_refuses(fit_model_solution, K, N, lam, 0.999)
+
+    def test_density_overflow_is_a_solver_error(self):
+        # cosh(a d/2) passes a double: the quotient saw inf and numpy's
+        # LinAlgError, a ValueError that model-table printed as NA
+        with pytest.raises(model1d.SolverError, match=r"overflows a double at \|t\| = 121\.388"):
+            lambda1_model(-0.14842903521691636, 1.0041877451005612, 243.07542550046708)
+        with pytest.raises(model1d.SolverError, match=r"\|t\| = 2000\.0"):
+            invariant_density(ModelProblem(-1.0, 3.0, "coth"), np.array([1.0, -2000.0]))
+
+    @pytest.mark.parametrize("chart", ["tanh", "coth"])
+    def test_drift_far_out_is_its_asymptote(self, chart):
+        # one tanh a step: cosh and sinh of a t = 1414 overflowed to nan
+        T = coeff_T(ModelProblem(-1.0, 3.0, chart), np.array([2000.0, -2000.0]))
+        np.testing.assert_allclose(T, [-math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
 
 
 class TestFit:
